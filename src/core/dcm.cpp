@@ -176,6 +176,25 @@ bool DataCenterManager::attach_probe(const std::string& name,
   return true;
 }
 
+HealthStep next_health(NodeHealth health, std::uint32_t consecutive_failures,
+                       bool ok, std::uint32_t degraded_after,
+                       std::uint32_t lost_after) {
+  if (ok) {
+    return {health == NodeHealth::kLost ? NodeHealth::kRecovered
+                                        : NodeHealth::kHealthy,
+            0};
+  }
+  ++consecutive_failures;
+  if (consecutive_failures >= lost_after) {
+    return {NodeHealth::kLost, consecutive_failures};
+  }
+  if (consecutive_failures >= degraded_after &&
+      (health == NodeHealth::kHealthy || health == NodeHealth::kRecovered)) {
+    return {NodeHealth::kDegraded, consecutive_failures};
+  }
+  return {health, consecutive_failures};
+}
+
 void DataCenterManager::note_health_change(Entry& e) {
   if (e.probe != nullptr) {
     e.probe->note_health(static_cast<std::int32_t>(e.health));
@@ -379,47 +398,33 @@ void DataCenterManager::rebalance_group_budget() {
 }
 
 void DataCenterManager::note_exchange(Entry& e, bool ok) {
-  if (ok) {
-    e.consecutive_failures = 0;
-    switch (e.health) {
-      case NodeHealth::kLost:
-        e.health = NodeHealth::kRecovered;
-        alerts_.push_back({poll_seq_, e.node->name(),
-                           "recovered: BMC reachable again; restoring group "
-                           "budget share"});
-        note_health_change(e);
-        rebalance_group_budget();
-        break;
-      case NodeHealth::kDegraded:
-      case NodeHealth::kRecovered:
-        e.health = NodeHealth::kHealthy;
-        note_health_change(e);
-        break;
-      case NodeHealth::kHealthy:
-        break;
-    }
-    return;
-  }
-  ++e.consecutive_failures;
-  if (e.health != NodeHealth::kLost &&
-      e.consecutive_failures >= config_.lost_after_failures) {
-    e.health = NodeHealth::kLost;
+  const NodeHealth before = e.health;
+  const HealthStep step =
+      next_health(e.health, e.consecutive_failures, ok,
+                  config_.degraded_after_failures, config_.lost_after_failures);
+  e.health = step.health;
+  e.consecutive_failures = step.consecutive_failures;
+  if (e.health == before) return;
+  if (e.health == NodeHealth::kRecovered) {
+    alerts_.push_back({poll_seq_, e.node->name(),
+                       "recovered: BMC reachable again; restoring group "
+                       "budget share"});
+  } else if (e.health == NodeHealth::kLost) {
     alerts_.push_back(
         {poll_seq_, e.node->name(),
          "lost: unreachable for " + std::to_string(e.consecutive_failures) +
              " polls; reserving " + watts_str(reserved_for(e)) +
              " W of group budget"});
-    note_health_change(e);
-    rebalance_group_budget();
-  } else if ((e.health == NodeHealth::kHealthy ||
-              e.health == NodeHealth::kRecovered) &&
-             e.consecutive_failures >= config_.degraded_after_failures) {
-    e.health = NodeHealth::kDegraded;
+  } else if (e.health == NodeHealth::kDegraded) {
     alerts_.push_back(
         {poll_seq_, e.node->name(),
          "degraded: " + std::to_string(e.consecutive_failures) +
              " consecutive failed exchanges"});
-    note_health_change(e);
+  }
+  note_health_change(e);
+  // Losing or regaining a node changes who shares the group budget.
+  if (e.health == NodeHealth::kLost || e.health == NodeHealth::kRecovered) {
+    rebalance_group_budget();
   }
 }
 

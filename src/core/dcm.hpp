@@ -124,12 +124,26 @@ struct Alert {
   std::string message;
 };
 
-/// Node reachability as seen by the DCM. `kRecovered` is the one-poll
-/// transitional state after a lost node answers again (its budget share has
-/// just been restored); the next successful poll settles it back to
-/// `kHealthy`.
+/// Node reachability as seen by the DCM, and the health of every fleet
+/// budget-tree link (fleet::BudgetCoupler): the same FSM. `kRecovered` is
+/// the one-exchange transitional state after a lost peer answers again
+/// (its budget share has just been restored); the next success settles it
+/// back to `kHealthy`.
 enum class NodeHealth { kHealthy, kDegraded, kLost, kRecovered };
 std::string node_health_name(NodeHealth health);
+
+struct HealthStep {
+  NodeHealth health = NodeHealth::kHealthy;
+  std::uint32_t consecutive_failures = 0;
+};
+
+/// The FSM's one transition, pure: a success resets the failure streak and
+/// moves kLost to kRecovered, anything else to kHealthy; a failure extends
+/// the streak, loses the peer at `lost_after` failures and degrades a
+/// healthy or recovered peer at `degraded_after`.
+HealthStep next_health(NodeHealth health, std::uint32_t consecutive_failures,
+                       bool ok, std::uint32_t degraded_after,
+                       std::uint32_t lost_after);
 
 struct DcmConfig {
   std::size_t history_depth = 256;

@@ -14,19 +14,12 @@ void BudgetCoupler::add_child(ChildLink* link, double initial_granted_w) {
 }
 
 void BudgetCoupler::note_exchange(Child& child, bool ok) {
-  if (ok) {
-    child.consecutive_failures = 0;
-    child.health = child.health == LinkHealth::kLost ? LinkHealth::kRecovered
-                                                     : LinkHealth::kHealthy;
-    return;
-  }
-  ++child.consecutive_failures;
-  if (child.consecutive_failures >= config_.lost_after_failures) {
-    child.health = LinkHealth::kLost;
-  } else if (child.consecutive_failures >= config_.degraded_after_failures &&
-             child.health != LinkHealth::kLost) {
-    child.health = LinkHealth::kDegraded;
-  }
+  const core::HealthStep step =
+      core::next_health(child.health, child.consecutive_failures, ok,
+                        config_.degraded_after_failures,
+                        config_.lost_after_failures);
+  child.health = step.health;
+  child.consecutive_failures = step.consecutive_failures;
 }
 
 double BudgetCoupler::committed_w() const {
@@ -38,7 +31,7 @@ double BudgetCoupler::committed_w() const {
 double BudgetCoupler::reserved_w() const {
   double sum = 0.0;
   for (const Child& c : children_) {
-    if (c.health == LinkHealth::kLost) sum += c.granted_w;
+    if (c.health == core::NodeHealth::kLost) sum += c.granted_w;
   }
   return sum;
 }
@@ -46,7 +39,7 @@ double BudgetCoupler::reserved_w() const {
 std::size_t BudgetCoupler::lost_children() const {
   std::size_t n = 0;
   for (const Child& c : children_) {
-    if (c.health == LinkHealth::kLost) ++n;
+    if (c.health == core::NodeHealth::kLost) ++n;
   }
   return n;
 }
@@ -79,7 +72,7 @@ CouplerRound BudgetCoupler::push_round(double target_w,
   std::vector<std::size_t> reachable;
   reachable.reserve(children_.size());
   for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (children_[i].health != LinkHealth::kLost) reachable.push_back(i);
+    if (children_[i].health != core::NodeHealth::kLost) reachable.push_back(i);
   }
   const double available = target_w - reserved_w();
 
@@ -150,11 +143,9 @@ CouplerRound BudgetCoupler::run_round(double target_w,
                                       const std::vector<double>* weights,
                                       double grid_w) {
   for (Child& child : children_) {
-    ++polls_;
     const std::optional<double> demand = child.link->poll_demand();
     note_exchange(child, demand.has_value());
     if (demand.has_value()) child.demand_w = std::max(*demand, 0.0);
-    if (!demand.has_value()) ++poll_failures_;
   }
   return push_round(target_w, weights, grid_w, /*allow_increases=*/true);
 }

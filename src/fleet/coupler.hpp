@@ -22,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "core/dcm.hpp"
 #include "fleet/budget.hpp"
 
 namespace pcap::fleet {
@@ -45,11 +46,6 @@ class ChildLink {
   virtual double floor_w() const = 0;
   virtual double ceiling_w() const = 0;
 };
-
-/// Same shape as the DCM node-health FSM: consecutive failed exchanges
-/// degrade then lose a child; the first success after kLost lands on
-/// kRecovered before returning to kHealthy.
-enum class LinkHealth { kHealthy, kDegraded, kLost, kRecovered };
 
 struct CouplerConfig {
   std::uint32_t degraded_after_failures = 2;
@@ -97,14 +93,13 @@ class BudgetCoupler {
   double reserved_w() const;
   std::size_t size() const { return children_.size(); }
   std::size_t lost_children() const;
-  LinkHealth health(std::size_t i) const { return children_[i].health; }
+  /// Child link health: the DCM's node-health FSM (core::next_health).
+  core::NodeHealth health(std::size_t i) const { return children_[i].health; }
   double granted_w(std::size_t i) const { return children_[i].granted_w; }
   double demand_w(std::size_t i) const { return children_[i].demand_w; }
   const CouplerRound& last_round() const { return last_round_; }
 
   // Exchange accounting, for chaos studies and the management-cost story.
-  std::uint64_t polls() const { return polls_; }
-  std::uint64_t poll_failures() const { return poll_failures_; }
   std::uint64_t pushes() const { return pushes_; }
   std::uint64_t push_failures() const { return push_failures_; }
   std::uint64_t withheld_rounds() const { return withheld_rounds_; }
@@ -115,7 +110,7 @@ class BudgetCoupler {
     ChildLink* link = nullptr;
     double granted_w = 0.0;  // last acked grant; what the child enforces
     double demand_w = 0.0;   // last successful poll
-    LinkHealth health = LinkHealth::kHealthy;
+    core::NodeHealth health = core::NodeHealth::kHealthy;
     std::uint32_t consecutive_failures = 0;
   };
 
@@ -128,8 +123,6 @@ class BudgetCoupler {
   CouplerConfig config_;
   std::vector<Child> children_;
   CouplerRound last_round_;
-  std::uint64_t polls_ = 0;
-  std::uint64_t poll_failures_ = 0;
   std::uint64_t pushes_ = 0;
   std::uint64_t push_failures_ = 0;
   std::uint64_t withheld_rounds_ = 0;

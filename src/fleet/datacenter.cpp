@@ -1,15 +1,13 @@
 #include "fleet/datacenter.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "sched/memo_store.hpp"
-#include "util/thread_pool.hpp"
+#include "util/hash.hpp"
 #include "util/units.hpp"
 
 namespace pcap::fleet {
@@ -17,22 +15,11 @@ namespace pcap::fleet {
 namespace {
 constexpr double kTimeEps = 1e-12;
 constexpr double kTolW = 1e-3;
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, double v) {
-  return fnv_mix(h, std::bit_cast<std::uint64_t>(v));
-}
 }  // namespace
 
 std::uint64_t FleetResult::schedule_digest() const {
-  std::uint64_t h = 0xCBF29CE484222325ull;
+  using util::fnv_mix;
+  std::uint64_t h = util::kFnvOffset;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const sched::JobRecord& r = jobs[i];
     h = fnv_mix(h, static_cast<std::uint64_t>(r.node));
@@ -57,19 +44,9 @@ std::uint64_t FleetResult::schedule_digest() const {
 }
 
 DatacenterManager::DatacenterManager(const FleetConfig& config)
-    : config_(config), coupler_(config.coupler),
-      chunk_cache_(config.memo_capacity) {
-  // Warm start (DESIGN.md §17): pre-populate the fleet-wide memo cache
-  // from the persistent store. Corrupt / version-mismatched stores are
-  // rejected whole; keys embed cap + thermal identity bits, so entries
-  // from a different configuration are simply never consulted.
-  if (config_.memo && !config_.memo_store.empty()) {
-    const sched::MemoStoreLoadResult loaded =
-        sched::load_memo_store(config_.memo_store, chunk_cache_);
-    result_.store_entries_loaded = loaded.entries_loaded;
-    result_.store_load_rejected = loaded.rejected ? 1 : 0;
-    chunk_cache_.trim();
-  }
+    : config_(config),
+      coupler_(config.coupler),
+      batch_(sched::ChunkBatch::Config::from(config)) {
   for (std::size_t i = 0; i < config_.rack_nodes.size(); ++i) {
     auto slot = std::make_unique<RackSlot>();
     RackConfig rack;
@@ -209,7 +186,7 @@ void DatacenterManager::admit(double t) {
       const ipmi::RackStatus& status = racks_[i]->client->last_status();
       busy += status.busy_nodes;
       total_nodes += status.nodes;
-      if (coupler_.health(i) != LinkHealth::kLost) {
+      if (coupler_.health(i) != core::NodeHealth::kLost) {
         free_lanes[i] = status.free_lanes;
       }
     }
@@ -256,23 +233,8 @@ void DatacenterManager::admit(double t) {
         }
       }
       if (rack == racks_.size()) break;  // no lane capacity anywhere
-      const int job_id = tenant_queues_[best].front();
-      tenant_queues_[best].pop_front();
       tenant_deficit_[best] -= 1.0;
-      const FleetJob& job = stream_[static_cast<std::size_t>(job_id)];
-      LaneJob lane;
-      lane.job_id = job.id;
-      lane.tenant = job.tenant;
-      lane.cls = job.spec.cls;
-      lane.seed = job.spec.seed;
-      lane.chunks = job.spec.chunks;
-      lane.deadline_s = job.spec.deadline_s;
-      racks_[rack]->manager->enqueue(lane);
-      result_.job_rack[static_cast<std::size_t>(job_id)] =
-          static_cast<int>(rack);
-      job_admit_s_[static_cast<std::size_t>(job_id)] = t;
-
-      ++result_.admitted;
+      admit_head(best, rack, t);
       --free_lanes[rack];
       --budget_slots;
     }
@@ -282,172 +244,64 @@ void DatacenterManager::admit(double t) {
   }
 }
 
+void DatacenterManager::admit_head(std::size_t tenant, std::size_t rack,
+                                   double t) {
+  const int job_id = tenant_queues_[tenant].front();
+  tenant_queues_[tenant].pop_front();
+  const FleetJob& job = stream_[static_cast<std::size_t>(job_id)];
+  racks_[rack]->manager->enqueue({job.id, job.tenant, job.spec.cls,
+                                  job.spec.seed, job.spec.chunks,
+                                  job.spec.deadline_s});
+  result_.job_rack[static_cast<std::size_t>(job_id)] = static_cast<int>(rack);
+  job_admit_s_[static_cast<std::size_t>(job_id)] = t;
+  ++result_.admitted;
+}
+
 void DatacenterManager::start_chunks(double t) {
-  struct Starter {
-    std::size_t rack = 0;
-    std::size_t node = 0;
-    std::size_t lane = 0;
-    bool corun = false;
-    sched::ChunkKey key;
-    const sched::ChunkResult* hit = nullptr;
-    std::size_t cell = 0;
-    std::size_t member = 0;
-    std::uint64_t seed = 0;
-    int chunk_index = 0;
-    int job_id = -1;
-  };
-  struct CellWork {
-    sched::CoRunKey key;
-    const std::vector<sched::ChunkResult>* hit = nullptr;
-    std::vector<sched::ChunkResult> fresh;
-  };
-  std::vector<Starter> starters;
-  std::vector<CellWork> cells;
-  std::unordered_map<sched::CoRunKey, std::size_t, sched::CoRunKeyHash>
-      cell_index;
-  // One machine config serves the whole fleet today, but the shared cache
-  // outlives that assumption — stamp the thermal fingerprint regardless.
-  const std::uint64_t thermal_bits =
-      sched::thermal_identity_bits(config_.machine);
-
+  // One ChunkBatch round in (rack, node, lane) order, one cache for the
+  // whole fleet.
   const auto member_of = [](const RackManager::Lane& lane) {
-    sched::CoRunMember member;
-    member.cls = lane.job.cls;
-    member.identity =
-        sched::chunk_identity(lane.job.cls, lane.job.seed, lane.chunks_done);
-    member.seed = lane.job.seed;
-    member.chunk_index = lane.chunks_done;
-    return member;
+    return sched::CoRunMember::of(lane.job.cls, lane.job.seed,
+                                  lane.chunks_done);
   };
-
-  // Serial classify in (rack, node, lane) order — the scheduler's proven
-  // bit-identity pattern, one cache for the whole fleet.
-  std::vector<RackManager::StartRef> refs;
+  starts_.clear();
   for (std::size_t r = 0; r < racks_.size(); ++r) {
     RackManager& rack = *racks_[r]->manager;
-    refs.clear();
-    rack.pending_starts(refs);
-    for (const RackManager::StartRef& ref : refs) {
-      const RackManager::Lane& lane = rack.lane(ref.node, ref.lane);
-      const std::optional<double> cap = rack.node_granted_w(ref.node);
-      Starter starter;
-      starter.rack = r;
-      starter.node = ref.node;
-      starter.lane = ref.lane;
-      starter.seed = lane.job.seed;
-      starter.chunk_index = lane.chunks_done;
-      starter.job_id = lane.job.job_id;
-      const sched::CoRunMember self = member_of(lane);
-      std::vector<sched::CoRunMember> members{self};
+    refs_.clear();
+    rack.pending_starts(refs_);
+    for (const RackManager::StartRef& ref : refs_) {
+      co_residents_.clear();
       for (std::size_t o = 0; o < rack.lanes_per_node(); ++o) {
-        if (o == ref.lane) continue;
         const RackManager::Lane& other = rack.lane(ref.node, o);
-        if (!other.busy()) continue;
-        members.push_back(member_of(other));
-      }
-      if (members.size() == 1) {
-        starter.key.cls = self.cls;
-        starter.key.identity = self.identity;
-        starter.key.cap_bits = sched::ChunkKey::encode_cap(cap);
-        starter.key.thermal_bits = thermal_bits;
-        if (config_.memo) starter.hit = chunk_cache_.find(starter.key);
-        ++(starter.hit != nullptr ? result_.memo_hits : result_.memo_misses);
-      } else {
-        starter.corun = true;
-        std::sort(members.begin(), members.end(),
-                  [](const sched::CoRunMember& a, const sched::CoRunMember& b) {
-                    return key_less(a, b);
-                  });
-        sched::CoRunKey key;
-        key.cap_bits = sched::ChunkKey::encode_cap(cap);
-        key.thermal_bits = thermal_bits;
-        key.members = std::move(members);
-        for (std::size_t m = 0; m < key.members.size(); ++m) {
-          if (same_key(key.members[m], self)) {
-            starter.member = m;
-            break;
-          }
+        if (o != ref.lane && other.busy()) {
+          co_residents_.push_back(member_of(other));
         }
-        const auto found = cell_index.find(key);
-        if (found != cell_index.end()) {
-          starter.cell = found->second;
-        } else {
-          starter.cell = cells.size();
-          cell_index.emplace(key, cells.size());
-          CellWork work;
-          if (config_.memo) work.hit = chunk_cache_.find_cell(key);
-          work.key = std::move(key);
-          cells.push_back(std::move(work));
-        }
-        ++(cells[starter.cell].hit != nullptr ? result_.memo_hits
-                                              : result_.memo_misses);
       }
-      starters.push_back(std::move(starter));
+      batch_.add_start(member_of(rack.lane(ref.node, ref.lane)),
+                       co_residents_, rack.node_granted_w(ref.node));
+      starts_.push_back({r, ref});
     }
   }
-
-  // Misses fan out over the worker pool; the cache is not touched here.
-  std::vector<sched::ChunkResult> fresh(starters.size());
-  util::parallel_for(starters.size(), config_.jobs, [&](std::size_t k) {
-    const Starter& starter = starters[k];
-    if (starter.corun || starter.hit != nullptr) return;
-    fresh[k] = sched::simulate_chunk(config_.machine, config_.bmc, starter.key,
-                                     starter.seed, starter.chunk_index,
-                                     config_.seed);
-  });
-  util::parallel_for(cells.size(), config_.jobs, [&](std::size_t c) {
-    if (cells[c].hit != nullptr) return;
-    cells[c].fresh = sched::simulate_corun_cell(
-        config_.machine, config_.bmc, cells[c].key, config_.seed,
-        config_.corun_quantum);
-  });
-  result_.corun_cells += static_cast<std::uint64_t>(
-      std::count_if(cells.begin(), cells.end(),
-                    [](const CellWork& c) { return c.hit == nullptr; }));
-
-  // Serial commit in the classify order.
-  for (std::size_t k = 0; k < starters.size(); ++k) {
-    const Starter& starter = starters[k];
-    sched::ChunkResult result;
-    if (!starter.corun) {
-      result = starter.hit != nullptr ? *starter.hit : fresh[k];
-      if (config_.memo && starter.hit == nullptr) {
-        chunk_cache_.insert(starter.key, fresh[k]);
-      }
-    } else {
-      const CellWork& cell = cells[starter.cell];
-      const std::vector<sched::ChunkResult>& results =
-          cell.hit != nullptr ? *cell.hit : cell.fresh;
-      result = results[starter.member];
-    }
-    RackManager& rack = *racks_[starter.rack]->manager;
-    rack.begin_chunk(starter.node, starter.lane, result, t);
-    sched::JobRecord& record =
-        result_.jobs[static_cast<std::size_t>(starter.job_id)];
+  const std::span<const sched::ChunkBatch::Outcome> outcomes =
+      batch_.run_round();
+  for (std::size_t k = 0; k < starts_.size(); ++k) {
+    const auto& [r, ref] = starts_[k];
+    RackManager& rack = *racks_[r]->manager;
+    sched::JobRecord& record = result_.jobs[static_cast<std::size_t>(
+        rack.lane(ref.node, ref.lane).job.job_id)];
+    rack.begin_chunk(ref.node, ref.lane, outcomes[k].result, t);
     if (record.start_s < 0.0) {
       record.start_s = t;
       std::size_t flat = 0;
-      for (std::size_t r = 0; r < starter.rack; ++r) {
-        flat += racks_[r]->manager->node_count();
+      for (std::size_t before = 0; before < r; ++before) {
+        flat += racks_[before]->manager->node_count();
       }
-      record.node = static_cast<int>(flat + starter.node);
-      record.lane = static_cast<int>(starter.lane);
+      record.node = static_cast<int>(flat + ref.node);
+      record.lane = static_cast<int>(ref.lane);
     }
-    if (starter.corun) ++record.corun_chunks;
+    if (outcomes[k].corun) ++record.corun_chunks;
   }
-  if (config_.memo) {
-    for (CellWork& cell : cells) {
-      if (cell.hit == nullptr) {
-        chunk_cache_.insert_cell(cell.key, std::move(cell.fresh));
-      }
-    }
-    // LRU eviction ONLY at this serial commit point: the epilogue above
-    // held find()/find_cell() pointers across inserts, and recency is
-    // driven by the serial rack/node/lane classify order — invariant
-    // under `jobs` (DESIGN.md §17).
-    chunk_cache_.trim();
-  }
-  started_this_tick_ = !starters.empty();
+  started_this_tick_ = !starts_.empty();
 }
 
 void DatacenterManager::record_tick(double t, const CouplerRound& round) {
@@ -568,21 +422,7 @@ void DatacenterManager::step() {
   if (!in_flight && next_arrival_ >= stream_.size() && backlog > 0) {
     for (std::size_t ten = 0; ten < tenant_queues_.size(); ++ten) {
       if (tenant_queues_[ten].empty()) continue;
-      const int job_id = tenant_queues_[ten].front();
-      tenant_queues_[ten].pop_front();
-      const FleetJob& job = stream_[static_cast<std::size_t>(job_id)];
-      LaneJob lane;
-      lane.job_id = job.id;
-      lane.tenant = job.tenant;
-      lane.cls = job.spec.cls;
-      lane.seed = job.spec.seed;
-      lane.chunks = job.spec.chunks;
-      lane.deadline_s = job.spec.deadline_s;
-      racks_[0]->manager->enqueue(lane);
-      result_.job_rack[static_cast<std::size_t>(job_id)] = 0;
-      job_admit_s_[static_cast<std::size_t>(job_id)] = t;
-
-      ++result_.admitted;
+      admit_head(ten, 0, t);
       ++result_.forced_admissions;
       break;
     }
@@ -684,13 +524,14 @@ FleetResult DatacenterManager::finish() {
   fleet.name = "fleet";
   result_.fleet_series = std::move(fleet);
 
-  result_.memo_evictions = chunk_cache_.evictions();
-  if (config_.memo && !config_.memo_store.empty()) {
-    if (sched::save_memo_store(config_.memo_store, chunk_cache_)) {
-      result_.store_entries_saved = static_cast<std::uint64_t>(
-          chunk_cache_.size() + chunk_cache_.cell_count());
-    }
-  }
+  const sched::ChunkBatch::Stats memo = batch_.stats();
+  result_.memo_hits = memo.hits;
+  result_.memo_misses = memo.misses;
+  result_.memo_evictions = memo.evictions;
+  result_.corun_cells = memo.corun_cells;
+  result_.store_entries_loaded = memo.store_entries_loaded;
+  result_.store_load_rejected = memo.store_load_rejected;
+  result_.store_entries_saved = batch_.save_store();
   return result_;
 }
 

@@ -13,10 +13,9 @@
 //                     admitted nodes at or above the amenability knee
 //                     rather than throttling everyone to the floor)
 //   4. placement    — racks place queued jobs onto free lanes
-//   5. chunk starts — fleet-wide classify (serial, rack/node/lane order),
-//                     memo misses fan out over `jobs`, serial commit: the
-//                     scheduler's proven bit-identity pattern, with ONE
-//                     shared ChunkCache across the whole fleet
+//   5. chunk starts — one sched::ChunkBatch round over the whole fleet in
+//                     rack/node/lane order (the scheduler's engine, ONE
+//                     shared memo cache for every rack)
 //   6. telemetry    — per-node samplers record; Reducer fan-in at the end
 //
 // The invariant records written every tick at every level are what the
@@ -29,6 +28,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/bmc.hpp"
@@ -39,7 +39,7 @@
 #include "fleet/endpoint.hpp"
 #include "fleet/rack.hpp"
 #include "fleet/tenant.hpp"
-#include "sched/chunk_cache.hpp"
+#include "sched/chunk_batch.hpp"
 #include "sim/machine_config.hpp"
 #include "telemetry/reducer.hpp"
 
@@ -64,8 +64,8 @@ struct FleetConfig {
   /// 0 = unbounded. Pure performance/memory knob (never changes results).
   std::size_t memo_capacity = 0;
   /// Persistent chunk-memo store path (DESIGN.md §17): loaded before the
-  /// run (corrupt stores rejected whole), written back by finish(). A warm
-  /// store replays recorded chunks bit-exactly — same digest, zero misses.
+  /// run (corrupt stores rejected whole), written back by finish(). Same
+  /// replay contract as SchedulerConfig::memo_store.
   std::string memo_store;
   sim::MachineConfig machine = sim::MachineConfig::romley();
   core::BmcConfig bmc;
@@ -215,13 +215,15 @@ class DatacenterManager {
 
   void control_round(double t);
   void admit(double t);
+  /// Moves `tenant`'s queue head onto `rack`'s queue, admitted at `t`.
+  void admit_head(std::size_t tenant, std::size_t rack, double t);
   void start_chunks(double t);
   void record_tick(double t, const CouplerRound& round);
 
   FleetConfig config_;
   std::vector<std::unique_ptr<RackSlot>> racks_;
   BudgetCoupler coupler_;
-  sched::ChunkCache chunk_cache_;
+  sched::ChunkBatch batch_;
   /// Per-rack demand-series detectors (empty unless config_.predictor).
   std::vector<predict::PhasePredictor> rack_phase_;
 
@@ -237,7 +239,11 @@ class DatacenterManager {
   std::size_t tick_count_ = 0;
   std::size_t completed_jobs_ = 0;
   std::size_t stalled_ticks_ = 0;
-  std::vector<ChunkEvent> completions_;  // scratch, reused per tick
+  // Scratch, reused per tick.
+  std::vector<ChunkEvent> completions_;
+  std::vector<RackManager::StartRef> refs_;
+  std::vector<std::pair<std::size_t, RackManager::StartRef>> starts_;
+  std::vector<sched::CoRunMember> co_residents_;
 };
 
 /// CSV writers for the fleet sweep artifacts (CI uploads these).

@@ -133,7 +133,7 @@ ipmi::RackStatus BudgetGroup::status() {
     busy = static_cast<std::uint16_t>(busy + child.busy_nodes);
     free_lanes = static_cast<std::uint16_t>(free_lanes + child.free_lanes);
     queued = static_cast<std::uint16_t>(queued + child.queued_jobs);
-    if (coupler_.health(i) == LinkHealth::kLost) {
+    if (coupler_.health(i) == core::NodeHealth::kLost) {
       lost_nodes = static_cast<std::uint16_t>(lost_nodes + child.nodes);
     } else {
       lost_nodes = static_cast<std::uint16_t>(lost_nodes + child.lost_nodes);

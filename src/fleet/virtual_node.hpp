@@ -1,7 +1,7 @@
 // Fleet-scale node endpoint: the management-plane face of one simulated
 // node without the full sim::Node + core::Bmc machinery, so 1k-10k of them
 // stay cheap to construct and poll. Chunk *execution* still runs through
-// the real simulator via the shared chunk/co-run memo (sched::ChunkCache);
+// the real simulator through the fleet's sched::ChunkBatch and its memo;
 // the VirtualNode only tracks what its BMC would report out-of-band: the
 // enforced cap, the capability range, and the current draw (the running
 // chunk's average package power, or the idle floor).

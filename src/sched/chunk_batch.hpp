@@ -1,0 +1,140 @@
+// The chunk-round engine (DESIGN.md §12): the rack scheduler and the fleet
+// start every chunk through one ChunkBatch, one round per scheduler event
+// or fleet tick. Each chunk is one of the paper's capped-node cells — a
+// fresh Node (solo) or SmpNode (co-run) plus a BMC enforcing the node's
+// cap — simulated as a pure function of its memo key (chunk_cache.hpp):
+//   1. add_start() classifies each start serially, in call order, as solo
+//      or co-run and as memo hit or miss; identical co-run cells within
+//      a round are simulated once;
+//   2. run_round() simulates every miss, solo chunks and new cells
+//      together, in one util::parallel_for over `jobs`, then commits
+//      serially: solo inserts in start order, new cells in first-seen
+//      order, one ChunkCache::trim().
+// Results, hit/miss counts, LRU recency and evictions therefore do not
+// depend on `jobs`, and results do not depend on `memo`.
+#pragma once
+
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <string>
+#include <unordered_map>
+#include <vector>
+
+#include "core/bmc.hpp"
+#include "sched/chunk_cache.hpp"
+#include "sim/machine_config.hpp"
+#include "util/units.hpp"
+
+namespace pcap::sched {
+
+class ChunkBatch {
+ public:
+  struct Config {
+    sim::MachineConfig machine = sim::MachineConfig::romley();
+    core::BmcConfig bmc;
+    std::uint64_t seed = 1;  // scheduler seed: seeds every fresh node
+    util::Picoseconds corun_quantum = util::microseconds(5);
+    std::size_t jobs = 1;    // worker threads for miss simulations
+    bool memo = true;
+    std::size_t memo_capacity = 0;  // LRU bound on entries; 0 = unbounded
+    /// Persistent chunk-memo store (DESIGN.md §17). With `memo` on, the
+    /// constructor loads it (a missing file is a cold start; a corrupt or
+    /// version-mismatched file is rejected whole) and save_store() writes
+    /// the cache back.
+    ///
+    /// Replay contract: a memo key covers the job class, the workload
+    /// identity, the enforced-cap bits and the machine's thermal identity.
+    /// It omits the scheduler `seed`, the BMC configuration (dithering
+    /// included), the rest of the machine configuration and the co-run
+    /// quantum, which every simulation also reads. A store may therefore
+    /// only be replayed into a run with the same seed, BMC configuration,
+    /// machine and quantum. Any other run replays the recorded answers
+    /// without a single miss: a store recorded at seed 1 turns a seed-2 run
+    /// into the seed-1 schedule. ROADMAP.md's open item "Key every memoised
+    /// result on its full provenance" closes this gap.
+    std::string memo_store;
+
+    /// The batch settings of a SchedulerConfig or FleetConfig, which carry
+    /// fields of the same names.
+    template <class RunConfig>
+    static Config from(const RunConfig& run) {
+      return {.machine = run.machine,
+              .bmc = run.bmc,
+              .seed = run.seed,
+              .corun_quantum = run.corun_quantum,
+              .jobs = run.jobs,
+              .memo = run.memo,
+              .memo_capacity = run.memo_capacity,
+              .memo_store = run.memo_store};
+    }
+  };
+
+  struct Outcome {
+    ChunkResult result;
+    bool corun = false;  // ran with at least one co-resident
+  };
+
+  /// Memo accounting since construction.
+  struct Stats {
+    std::uint64_t hits = 0;         // starts replayed from the cache
+    std::uint64_t misses = 0;       // starts whose chunk or cell simulated
+    std::uint64_t corun_cells = 0;  // distinct co-run cells simulated
+    std::uint64_t evictions = 0;
+    std::uint64_t store_entries_loaded = 0;
+    std::uint64_t store_load_rejected = 0;  // 1 = present but failed checks
+  };
+
+  explicit ChunkBatch(Config config);
+
+  /// Adds one start to the current round: `self` is the starting lane's
+  /// chunk, `co_residents` the chunks of the node's other busy lanes in
+  /// lane order (empty = solo), `cap_w` the cap the node enforces.
+  void add_start(const CoRunMember& self,
+                 std::span<const CoRunMember> co_residents,
+                 std::optional<double> cap_w);
+
+  /// Simulates and commits the round. Returns one outcome per start, in
+  /// add_start() order, valid until the next round.
+  std::span<const Outcome> run_round();
+
+  /// Writes the cache to the store. Returns the entries written: 0 when
+  /// `memo` is off, no store is configured or the write failed.
+  std::uint64_t save_store() const;
+
+  Stats stats() const;
+
+ private:
+  static constexpr std::size_t kSolo = static_cast<std::size_t>(-1);
+
+  struct Start {
+    std::size_t cell = kSolo;  // index into cells_, or kSolo
+    std::size_t member = 0;    // own position in the cell's members
+    CoRunMember self;          // solo only, as are key, hit and fresh
+    ChunkKey key;
+    const ChunkResult* hit = nullptr;
+    ChunkResult fresh;
+  };
+  struct Cell {
+    CoRunKey key;
+    const std::vector<ChunkResult>* hit = nullptr;
+    std::vector<ChunkResult> fresh;
+  };
+  struct Miss {
+    bool cell = false;
+    std::size_t index = 0;  // into cells_ when `cell`, else into starts_
+  };
+
+  Config config_;
+  std::uint64_t thermal_bits_ = 0;
+  ChunkCache cache_;
+  Stats stats_;
+  // Per-round scratch, reused across rounds.
+  std::vector<Start> starts_;
+  std::vector<Cell> cells_;
+  std::unordered_map<CoRunKey, std::size_t, CoRunKeyHash> cell_index_;
+  std::vector<Miss> misses_;
+  std::vector<Outcome> outcomes_;
+};
+
+}  // namespace pcap::sched

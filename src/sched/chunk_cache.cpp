@@ -17,6 +17,11 @@ std::uint64_t chunk_identity(JobClass cls, std::uint64_t seed,
   return util::splitmix64(sm);
 }
 
+CoRunMember CoRunMember::of(JobClass cls, std::uint64_t seed,
+                            int chunk_index) {
+  return {cls, chunk_identity(cls, seed, chunk_index), seed, chunk_index};
+}
+
 namespace {
 
 void mix_u64(std::uint64_t& h, std::uint64_t v) {

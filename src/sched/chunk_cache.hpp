@@ -1,14 +1,17 @@
-// Chunk memoization for the cluster power scheduler (DESIGN.md §12, §13).
+// Chunk memoization for the cluster power scheduler and the fleet
+// (DESIGN.md §12, §13).
 //
 // A solo chunk is simulated on a FRESH Node + BMC pair, so its result is a
-// pure function of (job class, workload identity, enforced cap) — the
-// machine and BMC configurations are fixed per scheduler instance and the
-// chunk duration is determined by the class, so they are factored out of
-// the key by scoping one cache to one ClusterScheduler. Arrival streams
-// with repeated (class, cap) cells then replay recorded results bit-exactly
-// instead of re-simulating: a hit returns the identical ChunkResult the
-// miss recorded, and the schedule it produces is bit-identical to the
-// cache-off run (tests/test_scheduler.cpp).
+// pure function of everything simulate_chunk reads. The key holds only part
+// of that: job class, workload identity, enforced-cap bits and the thermal
+// identity of the machine. The rest (the scheduler seed, the BMC
+// configuration with its dithering, the rest of the machine configuration
+// and the co-run quantum) is left out, so one cache may only serve runs that
+// agree on it; ChunkBatch, which owns the cache, states the full contract.
+// Arrival streams with repeated (class, cap) cells then replay recorded
+// results bit-exactly instead of re-simulating: a hit returns the identical
+// ChunkResult the miss recorded, and the schedule it produces is
+// bit-identical to the cache-off run (tests/test_scheduler.cpp).
 //
 // Under co-residency (lanes_per_node > 1) the solo key is NOT sound: the
 // same (class, identity, cap) chunk runs slower next to an L3 thrasher
@@ -46,8 +49,8 @@ struct ChunkResult {
   double avg_power_w = 0.0;
 };
 
-/// Full memo key for one SOLO chunk simulation within one scheduler
-/// instance.
+/// Memo key for one SOLO chunk simulation (see the header comment for what
+/// it leaves out).
 struct ChunkKey {
   JobClass cls = JobClass::kSireLike;
   /// Workload identity: everything make_chunk_workload's output depends on
@@ -56,11 +59,9 @@ struct ChunkKey {
   /// Bit pattern of the enforced cap in watts; uncapped chunks use the
   /// pattern of -1.0 (caps are strictly positive).
   std::uint64_t cap_bits = std::bit_cast<std::uint64_t>(-1.0);
-  /// Thermal fingerprint of the machine (thermal_identity_bits). The
-  /// machine config is factored out of the key per scheduler instance, but
-  /// thermal parameters (ambient, RC network, fan curve) change chunk
-  /// outcomes through the leakage feedback, and the fleet sim shares one
-  /// cache across racks — so the thermal identity re-enters the key.
+  /// Thermal fingerprint of the machine (thermal_identity_bits): thermal
+  /// parameters (ambient, RC network, fan curve) change chunk outcomes
+  /// through the leakage feedback, so they are part of the key.
   std::uint64_t thermal_bits = 0;
 
   static std::uint64_t encode_cap(std::optional<double> cap_w) {
@@ -91,6 +92,10 @@ struct CoRunMember {
   std::uint64_t seed = 0;
   int chunk_index = 0;
 
+  /// The member for chunk `chunk_index` of a job of class `cls` whose
+  /// input seed is `seed`.
+  static CoRunMember of(JobClass cls, std::uint64_t seed, int chunk_index);
+
   friend bool same_key(const CoRunMember& a, const CoRunMember& b) {
     return a.cls == b.cls && a.identity == b.identity;
   }
@@ -100,8 +105,9 @@ struct CoRunMember {
   }
 };
 
-/// Memo key for one co-run cell: the enforced cap plus the key-sorted
-/// resident multiset. Everything the cell simulation depends on.
+/// Memo key for one co-run cell: the enforced cap, the thermal identity and
+/// the key-sorted resident multiset (the header comment says what it
+/// leaves out).
 struct CoRunKey {
   std::uint64_t cap_bits = std::bit_cast<std::uint64_t>(-1.0);
   /// Same contract as ChunkKey::thermal_bits.
@@ -141,10 +147,9 @@ std::uint64_t chunk_identity(JobClass cls, std::uint64_t seed,
 
 /// Fingerprint of every thermal parameter that can change a chunk outcome:
 /// ambient, the single-RC legacy parameters, the RC network topology and
-/// per-node/per-edge R/C values, and the fan curve. Two machines with equal
-/// fingerprints produce bit-identical chunk results for equal keys; the
-/// default romley (degenerate single-RC, no fan) hashes to a stable value,
-/// so pre-thermal cache behaviour is unchanged within one scheduler.
+/// per-node/per-edge R/C values, and the fan curve. It covers no other
+/// machine parameter. The default romley (degenerate single-RC, no fan)
+/// hashes to a stable value.
 std::uint64_t thermal_identity_bits(const sim::MachineConfig& machine);
 
 /// Simulates one SOLO chunk as a pure function of the key: a fresh Node
@@ -172,14 +177,14 @@ std::vector<ChunkResult> simulate_corun_cell(
     const CoRunKey& key, std::uint64_t node_seed_material,
     util::Picoseconds quantum);
 
-/// Bounded per-scheduler memo store (solo chunks and co-run cells) with
-/// LRU eviction and hit/miss/eviction accounting. Not thread-safe: the
-/// scheduler classifies hits and inserts results serially in lane-major
-/// order (jobs-invariance), only the miss simulations fan out.
+/// Bounded memo store (solo chunks and co-run cells) with LRU eviction and
+/// eviction accounting. Not thread-safe: ChunkBatch classifies hits and
+/// inserts results serially in start order (jobs-invariance), only the
+/// miss simulations fan out.
 ///
 /// Bit-identity under eviction: find()/find_cell() return pointers the
 /// serial commit epilogue holds across subsequent insert()s, so eviction
-/// NEVER happens inline — the scheduler calls trim() once after the whole
+/// NEVER happens inline — ChunkBatch calls trim() once after the whole
 /// commit round. Recency motion (list splice) and eviction order are both
 /// driven purely by the serial classify/commit sequence, which is the same
 /// for every `--jobs` value, so a capacity bound changes which chunks
@@ -203,11 +208,7 @@ class ChunkCache {
   /// storage) until the next trim().
   const ChunkResult* find(const ChunkKey& key) {
     const auto it = map_.find(key);
-    if (it == map_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
+    if (it == map_.end()) return nullptr;
     entries_.splice(entries_.begin(), entries_, it->second);
     return &it->second->solo;
   }
@@ -222,11 +223,7 @@ class ChunkCache {
   /// pointer-stability contract as find().
   const std::vector<ChunkResult>* find_cell(const CoRunKey& key) {
     const auto it = cells_.find(key);
-    if (it == cells_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
+    if (it == cells_.end()) return nullptr;
     entries_.splice(entries_.begin(), entries_, it->second);
     return &it->second->cell;
   }
@@ -256,11 +253,8 @@ class ChunkCache {
 
   std::size_t size() const { return map_.size(); }
   std::size_t cell_count() const { return cells_.size(); }
-  std::size_t capacity() const { return capacity_; }
   void set_capacity(std::size_t capacity) { capacity_ = capacity; }
 
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
   std::uint64_t evictions() const { return evictions_; }
 
   /// Recency-ordered view, most recent first (persistence writes it
@@ -269,8 +263,6 @@ class ChunkCache {
 
  private:
   std::size_t capacity_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
   std::list<Entry> entries_;  // front = most recent
   std::unordered_map<ChunkKey, std::list<Entry>::iterator, ChunkKeyHash> map_;

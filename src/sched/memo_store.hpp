@@ -1,17 +1,16 @@
 // Persistent chunk-memo store (DESIGN.md §17): serializes a ChunkCache's
 // recorded solo chunks and co-run cells to a versioned on-disk format so a
-// later run of the SAME study shape starts warm — every chunk whose key was
+// later run of the SAME study starts warm — every chunk whose key was
 // recorded replays bit-exactly from disk with zero misses.
 //
 // Integrity contract: a store is trusted WHOLE or not at all. The header
 // carries a magic, a format version and an FNV-1a hash of the entire
 // payload; any mismatch (wrong magic, unknown version, hash mismatch,
 // truncation, trailing bytes, an out-of-range class byte) rejects the file
-// and leaves the cache untouched — a corrupt store can slow a run down
-// (cold start), never corrupt a schedule. Keys embed the cap bits and the
-// thermal identity bits, so a store recorded under one thermal/cap
-// configuration is structurally unable to serve a different one: the keys
-// simply never match (tests/test_memo_store.cpp).
+// and leaves the cache untouched (tests/test_memo_store.cpp). Integrity is
+// not provenance: the keys cover class, identity, cap and thermal identity
+// only, so which runs a store may be replayed into is ChunkBatch's contract
+// (chunk_batch.hpp, ChunkBatch::Config::memo_store).
 //
 // Entries are written oldest-first so sequential re-insertion reproduces
 // the recency order the cache had at save time — LRU eviction then behaves

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <span>
+#include <utility>
 
-#include "sched/memo_store.hpp"
-#include "util/thread_pool.hpp"
+#include "util/hash.hpp"
 #include "util/units.hpp"
 
 namespace pcap::sched {
@@ -17,22 +17,11 @@ constexpr double kTimeEps = 1e-12;   // event-time comparison slack (seconds)
 constexpr double kCapEpsW = 1e-6;    // caps differing by less are "equal"
 constexpr double kBudgetTolW = 1e-3; // invariant tolerance
 
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFF;
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, double v) {
-  return fnv_mix(h, std::bit_cast<std::uint64_t>(v));
-}
-
 }  // namespace
 
 std::uint64_t ScheduleResult::schedule_digest() const {
-  std::uint64_t h = 0xCBF29CE484222325ull;
+  using util::fnv_mix;
+  std::uint64_t h = util::kFnvOffset;
   for (const JobRecord& r : jobs) {
     h = fnv_mix(h, static_cast<std::uint64_t>(r.node));
     h = fnv_mix(h, static_cast<std::uint64_t>(r.lane));
@@ -85,7 +74,7 @@ struct ClusterScheduler::Slot {
 
 ClusterScheduler::ClusterScheduler(const SchedulerConfig& config)
     : config_(config),
-      chunk_cache_(config.memo_capacity),
+      batch_(ChunkBatch::Config::from(config)),
       policy_(make_policy(config.policy_name)),
       model_(config.power_model),
       dcm_(config.dcm) {
@@ -225,19 +214,6 @@ ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
       config_.bmc.min_cap_w * static_cast<double>(slots_.size())) {
     result.infeasible_plans = 1;
     return result;
-  }
-
-  // Warm start (DESIGN.md §17): pre-populate the memo cache from the
-  // persistent store. Keys embed cap and thermal identity bits, so entries
-  // recorded under a different configuration can never be consulted; a
-  // corrupt or version-mismatched store is rejected whole and the run is
-  // simply cold.
-  if (config_.memo && !config_.memo_store.empty()) {
-    const MemoStoreLoadResult loaded =
-        load_memo_store(config_.memo_store, chunk_cache_);
-    result.store_entries_loaded = loaded.entries_loaded;
-    result.store_load_rejected = loaded.rejected ? 1 : 0;
-    chunk_cache_.trim();  // the capacity bound applies to loaded entries too
   }
 
   std::vector<JobRecord> records(stream.size());
@@ -547,44 +523,13 @@ ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
       }
     }
 
-    // --- start chunks ---
-    // A solo chunk is a pure function of its ChunkKey and a co-resident
-    // chunk of its co-run CellKey (fresh Node / SmpNode + BMC under the
-    // enforced cap, DESIGN.md §12-§13), so starts proceed in three
-    // deterministic stages: a serial prepass in (slot, lane) order
-    // classifies each start as solo or co-run and as memo hit or miss
-    // (identical cells within a round are deduplicated), the misses fan
-    // out over the `jobs` pool (the cache is not touched concurrently),
-    // and a serial epilogue in the same order records the results.
-    // Hit/miss accounting and the schedule are therefore invariant under
-    // both `jobs` and `memo`.
-    struct Starter {
-      std::size_t slot = 0;
-      std::size_t lane = 0;
-      bool corun = false;
-      ChunkKey key;                 // solo
-      const ChunkResult* hit = nullptr;
-      std::size_t cell = 0;         // index into cells (corun)
-      std::size_t member = 0;       // own position in the cell's members
-    };
-    struct CellWork {
-      CoRunKey key;
-      const std::vector<ChunkResult>* hit = nullptr;
-      std::vector<ChunkResult> fresh;
-    };
-    std::vector<Starter> starters;
-    std::vector<CellWork> cells;
-    std::unordered_map<CoRunKey, std::size_t, CoRunKeyHash> cell_index;
-    const std::uint64_t thermal_bits = thermal_identity_bits(config_.machine);
-    auto current_member = [&](const Slot::Lane& lane) {
+    // --- start chunks: one ChunkBatch round in (slot, lane) order ---
+    std::vector<std::pair<std::size_t, std::size_t>> started;
+    std::vector<CoRunMember> co_residents;
+    auto member_of = [&](const Slot::Lane& lane) {
       const JobRecord& record = records[static_cast<std::size_t>(lane.job)];
-      CoRunMember member;
-      member.cls = record.spec.cls;
-      member.identity = chunk_identity(record.spec.cls, record.spec.seed,
-                                       record.chunks_done);
-      member.seed = record.spec.seed;
-      member.chunk_index = record.chunks_done;
-      return member;
+      return CoRunMember::of(record.spec.cls, record.spec.seed,
+                             record.chunks_done);
     };
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       Slot& slot = *slots_[i];
@@ -593,120 +538,29 @@ ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
         if (lane.job < 0 || lane.in_flight) continue;
         lane.cap_at_chunk_start = dcm_.node_applied_cap(slot.name);
         lane.corun_classes.clear();
-        Starter starter;
-        starter.slot = i;
-        starter.lane = l;
-        const CoRunMember self = current_member(lane);
-        std::vector<CoRunMember> members{self};
+        co_residents.clear();
         for (std::size_t o = 0; o < slot.lanes.size(); ++o) {
           if (o == l || slot.lanes[o].job < 0) continue;
-          members.push_back(current_member(slot.lanes[o]));
-          lane.corun_classes.push_back(members.back().cls);
+          co_residents.push_back(member_of(slot.lanes[o]));
+          lane.corun_classes.push_back(co_residents.back().cls);
         }
-        if (members.size() == 1) {
-          // Solo: the pre-lane path, bit-identical at lanes_per_node = 1.
-          starter.key.cls = self.cls;
-          starter.key.identity = self.identity;
-          starter.key.cap_bits =
-              ChunkKey::encode_cap(lane.cap_at_chunk_start);
-          starter.key.thermal_bits = thermal_bits;
-          if (config_.memo) starter.hit = chunk_cache_.find(starter.key);
-          ++(starter.hit != nullptr ? result.memo_hits
-                                    : result.memo_misses);
-        } else {
-          starter.corun = true;
-          std::sort(members.begin(), members.end(),
-                    [](const CoRunMember& a, const CoRunMember& b) {
-                      return key_less(a, b);
-                    });
-          CoRunKey key;
-          key.cap_bits = ChunkKey::encode_cap(lane.cap_at_chunk_start);
-          key.thermal_bits = thermal_bits;
-          key.members = std::move(members);
-          // Own result = first occurrence of own (cls, identity) in the
-          // sorted member list (duplicates are interchangeable: the cell
-          // is a pure function of the key).
-          for (std::size_t m = 0; m < key.members.size(); ++m) {
-            if (same_key(key.members[m], self)) {
-              starter.member = m;
-              break;
-            }
-          }
-          const auto found = cell_index.find(key);
-          if (found != cell_index.end()) {
-            starter.cell = found->second;
-          } else {
-            starter.cell = cells.size();
-            cell_index.emplace(key, cells.size());
-            CellWork work;
-            if (config_.memo) work.hit = chunk_cache_.find_cell(key);
-            work.key = std::move(key);
-            cells.push_back(std::move(work));
-          }
-          ++(cells[starter.cell].hit != nullptr ? result.memo_hits
-                                                : result.memo_misses);
-          ++result.corun_chunks;
-        }
-        starters.push_back(std::move(starter));
+        batch_.add_start(member_of(lane), co_residents,
+                         lane.cap_at_chunk_start);
+        started.emplace_back(i, l);
       }
     }
-    std::vector<ChunkResult> fresh(starters.size());
-    util::parallel_for(
-        starters.size(), config_.jobs, [&](std::size_t k) {
-          const Starter& starter = starters[k];
-          if (starter.corun || starter.hit != nullptr) return;
-          const Slot& slot = *slots_[starter.slot];
-          const Slot::Lane& lane = slot.lanes[starter.lane];
-          const JobRecord& record =
-              records[static_cast<std::size_t>(lane.job)];
-          fresh[k] = simulate_chunk(config_.machine, config_.bmc,
-                                    starter.key, record.spec.seed,
-                                    record.chunks_done, config_.seed);
-        });
-    util::parallel_for(
-        cells.size(), config_.jobs, [&](std::size_t c) {
-          if (cells[c].hit != nullptr) return;
-          cells[c].fresh =
-              simulate_corun_cell(config_.machine, config_.bmc,
-                                  cells[c].key, config_.seed,
-                                  config_.corun_quantum);
-        });
-    result.corun_cells += static_cast<std::uint64_t>(std::count_if(
-        cells.begin(), cells.end(),
-        [](const CellWork& c) { return c.hit == nullptr; }));
-    for (std::size_t k = 0; k < starters.size(); ++k) {
-      const Starter& starter = starters[k];
-      Slot::Lane& lane = slots_[starter.slot]->lanes[starter.lane];
-      if (!starter.corun) {
-        lane.last_chunk = starter.hit != nullptr ? *starter.hit : fresh[k];
-        if (config_.memo && starter.hit == nullptr) {
-          chunk_cache_.insert(starter.key, fresh[k]);
-        }
-      } else {
-        const CellWork& cell = cells[starter.cell];
-        const std::vector<ChunkResult>& results =
-            cell.hit != nullptr ? *cell.hit : cell.fresh;
-        lane.last_chunk = results[starter.member];
-      }
+    const std::span<const ChunkBatch::Outcome> outcomes = batch_.run_round();
+    for (std::size_t k = 0; k < started.size(); ++k) {
+      Slot::Lane& lane = slots_[started[k].first]->lanes[started[k].second];
+      lane.last_chunk = outcomes[k].result;
+      if (outcomes[k].corun) ++result.corun_chunks;
       lane.chunk_end_s = t + util::to_seconds(lane.last_chunk.elapsed);
       lane.in_flight = true;
-    }
-    if (config_.memo) {
-      for (CellWork& cell : cells) {
-        if (cell.hit == nullptr) {
-          chunk_cache_.insert_cell(cell.key, std::move(cell.fresh));
-        }
-      }
-      // LRU eviction happens ONLY here, after the whole commit round: the
-      // epilogue above held find()/find_cell() pointers across inserts,
-      // and the serial (slot, lane) classify order drives recency, so the
-      // bound is invariant under `--jobs`.
-      chunk_cache_.trim();
     }
 
     // --- stall guard: a wedged rack (every node lost) must terminate ---
     const bool in_flight =
-        !starters.empty() ||
+        !started.empty() ||
         std::any_of(slots_.begin(), slots_.end(), [](const auto& s) {
           return std::any_of(
               s->lanes.begin(), s->lanes.end(),
@@ -747,18 +601,19 @@ ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
       result.mgmt_failed_exchanges += node->failed_exchanges();
     }
   }
-  result.memo_evictions = chunk_cache_.evictions();
+  const ChunkBatch::Stats memo = batch_.stats();
+  result.memo_hits = memo.hits;
+  result.memo_misses = memo.misses;
+  result.memo_evictions = memo.evictions;
+  result.corun_cells = memo.corun_cells;
+  result.store_entries_loaded = memo.store_entries_loaded;
+  result.store_load_rejected = memo.store_load_rejected;
   if (config_.registry != nullptr) {
     config_.registry->add(ctr_memo_hits_, result.memo_hits);
     config_.registry->add(ctr_memo_misses_, result.memo_misses);
     config_.registry->add(ctr_memo_evictions_, result.memo_evictions);
   }
-  if (config_.memo && !config_.memo_store.empty()) {
-    if (save_memo_store(config_.memo_store, chunk_cache_)) {
-      result.store_entries_saved = static_cast<std::uint64_t>(
-          chunk_cache_.size() + chunk_cache_.cell_count());
-    }
-  }
+  result.store_entries_saved = batch_.save_store();
   result.jobs = std::move(records);
   return result;
 }

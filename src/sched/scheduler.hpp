@@ -40,7 +40,7 @@
 #include "core/dcm.hpp"
 #include "ipmi/transport.hpp"
 #include "sched/amenability_table.hpp"
-#include "sched/chunk_cache.hpp"
+#include "sched/chunk_batch.hpp"
 #include "sched/job.hpp"
 #include "sched/policy.hpp"
 #include "sched/power_model.hpp"
@@ -81,9 +81,9 @@ struct SchedulerConfig {
   /// Persistent chunk-memo store path (DESIGN.md §17). When set, recorded
   /// entries are loaded from this file before the run (missing file = cold
   /// start; corrupt or version-mismatched stores are rejected WHOLE) and
-  /// the cache is written back after the run. Pure performance knob: a
-  /// warm store replays recorded chunks bit-exactly, so the schedule is
-  /// bit-identical to the cold run.
+  /// the cache is written back after the run. A warm store replays
+  /// recorded chunks bit-exactly into a run of the same study; which runs
+  /// may load it is ChunkBatch::Config::memo_store's contract.
   std::string memo_store;
   sim::MachineConfig machine = sim::MachineConfig::romley();
   core::BmcConfig bmc;
@@ -187,7 +187,7 @@ class ClusterScheduler {
   double applied_cap_sum(double* reserved_w) const;
 
   SchedulerConfig config_;
-  ChunkCache chunk_cache_;
+  ChunkBatch batch_;
   std::unique_ptr<Policy> policy_;
   OnlinePowerModel model_;
   core::DataCenterManager dcm_;

@@ -32,6 +32,7 @@
 #include "ipmi/transport.hpp"
 #include "util/rng.hpp"
 
+namespace core = pcap::core;
 namespace fleet = pcap::fleet;
 namespace ipmi = pcap::ipmi;
 namespace sched = pcap::sched;
@@ -212,7 +213,7 @@ TEST(FleetCoupler, LostChildHoldsReservation) {
   c.fail_polls = true;
   fleet::CouplerRound round;
   for (int i = 0; i < 5; ++i) round = coupler.run_round(400.0);
-  EXPECT_EQ(coupler.health(1), fleet::LinkHealth::kLost);
+  EXPECT_EQ(coupler.health(1), core::NodeHealth::kLost);
   EXPECT_EQ(round.lost_children, 1u);
   // The lost child's last grant is reserved, and the reachable child's
   // share comes out of what is left.
@@ -225,7 +226,7 @@ TEST(FleetCoupler, LostChildHoldsReservation) {
   c.fail_pushes = false;
   c.fail_polls = false;
   for (int i = 0; i < 3; ++i) round = coupler.run_round(400.0);
-  EXPECT_EQ(coupler.health(1), fleet::LinkHealth::kHealthy);
+  EXPECT_EQ(coupler.health(1), core::NodeHealth::kHealthy);
   EXPECT_EQ(round.lost_children, 0u);
   EXPECT_TRUE(round.converged);
 }
@@ -435,19 +436,28 @@ TEST(Fleet, SmallRunCompletesAndConserves) {
 }
 
 TEST(Fleet, ScheduleBitIdenticalAcrossJobsAndMemo) {
-  std::optional<std::uint64_t> want;
-  for (const std::size_t jobs : {1u, 3u, 7u}) {
-    for (const bool memo : {true, false}) {
-      if (!memo && jobs == 3) continue;  // redundant cell
-      fleet::FleetConfig config = small_fleet_config();
-      config.jobs = jobs;
-      config.memo = memo;
-      fleet::DatacenterManager dc(config);
-      const std::uint64_t digest = dc.run().schedule_digest();
-      if (!want.has_value()) {
-        want = digest;
-      } else {
-        EXPECT_EQ(digest, *want) << "jobs=" << jobs << " memo=" << memo;
+  // Two lanes per node exercise the co-run cells next to the solo path.
+  for (const std::size_t lanes : {1u, 2u}) {
+    std::optional<std::uint64_t> want;
+    for (const std::size_t jobs : {1u, 3u, 7u}) {
+      for (const bool memo : {true, false}) {
+        if (!memo && jobs == 3) continue;  // redundant cell
+        fleet::FleetConfig config = small_fleet_config();
+        config.lanes_per_node = lanes;
+        config.jobs = jobs;
+        config.memo = memo;
+        fleet::DatacenterManager dc(config);
+        const fleet::FleetResult result = dc.run();
+        if (lanes > 1) {
+          EXPECT_GT(result.corun_cells, 0u) << "jobs=" << jobs;
+        }
+        const std::uint64_t digest = result.schedule_digest();
+        if (!want.has_value()) {
+          want = digest;
+        } else {
+          EXPECT_EQ(digest, *want)
+              << "lanes=" << lanes << " jobs=" << jobs << " memo=" << memo;
+        }
       }
     }
   }

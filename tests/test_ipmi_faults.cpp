@@ -182,6 +182,40 @@ TEST(Backoff, JitterBoundedAndDeterministic) {
   }
 }
 
+// --- The shared health transition function (DCM nodes, budget-tree links) ---
+
+TEST(HealthFsm, EveryTransitionMatchesTable) {
+  constexpr std::uint32_t kDegradedAfter = 2;
+  constexpr std::uint32_t kLostAfter = 4;
+  constexpr NodeHealth kStates[] = {NodeHealth::kHealthy, NodeHealth::kDegraded,
+                                    NodeHealth::kLost, NodeHealth::kRecovered};
+  constexpr NodeHealth H = NodeHealth::kHealthy, D = NodeHealth::kDegraded,
+                       L = NodeHealth::kLost, R = NodeHealth::kRecovered;
+  // State after one FAILED exchange: [state before][streak before].
+  constexpr NodeHealth kAfterFailure[4][6] = {
+      /* healthy   */ {H, D, D, L, L, L},
+      /* degraded  */ {D, D, D, L, L, L},
+      /* lost      */ {L, L, L, L, L, L},
+      /* recovered */ {R, D, D, L, L, L},
+  };
+  // State after one SUCCESSFUL exchange, at any streak.
+  constexpr NodeHealth kAfterSuccess[4] = {H, H, R, H};
+  for (std::size_t s = 0; s < 4; ++s) {
+    for (std::uint32_t streak = 0; streak < 6; ++streak) {
+      const core::HealthStep failed = core::next_health(
+          kStates[s], streak, false, kDegradedAfter, kLostAfter);
+      EXPECT_EQ(failed.health, kAfterFailure[s][streak])
+          << "state " << s << " streak " << streak << " failed";
+      EXPECT_EQ(failed.consecutive_failures, streak + 1);
+      const core::HealthStep ok = core::next_health(
+          kStates[s], streak, true, kDegradedAfter, kLostAfter);
+      EXPECT_EQ(ok.health, kAfterSuccess[s])
+          << "state " << s << " streak " << streak << " ok";
+      EXPECT_EQ(ok.consecutive_failures, 0u);
+    }
+  }
+}
+
 // --- DCM health machine over a real BMC stack ---
 
 struct Slot {

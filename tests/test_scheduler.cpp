@@ -14,11 +14,13 @@
 #include <cmath>
 #include <filesystem>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "sched/amenability_table.hpp"
 #include "sched/arrivals.hpp"
+#include "sched/chunk_batch.hpp"
 #include "sched/job.hpp"
 #include "sched/policy.hpp"
 #include "sched/power_model.hpp"
@@ -343,6 +345,60 @@ TEST(ChunkCacheTest, SimulateChunkIsAPureFunctionOfTheKey) {
   const ChunkResult d = simulate_chunk(machine, bmc, deep, 7, 0, 5);
   EXPECT_FALSE(key == deep);
   EXPECT_GT(d.elapsed, a.elapsed);
+}
+
+TEST(ChunkBatchTest, SharedCellSimulatesOnceAndCountsAreJobsInvariant) {
+  const CoRunMember sire = CoRunMember::of(JobClass::kSireLike, 3, 0);
+  const CoRunMember stereo = CoRunMember::of(JobClass::kStereoLike, 5, 0);
+  const CoRunMember solo = CoRunMember::of(JobClass::kStereoLike, 9, 1);
+  std::vector<ChunkBatch::Stats> stats;
+  std::vector<std::vector<ChunkBatch::Outcome>> rounds;
+  for (const std::size_t jobs : {1u, 3u}) {
+    ChunkBatch::Config config;
+    config.jobs = jobs;
+    ChunkBatch batch(config);
+    // Two rounds of the same starts: nodes 0 and 1 both co-run the same
+    // (sire, stereo) pair at the same cap, so three starts share one cell;
+    // a fourth start runs solo.
+    for (int round = 0; round < 2; ++round) {
+      batch.add_start(sire, std::span(&stereo, 1), 135.0);
+      batch.add_start(stereo, std::span(&sire, 1), 135.0);
+      batch.add_start(sire, std::span(&stereo, 1), 135.0);
+      batch.add_start(solo, {}, 135.0);
+      const auto outcomes = batch.run_round();
+      rounds.emplace_back(outcomes.begin(), outcomes.end());
+    }
+    stats.push_back(batch.stats());
+  }
+
+  const std::vector<ChunkBatch::Outcome>& first = rounds[0];
+  ASSERT_EQ(first.size(), 4u);
+  EXPECT_TRUE(first[0].corun);
+  EXPECT_TRUE(first[1].corun);
+  EXPECT_FALSE(first[3].corun);
+  // The two sire starts read the same member of the one cell simulation.
+  EXPECT_EQ(first[0].result.elapsed, first[2].result.elapsed);
+  EXPECT_EQ(first[0].result.energy_j, first[2].result.energy_j);
+  EXPECT_EQ(first[0].result.avg_power_w, first[2].result.avg_power_w);
+  // Every later round, at either `jobs`, replays the first bit for bit.
+  for (const std::vector<ChunkBatch::Outcome>& round : rounds) {
+    ASSERT_EQ(round.size(), first.size());
+    for (std::size_t k = 0; k < round.size(); ++k) {
+      EXPECT_EQ(round[k].result.elapsed, first[k].result.elapsed);
+      EXPECT_EQ(round[k].result.energy_j, first[k].result.energy_j);
+      EXPECT_EQ(round[k].corun, first[k].corun);
+    }
+  }
+
+  // One cell simulated, its three starts plus the solo start missed in
+  // round one and hit in round two, the same at jobs 1 and 3.
+  for (const ChunkBatch::Stats& s : stats) {
+    EXPECT_EQ(s.corun_cells, 1u);
+    EXPECT_EQ(s.misses, 4u);
+    EXPECT_EQ(s.hits, 4u);
+  }
+  EXPECT_EQ(stats[0].hits, stats[1].hits);
+  EXPECT_EQ(stats[0].misses, stats[1].misses);
 }
 
 TEST(ClusterSchedulerTest, MemoCacheIsBitNeutralAndActuallyHits) {
