@@ -73,12 +73,17 @@ std::uint32_t Cache::find_way(Address addr) const {
 }
 
 void Cache::touch(std::uint64_t set, std::uint32_t way) {
-  const std::size_t base = set * config_.ways;
-  const std::uint8_t old_age = age_[base + way];
-  for (std::uint32_t w = 0; w < active_ways_; ++w) {
-    if (valid_[base + w] != 0 && age_[base + w] < old_age) ++age_[base + w];
+  // Locals, not members: a uint8_t store may alias *this, which would make
+  // the compiler reload active_ways_ and the array bases every iteration.
+  // The branch-free add lets it vectorise the loop.
+  const std::uint32_t ways = active_ways_;
+  std::uint8_t* const age = age_.data() + set * config_.ways;
+  const std::uint8_t* const valid = valid_.data() + set * config_.ways;
+  const std::uint8_t old_age = age[way];
+  for (std::uint32_t w = 0; w < ways; ++w) {
+    age[w] += (valid[w] != 0) & (age[w] < old_age);
   }
-  age_[base + way] = 0;
+  age[way] = 0;
 }
 
 std::uint64_t Cache::probe_line_sweep(Address addr, std::uint64_t n_lines,
@@ -188,9 +193,15 @@ AccessOutcome Cache::access(Address addr, bool is_write) {
     outcome.evicted_dirty = dirty_[base + victim] != 0;
     ++stats_.evictions;
   }
-  // A fill makes the new line MRU: every resident line ages by one step.
-  for (std::uint32_t w = 0; w < active_ways_; ++w) {
-    if (valid_[base + w] != 0 && age_[base + w] < 254) ++age_[base + w];
+  // A fill makes the new line MRU: every resident line ages by one step,
+  // saturating at 254 (alias-free, branch-free as in touch()).
+  {
+    const std::uint32_t ways = active_ways_;
+    std::uint8_t* const age = age_.data() + base;
+    const std::uint8_t* const valid = valid_.data() + base;
+    for (std::uint32_t w = 0; w < ways; ++w) {
+      age[w] += (valid[w] != 0) & (age[w] < 254);
+    }
   }
   tags_[base + victim] = tag;
   valid_[base + victim] = 1;

@@ -1,4 +1,4 @@
-// Set-associative cache model with true-LRU replacement and way gating.
+// Set-associative cache model with age-based LRU replacement and way gating.
 //
 // The model is purely structural: it answers hit/miss and reports evictions;
 // latency and power are composed by the memory hierarchy and power model.
@@ -6,6 +6,22 @@
 // mechanism the paper hypothesises is engaged at low power caps: gated ways
 // are invalidated and excluded from allocation, shrinking effective capacity
 // and associativity while saving leakage power.
+//
+// Replacement keeps a uint8_t age per way: a hit moves its line to age 0
+// and ages every valid line younger than it; a fill ages every valid line
+// (saturating at 254) and installs at age 0. The victim of a full set is
+// the valid active way with the greatest age, and among tied ways the
+// HIGHEST way index. Ages are distinct (true LRU) until something makes
+// them tie:
+//   * set_active_ways(n) clamps the survivors' ages to n - 1, so several
+//     survivors can share age n - 1;
+//   * a set that keeps filling one way while the others stay untouched
+//     pins those others at the 254 cap.
+// Every capped cell gates ways, so the golden outputs depend on this
+// tie-break. Per-set recency stamps (true LRU) would evict the oldest of
+// the tied lines instead and are therefore not output-equivalent
+// (Cache.GatingClampTieEvictsHighestTiedWay and
+// Cache.SaturatedAgeTieEvictsHighestTiedWay pin both cases).
 //
 // Storage is struct-of-arrays (tags / ages / valid / dirty as parallel
 // flat arrays, row-major by set): the whole-set sweep kernels walk the tag
@@ -157,10 +173,11 @@ class Cache {
   // loop always pairs a tag read with its validity byte, so stale tags in
   // invalidated ways are never trusted). The arrays draw from the ambient
   // cell arena when one is installed. tags/age/dirty are deliberately left
-  // uninitialised when constructed under an arena: every read of them is
-  // gated by valid_ (which IS zeroed), so their initial contents are
-  // unobservable and the multi-megabyte zero-fill of an L3's metadata would
-  // be pure cost on the per-cell construction path.
+  // uninitialised when constructed under an arena: every use of them is
+  // gated by valid_ (which IS zeroed; the branch-free age loops read an
+  // invalid way's age but mask its increment to zero), so their initial
+  // contents are unobservable and the multi-megabyte zero-fill of an L3's
+  // metadata would be pure cost on the per-cell construction path.
   std::vector<Address, util::UninitCellAllocator<Address>> tags_;
   std::vector<std::uint8_t, util::UninitCellAllocator<std::uint8_t>> age_;
   std::vector<std::uint8_t, util::CellAllocator<std::uint8_t>> valid_;

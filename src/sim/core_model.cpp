@@ -11,13 +11,17 @@ using pmu::Event;
 CoreModel::CoreModel(const CoreTimingConfig& config,
                      const power::PStateTable& pstates,
                      pmu::CounterBank& bank)
-    : config_(config), pstates_(&pstates), bank_(&bank) {}
+    : config_(config),
+      pstates_(&pstates),
+      bank_(&bank),
+      period_(util::cycle_period(pstates.state(0).frequency)) {}
 
 void CoreModel::set_pstate(std::uint32_t index) {
   if (index >= pstates_->size()) {
     throw std::out_of_range("CoreModel::set_pstate: bad index");
   }
   pstate_ = index;
+  period_ = util::cycle_period(pstates_->state(index).frequency);
 }
 
 const power::PState& CoreModel::pstate_info() const {
@@ -29,19 +33,26 @@ void CoreModel::set_duty(double duty) {
 }
 
 void CoreModel::charge(std::uint64_t cycles, util::Picoseconds fixed_ps) {
-  const util::Picoseconds period = util::cycle_period(frequency());
   const double raw_ps =
-      static_cast<double>(cycles) * static_cast<double>(period) +
+      static_cast<double>(cycles) * static_cast<double>(period_) +
       static_cast<double>(fixed_ps);
   // Clock modulation: retire progresses only during the duty-on fraction.
-  const double scaled = raw_ps / duty_ + time_carry_ps_;
+  // x / 1.0 == x exactly in IEEE-754, so skipping the divide at full duty
+  // leaves the carry sequence unchanged.
+  const double scaled =
+      (duty_ == 1.0 ? raw_ps : raw_ps / duty_) + time_carry_ps_;
   const auto whole = static_cast<util::Picoseconds>(scaled);
   time_carry_ps_ = scaled - static_cast<double>(whole);
   now_ += whole;
   // TOT_CYC counts the cycles the work occupied (stall cycles included, as
   // "cycle count * clock speed = execution time" in the paper's method).
-  bank_->add(Event::kTotCyc, cycles + fixed_ps / period);
-  if (fixed_ps != 0) bank_->add(Event::kStallCyc, fixed_ps / period);
+  if (fixed_ps == 0) {
+    bank_->add(Event::kTotCyc, cycles);
+    return;
+  }
+  const std::uint64_t stall = fixed_ps / period_;
+  bank_->add(Event::kTotCyc, cycles + stall);
+  bank_->add(Event::kStallCyc, stall);
 }
 
 void CoreModel::speculate(std::uint64_t uops) {
@@ -86,7 +97,7 @@ void CoreModel::memory_op_repeat(const AccessLatency& lat, bool is_store,
   bank_->add(Event::kTotIns, n);
   bank_->add(Event::kInsExec, n);
   bank_->add(is_store ? Event::kSrIns : Event::kLdIns, n);
-  const util::Picoseconds period = util::cycle_period(frequency());
+  const util::Picoseconds period = period_;
   const double raw_ps =
       static_cast<double>(lat.cycles) * static_cast<double>(period) +
       static_cast<double>(lat.fixed_ps);
@@ -112,7 +123,7 @@ void CoreModel::rmw_repeat(const AccessLatency& load_lat,
   bank_->add(Event::kInsExec, n * (2 + uops));
   bank_->add(Event::kLdIns, n);
   bank_->add(Event::kSrIns, n);
-  const util::Picoseconds period = util::cycle_period(frequency());
+  const util::Picoseconds period = period_;
   // Hoisting the duty division out of the loop preserves charge()'s exact
   // float sequence because the inputs are constant (see memory_op_repeat).
   const double per_load =

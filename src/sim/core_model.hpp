@@ -25,6 +25,8 @@ class CoreModel {
   std::uint32_t pstate() const { return pstate_; }
   const power::PState& pstate_info() const;
   util::Hertz frequency() const { return pstate_info().frequency; }
+  /// Clock period at the current P-state, cached by set_pstate().
+  util::Picoseconds cycle_period() const { return period_; }
   double voltage() const { return pstate_info().voltage; }
 
   /// Clock-modulation duty in (0, 1]; clamped to [min_duty, 1].
@@ -89,6 +91,7 @@ class CoreModel {
   const power::PStateTable* pstates_;
   pmu::CounterBank* bank_;
   std::uint32_t pstate_ = 0;
+  util::Picoseconds period_ = 0;  // util::cycle_period of pstate_
   double duty_ = 1.0;
   util::Picoseconds now_ = 0;
   double cycle_carry_ = 0.0;   // fractional compute cycles

@@ -118,8 +118,7 @@ void ExecutionContext::unit_stream(Address base, std::int64_t stride,
       const util::Picoseconds now = core_->now();
       std::uint64_t n = 0;
       if (horizon > now) {
-        const util::Picoseconds period =
-            util::cycle_period(core_->frequency());
+        const util::Picoseconds period = core_->cycle_period();
         const auto ub_ps =
             static_cast<util::Picoseconds>(
                 static_cast<double>(
@@ -165,8 +164,7 @@ void ExecutionContext::unit_stream(Address base, std::int64_t stride,
       if (horizon > now) {
         // Conservative per-op time bound: an L1 hit plus a possible
         // mispredict penalty, duty-inflated, rounded up.
-        const util::Picoseconds period =
-            util::cycle_period(core_->frequency());
+        const util::Picoseconds period = core_->cycle_period();
         const auto ub_ps =
             static_cast<util::Picoseconds>(
                 static_cast<double>(
@@ -271,8 +269,7 @@ void ExecutionContext::rmw_stream(Address base, std::int64_t stride,
       if (horizon > now) {
         // Conservative per-element bound: two L1 hits, the compute cycles,
         // and a mispredict penalty for every committed instruction.
-        const util::Picoseconds period =
-            util::cycle_period(core_->frequency());
+        const util::Picoseconds period = core_->cycle_period();
         const double cycles_ub =
             2.0 * l1_hit_cycles_ +
             static_cast<double>(uops) / core_->config().base_ipc + 1.0 +

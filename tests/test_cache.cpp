@@ -86,6 +86,38 @@ TEST(Cache, FillAgingRegression) {
   EXPECT_EQ(c.stats().misses, 50u);  // every access misses
 }
 
+// The age array is not true LRU once ages tie: set_active_ways() clamps the
+// survivors' ages and fills saturate them at 254, and a full set then
+// evicts the HIGHEST tied way. Every capped cell gates ways, so the golden
+// outputs depend on this rule; a recency-stamp rewrite fails these cases.
+TEST(Cache, GatingClampTieEvictsHighestTiedWay) {
+  Cache c({.name = "tie", .size_bytes = 256, .line_bytes = 64, .ways = 4});
+  const Address a = 0x000, b = 0x040, cc = 0x080, d = 0x0C0, e = 0x100;
+  for (const Address line : {a, b, cc, d}) c.access(line, false);
+  c.set_active_ways(2);  // keeps A (way 0) and B (way 1), both aged to 1
+  const auto out = c.access(e, false);
+  ASSERT_TRUE(out.evicted_line.has_value());
+  EXPECT_EQ(*out.evicted_line, b);  // true LRU would evict A
+  EXPECT_TRUE(c.contains(a));
+}
+
+TEST(Cache, SaturatedAgeTieEvictsHighestTiedWay) {
+  Cache c({.name = "tie", .size_bytes = 192, .line_bytes = 64, .ways = 3});
+  const Address a = 0x000, b = 0x040, cc = 0x080, d = 0x0C0, x = 0x100;
+  c.access(a, false);
+  c.access(b, false);
+  // Each fill of the third way ages A and B; 300 fills pin both at 254.
+  for (int i = 0; i < 300; ++i) {
+    c.access(x, false);
+    c.invalidate(x);
+  }
+  c.access(cc, false);
+  const auto out = c.access(d, false);
+  ASSERT_TRUE(out.evicted_line.has_value());
+  EXPECT_EQ(*out.evicted_line, b);  // true LRU would evict A
+  EXPECT_TRUE(c.contains(a));
+}
+
 TEST(Cache, CyclicWorkingSetThatFitsAlwaysHits) {
   Cache c(small_config());
   for (std::uint64_t i = 0; i < 4; ++i) c.access(0x2000 + 256 * i, false);

@@ -1,11 +1,13 @@
 // Differential test layer for the cache/TLB fast paths: naive,
 // obviously-correct reference models (recency lists, modular arithmetic, no
-// MRU hints, no bulk accounting) are driven in lockstep with cache::Cache
-// and cache::Tlb over seeded random and adversarial streams, asserting
-// identical hit/miss/eviction sequences. This is what licenses the MRU
-// fast-hit path and the note_* bulk accounting.
+// MRU hints, no bulk accounting, linear slot scans) are driven in lockstep
+// with cache::Cache and cache::Tlb over seeded random and adversarial
+// streams, asserting identical hit/miss/eviction sequences. This is what
+// licenses the MRU fast-hit path, the note_* bulk accounting and the TLB's
+// page index.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -100,6 +102,81 @@ class ReferenceTlb {
   std::uint32_t entries_;
   std::uint32_t page_bytes_;
   std::deque<std::uint64_t> pages_;
+};
+
+/// Slot-exact TLB, frozen from the linear-scan implementation cache::Tlb
+/// replaced with its page index: numbered slots, timestamp LRU, gating of
+/// slots [n, entries). Every operation scans the active slots. A fill takes
+/// an empty slot if there is one (the last empty slot in scan order), else
+/// the slot with the oldest use. Slot placement decides which translations
+/// a later shrink drops, which ReferenceTlb's recency list cannot model.
+class SlotReferenceTlb {
+ public:
+  SlotReferenceTlb(std::uint32_t entries, std::uint32_t page_bytes)
+      : page_bytes_(page_bytes), active_(entries), slots_(entries) {}
+
+  bool lookup(std::uint64_t vaddr) {
+    ++accesses_;
+    ++tick_;
+    const std::uint64_t page = vaddr / page_bytes_;
+    Slot* lru = &slots_[0];
+    for (std::uint32_t i = 0; i < active_; ++i) {
+      Slot& e = slots_[i];
+      if (e.valid && e.page == page) {
+        e.last_use = tick_;
+        return true;
+      }
+      if (!e.valid) {
+        lru = &e;
+      } else if (lru->valid && e.last_use < lru->last_use) {
+        lru = &e;
+      }
+    }
+    ++misses_;
+    *lru = {.page = page, .last_use = tick_, .valid = true};
+    return false;
+  }
+
+  /// n back-to-back hits on a resident page, or nothing at all.
+  bool note_hits(std::uint64_t vaddr, std::uint64_t n) {
+    if (n == 0 || !contains(vaddr)) return false;
+    for (std::uint64_t i = 0; i < n; ++i) lookup(vaddr);
+    return true;
+  }
+
+  bool contains(std::uint64_t vaddr) const {
+    const std::uint64_t page = vaddr / page_bytes_;
+    for (std::uint32_t i = 0; i < active_; ++i) {
+      if (slots_[i].valid && slots_[i].page == page) return true;
+    }
+    return false;
+  }
+
+  void set_active_entries(std::uint32_t n) {
+    n = std::clamp<std::uint32_t>(n, 1, static_cast<std::uint32_t>(slots_.size()));
+    for (std::uint32_t i = n; i < active_; ++i) slots_[i].valid = false;
+    active_ = n;
+  }
+
+  void flush() {
+    for (auto& e : slots_) e.valid = false;
+  }
+
+  std::uint64_t accesses() const { return accesses_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  struct Slot {
+    std::uint64_t page = 0;
+    std::uint64_t last_use = 0;
+    bool valid = false;
+  };
+  std::uint32_t page_bytes_;
+  std::uint32_t active_;
+  std::uint64_t tick_ = 0;
+  std::uint64_t accesses_ = 0;
+  std::uint64_t misses_ = 0;
+  std::vector<Slot> slots_;
 };
 
 // --- stream drivers ---------------------------------------------------------
@@ -356,6 +433,71 @@ TEST(TlbReference, GatedEntriesBehaveLikeSmallTlb) {
   }
 }
 
+// Lockstep against the frozen slot-exact model over seeded mixes of every
+// mutating operation. Shrinks drop whatever sits in the gated slots, so any
+// drift in slot placement shows up as a differing hit/miss or contains().
+void drive_slot_tlb(std::uint32_t entries, std::uint64_t pages,
+                    std::uint64_t seed) {
+  constexpr std::uint32_t kPageBytes = 4096;
+  cache::Tlb dut({.name = "DTLB", .entries = entries, .page_bytes = kPageBytes});
+  SlotReferenceTlb ref(entries, kPageBytes);
+  util::Rng rng(seed);
+  for (int op = 0; op < 40000; ++op) {
+    const std::uint64_t vaddr = rng.below(pages) * kPageBytes + rng.below(kPageBytes);
+    const std::uint64_t kind = rng.below(100);
+    if (kind < 70) {
+      ASSERT_EQ(dut.lookup(vaddr), ref.lookup(vaddr)) << "op " << op;
+    } else if (kind < 94) {
+      const std::uint64_t n = rng.below(9);  // includes the n == 0 refusal
+      ASSERT_EQ(dut.note_hits(vaddr, n), ref.note_hits(vaddr, n)) << "op " << op;
+    } else if (kind < 99) {
+      const auto n = static_cast<std::uint32_t>(rng.below(entries + 2));
+      dut.set_active_entries(n);
+      ref.set_active_entries(n);
+    } else {
+      dut.flush();
+      ref.flush();
+    }
+    ASSERT_EQ(dut.stats().accesses, ref.accesses()) << "op " << op;
+    ASSERT_EQ(dut.stats().misses, ref.misses()) << "op " << op;
+    if (op % 64 == 0) {
+      for (std::uint64_t p = 0; p < pages; ++p) {
+        ASSERT_EQ(dut.contains(p * kPageBytes), ref.contains(p * kPageBytes))
+            << "op " << op << " page " << p;
+      }
+    }
+  }
+  for (std::uint64_t p = 0; p < pages; ++p) {
+    ASSERT_EQ(dut.contains(p * kPageBytes), ref.contains(p * kPageBytes))
+        << "page " << p;
+  }
+}
+
+TEST(TlbReference, SlotExactUnderGatingAndFlush) {
+  drive_slot_tlb(64, 96, 25);   // the DTLB, working set past its reach
+  drive_slot_tlb(48, 40, 26);   // the ITLB, working set within reach
+  drive_slot_tlb(5, 12, 27);    // tiny and odd: index wraps, shrink to 1
+  drive_slot_tlb(1, 3, 28);     // a single slot
+}
+
+TEST(TlbReference, ShrinkDropsTheTopSlots) {
+  // Fills go to the highest empty slot, so the first pages land at the
+  // top and a shrink drops them, not the most recently filled ones.
+  cache::Tlb tlb({.name = "t", .entries = 4});
+  for (std::uint64_t p = 0; p < 4; ++p) tlb.lookup(p << 12);  // slots 3..0
+  tlb.set_active_entries(2);
+  EXPECT_FALSE(tlb.contains(0 << 12));
+  EXPECT_FALSE(tlb.contains(1 << 12));
+  EXPECT_TRUE(tlb.contains(2 << 12));
+  EXPECT_TRUE(tlb.contains(3 << 12));
+  // Regrown slots are empty; the next fill takes the highest of them.
+  tlb.set_active_entries(4);
+  tlb.lookup(4 << 12);  // slot 3
+  tlb.set_active_entries(3);
+  EXPECT_FALSE(tlb.contains(4 << 12));
+  EXPECT_TRUE(tlb.contains(2 << 12));
+}
+
 TEST(TlbReference, NoteHitsMatchesRepeatedLookups) {
   cache::TlbConfig config{.name = "DTLB", .entries = 64, .page_bytes = 4096};
   cache::Tlb bulk(config);
@@ -365,7 +507,7 @@ TEST(TlbReference, NoteHitsMatchesRepeatedLookups) {
     const std::uint64_t vaddr = rng.below(16) << 12 | rng.below(4096);
     const std::uint64_t n = 1 + rng.below(16);
     ASSERT_EQ(bulk.lookup(vaddr), loop.lookup(vaddr));
-    ASSERT_TRUE(bulk.note_hits(vaddr, n));  // just hit: must be in MRU slots
+    ASSERT_TRUE(bulk.note_hits(vaddr, n));  // just looked up: resident
     for (std::uint64_t i = 0; i < n; ++i) ASSERT_TRUE(loop.lookup(vaddr));
     ASSERT_EQ(bulk.stats().accesses, loop.stats().accesses);
     ASSERT_EQ(bulk.stats().misses, loop.stats().misses);
