@@ -8,11 +8,10 @@
 // and associativity while saving leakage power.
 //
 // Replacement keeps a uint8_t age per way: a hit moves its line to age 0
-// and ages every valid line younger than it; a fill ages every valid line
-// (saturating at 254) and installs at age 0. The victim of a full set is
-// the valid active way with the greatest age, and among tied ways the
-// HIGHEST way index. Ages are distinct (true LRU) until something makes
-// them tie:
+// and ages every line younger than it; a fill ages every line (saturating
+// at 254) and installs at age 0. The victim of a full set is the valid
+// active way with the greatest age, and among tied ways the HIGHEST way
+// index. Ages are distinct (true LRU) until something makes them tie:
 //   * set_active_ways(n) clamps the survivors' ages to n - 1, so several
 //     survivors can share age n - 1;
 //   * a set that keeps filling one way while the others stay untouched
@@ -23,16 +22,29 @@
 // (Cache.GatingClampTieEvictsHighestTiedWay and
 // Cache.SaturatedAgeTieEvictsHighestTiedWay pin both cases).
 //
-// Storage is struct-of-arrays (tags / ages / valid / dirty as parallel
-// flat arrays, row-major by set): the whole-set sweep kernels walk the tag
-// array with a branch-free way-compare loop the compiler can vectorise,
-// and the arrays draw from the per-cell arena (util::CellAllocator) when a
+// Storage is one 64-byte control line per set (SetCtl: ages, 8-bit partial
+// tags, valid and dirty bitmasks, the MRU way) plus a flat full-tag array,
+// row-major by set. A probe compares the set's partial tags in one SSE2
+// group match (the SwissTable idiom), masks the result with the valid and
+// active-way bits and confirms each candidate against the full tag, so a
+// lookup touches the control line and, on a candidate, one tag line.
+//
+// Unspecified ages. The age loops run over all kMaxWays lanes with a fixed
+// trip count and no validity gate, and set_active_ways clamps every lane,
+// so the age of an invalid or gated way is unspecified. That is safe
+// because every age read is gated by a valid bit (the MRU checks, the hit
+// touch, the victim choice of a full set) or follows the fill that resets
+// the way's age to 0. The ages of valid lines are exactly those of the
+// validity-gated loops this layout replaced (tests/test_cache_reference.cpp
+// drives the frozen struct-of-arrays cache in lockstep).
+//
+// Both arrays draw from the per-cell arena (util::CellAllocator) when a
 // chunk simulation builds the cache under a CellArenaScope (DESIGN.md §17).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/arena.hpp"
@@ -51,13 +63,18 @@ struct CacheConfig {
   std::uint64_t sets() const { return size_bytes / (line_bytes * ways); }
 };
 
-/// Result of one cache access.
+/// Result of one cache access. Sixteen trivially copyable bytes, so it is
+/// returned in two registers rather than through memory.
 struct AccessOutcome {
   bool hit = false;
-  /// When a fill evicted a valid line, its base address.
-  std::optional<Address> evicted_line;
+  /// A fill evicted a valid line; evicted_line and evicted_dirty describe
+  /// it (both are zero otherwise).
+  bool evicted = false;
   bool evicted_dirty = false;
+  Address evicted_line = 0;
 };
+static_assert(sizeof(AccessOutcome) == 16 &&
+              std::is_trivially_copyable_v<AccessOutcome>);
 
 /// Structural statistics (separate from the PMU, which the hierarchy feeds).
 struct CacheStats {
@@ -75,8 +92,12 @@ struct CacheStats {
 
 class Cache {
  public:
+  /// Ways one control line holds.
+  static constexpr std::uint32_t kMaxWays = 24;
+
   /// Throws std::invalid_argument if the geometry is inconsistent
-  /// (non-power-of-two line size, size not divisible by line*ways, ...).
+  /// (non-power-of-two line size, size not divisible by line*ways, more
+  /// than kMaxWays ways, ...).
   explicit Cache(const CacheConfig& config);
 
   const CacheConfig& config() const { return config_; }
@@ -153,38 +174,55 @@ class Cache {
 
   Address line_base(Address addr) const { return addr & ~line_mask_; }
 
+  /// The probe's 8-bit prefilter: a hash of the tag bits above the set
+  /// index. Public so tests can build lines whose partial tags collide.
+  std::uint8_t partial_tag(Address addr) const {
+    return static_cast<std::uint8_t>(((addr >> set_shift_) *
+                                      0x9E3779B97F4A7C15ull) >> 56);
+  }
+
  private:
+  // One set's replacement state in one host cache line. ptag and age sit at
+  // 16-byte boundaries so each is one 16-byte plus one 8-byte lane group.
+  struct alignas(64) SetCtl {
+    std::uint8_t ptag[kMaxWays];  // partial tag per way (valid ways only)
+    std::uint32_t valid = 0;      // bit w: way w holds a line
+    std::uint32_t dirty = 0;      // bit w: that line is dirty
+    std::uint8_t age[kMaxWays];   // LRU age per way (valid ways only)
+    // The way of the last hit or fill. Purely an accelerator: every use
+    // re-checks its valid bit and tag, so a stale hint is never trusted.
+    std::uint32_t mru = 0;
+  };
+  static_assert(sizeof(SetCtl) == 64);
+
   std::uint64_t set_index(Address addr) const {
     return (addr >> line_shift_) & set_mask_;
   }
   Address tag_of(Address addr) const { return addr >> line_shift_; }
   Address addr_of(Address tag) const { return tag << line_shift_; }
-  /// Way holding `addr` in an active way, or active_ways_ when absent.
-  std::uint32_t find_way(Address addr) const;
-  void touch(std::uint64_t set, std::uint32_t way);
+  /// Way `w` of `ctl` holds a line and is active.
+  bool live(const SetCtl& ctl, std::uint32_t w) const {
+    return ((ctl.valid & active_mask_) >> w & 1u) != 0;
+  }
+  /// Way of the set `ctl` (full tags `tags`) holding `addr` in a valid
+  /// active way, or kMaxWays when absent.
+  std::uint32_t find_way(const SetCtl& ctl, const Address* tags,
+                         Address addr) const;
 
   CacheConfig config_;
   std::uint64_t sets_ = 0;
   std::uint64_t set_mask_ = 0;
   std::uint32_t line_shift_ = 0;
+  std::uint32_t set_shift_ = 0;  // line_shift_ + log2(sets_)
   std::uint64_t line_mask_ = 0;
   std::uint32_t active_ways_ = 0;
-  // SoA line state, each sets_ * ways, row-major by set (the sweep compare
-  // loop always pairs a tag read with its validity byte, so stale tags in
-  // invalidated ways are never trusted). The arrays draw from the ambient
-  // cell arena when one is installed. tags/age/dirty are deliberately left
-  // uninitialised when constructed under an arena: every use of them is
-  // gated by valid_ (which IS zeroed; the branch-free age loops read an
-  // invalid way's age but mask its increment to zero), so their initial
-  // contents are unobservable and the multi-megabyte zero-fill of an L3's
-  // metadata would be pure cost on the per-cell construction path.
+  std::uint32_t active_mask_ = 0;  // bits [0, active_ways_)
+  // sets_ control lines, zeroed. Valid bits are only ever set for active
+  // ways: set_active_ways clears the gated ways' bits.
+  std::vector<SetCtl, util::CellAllocator<SetCtl>> ctl_;
+  // sets_ * ways full tags, row-major by set. Read only behind a valid bit,
+  // so under a cell arena they are left uninitialised (util/arena.hpp).
   std::vector<Address, util::UninitCellAllocator<Address>> tags_;
-  std::vector<std::uint8_t, util::UninitCellAllocator<std::uint8_t>> age_;
-  std::vector<std::uint8_t, util::CellAllocator<std::uint8_t>> valid_;
-  std::vector<std::uint8_t, util::UninitCellAllocator<std::uint8_t>> dirty_;
-  // Per-set hint: the way of the last hit or fill. Purely an accelerator —
-  // a stale hint is caught by the validity/tag/age checks, never trusted.
-  std::vector<std::uint32_t, util::CellAllocator<std::uint32_t>> mru_way_;
   CacheStats stats_;
 };
 

@@ -63,6 +63,7 @@ DatacenterManager::DatacenterManager(const FleetConfig& config)
     rack.sampler = config_.sampler;
     rack.seed = config_.seed * 65599 + static_cast<std::uint64_t>(i) * 43 + 3;
     slot->manager = std::make_unique<RackManager>(rack);
+    slot->manager->set_thermal_shadow(config_.machine.thermal);
     slot->server = std::make_unique<BudgetEndpointServer>(*slot->manager);
     slot->loopback = std::make_unique<ipmi::LoopbackTransport>(
         [srv = slot->server.get()](std::span<const std::uint8_t> frame) {

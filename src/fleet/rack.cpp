@@ -48,6 +48,13 @@ RackManager::RackManager(const RackConfig& config)
   target_w_ = floor_w();
 }
 
+void RackManager::set_thermal_shadow(const power::ThermalConfig& thermal) {
+  for (const auto& slot : slots_) {
+    slot->vnode.set_thermal_shadow(thermal.ambient_c,
+                                   thermal.r_thermal_c_per_w);
+  }
+}
+
 double RackManager::floor_w() const {
   return static_cast<double>(slots_.size()) * config_.bmc.min_cap_w;
 }

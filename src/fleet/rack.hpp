@@ -99,6 +99,10 @@ class RackManager : public BudgetHolder {
 
   explicit RackManager(const RackConfig& config);
 
+  /// Every node's thermal shadow settles at `thermal`'s ambient plus its
+  /// junction-to-ambient resistance times the node's draw.
+  void set_thermal_shadow(const power::ThermalConfig& thermal);
+
   const std::string& name() const { return config_.name; }
   std::size_t node_count() const { return slots_.size(); }
   std::size_t lanes_per_node() const { return config_.lanes_per_node; }

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "ipmi/commands.hpp"
+#include "power/thermal.hpp"
 
 namespace pcap::fleet {
 
@@ -86,10 +87,10 @@ class VirtualNode {
   double draw_w_;
   double min_seen_w_;
   double max_seen_w_;
-  // Defaults match MachineConfig::romley's 35 C ambient and the 0.35 C/W
-  // junction-to-ambient path of the romley thermal network.
-  double ambient_c_ = 35.0;
-  double r_c_per_w_ = 0.35;
+  // Until the owning rack derives them from its machine's thermal config,
+  // the shadow uses that config's defaults.
+  double ambient_c_ = power::ThermalConfig{}.ambient_c;
+  double r_c_per_w_ = power::ThermalConfig{}.r_thermal_c_per_w;
 };
 
 /// Answers the node-level power-management commands for one VirtualNode —

@@ -227,7 +227,7 @@ AccessLatency MemoryHierarchy::access(Address addr, AccessType type) {
   bank_.add(Event::kL3Tca);
   lat.cycles += config_.l3_extra_cycles;
   const auto l3_outcome = l3_->access(addr, is_store);
-  if (l3_outcome.evicted_line) back_invalidate(*l3_outcome.evicted_line);
+  if (l3_outcome.evicted) back_invalidate(l3_outcome.evicted_line);
   if (l3_outcome.hit) return lat;
   bank_.add(Event::kL3Tcm);
 
@@ -249,7 +249,7 @@ AccessLatency MemoryHierarchy::access(Address addr, AccessType type) {
         bank_.add(Event::kDramAcc);
         dram_->access(next);  // row-buffer state advances; latency hidden
         const auto outcome = l3_->access(next, false);
-        if (outcome.evicted_line) back_invalidate(*outcome.evicted_line);
+        if (outcome.evicted) back_invalidate(outcome.evicted_line);
       }
       l2_.access(next, false);
     }

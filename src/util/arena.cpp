@@ -6,9 +6,9 @@ namespace pcap::util {
 
 namespace {
 
-// 8 MB first block covers a full single-core Node (the 20 MB L3's line
-// arrays dominate at ~2.6 MB in SoA form) without growth; SmpNode cells
-// grow into a second block once and then recycle it.
+// 8 MB first block covers a full single-core Node (the 20 MB L3's 2.6 MB
+// of tags and 1 MB of set control lines dominate) without growth; SmpNode
+// cells grow into a second block once and then recycle it.
 constexpr std::size_t kFirstBlockBytes = 8u << 20;
 
 std::atomic<bool> g_arena_enabled{true};

@@ -133,10 +133,29 @@ class CellAllocator {
     if (arena_ != nullptr) {
       return static_cast<T*>(arena_->allocate(bytes, alignof(T)));
     }
-    return static_cast<T*>(::operator new(bytes));
+    if constexpr (kOverAligned) {
+      // Align by hand inside a plain allocation, keeping the raw pointer
+      // just below the aligned block. The aligned operator new would go
+      // through glibc's memalign, whose chunk splitting left a node study
+      // that rebuilds its caches per cell ~2 MiB higher in peak RSS.
+      void* raw = ::operator new(bytes + sizeof(void*) + alignof(T));
+      const std::uintptr_t first =
+          reinterpret_cast<std::uintptr_t>(raw) + sizeof(void*);
+      const std::uintptr_t p = (first + alignof(T) - 1) &
+                               ~static_cast<std::uintptr_t>(alignof(T) - 1);
+      reinterpret_cast<void**>(p)[-1] = raw;
+      return reinterpret_cast<T*>(p);
+    } else {
+      return static_cast<T*>(::operator new(bytes));
+    }
   }
   void deallocate(T* p, std::size_t) {
-    if (arena_ == nullptr) ::operator delete(p);
+    if (arena_ != nullptr) return;
+    if constexpr (kOverAligned) {
+      ::operator delete(reinterpret_cast<void**>(p)[-1]);
+    } else {
+      ::operator delete(p);
+    }
   }
 
   Arena* arena() const { return arena_; }
@@ -147,21 +166,27 @@ class CellAllocator {
   }
 
  private:
+  // Cache-line-aligned element types need more than operator new's
+  // alignment on the heap path.
+  static constexpr bool kOverAligned =
+      alignof(T) > __STDCPP_DEFAULT_NEW_ALIGNMENT__;
   Arena* arena_;
 };
 
 /// CellAllocator variant whose default-insertion under an arena is
 /// default-initialisation: `resize(n)` on a vector of trivial elements
-/// leaves the new storage uninitialised instead of zeroing it. For metadata
-/// arrays whose every read is gated by a separately-zeroed validity array
-/// (cache tags / ages / dirty bits), the zero-fill is pure construction
-/// cost on the per-cell path — an L3's multi-megabyte metadata dominates
-/// building the cell graph. Owners that want the conservative zero-fill
-/// off-arena (long-lived machines, tools, the heap baseline — built once,
-/// and zeroed metadata stays friendly to memory checkers and post-mortem
-/// inspection) std::fill after resize when no arena is ambient; the Cache
-/// constructor does exactly that. Either way the simulated state is
-/// bit-identical — uninitialised entries are unobservable by construction.
+/// leaves the new storage uninitialised instead of zeroing it. Its one user
+/// is the cache's full-tag array, whose every read is gated by a valid bit
+/// in the separately-zeroed per-set control lines. Zero-filling the L3's
+/// 2.6 MB of tags would be pure construction cost on the per-cell path: on
+/// a 4-vCPU Xeon VM (gcc 12, Release) it takes BM_ChunkMissArena from 29 us
+/// to 176 us, level with the heap path. Owners that want the conservative
+/// zero-fill off-arena (long-lived machines, tools, the heap baseline —
+/// built once, and zeroed metadata stays friendly to memory checkers and
+/// post-mortem inspection) std::fill after resize when no arena is
+/// ambient; the Cache constructor does exactly that. Either way the
+/// simulated state is bit-identical — uninitialised entries are
+/// unobservable by construction.
 /// Value construction (`assign(n, v)`, `push_back`) is unaffected: the
 /// zero-argument overload below is only viable for default-insertion, so
 /// allocator_traits falls back to placement value-init everywhere else.

@@ -45,6 +45,23 @@ TEST(Cache, RejectsBadGeometry) {
                std::invalid_argument);
 }
 
+TEST(Cache, WayLimitIsOneControlLine) {
+  // One set's state is one 64-byte control line: 24 ways at most.
+  EXPECT_THROW(Cache({.size_bytes = 64 * 25 * 4, .line_bytes = 64, .ways = 25}),
+               std::invalid_argument);
+  Cache c({.size_bytes = 64 * 24 * 4, .line_bytes = 64, .ways = 24});
+  EXPECT_EQ(c.sets(), 4u);
+  // All 24 ways of set 0 fill, and the 25th line evicts the first.
+  const Address set_stride = 4 * 64;
+  for (Address i = 0; i < 24; ++i) {
+    EXPECT_FALSE(c.access(i * set_stride, false).evicted);
+  }
+  EXPECT_EQ(c.valid_lines(), 24u);
+  const auto out = c.access(24 * set_stride, false);
+  ASSERT_TRUE(out.evicted);
+  EXPECT_EQ(out.evicted_line, 0u);
+}
+
 TEST(Cache, MissThenHit) {
   Cache c(small_config());
   EXPECT_FALSE(c.access(0x100, false).hit);
@@ -64,8 +81,8 @@ TEST(Cache, LruEvictionOrder) {
   c.access(0x1000, false);
   const auto outcome = c.access(0x1000 + 256u * 4, false);
   EXPECT_FALSE(outcome.hit);
-  ASSERT_TRUE(outcome.evicted_line.has_value());
-  EXPECT_EQ(*outcome.evicted_line, 0x1000u + 256u);
+  ASSERT_TRUE(outcome.evicted);
+  EXPECT_EQ(outcome.evicted_line, 0x1000u + 256u);
 }
 
 // Regression: a fill must make the new line MRU relative to ALL residents.
@@ -96,8 +113,8 @@ TEST(Cache, GatingClampTieEvictsHighestTiedWay) {
   for (const Address line : {a, b, cc, d}) c.access(line, false);
   c.set_active_ways(2);  // keeps A (way 0) and B (way 1), both aged to 1
   const auto out = c.access(e, false);
-  ASSERT_TRUE(out.evicted_line.has_value());
-  EXPECT_EQ(*out.evicted_line, b);  // true LRU would evict A
+  ASSERT_TRUE(out.evicted);
+  EXPECT_EQ(out.evicted_line, b);  // true LRU would evict A
   EXPECT_TRUE(c.contains(a));
 }
 
@@ -113,8 +130,8 @@ TEST(Cache, SaturatedAgeTieEvictsHighestTiedWay) {
   }
   c.access(cc, false);
   const auto out = c.access(d, false);
-  ASSERT_TRUE(out.evicted_line.has_value());
-  EXPECT_EQ(*out.evicted_line, b);  // true LRU would evict A
+  ASSERT_TRUE(out.evicted);
+  EXPECT_EQ(out.evicted_line, b);  // true LRU would evict A
   EXPECT_TRUE(c.contains(a));
 }
 
@@ -138,8 +155,8 @@ TEST(Cache, DirtyEvictionReported) {
   c2.access(0x3000, true);
   for (int i = 1; i <= 3; ++i) c2.access(0x3000 + 256u * i, false);
   const auto outcome = c2.access(0x3000 + 256u * 4, false);
-  ASSERT_TRUE(outcome.evicted_line.has_value());
-  EXPECT_EQ(*outcome.evicted_line, 0x3000u);
+  ASSERT_TRUE(outcome.evicted);
+  EXPECT_EQ(outcome.evicted_line, 0x3000u);
   saw_dirty = outcome.evicted_dirty;
   EXPECT_TRUE(saw_dirty);
 }

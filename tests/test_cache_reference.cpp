@@ -1,13 +1,16 @@
 // Differential test layer for the cache/TLB fast paths: naive,
 // obviously-correct reference models (recency lists, modular arithmetic, no
-// MRU hints, no bulk accounting, linear slot scans) are driven in lockstep
-// with cache::Cache and cache::Tlb over seeded random and adversarial
-// streams, asserting identical hit/miss/eviction sequences. This is what
-// licenses the MRU fast-hit path, the note_* bulk accounting and the TLB's
-// page index.
+// MRU hints, no bulk accounting, linear slot scans) and the frozen
+// implementations the fast ones replaced (the struct-of-arrays cache, the
+// linear-scan TLB) are driven in lockstep with cache::Cache and cache::Tlb
+// over seeded random and adversarial streams, asserting identical
+// hit/miss/eviction sequences. This is what licenses the MRU fast-hit
+// path, the note_* bulk accounting, the cache's control lines and the
+// TLB's page index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <optional>
@@ -179,6 +182,282 @@ class SlotReferenceTlb {
   std::vector<Slot> slots_;
 };
 
+/// The struct-of-arrays cache::Cache, frozen when the cache moved to one
+/// control line per set: parallel tag / age / valid / dirty arrays and a
+/// per-set MRU hint, every scan bounded by the active way count, every age
+/// loop gated on validity. Kept verbatim (heap vectors, always zeroed) so
+/// the control-line cache can be driven against it in lockstep: equal
+/// outcomes, statistics, MRU answers and resident sets across every
+/// operation, including the way-gating age clamp and its tie-breaks.
+class SoaReferenceCache {
+ public:
+  struct Outcome {
+    bool hit = false;
+    std::optional<Address> evicted_line;
+    bool evicted_dirty = false;
+  };
+
+  explicit SoaReferenceCache(const cache::CacheConfig& config)
+      : config_(config) {
+    const std::uint64_t line_way =
+        static_cast<std::uint64_t>(config.line_bytes) * config.ways;
+    sets_ = config.size_bytes / line_way;
+    set_mask_ = sets_ - 1;
+    line_shift_ = static_cast<std::uint32_t>(std::countr_zero(config.line_bytes));
+    active_ways_ = config.ways;
+    const std::size_t n = sets_ * config.ways;
+    tags_.assign(n, 0);
+    age_.assign(n, 0);
+    dirty_.assign(n, 0);
+    valid_.assign(n, 0);
+    mru_way_.assign(sets_, 0);
+  }
+
+  bool is_mru_hit(Address addr) const {
+    const std::uint64_t set = set_index(addr);
+    const std::uint32_t w = mru_way_[set];
+    if (w >= active_ways_) return false;
+    const std::size_t i = set * config_.ways + w;
+    return valid_[i] != 0 && age_[i] == 0 && tags_[i] == tag_of(addr);
+  }
+
+  bool note_mru_hits(Address addr, bool is_write, std::uint64_t n) {
+    const std::uint64_t set = set_index(addr);
+    const std::uint32_t w = mru_way_[set];
+    if (w >= active_ways_) return false;
+    const std::size_t i = set * config_.ways + w;
+    if (valid_[i] == 0 || age_[i] != 0 || tags_[i] != tag_of(addr)) return false;
+    stats_.accesses += n;
+    stats_.hits += n;
+    if (is_write && n != 0) dirty_[i] = 1;
+    return true;
+  }
+
+  std::uint64_t probe_line_sweep(Address addr, std::uint64_t n_lines,
+                                 std::uint64_t line_step,
+                                 std::uint32_t* hit_ways) const {
+    const std::uint32_t ways = config_.ways;
+    std::uint64_t set = set_index(addr);
+    Address tag = tag_of(addr);
+    for (std::uint64_t i = 0; i < n_lines; ++i) {
+      const std::size_t base = set * ways;
+      const std::uint32_t hint = mru_way_[set];
+      if (hint < active_ways_ && valid_[base + hint] != 0 &&
+          tags_[base + hint] == tag) {
+        hit_ways[i] = hint;
+      } else {
+        std::uint32_t hit_way = 0;
+        std::uint32_t hit = 0;
+        for (std::uint32_t w = 0; w < active_ways_; ++w) {
+          const std::uint32_t match =
+              static_cast<std::uint32_t>(valid_[base + w] != 0 &&
+                                         tags_[base + w] == tag);
+          hit |= match;
+          hit_way |= match * w;
+        }
+        if (hit == 0) return i;
+        hit_ways[i] = hit_way;
+      }
+      set = (set + line_step) & set_mask_;
+      tag += line_step;
+    }
+    return n_lines;
+  }
+
+  void commit_line_sweep(Address addr, std::uint64_t n_lines,
+                         std::uint64_t line_step,
+                         const std::uint32_t* hit_ways, bool is_write,
+                         std::uint64_t extra_hits) {
+    stats_.accesses += n_lines + extra_hits;
+    stats_.hits += n_lines + extra_hits;
+    std::uint64_t set = set_index(addr);
+    for (std::uint64_t i = 0; i < n_lines; ++i) {
+      const std::uint32_t w = hit_ways[i];
+      const std::size_t idx = set * config_.ways + w;
+      if (age_[idx] != 0) touch(set, w);
+      mru_way_[set] = w;
+      if (is_write) dirty_[idx] = 1;
+      set = (set + line_step) & set_mask_;
+    }
+  }
+
+  Outcome access(Address addr, bool is_write) {
+    ++stats_.accesses;
+    const std::uint64_t set = set_index(addr);
+    const Address tag = tag_of(addr);
+    const std::size_t base = set * config_.ways;
+
+    const std::uint32_t hint = mru_way_[set];
+    if (hint < active_ways_ && valid_[base + hint] != 0 &&
+        age_[base + hint] == 0 && tags_[base + hint] == tag) {
+      if (is_write) dirty_[base + hint] = 1;
+      ++stats_.hits;
+      return {.hit = true, .evicted_line = std::nullopt, .evicted_dirty = false};
+    }
+
+    for (std::uint32_t w = 0; w < active_ways_; ++w) {
+      if (valid_[base + w] != 0 && tags_[base + w] == tag) {
+        touch(set, w);
+        mru_way_[set] = w;
+        if (is_write) dirty_[base + w] = 1;
+        ++stats_.hits;
+        return {.hit = true, .evicted_line = std::nullopt, .evicted_dirty = false};
+      }
+    }
+
+    ++stats_.misses;
+    Outcome outcome;
+    outcome.hit = false;
+
+    if (is_write && !config_.write_allocate) return outcome;
+
+    std::uint32_t victim = 0;
+    bool found_invalid = false;
+    std::uint8_t worst_age = 0;
+    for (std::uint32_t w = 0; w < active_ways_; ++w) {
+      if (valid_[base + w] == 0) {
+        victim = w;
+        found_invalid = true;
+        break;
+      }
+      if (age_[base + w] >= worst_age) {
+        worst_age = age_[base + w];
+        victim = w;
+      }
+    }
+    if (!found_invalid && valid_[base + victim] != 0) {
+      outcome.evicted_line = addr_of(tags_[base + victim]);
+      outcome.evicted_dirty = dirty_[base + victim] != 0;
+      ++stats_.evictions;
+    }
+    {
+      const std::uint32_t ways = active_ways_;
+      std::uint8_t* const age = age_.data() + base;
+      const std::uint8_t* const valid = valid_.data() + base;
+      for (std::uint32_t w = 0; w < ways; ++w) {
+        age[w] += (valid[w] != 0) & (age[w] < 254);
+      }
+    }
+    tags_[base + victim] = tag;
+    valid_[base + victim] = 1;
+    dirty_[base + victim] = is_write ? 1 : 0;
+    age_[base + victim] = 0;
+    mru_way_[set] = victim;
+    return outcome;
+  }
+
+  bool contains(Address addr) const { return find_way(addr) < active_ways_; }
+
+  bool invalidate(Address addr, bool* was_dirty = nullptr) {
+    const std::uint32_t w = find_way(addr);
+    if (w >= active_ways_) return false;
+    const std::size_t i = set_index(addr) * config_.ways + w;
+    if (was_dirty != nullptr) *was_dirty = dirty_[i] != 0;
+    valid_[i] = 0;
+    dirty_[i] = 0;
+    ++stats_.invalidations;
+    return true;
+  }
+
+  void flush_all() {
+    const std::size_t n = sets_ * config_.ways;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (valid_[i] != 0) ++stats_.invalidations;
+      valid_[i] = 0;
+      dirty_[i] = 0;
+      age_[i] = 0;
+    }
+  }
+
+  std::uint64_t set_active_ways(std::uint32_t n) {
+    if (n < 1) n = 1;
+    if (n > config_.ways) n = config_.ways;
+    std::uint64_t dropped = 0;
+    if (n < active_ways_) {
+      for (std::uint64_t set = 0; set < sets_; ++set) {
+        const std::size_t base = set * config_.ways;
+        for (std::uint32_t w = n; w < active_ways_; ++w) {
+          if (valid_[base + w] != 0) {
+            valid_[base + w] = 0;
+            dirty_[base + w] = 0;
+            ++dropped;
+            ++stats_.invalidations;
+          }
+        }
+        for (std::uint32_t w = 0; w < n; ++w) {
+          if (valid_[base + w] != 0 && age_[base + w] >= n) {
+            age_[base + w] = static_cast<std::uint8_t>(n - 1);
+          }
+        }
+      }
+    }
+    active_ways_ = n;
+    return dropped;
+  }
+
+  std::uint64_t valid_lines() const {
+    std::uint64_t count = 0;
+    const std::size_t n = sets_ * config_.ways;
+    for (std::size_t i = 0; i < n; ++i) count += valid_[i] != 0 ? 1 : 0;
+    return count;
+  }
+
+  std::vector<Address> valid_line_addresses() const {
+    std::vector<Address> addresses;
+    for (std::uint64_t set = 0; set < sets_; ++set) {
+      const std::size_t base = set * config_.ways;
+      for (std::uint32_t w = 0; w < config_.ways; ++w) {
+        if (valid_[base + w] != 0) {
+          addresses.push_back(tags_[base + w] << line_shift_);
+        }
+      }
+    }
+    return addresses;
+  }
+
+  const cache::CacheStats& stats() const { return stats_; }
+
+ private:
+  std::uint64_t set_index(Address addr) const {
+    return (addr >> line_shift_) & set_mask_;
+  }
+  Address tag_of(Address addr) const { return addr >> line_shift_; }
+  Address addr_of(Address tag) const { return tag << line_shift_; }
+
+  std::uint32_t find_way(Address addr) const {
+    const std::uint64_t set = set_index(addr);
+    const Address tag = tag_of(addr);
+    const std::size_t base = set * config_.ways;
+    for (std::uint32_t w = 0; w < active_ways_; ++w) {
+      if (valid_[base + w] != 0 && tags_[base + w] == tag) return w;
+    }
+    return active_ways_;
+  }
+
+  void touch(std::uint64_t set, std::uint32_t way) {
+    const std::uint32_t ways = active_ways_;
+    std::uint8_t* const age = age_.data() + set * config_.ways;
+    const std::uint8_t* const valid = valid_.data() + set * config_.ways;
+    const std::uint8_t old_age = age[way];
+    for (std::uint32_t w = 0; w < ways; ++w) {
+      age[w] += (valid[w] != 0) & (age[w] < old_age);
+    }
+    age[way] = 0;
+  }
+
+  cache::CacheConfig config_;
+  std::uint64_t sets_ = 0;
+  std::uint64_t set_mask_ = 0;
+  std::uint32_t line_shift_ = 0;
+  std::uint32_t active_ways_ = 0;
+  std::vector<Address> tags_;
+  std::vector<std::uint8_t> age_;
+  std::vector<std::uint8_t> valid_;
+  std::vector<std::uint8_t> dirty_;
+  std::vector<std::uint32_t> mru_way_;
+  cache::CacheStats stats_;
+};
+
 // --- stream drivers ---------------------------------------------------------
 
 struct Access {
@@ -200,8 +479,10 @@ void drive_cache(const cache::CacheConfig& config,
     const auto got = dut.access(addr, is_write);
     const auto want = ref.access(addr, is_write);
     ASSERT_EQ(got.hit, want.hit) << config.name << " op " << i;
-    ASSERT_EQ(got.evicted_line, want.evicted_line) << config.name << " op "
-                                                   << i;
+    ASSERT_EQ(got.evicted, want.evicted_line.has_value())
+        << config.name << " op " << i;
+    ASSERT_EQ(got.evicted_line, want.evicted_line.value_or(0))
+        << config.name << " op " << i;
     ASSERT_EQ(got.evicted_dirty, want.evicted_dirty)
         << config.name << " op " << i;
     // An MRU fast hit must be a subset of plain hits, and after any access
@@ -213,7 +494,7 @@ void drive_cache(const cache::CacheConfig& config,
       ASSERT_TRUE(dut.is_mru_hit(addr)) << config.name << " op " << i;
     }
     hits += got.hit ? 1 : 0;
-    evictions += got.evicted_line.has_value() ? 1 : 0;
+    evictions += got.evicted ? 1 : 0;
   }
   EXPECT_EQ(dut.stats().accesses, stream.size());
   EXPECT_EQ(dut.stats().hits, hits);
@@ -375,8 +656,161 @@ TEST(CacheReference, GatedWidthBehavesLikeNarrowCache) {
     const auto got = gated.access(addr, is_write);
     const auto want = ref.access(addr, is_write);
     ASSERT_EQ(got.hit, want.hit) << "op " << i;
-    ASSERT_EQ(got.evicted_line, want.evicted_line) << "op " << i;
+    ASSERT_EQ(got.evicted, want.evicted_line.has_value()) << "op " << i;
+    ASSERT_EQ(got.evicted_line, want.evicted_line.value_or(0)) << "op " << i;
     ASSERT_EQ(got.evicted_dirty, want.evicted_dirty) << "op " << i;
+  }
+}
+
+// Lockstep against the frozen struct-of-arrays cache over seeded mixes of
+// every operation. `lines` is the pool of line addresses the ops draw from
+// (offsets within a line are added per op). Outcomes, statistics, MRU
+// answers and probe results are compared on every op, the resident set
+// every 64 ops and at the end.
+void expect_same_lines(const cache::Cache& dut, const SoaReferenceCache& ref,
+                       int op) {
+  std::vector<Address> got = dut.valid_line_addresses();
+  std::vector<Address> want = ref.valid_line_addresses();
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  ASSERT_EQ(got, want) << "op " << op;
+  ASSERT_EQ(dut.valid_lines(), ref.valid_lines()) << "op " << op;
+}
+
+void drive_soa(const cache::CacheConfig& config,
+               const std::vector<Address>& lines, std::uint64_t seed,
+               int ops) {
+  cache::Cache dut(config);
+  SoaReferenceCache ref(config);
+  util::Rng rng(seed);
+  const std::uint64_t sets = config.sets();
+  const auto pick = [&] {
+    return lines[rng.below(lines.size())] + rng.below(config.line_bytes);
+  };
+  for (int op = 0; op < ops; ++op) {
+    const std::uint64_t kind = rng.below(100);
+    const Address addr = pick();
+    const bool is_write = rng.chance(0.35);
+    if (kind < 50) {
+      const auto got = dut.access(addr, is_write);
+      const auto want = ref.access(addr, is_write);
+      ASSERT_EQ(got.hit, want.hit) << "op " << op;
+      ASSERT_EQ(got.evicted, want.evicted_line.has_value()) << "op " << op;
+      ASSERT_EQ(got.evicted_line, want.evicted_line.value_or(0)) << "op " << op;
+      ASSERT_EQ(got.evicted_dirty, want.evicted_dirty) << "op " << op;
+    } else if (kind < 58) {
+      bool got_dirty = false;
+      bool want_dirty = false;
+      ASSERT_EQ(dut.invalidate(addr, &got_dirty), ref.invalidate(addr, &want_dirty))
+          << "op " << op;
+      ASSERT_EQ(got_dirty, want_dirty) << "op " << op;
+    } else if (kind < 68) {
+      const std::uint64_t n = rng.below(5);  // includes n == 0
+      ASSERT_EQ(dut.note_mru_hits(addr, is_write, n),
+                ref.note_mru_hits(addr, is_write, n))
+          << "op " << op;
+    } else if (kind < 80) {
+      // A sweep over distinct sets, committed up to the first absent line.
+      const std::uint64_t step = 1 + rng.below(2);
+      const std::uint64_t n = 1 + rng.below(std::min<std::uint64_t>(8, sets / step));
+      std::vector<std::uint32_t> got_ways(n);
+      std::vector<std::uint32_t> want_ways(n);
+      const std::uint64_t got = dut.probe_line_sweep(addr, n, step, got_ways.data());
+      const std::uint64_t want = ref.probe_line_sweep(addr, n, step, want_ways.data());
+      ASSERT_EQ(got, want) << "op " << op;
+      got_ways.resize(got);
+      want_ways.resize(want);
+      ASSERT_EQ(got_ways, want_ways) << "op " << op;
+      const std::uint64_t extra = rng.below(3);
+      dut.commit_line_sweep(addr, got, step, got_ways.data(), is_write, extra);
+      ref.commit_line_sweep(addr, want, step, want_ways.data(), is_write, extra);
+    } else if (kind < 90) {
+      ASSERT_EQ(dut.is_mru_hit(addr), ref.is_mru_hit(addr)) << "op " << op;
+      ASSERT_EQ(dut.contains(addr), ref.contains(addr)) << "op " << op;
+    } else if (kind < 98) {
+      // Shrinks and regrows, including the clamps at 0 and past the top.
+      const auto n = static_cast<std::uint32_t>(rng.below(config.ways + 2));
+      ASSERT_EQ(dut.set_active_ways(n), ref.set_active_ways(n)) << "op " << op;
+      ASSERT_EQ(dut.active_ways(), std::clamp<std::uint32_t>(n, 1, config.ways));
+    } else if (kind < 99) {
+      dut.flush_all();
+      ref.flush_all();
+    } else {
+      // Fill-and-drop one line hundreds of times: the set's other lines
+      // age up to the 254 cap, the older ones tying there and the younger
+      // ones stopping just below it.
+      const std::uint64_t fills = 200 + rng.below(100);
+      for (std::uint64_t i = 0; i < fills; ++i) {
+        ASSERT_EQ(dut.access(addr, false).hit, ref.access(addr, false).hit)
+            << "op " << op;
+        ASSERT_EQ(dut.invalidate(addr), ref.invalidate(addr)) << "op " << op;
+      }
+    }
+    const cache::CacheStats& got = dut.stats();
+    const cache::CacheStats& want = ref.stats();
+    ASSERT_EQ(got.accesses, want.accesses) << "op " << op;
+    ASSERT_EQ(got.hits, want.hits) << "op " << op;
+    ASSERT_EQ(got.misses, want.misses) << "op " << op;
+    ASSERT_EQ(got.evictions, want.evictions) << "op " << op;
+    ASSERT_EQ(got.invalidations, want.invalidations) << "op " << op;
+    if (op % 64 == 0) expect_same_lines(dut, ref, op);
+  }
+  expect_same_lines(dut, ref, ops);
+}
+
+// Line addresses spanning `factor` times the cache's capacity.
+std::vector<Address> line_pool(const cache::CacheConfig& config,
+                               std::uint64_t factor) {
+  std::vector<Address> lines;
+  const std::uint64_t n = config.size_bytes / config.line_bytes * factor;
+  for (std::uint64_t i = 0; i < n; ++i) lines.push_back(i * config.line_bytes);
+  return lines;
+}
+
+TEST(CacheReference, SoaLockstepAcrossWayCounts) {
+  std::uint64_t seed = 40;
+  for (const std::uint32_t ways : {1u, 3u, 8u, 20u, 24u}) {
+    for (const bool write_allocate : {true, false}) {
+      // 8 sets: small enough that every set sees constant conflict.
+      const cache::CacheConfig config{.name = "soa",
+                                      .size_bytes = 64ull * ways * 8,
+                                      .line_bytes = 64,
+                                      .ways = ways,
+                                      .write_allocate = write_allocate};
+      SCOPED_TRACE(testing::Message() << ways << " ways, write_allocate "
+                                      << write_allocate);
+      drive_soa(config, line_pool(config, 3), ++seed, 20000);
+    }
+  }
+}
+
+TEST(CacheReference, SoaLockstepL3Geometry) {
+  // The romley L3's associativity over 64 sets, the working set inside
+  // and well past its reach.
+  const cache::CacheConfig config{.name = "L3", .size_bytes = 64ull * 20 * 64,
+                                  .line_bytes = 64, .ways = 20};
+  drive_soa(config, line_pool(config, 1), 50, 30000);
+  drive_soa(config, line_pool(config, 4), 51, 30000);
+}
+
+TEST(CacheReference, SoaLockstepSharedPartialTag) {
+  // Every line of set 0 carries the same partial tag, so each probe of the
+  // set yields every valid way as a candidate and only the full-tag
+  // compare tells them apart.
+  for (const std::uint32_t ways : {3u, 8u, 24u}) {
+    const cache::CacheConfig config{.name = "ptag",
+                                    .size_bytes = 64ull * ways * 16,
+                                    .line_bytes = 64, .ways = ways};
+    const cache::Cache probe(config);
+    const Address set_stride = config.sets() * config.line_bytes;
+    const std::uint8_t shared = probe.partial_tag(0);
+    std::vector<Address> lines;
+    for (Address a = 0; lines.size() < ways + 4; a += set_stride) {
+      if (probe.partial_tag(a) == shared) lines.push_back(a);
+    }
+    ASSERT_EQ(probe.partial_tag(lines.back()), shared);
+    SCOPED_TRACE(testing::Message() << ways << " ways");
+    drive_soa(config, lines, 60 + ways, 20000);
   }
 }
 

@@ -435,6 +435,32 @@ TEST(Fleet, SmallRunCompletesAndConserves) {
   EXPECT_NE(result.schedule_digest(), 0u);
 }
 
+TEST(Fleet, ThermalShadowFollowsMachineThermalConfig) {
+  // Before any chunk runs every node draws its idle power, so the racks'
+  // hottest node reads ambient + R * idle of the fleet's machine.
+  const auto max_temps = [](const fleet::FleetConfig& config) {
+    fleet::DatacenterManager dc(config);
+    std::vector<double> temps;
+    for (std::size_t r = 0; r < dc.rack_count(); ++r) {
+      temps.push_back(dc.rack(r).telemetry_summary().max_temp_c);
+    }
+    return temps;
+  };
+  fleet::FleetConfig config = small_fleet_config();
+  const auto& thermal = config.machine.thermal;
+  const std::vector<double> base = max_temps(config);
+  for (const double t : base) {
+    EXPECT_DOUBLE_EQ(t, thermal.ambient_c +
+                            thermal.r_thermal_c_per_w * config.idle_node_w);
+  }
+  config.machine.thermal.ambient_c += 10.0;
+  const std::vector<double> hot = max_temps(config);
+  ASSERT_EQ(hot.size(), base.size());
+  for (std::size_t r = 0; r < hot.size(); ++r) {
+    EXPECT_NEAR(hot[r] - base[r], 10.0, 1e-9) << "rack " << r;
+  }
+}
+
 TEST(Fleet, ScheduleBitIdenticalAcrossJobsAndMemo) {
   // Two lanes per node exercise the co-run cells next to the solo path.
   for (const std::size_t lanes : {1u, 2u}) {

@@ -9,7 +9,9 @@ guarded case the gate checks the ratio of normalised times:
 
     rel = (now[case] / now[calib]) / (base[case] / base[calib])
 
-rel > 1 + THRESHOLD (default 0.30) fails. The batched fast paths carry
+rel > 1 + THRESHOLD (default 0.30) fails. Each case's time is the median
+of its iteration entries, so a capture taken with --benchmark_repetitions
+gates on the median repetition. The batched fast paths carry
 within-run floors (OVERHEAD_CASES below): each one is measured against a
 live per-access twin in the same run, so drifting back toward 1x means the
 fast path died — no baseline entry can go stale.
@@ -28,6 +30,7 @@ Usage: check_bench_regression.py BASELINE.json CURRENT.json
 
 import argparse
 import json
+import statistics
 import sys
 
 CALIBRATION = "BM_DramAccess"
@@ -131,7 +134,7 @@ def load_times(path):
     # library and is only a fallback for captures predating the stamp.
     build_type = context.get(
         "repo_build_type", context.get("library_build_type", "unknown"))
-    times = {}
+    runs = {}
     for b in doc.get("benchmarks", []):
         if b.get("run_type", "iteration") != "iteration":
             continue
@@ -139,7 +142,11 @@ def load_times(path):
         # appended to their name (e.g. "BM_SmpCoRun2/min_time:1.000");
         # strip it so gates refer to the plain case name.
         name = b["name"].split("/min_time:")[0]
-        times[name] = float(b["real_time"])
+        runs.setdefault(name, []).append(float(b["real_time"]))
+    # A capture with --benchmark_repetitions=N holds N iteration entries
+    # per case; gate on their median so one noisy repetition cannot fail
+    # (or pass) a case.
+    times = {name: statistics.median(values) for name, values in runs.items()}
     return times, build_type
 
 
