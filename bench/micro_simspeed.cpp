@@ -285,19 +285,13 @@ BENCHMARK(BM_SchedPlanAmenability);
 
 // SMP co-run cells: one SIRE-like streaming chunk and one stereo-like
 // cache-resident chunk per core pair (the scheduler's job classes), capped
-// co-runs being the unit of work every placement study repeats. The
-// cooperative engine is gated against the legacy thread-per-core token
-// engine as a within-run ratio (>= 2x, OVERHEAD_CASES in
-// tools/check_bench_regression.py); tests/test_smp_equivalence.cpp proves
-// the reports bit-identical, so the ratio compares equal work.
-void smp_corun_cell(benchmark::State& state, sim::SmpEngine engine,
-                    int cores) {
+// co-runs being the unit of work every placement study repeats. Guarded
+// against the BENCH_simspeed.json baseline (tools/check_bench_regression.py).
+void smp_corun_cell(benchmark::State& state, int cores) {
   sim::SmpConfig config;
   config.cores = cores;
-  config.engine = engine;
   // Fine-grained interleave (500 ns vs the default 5 us): the engine switch
-  // path is what this case measures, so switch often. Reports stay
-  // bit-identical between engines at any quantum.
+  // path is what this case measures, so switch often.
   config.quantum = util::nanoseconds(500);
   sim::SmpNode node(config, 1);
   std::vector<std::unique_ptr<sim::Workload>> instances;
@@ -315,27 +309,11 @@ void smp_corun_cell(benchmark::State& state, sim::SmpEngine engine,
   }
 }
 
-void BM_SmpCoRun2(benchmark::State& state) {
-  smp_corun_cell(state, sim::SmpEngine::kCooperative, 2);
-}
+void BM_SmpCoRun2(benchmark::State& state) { smp_corun_cell(state, 2); }
 BENCHMARK(BM_SmpCoRun2)->MinTime(1.0);
 
-void BM_SmpCoRun4(benchmark::State& state) {
-  smp_corun_cell(state, sim::SmpEngine::kCooperative, 4);
-}
+void BM_SmpCoRun4(benchmark::State& state) { smp_corun_cell(state, 4); }
 BENCHMARK(BM_SmpCoRun4)->MinTime(1.0);
-
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-void BM_SmpCoRun2Threaded(benchmark::State& state) {
-  smp_corun_cell(state, sim::SmpEngine::kThreadedLegacy, 2);
-}
-BENCHMARK(BM_SmpCoRun2Threaded)->MinTime(1.0);
-
-void BM_SmpCoRun4Threaded(benchmark::State& state) {
-  smp_corun_cell(state, sim::SmpEngine::kThreadedLegacy, 4);
-}
-BENCHMARK(BM_SmpCoRun4Threaded)->MinTime(1.0);
-#endif
 
 // Chunk memoization (DESIGN.md §12): what one chunk start costs the
 // scheduler on a cache miss (a full pure simulation) vs a hit (key build +

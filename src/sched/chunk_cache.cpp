@@ -126,7 +126,6 @@ std::vector<ChunkResult> simulate_corun_cell(
   config.machine = machine;
   config.cores = static_cast<int>(key.members.size());
   config.quantum = quantum;
-  config.engine = sim::SmpEngine::kCooperative;
   sim::SmpNode node(config, node_seed);
   core::Bmc bmc(node, bmc_config);
   node.set_control_hook(

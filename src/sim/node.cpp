@@ -6,106 +6,37 @@
 
 namespace pcap::sim {
 
-using pmu::Event;
-
 Node::Node(const MachineConfig& config, std::uint64_t seed)
-    : config_(config),
+    : PackagePlatform(config),
+      config_(config),
       pstates_(power::PStateTable::romley_e5_2680()),
       hierarchy_(config.hierarchy, bank_),
       core_(config.core, pstates_, bank_),
-      power_model_(config.power),
-      thermal_(config.thermal_network.nodes.empty()
-                   ? thermal::RcNetworkConfig::single_rc(config.thermal)
-                   : config.thermal_network),
-      fan_(config.fan),
-      meter_(config.ticks.meter_period()),
       rng_(seed) {
-  breakdown_ = power_model_.compute(assemble_inputs());
-  watts_ = breakdown_.total;
-  meter_.start_session(0);
+  package_.power_on(operating_point());
   next_tick_ = config_.ticks.node_tick;
   next_control_ = config_.ticks.bmc_period;
   next_noise_ = config_.ticks.os_noise_period;
 }
 
-power::PowerInputs Node::assemble_inputs() const {
-  power::PowerInputs in;
-  in.workload_running = running_;
-  in.active_cores = running_ ? 1 + background_cores_ : 0;
-  in.frequency = core_.frequency();
-  in.voltage = core_.voltage();
-  in.duty = core_.duty();
-  in.activity = running_ ? activity_ : 0.0;
-  in.l3_accesses_per_s = l3_rate_hz_;
-  in.dram_accesses_per_s = dram_rate_hz_;
-  in.l3_active_ways = static_cast<int>(hierarchy_.l3_ways());
-  in.dram_gated = hierarchy_.dram_gated();
-  in.temperature_c = thermal_.temperature_c();
-  return in;
+OperatingPoint Node::operating_point() const {
+  OperatingPoint op;
+  op.active_cores = running_ ? 1 : 0;
+  op.pstate = core_.pstate();
+  op.frequency = core_.frequency();
+  op.voltage = core_.voltage();
+  op.duty = core_.duty();
+  op.l3_active_ways = static_cast<int>(hierarchy_.l3_ways());
+  op.dram_gated = hierarchy_.dram_gated();
+  return op;
 }
 
 void Node::tick() {
   const util::Picoseconds now = core_.now();
-  const util::Picoseconds dt = now > last_tick_ ? now - last_tick_ : 0;
-  if (dt == 0) {
-    next_tick_ = now + config_.ticks.node_tick;
-    return;
-  }
-  const double dt_s = util::to_seconds(dt);
-
-  // Activity and transaction rates from counter deltas over the tick.
-  const std::uint64_t l3_acc = bank_.get(Event::kL3Tca);
-  const std::uint64_t dram_acc = bank_.get(Event::kDramAcc);
-  const std::uint64_t ins = bank_.get(Event::kTotIns);
-  const std::uint64_t cyc = bank_.get(Event::kTotCyc);
-  l3_rate_hz_ = static_cast<double>(l3_acc - last_l3_acc_) / dt_s;
-  dram_rate_hz_ = static_cast<double>(dram_acc - last_dram_acc_) / dt_s;
-  const std::uint64_t stall = bank_.get(Event::kStallCyc);
-  const std::uint64_t d_cyc = cyc - last_cyc_;
-  if (d_cyc != 0) {
-    const double ipc = static_cast<double>(ins - last_ins_) /
-                       static_cast<double>(d_cyc);
-    const double norm = std::min(ipc / config_.core.base_ipc, 1.0);
-    activity_ = 0.70 + 0.30 * norm;
-    stall_fraction_ = std::min(
-        static_cast<double>(stall - last_stall_) / static_cast<double>(d_cyc),
-        1.0);
-  } else if (!running_) {
-    stall_fraction_ = 0.0;
-  }
-  last_l3_acc_ = l3_acc;
-  last_dram_acc_ = dram_acc;
-  last_ins_ = ins;
-  last_cyc_ = cyc;
-  last_stall_ = stall;
-
-  // Power, heat, metering. With no fan fitted (the default) the fan terms
-  // are exact no-ops, so watts_ and the thermal trajectory stay
-  // bit-identical to the legacy single-RC path.
-  breakdown_ = power_model_.compute(assemble_inputs());
-  watts_ = breakdown_.total;
-  if (fan_.fitted()) watts_ += fan_.power_w();
-  peak_watts_ = std::max(peak_watts_, watts_);
-  if (thermal_.is_single_rc()) {
-    // Fan power heats the chassis, not the die: lump silicon watts from the
-    // breakdown (== watts_ when no fan), exactly as the legacy model did.
-    const double silicon_watts = breakdown_.total -
-                                 config_.power.platform_base_w -
-                                 config_.power.dram_background_w;
-    thermal_.update_lumped(std::max(silicon_watts, 0.0), dt);
-  } else {
-    if (fan_.fitted()) thermal_.set_exhaust_r(fan_.resistance_c_per_w());
-    thermal_.accumulate({breakdown_.subsystem_w(power::Subsystem::kCpu),
-                         breakdown_.subsystem_w(power::Subsystem::kUncore),
-                         breakdown_.subsystem_w(power::Subsystem::kMemory)},
-                        dt);
-  }
-  meter_.observe(now, watts_);
-  window_energy_j_ += watts_ * dt_s;
-
-  // Run-level integrals for the reported average frequency / duty.
-  freq_time_integral_ += static_cast<double>(core_.frequency()) * dt_s;
-  duty_time_integral_ += core_.duty() * dt_s;
+  next_tick_ = now + config_.ticks.node_tick;
+  CounterTotals totals;
+  totals.add(bank_);
+  if (!package_.account(now, totals, operating_point(), running_)) return;
 
   // OS noise: timer interrupts flush translations and drain the pipeline.
   // Fires per unit of *time*, so heavily throttled (longer) runs absorb more
@@ -126,52 +57,16 @@ void Node::tick() {
     next_control_ = now + config_.ticks.bmc_period;
   }
 
-  // Telemetry (read-only: must not perturb any state the sim depends on).
+  // Telemetry after the control hook, so a sample shows the operating point
+  // the BMC just set (read-only: must not perturb any state the sim
+  // depends on).
   if constexpr (telemetry::kCompiledIn) {
-    if (probe_ != nullptr && probe_->wants_sample(now)) feed_probe(now);
+    if (probe_ != nullptr && probe_->wants_sample(now)) {
+      telemetry::ProbeInput in = package_.probe_input(now, operating_point());
+      add_probe_counters(in, bank_);
+      probe_->on_tick(in);
+    }
   }
-
-  last_tick_ = now;
-  next_tick_ = now + config_.ticks.node_tick;
-}
-
-void Node::feed_probe(util::Picoseconds now) {
-  telemetry::ProbeInput in;
-  in.now = now;
-  in.watts = watts_;
-  in.frequency_mhz =
-      static_cast<double>(core_.frequency()) / static_cast<double>(util::kMegaHertz);
-  in.pstate = core_.pstate();
-  in.duty = core_.duty();
-  in.temperature_c = thermal_.temperature_c();
-  in.fan_rpm = fan_.rpm();
-  in.cpu_temp_c = thermal_.source_temperature_c(power::Subsystem::kCpu);
-  in.uncore_temp_c = thermal_.source_temperature_c(power::Subsystem::kUncore);
-  in.dram_temp_c = thermal_.source_temperature_c(power::Subsystem::kMemory);
-  in.cpu_w = breakdown_.subsystem_w(power::Subsystem::kCpu);
-  in.uncore_w = breakdown_.subsystem_w(power::Subsystem::kUncore);
-  in.memory_w = breakdown_.subsystem_w(power::Subsystem::kMemory);
-  in.tot_ins = bank_.get(Event::kTotIns);
-  in.tot_cyc = bank_.get(Event::kTotCyc);
-  in.l1_acc = bank_.get(Event::kL1Dca);
-  in.l1_miss = bank_.get(Event::kL1Dcm);
-  in.l2_acc = bank_.get(Event::kL2Tca);
-  in.l2_miss = bank_.get(Event::kL2Tcm);
-  in.l3_acc = bank_.get(Event::kL3Tca);
-  in.l3_miss = bank_.get(Event::kL3Tcm);
-  probe_->on_tick(in);
-}
-
-double Node::window_average_power_w() {
-  const util::Picoseconds now = core_.now();
-  const util::Picoseconds dt = now > window_start_ ? now - window_start_ : 0;
-  double avg = watts_;
-  if (dt != 0 && window_energy_j_ > 0.0) {
-    avg = window_energy_j_ / util::to_seconds(dt);
-  }
-  window_start_ = now;
-  window_energy_j_ = 0.0;
-  return avg;
 }
 
 RunReport Node::run(Workload& workload) {
@@ -179,13 +74,7 @@ RunReport Node::run(Workload& workload) {
   const auto before = bank_.snapshot();
 
   running_ = true;
-  meter_.start_session(start);
-  peak_watts_ = watts_;
-  freq_time_integral_ = 0.0;
-  duty_time_integral_ = 0.0;
-  window_start_ = start;
-  window_energy_j_ = 0.0;
-  last_tick_ = start;
+  package_.begin_run(start);
   next_tick_ = start + config_.ticks.node_tick;
   next_control_ = start + config_.ticks.bmc_period;
   next_noise_ = start + config_.ticks.os_noise_period;
@@ -198,17 +87,13 @@ RunReport Node::run(Workload& workload) {
   RunReport report;
   report.workload = workload.name();
   report.elapsed = core_.now() - start;
-  report.energy_j = meter_.energy_joules();
-  report.avg_power_w = meter_.average_watts();
-  report.peak_power_w = peak_watts_;
-  const double elapsed_s = util::to_seconds(report.elapsed);
-  if (elapsed_s > 0.0) {
-    report.avg_frequency =
-        static_cast<util::Hertz>(freq_time_integral_ / elapsed_s);
-    report.avg_duty = duty_time_integral_ / elapsed_s;
-  }
-  thermal_.flush();  // fold any buffered heat before the final reading
-  report.final_temperature_c = thermal_.temperature_c();
+  const PackageTotals totals = package_.end_run(report.elapsed);
+  report.energy_j = totals.energy_j;
+  report.avg_power_w = totals.avg_power_w;
+  report.peak_power_w = totals.peak_power_w;
+  report.avg_frequency = totals.avg_frequency;
+  report.avg_duty = totals.avg_duty;
+  report.final_temperature_c = totals.final_temperature_c;
   const auto after = bank_.snapshot();
   for (std::size_t i = 0; i < pmu::kEventCount; ++i) {
     report.counters[i] = after[i] - before[i];

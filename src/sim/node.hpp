@@ -1,6 +1,6 @@
 // The simulated compute node: one active core driving the memory hierarchy,
-// the node power/thermal model, a wall power meter, and the housekeeping tick
-// loop that the management plane (BMC) hooks into.
+// the package (power/thermal model, wall power meter; sim::Package), and the
+// housekeeping tick loop that the management plane (BMC) hooks into.
 //
 // The Node implements PlatformControl, so BMC firmware written against that
 // interface manages this node exactly as Intel Node Manager manages a real
@@ -13,20 +13,16 @@
 #include <functional>
 #include <string>
 
-#include "meter/watts_up.hpp"
 #include "pmu/counters.hpp"
-#include "power/model.hpp"
 #include "power/pstate.hpp"
-#include "power/thermal.hpp"
 #include "sim/core_model.hpp"
 #include "sim/execution_context.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/machine_config.hpp"
+#include "sim/package.hpp"
 #include "sim/platform_control.hpp"
 #include "sim/workload.hpp"
 #include "telemetry/probe.hpp"
-#include "thermal/fan.hpp"
-#include "thermal/rc_network.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -48,7 +44,7 @@ struct RunReport {
   std::uint64_t counter(pmu::Event e) const { return counters[pmu::index_of(e)]; }
 };
 
-class Node final : public PlatformControl, public TickSink {
+class Node final : public PackagePlatform, public TickSink {
  public:
   explicit Node(const MachineConfig& config, std::uint64_t seed = 1);
 
@@ -64,7 +60,7 @@ class Node final : public PlatformControl, public TickSink {
   void idle_for(util::Picoseconds duration);
 
   /// Resets the meter session (used with idle_for to measure idle power).
-  void start_metering() { meter_.start_session(core_.now()); }
+  void start_metering() { package_.start_metering(core_.now()); }
 
   /// Installs the management hook called every BMC control period with this
   /// node's PlatformControl face (pass nullptr to uninstall).
@@ -81,12 +77,6 @@ class Node final : public PlatformControl, public TickSink {
   void set_telemetry(telemetry::NodeProbe* probe) { probe_ = probe; }
   telemetry::NodeProbe* telemetry_probe() { return probe_; }
 
-  /// Extension (paper §V future work): additional cores kept active while a
-  /// workload runs. They contribute core power (raising the demand the BMC
-  /// must throttle) but their instruction streams are not simulated.
-  void set_background_active_cores(int n) { background_cores_ = n; }
-  int background_active_cores() const { return background_cores_; }
-
   // --- component access ---
   const MachineConfig& config() const { return config_; }
   pmu::CounterBank& counters() { return bank_; }
@@ -94,15 +84,7 @@ class Node final : public PlatformControl, public TickSink {
   MemoryHierarchy& hierarchy() { return hierarchy_; }
   const MemoryHierarchy& hierarchy() const { return hierarchy_; }
   CoreModel& core() { return core_; }
-  const meter::WattsUp& meter() const { return meter_; }
   const power::PStateTable& pstates() const { return pstates_; }
-  double temperature_c() const { return thermal_.temperature_c(); }
-  thermal::RcNetwork& thermal_network() { return thermal_; }
-  const thermal::RcNetwork& thermal_network() const { return thermal_; }
-  const thermal::Fan& fan() const { return fan_; }
-  /// Last computed per-component power split (updated every tick).
-  const power::PowerBreakdown& power_breakdown() const { return breakdown_; }
-  bool workload_running() const { return running_; }
 
   // --- PlatformControl (the BMC-facing surface) ---
   std::uint32_t pstate_count() const override {
@@ -140,19 +122,7 @@ class Node final : public PlatformControl, public TickSink {
   }
   bool dram_gated() const override { return hierarchy_.dram_gated(); }
   void set_dram_gated(bool gated) override { hierarchy_.set_dram_gated(gated); }
-  double window_average_power_w() override;
-  double instantaneous_power_w() const override { return watts_; }
-  double memory_stall_fraction() const override { return stall_fraction_; }
   util::Picoseconds now() const override { return core_.now(); }
-  double subsystem_power_w(power::Subsystem s) const override {
-    return breakdown_.subsystem_w(s);
-  }
-  double sensor_temperature_c() const override {
-    return thermal_.temperature_c();
-  }
-  double fan_rpm() const override { return fan_.rpm(); }
-  double fan_max_rpm() const override { return fan_.max_rpm(); }
-  void set_fan_rpm(double rpm) override { fan_.set_rpm(rpm); }
 
   /// Called by the ExecutionContext after every priced operation; runs the
   /// housekeeping tick when due.
@@ -165,52 +135,23 @@ class Node final : public PlatformControl, public TickSink {
 
  private:
   void tick();
-  power::PowerInputs assemble_inputs() const;
-  void feed_probe(util::Picoseconds now);
+  OperatingPoint operating_point() const;
 
   MachineConfig config_;
   power::PStateTable pstates_;
   pmu::CounterBank bank_;
   MemoryHierarchy hierarchy_;
   CoreModel core_;
-  power::NodePowerModel power_model_;
-  thermal::RcNetwork thermal_;
-  thermal::Fan fan_;
-  power::PowerBreakdown breakdown_;
-  meter::WattsUp meter_;
   util::Rng rng_;
   ControlHook control_hook_;
   telemetry::NodeProbe* probe_ = nullptr;
 
   bool running_ = false;
   bool os_noise_enabled_ = true;
-  int background_cores_ = 0;
-  double watts_ = 0.0;
-  double peak_watts_ = 0.0;
 
-  util::Picoseconds last_tick_ = 0;
   util::Picoseconds next_tick_ = 0;
   util::Picoseconds next_control_ = 0;
   util::Picoseconds next_noise_ = 0;
-
-  // Sensor window for the BMC.
-  double window_energy_j_ = 0.0;
-  util::Picoseconds window_start_ = 0;
-
-  // Run-level integrals.
-  double freq_time_integral_ = 0.0;  // Hz * seconds
-  double duty_time_integral_ = 0.0;  // seconds
-
-  // Rate computation between ticks.
-  std::uint64_t last_l3_acc_ = 0;
-  std::uint64_t last_dram_acc_ = 0;
-  std::uint64_t last_ins_ = 0;
-  std::uint64_t last_cyc_ = 0;
-  double activity_ = 0.9;
-  double stall_fraction_ = 0.0;
-  std::uint64_t last_stall_ = 0;
-  double l3_rate_hz_ = 0.0;
-  double dram_rate_hz_ = 0.0;
 };
 
 }  // namespace pcap::sim

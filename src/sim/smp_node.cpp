@@ -7,34 +7,20 @@
 
 namespace pcap::sim {
 
-using pmu::Event;
-
 SmpNode::SmpNode(const SmpConfig& config, std::uint64_t seed)
-    : config_(config),
+    : PackagePlatform(config.machine),
+      config_(config),
       pstates_(power::PStateTable::romley_e5_2680()),
       l3_(config.machine.hierarchy.l3),
       dram_(config.machine.hierarchy.dram),
-      power_model_(config.machine.power),
-      thermal_(config.machine.thermal_network.nodes.empty()
-                   ? thermal::RcNetworkConfig::single_rc(config.machine.thermal)
-                   : config.machine.thermal_network),
-      fan_(config.machine.fan),
-      meter_(config.machine.ticks.meter_period()),
       rng_(seed) {
   if (config.cores < 1) throw std::invalid_argument("SmpNode: cores < 1");
   if (config.cores > config.machine.power.cores) {
     throw std::invalid_argument("SmpNode: more cores than the platform has");
   }
-#if !defined(PCAP_SMP_LEGACY_ENGINE)
-  if (config.engine == SmpEngine::kThreadedLegacy) {
-    throw std::invalid_argument(
-        "SmpNode: legacy token engine compiled out (PCAP_SMP_LEGACY_ENGINE)");
-  }
-#endif
   lanes_.reserve(static_cast<std::size_t>(config.cores));
   for (int i = 0; i < config.cores; ++i) {
     auto lane = std::make_unique<Lane>();
-    lane->owner = this;
     lane->index = i;
     lane->hierarchy = std::make_unique<MemoryHierarchy>(
         config.machine.hierarchy, lane->bank, l3_, dram_);
@@ -42,9 +28,7 @@ SmpNode::SmpNode(const SmpConfig& config, std::uint64_t seed)
                                              lane->bank);
     lanes_.push_back(std::move(lane));
   }
-  breakdown_ = power_model_.compute(assemble_inputs());
-  watts_ = breakdown_.total;
-  meter_.start_session(0);
+  package_.power_on(operating_point());
 }
 
 SmpNode::~SmpNode() { teardown_lanes(); }
@@ -109,101 +93,32 @@ void SmpNode::flush_all_caches() {
   dram_.close_rows();
 }
 
-double SmpNode::window_average_power_w() {
-  const util::Picoseconds dt =
-      node_now_ > window_start_ ? node_now_ - window_start_ : 0;
-  double avg = watts_;
-  if (dt != 0 && window_energy_j_ > 0.0) {
-    avg = window_energy_j_ / util::to_seconds(dt);
-  }
-  window_start_ = node_now_;
-  window_energy_j_ = 0.0;
-  return avg;
-}
+// --- package housekeeping ---
 
-// --- power assembly ---
-
-int SmpNode::running_lanes() const {
-  int count = 0;
-  for (const auto& lane : lanes_) count += lane->finished ? 0 : 1;
-  return count;
-}
-
-power::PowerInputs SmpNode::assemble_inputs() const {
-  power::PowerInputs in;
-  const int active = running_lanes();
-  in.workload_running = running_ && active > 0;
-  in.active_cores = in.workload_running ? active : 0;
-  in.frequency = frequency();
-  in.voltage = lanes_.front()->core->voltage();
-  in.duty = duty();
-  in.activity = in.workload_running ? activity_ : 0.0;
-  in.l3_accesses_per_s = l3_rate_hz_;
-  in.dram_accesses_per_s = dram_rate_hz_;
-  in.l3_active_ways = static_cast<int>(l3_.active_ways());
-  in.dram_gated = dram_.gated();
-  in.temperature_c = thermal_.temperature_c();
-  return in;
+OperatingPoint SmpNode::operating_point() const {
+  const CoreModel& core = *lanes_.front()->core;
+  OperatingPoint op;
+  for (const auto& lane : lanes_) op.active_cores += lane->finished ? 0 : 1;
+  op.pstate = core.pstate();
+  op.frequency = core.frequency();
+  op.voltage = core.voltage();
+  op.duty = core.duty();
+  op.l3_active_ways = static_cast<int>(l3_.active_ways());
+  op.dram_gated = dram_.gated();
+  return op;
 }
 
 void SmpNode::housekeeping(util::Picoseconds upto) {
-  if (upto <= last_tick_) return;
-  const util::Picoseconds dt = upto - last_tick_;
-  const double dt_s = util::to_seconds(dt);
-
-  // Aggregate counter rates across lanes.
-  std::uint64_t l3_acc = 0, dram_acc = 0, ins = 0, cyc = 0, stall = 0;
-  for (const auto& lane : lanes_) {
-    l3_acc += lane->bank.get(Event::kL3Tca);
-    dram_acc += lane->bank.get(Event::kDramAcc);
-    ins += lane->bank.get(Event::kTotIns);
-    cyc += lane->bank.get(Event::kTotCyc);
-    stall += lane->bank.get(Event::kStallCyc);
-  }
-  l3_rate_hz_ = static_cast<double>(l3_acc - last_l3_acc_) / dt_s;
-  dram_rate_hz_ = static_cast<double>(dram_acc - last_dram_acc_) / dt_s;
-  const std::uint64_t d_cyc = cyc - last_cyc_;
-  if (d_cyc != 0) {
-    const double ipc =
-        static_cast<double>(ins - last_ins_) / static_cast<double>(d_cyc);
-    activity_ = 0.70 + 0.30 * std::min(ipc / config_.machine.core.base_ipc, 1.0);
-    stall_fraction_ = std::min(
-        static_cast<double>(stall - last_stall_) / static_cast<double>(d_cyc),
-        1.0);
-  } else if (!running_) {
-    stall_fraction_ = 0.0;
-  }
-  last_l3_acc_ = l3_acc;
-  last_dram_acc_ = dram_acc;
-  last_ins_ = ins;
-  last_cyc_ = cyc;
-  last_stall_ = stall;
-
-  // With no fan fitted (the default) the fan terms are exact no-ops, so
-  // watts_ and the thermal trajectory stay bit-identical to the legacy
-  // single-RC path (mirrors Node::tick).
-  breakdown_ = power_model_.compute(assemble_inputs());
-  watts_ = breakdown_.total;
-  if (fan_.fitted()) watts_ += fan_.power_w();
-  peak_watts_ = std::max(peak_watts_, watts_);
-  if (thermal_.is_single_rc()) {
-    const double silicon = breakdown_.total -
-                           config_.machine.power.platform_base_w -
-                           config_.machine.power.dram_background_w;
-    thermal_.update_lumped(std::max(silicon, 0.0), dt);
-  } else {
-    if (fan_.fitted()) thermal_.set_exhaust_r(fan_.resistance_c_per_w());
-    thermal_.accumulate({breakdown_.subsystem_w(power::Subsystem::kCpu),
-                         breakdown_.subsystem_w(power::Subsystem::kUncore),
-                         breakdown_.subsystem_w(power::Subsystem::kMemory)},
-                    dt);
-  }
-  meter_.observe(upto, watts_);
-  window_energy_j_ += watts_ * dt_s;
-  freq_time_integral_ += static_cast<double>(frequency()) * dt_s;
-
+  CounterTotals totals;
+  for (const auto& lane : lanes_) totals.add(lane->bank);
+  // running_ stays set through finish_run's closing step, when no lane is
+  // live any more: the package then prices an idle node but keeps the last
+  // stall fraction.
+  if (!package_.account(upto, totals, operating_point(), running_)) return;
   node_now_ = upto;
 
+  // Telemetry before noise and control, so a sample shows the operating
+  // point the quantum ran at.
   if constexpr (telemetry::kCompiledIn) feed_probes(upto);
 
   if (os_noise_enabled_ && running_ && upto >= next_noise_) {
@@ -221,7 +136,6 @@ void SmpNode::housekeeping(util::Picoseconds upto) {
     control_hook_(*this);
     next_control_ = upto + config_.machine.ticks.bmc_period;
   }
-  last_tick_ = upto;
 }
 
 void SmpNode::feed_probes(util::Picoseconds now) {
@@ -237,78 +151,28 @@ void SmpNode::feed_probes(util::Picoseconds now) {
   }
   if (!package_due && !any_core_due) return;
 
-  telemetry::ProbeInput in;
-  in.now = now;
-  in.watts = watts_;
-  in.frequency_mhz = static_cast<double>(frequency()) /
-                     static_cast<double>(util::kMegaHertz);
-  in.pstate = pstate();
-  in.duty = duty();
-  in.temperature_c = thermal_.temperature_c();
-  in.fan_rpm = fan_.rpm();
-  in.cpu_temp_c = thermal_.source_temperature_c(power::Subsystem::kCpu);
-  in.uncore_temp_c = thermal_.source_temperature_c(power::Subsystem::kUncore);
-  in.dram_temp_c = thermal_.source_temperature_c(power::Subsystem::kMemory);
-  in.cpu_w = breakdown_.subsystem_w(power::Subsystem::kCpu);
-  in.uncore_w = breakdown_.subsystem_w(power::Subsystem::kUncore);
-  in.memory_w = breakdown_.subsystem_w(power::Subsystem::kMemory);
-
+  const telemetry::ProbeInput in =
+      package_.probe_input(now, operating_point());
   if (package_due) {
     telemetry::ProbeInput agg = in;
-    for (const auto& lane : lanes_) {
-      agg.tot_ins += lane->bank.get(Event::kTotIns);
-      agg.tot_cyc += lane->bank.get(Event::kTotCyc);
-      agg.l1_acc += lane->bank.get(Event::kL1Dca);
-      agg.l1_miss += lane->bank.get(Event::kL1Dcm);
-      agg.l2_acc += lane->bank.get(Event::kL2Tca);
-      agg.l2_miss += lane->bank.get(Event::kL2Tcm);
-      agg.l3_acc += lane->bank.get(Event::kL3Tca);
-      agg.l3_miss += lane->bank.get(Event::kL3Tcm);
-    }
+    for (const auto& lane : lanes_) add_probe_counters(agg, lane->bank);
     probe_->on_tick(agg);
   }
   for (std::size_t i = 0; i < core_probes_.size() && i < lanes_.size(); ++i) {
     telemetry::NodeProbe* probe = core_probes_[i];
     if (probe == nullptr || !probe->wants_sample(now)) continue;
-    const Lane& lane = *lanes_[i];
     telemetry::ProbeInput per = in;  // package operating point ...
-    per.tot_ins = lane.bank.get(Event::kTotIns);  // ... per-core counters
-    per.tot_cyc = lane.bank.get(Event::kTotCyc);
-    per.l1_acc = lane.bank.get(Event::kL1Dca);
-    per.l1_miss = lane.bank.get(Event::kL1Dcm);
-    per.l2_acc = lane.bank.get(Event::kL2Tca);
-    per.l2_miss = lane.bank.get(Event::kL2Tcm);
-    per.l3_acc = lane.bank.get(Event::kL3Tca);
-    per.l3_miss = lane.bank.get(Event::kL3Tcm);
+    add_probe_counters(per, lanes_[i]->bank);  // ... per-core counters
     probe->on_tick(per);
   }
 }
 
-// --- quantum scheduling (shared by both engines) ---
+// --- quantum scheduling ---
 
 void SmpNode::Lane::on_op() {
-  if (core->now() < quantum_end) return;
-  owner->yield_from(*this);
-}
-
-void SmpNode::yield_from(Lane& lane) {
-  if (lane.fiber != nullptr) {
-    // Cooperative: suspend the continuation back to the run queue.
-    util::Fiber::yield();
-    return;
-  }
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-  if (config_.engine == SmpEngine::kThreadedLegacy) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    token_ = -1;
-    cv_.notify_all();
-    cv_.wait(lock, [this, &lane] { return token_ == lane.index || abort_; });
-    if (abort_) throw EngineAbort{};
-    return;
-  }
-#endif
-  // Steppable lane: step() observes the clock and returns on its own; the
-  // sink has nothing to do.
+  // A fiber lane suspends back to the run queue; a steppable lane's step()
+  // observes the clock and returns on its own.
+  if (core->now() >= quantum_end && fiber != nullptr) util::Fiber::yield();
 }
 
 int SmpNode::pick_next_lane() const {
@@ -338,7 +202,7 @@ void SmpNode::settle_quantum() {
   if (any_unfinished) housekeeping(horizon);
 }
 
-// --- run prologue / epilogue (engine-independent) ---
+// --- run prologue / epilogue ---
 
 util::Picoseconds SmpNode::prepare_run(std::span<Workload* const> workloads) {
   if (workloads.empty() ||
@@ -368,15 +232,10 @@ util::Picoseconds SmpNode::prepare_run(std::span<Workload* const> workloads) {
   }
 
   running_ = true;
-  meter_.start_session(start);
-  peak_watts_ = watts_;
-  freq_time_integral_ = 0.0;
+  package_.begin_run(start);
   node_now_ = start;
-  last_tick_ = start;
   next_control_ = start + config_.machine.ticks.bmc_period;
   next_noise_ = start + config_.machine.ticks.os_noise_period;
-  window_start_ = start;
-  window_energy_j_ = 0.0;
 
   for (auto& lane : lanes_) {
     lane->workload = nullptr;
@@ -390,13 +249,9 @@ util::Picoseconds SmpNode::prepare_run(std::span<Workload* const> workloads) {
   }
 
   // Seed the aggregate-rate baselines.
-  last_l3_acc_ = last_dram_acc_ = last_ins_ = last_cyc_ = 0;
-  for (const auto& lane : lanes_) {
-    last_l3_acc_ += lane->bank.get(Event::kL3Tca);
-    last_dram_acc_ += lane->bank.get(Event::kDramAcc);
-    last_ins_ += lane->bank.get(Event::kTotIns);
-    last_cyc_ += lane->bank.get(Event::kTotCyc);
-  }
+  CounterTotals totals;
+  for (const auto& lane : lanes_) totals.add(lane->bank);
+  package_.rebase(totals);
   return start;
 }
 
@@ -409,18 +264,14 @@ SmpRunReport SmpNode::finish_run(std::span<Workload* const> workloads,
   }
   housekeeping(end);
   running_ = false;
-  thermal_.flush();  // fold any buffered heat before final readings
 
   SmpRunReport report;
   report.elapsed = end - start;
-  report.energy_j = meter_.energy_joules();
-  report.avg_power_w = meter_.average_watts();
-  report.peak_power_w = peak_watts_;
-  const double elapsed_s = util::to_seconds(report.elapsed);
-  if (elapsed_s > 0.0) {
-    report.avg_frequency =
-        static_cast<util::Hertz>(freq_time_integral_ / elapsed_s);
-  }
+  const PackageTotals totals = package_.end_run(report.elapsed);
+  report.energy_j = totals.energy_j;
+  report.avg_power_w = totals.avg_power_w;
+  report.peak_power_w = totals.peak_power_w;
+  report.avg_frequency = totals.avg_frequency;
   double busy_s_total = 0.0;
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     const Lane& lane = *lanes_[i];
@@ -461,15 +312,6 @@ void SmpNode::teardown_lanes() noexcept {
 // --- cooperative engine ---
 
 SmpRunReport SmpNode::run(std::span<Workload* const> workloads) {
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-  if (config_.engine == SmpEngine::kThreadedLegacy) {
-    return run_threaded(workloads);
-  }
-#endif
-  return run_cooperative(workloads);
-}
-
-SmpRunReport SmpNode::run_cooperative(std::span<Workload* const> workloads) {
   const util::Picoseconds start = prepare_run(workloads);
 
   // Per-core stream contexts: each lane gets its own ExecutionContext whose
@@ -524,92 +366,5 @@ SmpRunReport SmpNode::run_cooperative(std::span<Workload* const> workloads) {
   teardown_lanes();
   return finish_run(workloads, start);
 }
-
-// --- legacy thread-per-core token engine (differential baseline) ---
-
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-
-void SmpNode::finish_from(Lane& lane) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lane.finished = true;
-  token_ = -1;
-  cv_.notify_all();
-}
-
-SmpRunReport SmpNode::run_threaded(std::span<Workload* const> workloads) {
-  const util::Picoseconds start = prepare_run(workloads);
-  abort_ = false;
-
-  // Launch one host thread per active lane; each waits for the token. A
-  // workload exception is captured on the lane (never escapes the thread),
-  // and an engine abort wakes every parked lane to unwind via EngineAbort —
-  // either way the thread reaches finish_from and stays joinable exactly
-  // until the join loop below (the old engine leaked joinable threads when
-  // e.g. a control hook threw in the master loop).
-  for (std::size_t i = 0; i < workloads.size(); ++i) {
-    Lane* lane = lanes_[i].get();
-    lane->error = nullptr;
-    lane->thread = std::thread([this, lane] {
-      try {
-        {
-          std::unique_lock<std::mutex> lock(mutex_);
-          cv_.wait(lock,
-                   [this, lane] { return token_ == lane->index || abort_; });
-          if (abort_) throw EngineAbort{};
-        }
-        ExecutionContext ctx(*lane->hierarchy, *lane->core, *lane,
-                             config_.machine,
-                             static_cast<std::uint32_t>(lane->index));
-        lane->workload->run(ctx);
-      } catch (const EngineAbort&) {
-        // Aborted run: nothing to record, just park the lane.
-      } catch (...) {
-        lane->error = std::current_exception();
-      }
-      finish_from(*lane);
-    });
-  }
-
-  // Master scheduling loop: always advance the laggard core.
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    try {
-      for (;;) {
-        const int next = pick_next_lane();
-        if (next < 0) break;
-        Lane& lane = *lanes_[static_cast<std::size_t>(next)];
-        lane.quantum_end = lane.core->now() + config_.quantum;
-        token_ = next;
-        cv_.notify_all();
-        cv_.wait(lock, [this] { return token_ == -1; });
-        if (lane.error != nullptr) {
-          error = lane.error;
-          lane.error = nullptr;
-          break;
-        }
-        settle_quantum();
-      }
-    } catch (...) {
-      error = std::current_exception();
-    }
-    if (error != nullptr) {
-      abort_ = true;
-      cv_.notify_all();
-    }
-  }
-  for (auto& lane : lanes_) {
-    if (lane->thread.joinable()) lane->thread.join();
-  }
-  abort_ = false;
-  if (error != nullptr) {
-    running_ = false;
-    std::rethrow_exception(error);
-  }
-
-  return finish_run(workloads, start);
-}
-
-#endif  // PCAP_SMP_LEGACY_ENGINE
 
 }  // namespace pcap::sim

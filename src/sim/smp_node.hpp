@@ -10,25 +10,21 @@
 // contention between cores is modelled for real: co-running workloads evict
 // each other's L3 lines and disturb each other's DRAM row buffers.
 //
-// The default engine is a SINGLE-THREADED COOPERATIVE scheduler: a
-// min-local-time run queue resumes each core's workload either through the
-// Workload step() interface (steppable workloads) or as a stackful
-// continuation (util::Fiber) for monolithic run() bodies. No host threads,
-// mutexes, or condvars are involved, so an N-core quantum switch costs a
-// function call or a user-space stack switch instead of two scheduler
-// round-trips — the engine is also trivially safe to run inside the
-// harness's `--jobs` worker pool (one engine per cell, zero shared state).
-//
-// The pre-existing thread-per-core token engine is retained behind the
-// PCAP_SMP_LEGACY_ENGINE build flag (ON by default) purely as the
-// differential baseline: tests/test_smp_equivalence.cpp proves the
-// cooperative engine reproduces its reports bit-for-bit, and
-// bench/micro_simspeed measures the speedup against it.
+// The engine is a SINGLE-THREADED COOPERATIVE scheduler: a min-local-time
+// run queue resumes each core's workload either through the Workload
+// step() interface (steppable workloads) or as a stackful continuation
+// (util::Fiber) for monolithic run() bodies. No host threads, mutexes, or
+// condvars are involved, so an N-core quantum switch costs a function call
+// or a user-space stack switch, and the engine is trivially safe to run
+// inside the harness's `--jobs` worker pool (one engine per cell, zero
+// shared state). tests/test_smp_equivalence.cpp pins its reports to the
+// frozen reports of the thread-per-core token engine it replaced.
 //
 // The SmpNode exposes the same PlatformControl face as the single-core
 // Node, so the unmodified BMC firmware caps it; P-state/duty/gating
 // actuations apply to every core (package-level control, as on the real
-// platform).
+// platform). Power, heat and metering are the one sim::Package both nodes
+// share, fed the sum of the lanes' counters.
 #pragma once
 
 #include <array>
@@ -39,41 +35,22 @@
 #include <string>
 #include <vector>
 
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <thread>
-#endif
-
 #include "cache/cache.hpp"
 #include "mem/dram.hpp"
-#include "meter/watts_up.hpp"
 #include "pmu/counters.hpp"
-#include "power/model.hpp"
 #include "power/pstate.hpp"
-#include "power/thermal.hpp"
 #include "sim/core_model.hpp"
 #include "sim/execution_context.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/machine_config.hpp"
+#include "sim/package.hpp"
 #include "sim/platform_control.hpp"
 #include "sim/workload.hpp"
 #include "telemetry/probe.hpp"
-#include "thermal/fan.hpp"
-#include "thermal/rc_network.hpp"
 #include "util/fiber.hpp"
 #include "util/rng.hpp"
 
 namespace pcap::sim {
-
-enum class SmpEngine : std::uint8_t {
-  /// Single-threaded cooperative run queue (default).
-  kCooperative,
-  /// Thread-per-core mutex/condvar token engine — differential baseline,
-  /// available only when built with PCAP_SMP_LEGACY_ENGINE.
-  kThreadedLegacy,
-};
 
 struct SmpConfig {
   MachineConfig machine = MachineConfig::romley();
@@ -81,7 +58,6 @@ struct SmpConfig {
   /// Scheduling quantum in simulated time: a core runs at most this long
   /// before the engine resumes the laggard core.
   util::Picoseconds quantum = util::microseconds(5);
-  SmpEngine engine = SmpEngine::kCooperative;
 };
 
 struct SmpCoreReport {
@@ -114,7 +90,7 @@ struct SmpRunReport {
   }
 };
 
-class SmpNode final : public PlatformControl {
+class SmpNode final : public PackagePlatform {
  public:
   explicit SmpNode(const SmpConfig& config, std::uint64_t seed = 1);
   ~SmpNode() override;
@@ -129,8 +105,7 @@ class SmpNode final : public PlatformControl {
   /// remaining cores stay parked). Throws std::invalid_argument on size
   /// mismatch, null or duplicate entries. Exception-safe: a throwing
   /// workload (or control hook) unwinds every suspended co-runner before
-  /// the exception escapes, and the engine never leaks a joinable thread
-  /// or a live continuation.
+  /// the exception escapes, so no live continuation outlives the run.
   SmpRunReport run(std::span<Workload* const> workloads);
 
   using ControlHook = std::function<void(PlatformControl&)>;
@@ -155,13 +130,8 @@ class SmpNode final : public PlatformControl {
   /// the shared levels.
   void flush_all_caches();
 
-  const meter::WattsUp& meter() const { return meter_; }
   const cache::Cache& shared_l3() const { return l3_; }
   const mem::Dram& shared_dram() const { return dram_; }
-  double temperature_c() const { return thermal_.temperature_c(); }
-  thermal::RcNetwork& thermal_network() { return thermal_; }
-  const thermal::Fan& fan() const { return fan_; }
-  const power::PowerBreakdown& power_breakdown() const { return breakdown_; }
 
   // --- PlatformControl (package-level: applies to every core) ---
   std::uint32_t pstate_count() const override {
@@ -195,19 +165,7 @@ class SmpNode final : public PlatformControl {
   void set_dtlb_entries(std::uint32_t n) override;
   bool dram_gated() const override { return dram_.gated(); }
   void set_dram_gated(bool gated) override { dram_.set_gated(gated); }
-  double window_average_power_w() override;
-  double instantaneous_power_w() const override { return watts_; }
-  double memory_stall_fraction() const override { return stall_fraction_; }
   util::Picoseconds now() const override { return node_now_; }
-  double subsystem_power_w(power::Subsystem s) const override {
-    return breakdown_.subsystem_w(s);
-  }
-  double sensor_temperature_c() const override {
-    return thermal_.temperature_c();
-  }
-  double fan_rpm() const override { return fan_.rpm(); }
-  double fan_max_rpm() const override { return fan_.max_rpm(); }
-  void set_fan_rpm(double rpm) override { fan_.set_rpm(rpm); }
 
  private:
   /// One core's execution lane; implements the per-op quantum check. The
@@ -216,7 +174,6 @@ class SmpNode final : public PlatformControl {
   /// bulk groups truncate at this lane's quantum horizon, so batching
   /// stays legal under co-runners (DESIGN.md §12).
   struct Lane final : TickSink {
-    SmpNode* owner = nullptr;
     int index = 0;
     pmu::CounterBank bank;
     std::unique_ptr<MemoryHierarchy> hierarchy;
@@ -227,56 +184,36 @@ class SmpNode final : public PlatformControl {
     std::array<std::uint64_t, pmu::kEventCount> start_counters{};
     util::Picoseconds start_time = 0;
 
-    // Cooperative-engine state (per run).
+    // Per-run engine state.
     std::unique_ptr<ExecutionContext> ctx;
     std::unique_ptr<util::Fiber> fiber;  // null for steppable workloads
-
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-    std::thread thread;
-    std::exception_ptr error;
-#endif
 
     void on_op() override;
     /// A lane keeps running without yielding until its quantum expires.
     util::Picoseconds op_horizon() const override { return quantum_end; }
   };
 
-  void yield_from(Lane& lane);
   int pick_next_lane() const;  // -1 when all finished
 
-  /// Shared run() prologue/epilogue (identical for both engines).
+  /// run() prologue and epilogue.
   util::Picoseconds prepare_run(std::span<Workload* const> workloads);
   SmpRunReport finish_run(std::span<Workload* const> workloads,
                           util::Picoseconds start);
   /// Housekeeping after one lane's quantum: advance node time to the
   /// slowest unfinished core (everything before that point is final).
   void settle_quantum();
-
-  SmpRunReport run_cooperative(std::span<Workload* const> workloads);
   /// Unwinds every suspended continuation and clears per-run lane state.
   void teardown_lanes() noexcept;
 
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-  struct EngineAbort {};  // thrown into lanes to unwind an aborted run
-  SmpRunReport run_threaded(std::span<Workload* const> workloads);
-  void finish_from(Lane& lane);
-#endif
-
   void housekeeping(util::Picoseconds upto);
   void feed_probes(util::Picoseconds now);
-  power::PowerInputs assemble_inputs() const;
-  int running_lanes() const;
+  OperatingPoint operating_point() const;
 
   SmpConfig config_;
   power::PStateTable pstates_;
   cache::Cache l3_;
   mem::Dram dram_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  power::NodePowerModel power_model_;
-  thermal::RcNetwork thermal_;
-  thermal::Fan fan_;
-  power::PowerBreakdown breakdown_;
-  meter::WattsUp meter_;
   util::Rng rng_;
   ControlHook control_hook_;
   telemetry::NodeProbe* probe_ = nullptr;
@@ -284,33 +221,9 @@ class SmpNode final : public PlatformControl {
   bool os_noise_enabled_ = true;
   bool running_ = false;
 
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  int token_ = -1;  // lane index holding the token; -1 == master
-  bool abort_ = false;
-#endif
-
   util::Picoseconds node_now_ = 0;
-  util::Picoseconds last_tick_ = 0;
   util::Picoseconds next_control_ = 0;
   util::Picoseconds next_noise_ = 0;
-  double watts_ = 0.0;
-  double peak_watts_ = 0.0;
-  double window_energy_j_ = 0.0;
-  util::Picoseconds window_start_ = 0;
-  double freq_time_integral_ = 0.0;
-
-  // Rate computation between housekeeping ticks (aggregate).
-  std::uint64_t last_l3_acc_ = 0;
-  std::uint64_t last_dram_acc_ = 0;
-  std::uint64_t last_ins_ = 0;
-  std::uint64_t last_cyc_ = 0;
-  std::uint64_t last_stall_ = 0;
-  double activity_ = 0.9;
-  double stall_fraction_ = 0.0;
-  double l3_rate_hz_ = 0.0;
-  double dram_rate_hz_ = 0.0;
 };
 
 }  // namespace pcap::sim

@@ -314,15 +314,6 @@ TEST(Node, WindowAveragePowerResets) {
   EXPECT_NEAR(second, first, 5.0);
 }
 
-TEST(Node, BackgroundCoresRaisePower) {
-  Node node(MachineConfig::romley());
-  apps::ComputeBoundWorkload work(500000);
-  const RunReport one = node.run(work);
-  node.set_background_active_cores(7);
-  const RunReport eight = node.run(work);
-  EXPECT_GT(eight.avg_power_w, one.avg_power_w + 50.0);
-}
-
 TEST(Node, DeterministicForSeed) {
   apps::PhasedWorkload workload;
   Node a(MachineConfig::romley(), 42);

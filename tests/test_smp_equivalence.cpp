@@ -1,10 +1,13 @@
 // Differential tests for the cooperative single-threaded SMP engine
-// (DESIGN.md §12): the engine rewrite may change how fast the simulator
-// runs, never what it computes.
+// (DESIGN.md §12): the engine may change how fast the simulator runs,
+// never what it computes.
 //
-//  * Cooperative vs legacy thread-per-core token engine: bit-identical
-//    reports for steppable, monolithic (fiber), and mixed workload sets,
-//    with and without BMC capping (guarded by PCAP_SMP_LEGACY_ENGINE).
+//  * Frozen legacy reports: the thread-per-core token engine the
+//    cooperative engine replaced produced the reports pinned below (an
+//    FNV-1a digest over every field expect_identical compares, plus the
+//    elapsed time and energy in readable form) for steppable, mixed
+//    fiber+steppable and BMC-capped cells; the cooperative engine must
+//    still reproduce them bit for bit.
 //  * Native stepping vs forced-fiber execution of the same workload:
 //    identical resume points, identical reports.
 //  * Quantum-boundary batching legality: the PR 2 stream fast paths
@@ -29,6 +32,7 @@
 #include "sim/execution_context.hpp"
 #include "sim/smp_node.hpp"
 #include "telemetry/probe.hpp"
+#include "util/hash.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pcap::sim {
@@ -51,22 +55,44 @@ void expect_identical(const SmpRunReport& a, const SmpRunReport& b) {
   }
 }
 
-SmpConfig make_config(int cores, SmpEngine engine) {
+/// FNV-1a digest over every field expect_identical compares (doubles by
+/// bit pattern, the workload names byte by byte).
+std::uint64_t report_digest(const SmpRunReport& r) {
+  using util::fnv_mix;
+  std::uint64_t h = util::kFnvOffset;
+  h = fnv_mix(h, r.elapsed);
+  h = fnv_mix(h, r.energy_j);
+  h = fnv_mix(h, r.avg_power_w);
+  h = fnv_mix(h, r.peak_power_w);
+  h = fnv_mix(h, r.avg_frequency);
+  for (const std::uint64_t c : r.counters) h = fnv_mix(h, c);
+  h = fnv_mix(h, static_cast<std::uint64_t>(r.cores.size()));
+  for (const SmpCoreReport& core : r.cores) {
+    h = fnv_mix(h, static_cast<std::uint64_t>(core.workload.size()));
+    for (const char ch : core.workload) {
+      h = fnv_mix(h, static_cast<std::uint64_t>(static_cast<unsigned char>(ch)));
+    }
+    h = fnv_mix(h, core.elapsed);
+    for (const std::uint64_t c : core.counters) h = fnv_mix(h, c);
+  }
+  return h;
+}
+
+SmpConfig make_config(int cores) {
   SmpConfig config;
   config.cores = cores;
-  config.engine = engine;
   return config;
 }
 
 /// Runs one capped cell on a fresh node: workloads are rebuilt per run so
-/// neither engine sees state left behind by the other.
+/// no run sees state left behind by another.
 template <typename MakeWorkloads>
-SmpRunReport run_cell(SmpEngine engine, MakeWorkloads make,
-                      std::uint64_t seed, double cap_w = 0.0) {
+SmpRunReport run_cell(MakeWorkloads make, std::uint64_t seed,
+                      double cap_w = 0.0) {
   auto workloads = make();
   std::vector<Workload*> ptrs;
   for (auto& w : workloads) ptrs.push_back(w.get());
-  SmpNode node(make_config(static_cast<int>(ptrs.size()), engine), seed);
+  SmpNode node(make_config(static_cast<int>(ptrs.size())), seed);
   core::Bmc bmc(node);
   if (cap_w > 0.0) {
     node.set_control_hook([&bmc](PlatformControl&) { bmc.on_control_tick(); });
@@ -93,34 +119,39 @@ std::vector<std::unique_ptr<Workload>> mixed_mix() {
   return ws;
 }
 
-#if defined(PCAP_SMP_LEGACY_ENGINE)
+// --- frozen reports of the removed thread-per-core engine ------------------
 
-TEST(SmpEquivalence, CooperativeMatchesLegacySteppable) {
-  const SmpRunReport legacy =
-      run_cell(SmpEngine::kThreadedLegacy, steppable_mix, 17);
-  const SmpRunReport coop =
-      run_cell(SmpEngine::kCooperative, steppable_mix, 17);
-  expect_identical(coop, legacy);
+/// One cell's report as the thread-per-core token engine produced it.
+struct FrozenReport {
+  std::uint64_t digest;
+  util::Picoseconds elapsed;
+  double energy_j;
+};
+
+void expect_frozen(const SmpRunReport& r, const FrozenReport& frozen) {
+  EXPECT_EQ(r.elapsed, frozen.elapsed);
+  EXPECT_EQ(r.energy_j, frozen.energy_j);
+  EXPECT_EQ(report_digest(r), frozen.digest)
+      << std::hex << "digest 0x" << report_digest(r);
 }
 
-TEST(SmpEquivalence, CooperativeMatchesLegacyMixedFiberSteppable) {
-  const SmpRunReport legacy =
-      run_cell(SmpEngine::kThreadedLegacy, mixed_mix, 23);
-  const SmpRunReport coop = run_cell(SmpEngine::kCooperative, mixed_mix, 23);
-  expect_identical(coop, legacy);
+TEST(SmpEquivalence, CooperativeMatchesFrozenLegacySteppable) {
+  expect_frozen(run_cell(steppable_mix, 17),
+                {0x057bf969cbda5e69ull, 8086646300ull, 1.2722775589496564});
 }
 
-TEST(SmpEquivalence, CooperativeMatchesLegacyUnderBmcCap) {
-  const SmpRunReport legacy =
-      run_cell(SmpEngine::kThreadedLegacy, mixed_mix, 29, 150.0);
-  const SmpRunReport coop =
-      run_cell(SmpEngine::kCooperative, mixed_mix, 29, 150.0);
-  expect_identical(coop, legacy);
+TEST(SmpEquivalence, CooperativeMatchesFrozenLegacyMixedFiberSteppable) {
+  expect_frozen(run_cell(mixed_mix, 23),
+                {0x0c95966af584c1ecull, 11101655910ull, 2.0216297031104826});
+}
+
+TEST(SmpEquivalence, CooperativeMatchesFrozenLegacyUnderBmcCap) {
+  const SmpRunReport coop = run_cell(mixed_mix, 29, 150.0);
+  expect_frozen(coop,
+                {0x03bb574a0d5bd759ull, 20576721937ull, 3.0720734578074231});
   // The cap actually bit (this is a real capped cell, not a no-op).
   EXPECT_LE(coop.avg_power_w, 155.0);
 }
-
-#endif  // PCAP_SMP_LEGACY_ENGINE
 
 // --- native stepping vs forced continuation ---------------------------------
 
@@ -145,9 +176,8 @@ TEST(SmpEquivalence, NativeStepMatchesForcedFiber) {
     }
     return ws;
   };
-  const SmpRunReport stepped =
-      run_cell(SmpEngine::kCooperative, steppable_mix, 31);
-  const SmpRunReport fibered = run_cell(SmpEngine::kCooperative, forced, 31);
+  const SmpRunReport stepped = run_cell(steppable_mix, 31);
+  const SmpRunReport fibered = run_cell(forced, 31);
   expect_identical(stepped, fibered);
 }
 
@@ -207,8 +237,8 @@ TEST(SmpEquivalence, StreamBatchingLegalUnderCoRunners) {
                                                              200000));
     return ws;
   };
-  const SmpRunReport fast = run_cell(SmpEngine::kCooperative, streamed, 37);
-  const SmpRunReport slow = run_cell(SmpEngine::kCooperative, looped, 37);
+  const SmpRunReport fast = run_cell(streamed, 37);
+  const SmpRunReport slow = run_cell(looped, 37);
   expect_identical(fast, slow);
   // The cell is genuinely contended — the sweep saw shared-L3 misses.
   EXPECT_GT(fast.cores[0].counter(Event::kL3Tcm), 1000u);
@@ -221,8 +251,7 @@ TEST(SmpEquivalence, SmpCellsAreJobsInvariant) {
   auto run_all = [&kCaps](std::size_t threads) {
     std::vector<SmpRunReport> reports(4);
     util::parallel_for(4, threads, [&](std::size_t i) {
-      reports[i] = run_cell(SmpEngine::kCooperative, mixed_mix,
-                            41 + i, kCaps[i]);
+      reports[i] = run_cell(mixed_mix, 41 + i, kCaps[i]);
     });
     return reports;
   };
@@ -267,7 +296,7 @@ class ThrowingWorkload final : public Workload {
 };
 
 TEST(SmpEquivalence, ThrowingWorkloadUnwindsSuspendedCoRunner) {
-  SmpNode node(make_config(2, SmpEngine::kCooperative), 43);
+  SmpNode node(make_config(2), 43);
   bool unwound = false;
   GuardedWorkload guarded(&unwound);
   ThrowingWorkload throwing;
@@ -285,7 +314,7 @@ TEST(SmpEquivalence, ThrowingWorkloadUnwindsSuspendedCoRunner) {
 }
 
 TEST(SmpEquivalence, ThrowingControlHookUnwindsRun) {
-  SmpNode node(make_config(2, SmpEngine::kCooperative), 47);
+  SmpNode node(make_config(2), 47);
   node.set_control_hook(
       [](PlatformControl&) { throw std::runtime_error("hook boom"); });
   bool unwound = false;
@@ -301,53 +330,13 @@ TEST(SmpEquivalence, ThrowingControlHookUnwindsRun) {
   const SmpRunReport r = node.run(retry);
   EXPECT_EQ(r.counter(Event::kTotIns), 100000u);
 }
-
-#if defined(PCAP_SMP_LEGACY_ENGINE)
-
-TEST(SmpEquivalence, LegacyEngineSurvivesThrowingWorkload) {
-  // The pre-rewrite engine leaked joinable threads (std::terminate) here;
-  // the repaired shutdown path must join every lane and rethrow.
-  SmpNode node(make_config(2, SmpEngine::kThreadedLegacy), 53);
-  bool unwound = false;
-  GuardedWorkload guarded(&unwound);
-  ThrowingWorkload throwing;
-  std::vector<Workload*> ws{&guarded, &throwing};
-  EXPECT_THROW(node.run(ws), std::runtime_error);
-  EXPECT_TRUE(unwound);
-
-  apps::ComputeBoundWorkload again(100000);
-  std::vector<Workload*> retry{&again};
-  const SmpRunReport r = node.run(retry);
-  EXPECT_EQ(r.counter(Event::kTotIns), 100000u);
-}
-
-TEST(SmpEquivalence, LegacyEngineSurvivesThrowingControlHook) {
-  SmpNode node(make_config(2, SmpEngine::kThreadedLegacy), 59);
-  node.set_control_hook(
-      [](PlatformControl&) { throw std::runtime_error("hook boom"); });
-  bool unwound = false;
-  GuardedWorkload guarded(&unwound);
-  apps::ComputeBoundWorkload compute(4000000);
-  std::vector<Workload*> ws{&guarded, &compute};
-  EXPECT_THROW(node.run(ws), std::runtime_error);
-  EXPECT_TRUE(unwound);
-
-  node.set_control_hook({});
-  apps::ComputeBoundWorkload again(100000);
-  std::vector<Workload*> retry{&again};
-  const SmpRunReport r = node.run(retry);
-  EXPECT_EQ(r.counter(Event::kTotIns), 100000u);
-}
-
-#endif  // PCAP_SMP_LEGACY_ENGINE
 
 // --- telemetry neutrality ---------------------------------------------------
 
 TEST(SmpEquivalence, TelemetryProbesAreBitNeutral) {
   if constexpr (!telemetry::kCompiledIn) GTEST_SKIP();
 
-  const SmpRunReport bare =
-      run_cell(SmpEngine::kCooperative, steppable_mix, 61, 160.0);
+  const SmpRunReport bare = run_cell(steppable_mix, 61, 160.0);
 
   telemetry::TelemetryConfig tconfig;
   tconfig.enabled = true;
@@ -359,7 +348,7 @@ TEST(SmpEquivalence, TelemetryProbesAreBitNeutral) {
   auto workloads = steppable_mix();
   std::vector<Workload*> ptrs;
   for (auto& w : workloads) ptrs.push_back(w.get());
-  SmpNode node(make_config(2, SmpEngine::kCooperative), 61);
+  SmpNode node(make_config(2), 61);
   core::Bmc bmc(node);
   node.set_control_hook([&bmc](PlatformControl&) { bmc.on_control_tick(); });
   bmc.set_cap(160.0);

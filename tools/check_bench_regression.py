@@ -49,6 +49,9 @@ GUARDED = [
     # Whole-fleet planning tick: 32 racks x 32 nodes through arrival,
     # admission, coupler round, placement and memoised chunk commit.
     "BM_FleetPlan1k",
+    # Capped SMP co-run cells on the cooperative engine (500 ns quantum).
+    "BM_SmpCoRun2",
+    "BM_SmpCoRun4",
 ]
 
 # Cases guarded at a per-case tight threshold, ratcheted below the global
@@ -73,13 +76,6 @@ OVERHEAD_CASES = [
     # uniform split: measured ~160x (8 nodes, 200 W surplus); the limit
     # catches the loop going quadratic without flagging noise.
     ("BM_SchedPlanAmenability", "BM_SchedPlanUniform", 400.0),
-    # Cooperative SMP engine floor: the single-threaded run queue must stay
-    # >= 2x faster than the legacy thread-per-core token engine on the same
-    # co-run cell (bit-identical reports per tests/test_smp_equivalence.cpp).
-    # The *Threaded cases exist only when the bench binary was built with
-    # PCAP_SMP_LEGACY_ENGINE=ON (the default, and what CI builds).
-    ("BM_SmpCoRun2", "BM_SmpCoRun2Threaded", 0.5),
-    ("BM_SmpCoRun4", "BM_SmpCoRun4Threaded", 0.5),
     # Thermal subsystem overhead. The governor-off promise is the tight
     # one: a node carrying the RC network + fan as an observe-only shadow
     # (the study default) must stay within 5% of the plain single-RC node
