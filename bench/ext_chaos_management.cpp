@@ -113,15 +113,6 @@ struct Rack {
     for (const auto& name : dcm.node_names()) sum += (dcm.node(name)->*counter)();
     return sum;
   }
-
-  /// Caps held by reachable nodes plus reservations for lost ones.
-  double committed_budget_w() const {
-    double total = 0.0;
-    for (const auto& name : dcm.node_names()) {
-      total += dcm.node_applied_cap(name).value_or(0.0);
-    }
-    return total;
-  }
 };
 
 struct Checker {
@@ -165,11 +156,11 @@ CellResult run_cell(double loss_rate, double budget_w, int polls,
   rack.dcm.poll();
 
   const double tolerance_w = 0.02 * budget_w;
-  bool applied = !rack.dcm.apply_group_cap(budget_w).empty();
+  bool applied = rack.dcm.apply_group_cap(budget_w).complete;
   std::vector<bool> under(static_cast<std::size_t>(polls), false);
   for (int p = 0; p < polls; ++p) {
     // A transiently-failed group apply is simply re-issued next poll.
-    if (!applied) applied = !rack.dcm.apply_group_cap(budget_w).empty();
+    if (!applied) applied = rack.dcm.apply_group_cap(budget_w).complete;
     rack.drive_all(1);
     rack.dcm.poll();
     const double draw = rack.true_draw_w();
@@ -216,9 +207,9 @@ EpisodeResult run_partition_episode(double loss_rate, double budget_w,
 
   rack.drive_all(2);
   rack.dcm.poll();
-  bool applied = !rack.dcm.apply_group_cap(budget_w).empty();
+  bool applied = rack.dcm.apply_group_cap(budget_w).complete;
   for (int p = 0; p < 6 && !applied; ++p) {
-    applied = !rack.dcm.apply_group_cap(budget_w).empty();
+    applied = rack.dcm.apply_group_cap(budget_w).complete;
   }
   if (!applied) return r;
   for (int p = 0; p < 6; ++p) {
@@ -232,7 +223,7 @@ EpisodeResult run_partition_episode(double loss_rate, double budget_w,
   for (int p = 0; p < 6; ++p) {
     rack.drive_all(1);
     rack.dcm.poll();
-    if (rack.committed_budget_w() > budget_w + 1e-6) r.invariant_held = false;
+    if (rack.dcm.committed_w() > budget_w + 1e-6) r.invariant_held = false;
   }
   r.went_lost =
       rack.dcm.node_health("node-0") == core::NodeHealth::kLost;
@@ -241,7 +232,7 @@ EpisodeResult run_partition_episode(double loss_rate, double budget_w,
   for (int p = 0; p < 3; ++p) {
     rack.drive_all(1);
     rack.dcm.poll();
-    if (rack.committed_budget_w() > budget_w + 1e-6) r.invariant_held = false;
+    if (rack.dcm.committed_w() > budget_w + 1e-6) r.invariant_held = false;
   }
   r.recovered =
       rack.dcm.node_health("node-0") == core::NodeHealth::kHealthy ||

@@ -89,13 +89,6 @@ int main() {
     }
     std::printf("\n");
   };
-  auto committed = [&]() {
-    double total = 0.0;
-    for (const auto& name : dcm.node_names()) {
-      total += dcm.node_applied_cap(name).value_or(0.0);
-    }
-    return total;
-  };
 
   // Warm the rack, then impose the group budget.
   drive_all(2);
@@ -103,11 +96,11 @@ int main() {
   std::printf("rack draw before budgeting: %.0f W\n",
               dcm.total_observed_power_w());
   auto applied = dcm.apply_group_cap(kBudgetW);
-  for (int tries = 0; tries < 5 && applied.empty(); ++tries) {
+  for (int tries = 0; tries < 5 && !applied.complete; ++tries) {
     applied = dcm.apply_group_cap(kBudgetW);  // lossy link: just re-issue
   }
   std::printf("group budget %.0f W -> per-node caps:\n", kBudgetW);
-  for (const auto& [name, cap] : applied) {
+  for (const auto& [name, cap] : applied.caps) {
     std::printf("  %-8s %.1f W\n", name.c_str(), cap);
   }
   for (int p = 0; p < 5; ++p) {
@@ -115,8 +108,8 @@ int main() {
     dcm.poll();
   }
   print_health("steady state");
-  std::printf("committed caps: %.1f W of %.0f W budget\n\n", committed(),
-              kBudgetW);
+  std::printf("committed caps: %.1f W of %.0f W budget\n\n",
+              dcm.committed_w(), kBudgetW);
 
   // Node-3's management link partitions outright. Its BMC keeps enforcing
   // the last cap autonomously; the DCM walks it degraded -> lost and
@@ -132,7 +125,7 @@ int main() {
               dcm.node_applied_cap("node-3").value_or(0.0),
               rack[3].bmc->cap().value_or(0.0));
   std::printf("committed caps + reservation: %.1f W (<= budget)\n\n",
-              committed());
+              dcm.committed_w());
 
   // The link heals: first successful poll marks the node recovered, and the
   // group budget is re-planned to give it a share again.
@@ -144,8 +137,8 @@ int main() {
   }
   print_health("healed");
   std::printf("node-3 cap restored: %.1f W; committed %.1f W of %.0f W\n\n",
-              dcm.node_applied_cap("node-3").value_or(0.0), committed(),
-              kBudgetW);
+              dcm.node_applied_cap("node-3").value_or(0.0),
+              dcm.committed_w(), kBudgetW);
 
   std::printf("health alerts:\n");
   for (const auto& alert : dcm.alerts()) {

@@ -64,10 +64,20 @@ int main() {
               dcm.total_observed_power_w());
 
   // Facility event: the rack must fit in 1040 W (130 W/node on average).
-  const auto applied = dcm.apply_group_cap(1040.0);
-  std::printf("group budget 1040 W -> per-node caps:\n");
-  for (const auto& [name, cap] : applied) {
+  constexpr double kBudgetW = 1040.0;
+  const auto applied = dcm.apply_group_cap(kBudgetW);
+  std::printf("group budget %.0f W -> per-node caps:\n", kBudgetW);
+  for (const auto& [name, cap] : applied.caps) {
     std::printf("  %-8s %.1f W\n", name.c_str(), cap);
+  }
+  // Ground truth: the caps the BMCs decoded off the wire must fit too.
+  double enforced_w = 0.0;
+  for (const Slot& s : rack) enforced_w += s.bmc->cap().value_or(0.0);
+  std::printf("enforced caps: %.1f W of %.0f W budget\n", enforced_w,
+              kBudgetW);
+  if (!applied.complete || enforced_w > kBudgetW + 1e-6) {
+    std::printf("FAIL: group budget not enforced within %.0f W\n", kBudgetW);
+    return 1;
   }
 
   // Run the workloads under the budget; the DCM keeps monitoring.

@@ -1,32 +1,19 @@
 #include "core/dcm.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
-#include <numeric>
+#include <limits>
+
+#include "core/budget.hpp"
 
 namespace pcap::core {
 
 namespace {
 
-/// Floor + demand-proportional surplus, clamped to each ceiling. Empty when
-/// the budget cannot cover the floors (leftover from clamping is not
-/// re-spread — the budget is a limit, not a quota).
-std::vector<double> split_budget(const std::vector<double>& demands,
-                                 const std::vector<double>& floors,
-                                 const std::vector<double>& ceilings,
-                                 double budget) {
-  const double floor_sum = std::accumulate(floors.begin(), floors.end(), 0.0);
-  const double demand_sum =
-      std::accumulate(demands.begin(), demands.end(), 0.0);
-  if (budget < floor_sum || demand_sum <= 0.0) return {};
-  const double surplus = budget - floor_sum;
-  std::vector<double> caps(demands.size());
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    caps[i] =
-        std::min(floors[i] + surplus * demands[i] / demand_sum, ceilings[i]);
-  }
-  return caps;
-}
+/// Caps on the 0.1 W wire grid differ by a whole step or not at all; half
+/// a step only separates a real change from floating-point noise.
+constexpr double kCapEpsilonW = 0.05;
 
 std::string watts_str(double w) {
   char buf[32];
@@ -259,48 +246,19 @@ bool DataCenterManager::apply_node_cap(const std::string& name,
   return set_cap_recorded(*e, watts);
 }
 
-std::vector<std::pair<std::string, double>> DataCenterManager::apply_group_cap(
+DataCenterManager::GroupCapResult DataCenterManager::apply_group_cap(
     double total_w) {
-  std::vector<std::pair<std::string, double>> applied;
-  if (nodes_.empty()) return applied;
-
-  // Lost nodes cannot be re-capped; whatever their BMCs are enforcing is
-  // reserved out of the budget. Reachable nodes are planned from fresh
-  // telemetry (a failure aborts — health bookkeeping belongs to poll()).
-  std::vector<Entry*> live;
-  std::vector<double> demands, floors, ceilings;
-  double reserved = 0.0;
+  // Reachable nodes are planned from fresh telemetry (a failure aborts —
+  // health bookkeeping belongs to poll()).
   for (auto& e : nodes_) {
-    if (e.health == NodeHealth::kLost) {
-      reserved += reserved_for(e);
-      continue;
-    }
+    if (e.health == NodeHealth::kLost) continue;
     const auto reading = e.node->power_reading();
     const auto caps = e.node->capabilities();
-    if (!reading || !caps) return applied;
+    if (!reading || !caps) return {};
     e.caps = *caps;
-    double demand = std::max(reading->average_w, reading->current_w);
-    if (demand <= 0.0) demand = caps->min_cap_w;
-    demand *= static_cast<double>(e.priority);
-    live.push_back(&e);
-    demands.push_back(demand);
-    floors.push_back(caps->min_cap_w);
-    ceilings.push_back(caps->max_cap_w);
+    e.last_draw_w = std::max(reading->average_w, reading->current_w);
   }
-  if (live.empty()) return applied;
-
-  const auto caps_w = split_budget(demands, floors, ceilings,
-                                   total_w - reserved);
-  if (caps_w.empty()) return applied;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (!set_cap_recorded(*live[i], caps_w[i])) {
-      applied.clear();
-      return applied;
-    }
-    applied.emplace_back(live[i]->node->name(), caps_w[i]);
-  }
-  group_budget_w_ = total_w;
-  return applied;
+  return push_group_split(total_w, /*pin_floors=*/false);
 }
 
 void DataCenterManager::clear_caps() {
@@ -338,43 +296,42 @@ double DataCenterManager::reserved_for(const Entry& e) const {
   // cap is the most it can draw. Without a cap, assume the last observed
   // draw; with no observation at all, its full capability ceiling.
   if (e.applied_cap_w) return *e.applied_cap_w;
-  if (!e.history.empty()) {
-    return std::max(e.history.back().average_w, e.history.back().current_w);
-  }
-  return e.caps.max_cap_w;
+  return e.last_draw_w.value_or(e.caps.max_cap_w);
 }
 
-void DataCenterManager::rebalance_group_budget() {
-  if (!group_budget_w_) return;
-
-  std::vector<Entry*> live;
-  std::vector<double> demands, floors, ceilings;
+DataCenterManager::GroupCapResult DataCenterManager::push_group_split(
+    double total_w, bool pin_floors) {
+  // Lost nodes cannot be re-capped: what their BMCs may still draw is
+  // reserved out of the budget, and their target is their current cap.
+  std::vector<double> granted(nodes_.size());
+  std::vector<double> floors, weights, ceilings;
   double reserved = 0.0;
-  for (auto& e : nodes_) {
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Entry& e = nodes_[i];
+    // An uncapped node is granted +inf: any cap is a decrease.
+    granted[i] = e.applied_cap_w.value_or(
+        std::numeric_limits<double>::infinity());
     if (e.health == NodeHealth::kLost) {
       reserved += reserved_for(e);
       continue;
     }
-    // Plan from cached demand and capabilities: rebalancing happens inside
-    // poll(), and issuing fresh telemetry reads over an already-unreliable
-    // wire would couple the rebalance to more failures.
-    double demand = e.caps.min_cap_w;
-    if (!e.history.empty()) {
-      demand = std::max(e.history.back().average_w,
-                        e.history.back().current_w);
-      if (demand <= 0.0) demand = e.caps.min_cap_w;
-    }
-    demand *= static_cast<double>(e.priority);
-    live.push_back(&e);
-    demands.push_back(demand);
+    const double draw = e.last_draw_w.value_or(0.0);
+    const double demand = draw > 0.0 ? draw : e.caps.min_cap_w;
+    weights.push_back(demand * static_cast<double>(e.priority));
     floors.push_back(e.caps.min_cap_w);
     ceilings.push_back(e.caps.max_cap_w);
   }
-  if (live.empty()) return;
+  if (floors.empty()) return {};
 
-  const double available = *group_budget_w_ - reserved;
-  const auto caps_w = split_budget(demands, floors, ceilings, available);
-  if (caps_w.empty()) {
+  // grid_w = 0: caps land on the 0.1 W wire grid, so the caps the BMCs
+  // decode sum to no more than the budget.
+  const double available = total_w - reserved;
+  std::vector<double> division =
+      divide_budget(available, floors, weights, ceilings);
+  const bool feasible = !division.empty();
+  if (feasible) {
+    group_budget_w_ = total_w;
+  } else if (pin_floors) {
     // The remaining budget no longer covers the reachable nodes' floors.
     // Degrade gracefully: pin every reachable node at its floor (the
     // deepest enforceable point) and flag the shortfall.
@@ -383,18 +340,34 @@ void DataCenterManager::rebalance_group_budget() {
          "budget infeasible: " + watts_str(available) +
              " W left for reachable nodes after reserving " +
              watts_str(reserved) + " W; pinning floors"});
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      set_cap_recorded(*live[i], floors[i]);
-    }
-    return;
+    division = floors;
+  } else {
+    return {};
   }
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    if (!set_cap_recorded(*live[i], caps_w[i])) {
-      alerts_.push_back({poll_seq_, live[i]->node->name(),
-                         "rebalance: failed to apply " +
-                             watts_str(caps_w[i]) + " W cap"});
+
+  std::vector<double> targets(granted);
+  for (std::size_t i = 0, k = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].health != NodeHealth::kLost) targets[i] = division[k++];
+  }
+  push_decreases_first(
+      targets, granted, kCapEpsilonW, 0.0,
+      [this](std::size_t i, double watts) -> std::optional<double> {
+        if (set_cap_recorded(nodes_[i], watts)) return watts;
+        alerts_.push_back({poll_seq_, nodes_[i].node->name(),
+                           "failed to apply " + watts_str(watts) +
+                               " W group cap"});
+        return std::nullopt;
+      });
+
+  GroupCapResult result;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].health == NodeHealth::kLost) continue;
+    if (std::abs(granted[i] - targets[i]) <= kCapEpsilonW) {
+      result.caps.emplace_back(nodes_[i].node->name(), granted[i]);
     }
   }
+  result.complete = feasible && result.caps.size() == floors.size();
+  return result;
 }
 
 void DataCenterManager::note_exchange(Entry& e, bool ok) {
@@ -422,9 +395,13 @@ void DataCenterManager::note_exchange(Entry& e, bool ok) {
              " consecutive failed exchanges"});
   }
   note_health_change(e);
-  // Losing or regaining a node changes who shares the group budget.
-  if (e.health == NodeHealth::kLost || e.health == NodeHealth::kRecovered) {
-    rebalance_group_budget();
+  // Losing or regaining a node changes who shares the group budget. The
+  // re-split plans from cached demand and capabilities: it runs inside
+  // poll(), and fresh telemetry reads over an already-unreliable wire would
+  // couple the rebalance to more failures.
+  if ((e.health == NodeHealth::kLost || e.health == NodeHealth::kRecovered) &&
+      group_budget_w_) {
+    push_group_split(*group_budget_w_, /*pin_floors=*/true);
   }
 }
 
@@ -443,6 +420,7 @@ void DataCenterManager::poll() {
     note_exchange(e, reading.has_value());
     if (!reading) continue;
     e.history.push_back({poll_seq_, reading->current_w, reading->average_w});
+    e.last_draw_w = std::max(reading->average_w, reading->current_w);
     while (e.history.size() > config_.history_depth) e.history.pop_front();
 
     const auto limit = e.node->power_limit();
@@ -496,6 +474,20 @@ std::optional<double> DataCenterManager::node_applied_cap(
     const std::string& name) const {
   const Entry* e = find(name);
   return e ? e->applied_cap_w : std::nullopt;
+}
+
+double DataCenterManager::committed_w() const {
+  double total = 0.0;
+  for (const auto& e : nodes_) total += e.applied_cap_w.value_or(0.0);
+  return total;
+}
+
+double DataCenterManager::reserved_w() const {
+  double total = 0.0;
+  for (const auto& e : nodes_) {
+    if (e.health == NodeHealth::kLost) total += e.applied_cap_w.value_or(0.0);
+  }
+  return total;
 }
 
 }  // namespace pcap::core

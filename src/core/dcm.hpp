@@ -10,9 +10,10 @@
 // consecutive failed exchanges. When a node under a group budget goes lost,
 // its budget share is conservatively reserved (its BMC keeps enforcing the
 // last cap autonomously) and the remainder is redistributed across the
-// surviving nodes; recovery restores the full-group split. The allocation
-// invariant — sum of caps held by reachable nodes plus reservations for
-// unreachable ones never exceeds the budget — holds throughout.
+// surviving nodes; recovery restores the full-group split. Group caps go
+// through the shared budget discipline (core/budget.hpp), so the caps the
+// BMCs enforce — lost nodes' included — never exceed the budget, after
+// every single exchange.
 #pragma once
 
 #include <cstdint>
@@ -175,15 +176,23 @@ class DataCenterManager {
   /// or a failed transaction.
   bool apply_node_cap(const std::string& name, std::optional<double> watts);
 
+  /// What one group-cap round left on the BMCs.
+  struct GroupCapResult {
+    /// (node, cap) for each reachable node enforcing its planned cap.
+    std::vector<std::pair<std::string, double>> caps;
+    /// Every reachable node does; re-issue an incomplete round to finish it.
+    bool complete = false;
+  };
+
   /// Distributes a total group budget across all reachable nodes in
   /// proportion to their current demand (measured average power) weighted
   /// by priority, clamped to each node's enforceable range. Lost nodes are
-  /// excluded: their last-applied caps stay reserved out of the budget.
-  /// Returns the per-node caps actually applied (empty on failure or if
-  /// the budget is below the sum of the reachable nodes' floors plus the
-  /// reservations). On success the budget is remembered and automatically
-  /// rebalanced when nodes are lost or recover.
-  std::vector<std::pair<std::string, double>> apply_group_cap(double total_w);
+  /// excluded: what their BMCs may still draw stays reserved out of the
+  /// budget. Nothing is pushed when a telemetry read fails or the budget is
+  /// below the reachable nodes' floors plus the reservations. Otherwise the
+  /// budget is remembered — automatically rebalanced when nodes are lost or
+  /// recover — and pushed decreases-first.
+  GroupCapResult apply_group_cap(double total_w);
 
   /// Priority weight for group budgeting (default 1; higher = larger share
   /// of the surplus). Returns false for an unknown node or weight < 1.
@@ -241,6 +250,11 @@ class DataCenterManager {
   /// The cap this DCM last successfully applied to the node (what its BMC
   /// is enforcing, reachable or not). nullopt = uncapped or unknown node.
   std::optional<double> node_applied_cap(const std::string& name) const;
+  /// Sum of the caps the BMCs enforce, lost nodes included (an uncapped
+  /// node holds none) — fleet::BudgetCoupler::committed_w's accounting.
+  double committed_w() const;
+  /// The part of committed_w() held by lost nodes.
+  double reserved_w() const;
 
  private:
   struct Entry {
@@ -254,6 +268,7 @@ class DataCenterManager {
     telemetry::NodeProbe* probe = nullptr;
     std::uint32_t consecutive_failures = 0;
     std::optional<double> applied_cap_w;  // last cap that landed on the BMC
+    std::optional<double> last_draw_w;    // max(average, current), latest
     ipmi::Capabilities caps;              // cached at discovery / group apply
   };
 
@@ -267,9 +282,12 @@ class DataCenterManager {
   /// Budget a lost node is assumed to hold: its enforced cap if it has
   /// one, else its last observed draw, else its full capability ceiling.
   double reserved_for(const Entry& e) const;
-  /// Re-splits the remembered group budget across reachable nodes from
-  /// cached demand/capabilities (no new telemetry reads).
-  void rebalance_group_budget();
+  /// The one group planner (apply and rebalance): reserves for lost
+  /// nodes, divides the rest over the reachable ones (weights = last draw
+  /// x priority, on the wire grid) and pushes it decreases-first. When the
+  /// reachable floors do not fit, nothing is pushed — unless `pin_floors`,
+  /// which pins every reachable node at its floor instead.
+  GroupCapResult push_group_split(double total_w, bool pin_floors);
   /// Marks a health transition: trace instant + probe annotation.
   void note_health_change(Entry& e);
 

@@ -1,14 +1,8 @@
 #include "fleet/budget.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace pcap::fleet {
-
-double quantize_watts(double watts, double grid_w) {
-  const double grid = grid_w > 0.0 ? grid_w : 0.1;
-  return std::floor(watts / grid + 1e-9) * grid;
-}
 
 void BudgetSchedule::add_phase(double start_s, double budget_w) {
   phases_.push_back({start_s, budget_w});
@@ -33,39 +27,6 @@ double BudgetSchedule::at(double t_s) const {
     if (t_s >= e.start_s && t_s < e.end_s) budget = e.budget_w;
   }
   return budget;
-}
-
-std::vector<double> divide_budget(double budget_w,
-                                  const std::vector<double>& floors,
-                                  const std::vector<double>& weights,
-                                  const std::vector<double>& ceilings,
-                                  double grid_w) {
-  const std::size_t n = floors.size();
-  std::vector<double> out;
-  if (n == 0) return out;
-
-  double floor_sum = 0.0;
-  for (double f : floors) floor_sum += f;
-  if (budget_w + 1e-9 < floor_sum) return out;  // infeasible: reject whole
-
-  double weight_sum = 0.0;
-  for (double w : weights) weight_sum += std::max(w, 0.0);
-
-  const double surplus = budget_w - floor_sum;
-  out.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double share = floors[i];
-    if (weight_sum > 0.0) {
-      share += surplus * std::max(weights[i], 0.0) / weight_sum;
-    }
-    share = std::min(share, ceilings[i]);
-    // Quantize the whole cap onto the grid (at least the 0.1 W wire grid,
-    // so a budget survives the fixed-point encoding unchanged) so equal
-    // shares land on the same bit pattern fleet-wide, but never dip below
-    // the floor.
-    out[i] = std::max(floors[i], quantize_watts(share, grid_w));
-  }
-  return out;
 }
 
 }  // namespace pcap::fleet

@@ -1,17 +1,11 @@
-// Budget arithmetic for the fleet tree: time-of-day / demand-response
-// budget schedules and the deterministic floor+weighted-surplus division a
-// parent applies to its children (DESIGN.md §14).
+// Fleet budget over time: time-of-day / demand-response budget schedules
+// (DESIGN.md §14). The division a parent applies to its children is
+// core::divide_budget (core/budget.hpp).
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace pcap::fleet {
-
-/// Floors a watt value onto an `grid_w` grid (0 → the 0.1 W IPMI wire
-/// grid). Division results always round *down* so quantization can never
-/// push a sum over budget.
-double quantize_watts(double watts, double grid_w);
 
 /// Step schedule for the fleet budget: ordered phases (optionally periodic,
 /// modeling time-of-day), overlaid with absolute-time demand-response
@@ -51,19 +45,5 @@ class BudgetSchedule {
   std::vector<Phase> phases_;
   std::vector<Event> events_;
 };
-
-/// Divides `budget_w` across children: every child gets its floor, the
-/// surplus splits in proportion to `weights`, each share clamps to the
-/// child's ceiling, and the part above the floor rounds down onto the
-/// `grid_w` grid (coarse grids keep the set of distinct child budgets — and
-/// hence distinct chunk-memo keys — small at fleet scale). Returns one
-/// budget per child with sum(result) <= budget_w, or an empty vector when
-/// the division is infeasible (budget below the floor sum): infeasible
-/// divisions are rejected whole, never partially applied.
-std::vector<double> divide_budget(double budget_w,
-                                  const std::vector<double>& floors,
-                                  const std::vector<double>& weights,
-                                  const std::vector<double>& ceilings,
-                                  double grid_w = 0.0);
 
 }  // namespace pcap::fleet

@@ -1,16 +1,15 @@
 #include "fleet/coupler.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace pcap::fleet {
 
 void BudgetCoupler::add_child(ChildLink* link, double initial_granted_w) {
   Child c;
   c.link = link;
-  c.granted_w = initial_granted_w;
   c.demand_w = initial_granted_w;
   children_.push_back(c);
+  granted_.push_back(initial_granted_w);
 }
 
 void BudgetCoupler::note_exchange(Child& child, bool ok) {
@@ -24,14 +23,14 @@ void BudgetCoupler::note_exchange(Child& child, bool ok) {
 
 double BudgetCoupler::committed_w() const {
   double sum = 0.0;
-  for (const Child& c : children_) sum += c.granted_w;
+  for (double g : granted_) sum += g;
   return sum;
 }
 
 double BudgetCoupler::reserved_w() const {
   double sum = 0.0;
-  for (const Child& c : children_) {
-    if (c.health == core::NodeHealth::kLost) sum += c.granted_w;
+  for (std::size_t i = 0; i < children_.size(); ++i) {
+    if (children_[i].health == core::NodeHealth::kLost) sum += granted_[i];
   }
   return sum;
 }
@@ -69,74 +68,45 @@ CouplerRound BudgetCoupler::push_round(double target_w,
                                        double grid_w, bool allow_increases) {
   // Reachable children share target minus what lost children may still be
   // enforcing (their last grant stays reserved until they are heard from).
-  std::vector<std::size_t> reachable;
-  reachable.reserve(children_.size());
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (children_[i].health != core::NodeHealth::kLost) reachable.push_back(i);
-  }
+  const std::size_t n = children_.size();
   const double available = target_w - reserved_w();
-
   std::vector<double> floors, wts, ceilings;
-  floors.reserve(reachable.size());
-  wts.reserve(reachable.size());
-  ceilings.reserve(reachable.size());
-  for (std::size_t i : reachable) {
+  floors.reserve(n);
+  wts.reserve(n);
+  ceilings.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (children_[i].health == core::NodeHealth::kLost) continue;
     floors.push_back(children_[i].link->floor_w());
     wts.push_back(weights ? (*weights)[i] : children_[i].demand_w);
     ceilings.push_back(children_[i].link->ceiling_w());
   }
 
   const std::vector<double> division =
-      divide_budget(available, floors, wts, ceilings, grid_w);
-  if (division.empty() && !reachable.empty()) {
+      core::divide_budget(available, floors, wts, ceilings, grid_w);
+  if (division.empty() && !floors.empty()) {
     // Infeasible: keep previous grants, apply nothing partially.
     return finish_round(target_w, false, false);
   }
 
-  // Decreases first, in child order. A failed decrease is retried next
-  // round (the child keeps enforcing its old grant meanwhile, so the
-  // bookkeeping stays honest); any failure defers every increase.
-  bool decreases_ok = true;
-  for (std::size_t k = 0; k < reachable.size(); ++k) {
-    Child& child = children_[reachable[k]];
-    const double desired = division[k];
-    if (desired >= child.granted_w - config_.push_epsilon_w) continue;
-    ++pushes_;
-    const std::optional<double> grant = child.link->push_budget(desired);
-    note_exchange(child, grant.has_value());
-    if (grant.has_value()) {
-      child.granted_w = *grant;
-      if (*grant > desired + config_.tolerance_w) decreases_ok = false;
-    } else {
-      ++push_failures_;
-      decreases_ok = false;
-    }
+  // A lost child's target is its grant (nothing to push); a push-only
+  // round caps every target at the grant, so no increase is ever issued.
+  std::vector<double> targets(granted_);
+  for (std::size_t i = 0, k = 0; i < n; ++i) {
+    if (children_[i].health == core::NodeHealth::kLost) continue;
+    const double desired = division[k++];
+    targets[i] = allow_increases ? desired : std::min(desired, granted_[i]);
   }
-
-  bool withheld = false;
-  if (allow_increases) {
-    for (std::size_t k = 0; k < reachable.size(); ++k) {
-      Child& child = children_[reachable[k]];
-      const double desired = division[k];
-      if (desired <= child.granted_w + config_.push_epsilon_w) continue;
-      if (!decreases_ok) {
-        withheld = true;  // headroom not yet real: a decrease is pending
-        continue;
-      }
-      ++pushes_;
-      const std::optional<double> grant = child.link->push_budget(desired);
-      note_exchange(child, grant.has_value());
-      // Book the grant as-is: a child whose own subtree is mid-convergence
-      // may guarantee more than asked, and understating that would break
-      // the conservation bound.
-      if (grant.has_value()) {
-        child.granted_w = *grant;
-      } else {
-        ++push_failures_;
-      }
-    }
-  }
-  return finish_round(target_w, true, withheld);
+  const core::PushOutcome outcome = core::push_decreases_first(
+      targets, granted_, config_.push_epsilon_w, config_.tolerance_w,
+      [this](std::size_t i, double watts) {
+        Child& child = children_[i];
+        const std::optional<double> grant = child.link->push_budget(watts);
+        note_exchange(child, grant.has_value());
+        return grant;
+      });
+  pushes_ += outcome.pushes;
+  push_failures_ += outcome.failures;
+  return finish_round(target_w, true, outcome.increases_withheld);
 }
 
 CouplerRound BudgetCoupler::run_round(double target_w,

@@ -2,8 +2,9 @@
 // BudgetCoupler over its children (nodes for a rack, racks for the
 // datacenter, groups for deeper trees) and runs one control round per
 // tick: poll every child for health and demand, divide the target with
-// floor+weighted-surplus, push decreases first, and withhold every
-// increase until all decreases landed (DESIGN.md §14).
+// core::divide_budget, and push it with core::push_decreases_first —
+// decreases first, every increase withheld until all decreases landed
+// (DESIGN.md §14).
 //
 // Grant semantics make the tree compositional: a push returns the budget
 // the child actually *guarantees* right now. For an increase the grant is
@@ -22,8 +23,8 @@
 #include <optional>
 #include <vector>
 
+#include "core/budget.hpp"
 #include "core/dcm.hpp"
-#include "fleet/budget.hpp"
 
 namespace pcap::fleet {
 
@@ -95,7 +96,7 @@ class BudgetCoupler {
   std::size_t lost_children() const;
   /// Child link health: the DCM's node-health FSM (core::next_health).
   core::NodeHealth health(std::size_t i) const { return children_[i].health; }
-  double granted_w(std::size_t i) const { return children_[i].granted_w; }
+  double granted_w(std::size_t i) const { return granted_[i]; }
   double demand_w(std::size_t i) const { return children_[i].demand_w; }
   const CouplerRound& last_round() const { return last_round_; }
 
@@ -108,7 +109,6 @@ class BudgetCoupler {
  private:
   struct Child {
     ChildLink* link = nullptr;
-    double granted_w = 0.0;  // last acked grant; what the child enforces
     double demand_w = 0.0;   // last successful poll
     core::NodeHealth health = core::NodeHealth::kHealthy;
     std::uint32_t consecutive_failures = 0;
@@ -122,6 +122,7 @@ class BudgetCoupler {
 
   CouplerConfig config_;
   std::vector<Child> children_;
+  std::vector<double> granted_;  // last acked grant per child: what it enforces
   CouplerRound last_round_;
   std::uint64_t pushes_ = 0;
   std::uint64_t push_failures_ = 0;

@@ -1,7 +1,8 @@
-// Lumped-parameter (single RC) package thermal model. Temperature feeds the
-// leakage term of the power model: leakage rises with heat, which is why
-// capped execution saves less energy than the dynamic-power equation alone
-// suggests (paper §II-B).
+// Lumped-parameter (single RC) package thermal parameters. The model itself
+// is the degenerate one-node thermal::RcNetwork
+// (`RcNetworkConfig::single_rc`). Temperature feeds the leakage term of the
+// power model: leakage rises with heat, which is why capped execution saves
+// less energy than the dynamic-power equation alone suggests (paper §II-B).
 #pragma once
 
 #include "util/units.hpp"
@@ -18,25 +19,6 @@ struct ThermalConfig {
   /// 200 us meter period; `MachineConfig::thermal_tau_calibrated()` checks
   /// the ratio against `CalibrationTargets` and a tier-1 test asserts it.
   util::Picoseconds tau = util::milliseconds(2.0);
-};
-
-class ThermalModel {
- public:
-  explicit ThermalModel(const ThermalConfig& config)
-      : config_(config), temp_c_(config.ambient_c) {}
-
-  const ThermalConfig& config() const { return config_; }
-  double temperature_c() const { return temp_c_; }
-
-  /// Advances the model by dt with `watts` dissipated in the package.
-  /// First-order exponential approach to the steady state T = Ta + R*P.
-  void update(double watts, util::Picoseconds dt);
-
-  void reset() { temp_c_ = config_.ambient_c; }
-
- private:
-  ThermalConfig config_;
-  double temp_c_;
 };
 
 }  // namespace pcap::power

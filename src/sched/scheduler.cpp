@@ -6,6 +6,7 @@
 #include <span>
 #include <utility>
 
+#include "core/budget.hpp"
 #include "util/hash.hpp"
 #include "util/units.hpp"
 
@@ -152,56 +153,31 @@ double ClusterScheduler::idle_power_w(std::size_t i) const {
   return i < slots_.size() ? slots_[i]->idle_power_w : 0.0;
 }
 
-double ClusterScheduler::applied_cap_sum(double* reserved_w) const {
-  double sum = 0.0;
-  double reserved = 0.0;
-  for (const auto& slot : slots_) {
-    const auto cap = dcm_.node_applied_cap(slot->name);
-    if (!cap) continue;
-    sum += *cap;
-    const auto health = dcm_.node_health(slot->name);
-    if (health && *health == core::NodeHealth::kLost) reserved += *cap;
-  }
-  if (reserved_w != nullptr) *reserved_w = reserved;
-  return sum;
-}
-
-bool ClusterScheduler::apply_caps(const std::vector<double>& target_w,
+void ClusterScheduler::apply_caps(const std::vector<double>& target_w,
                                   const std::vector<bool>& available,
                                   ScheduleResult& result) {
-  // Decreases first; increases are withheld until every decrease has
-  // landed, so no interleaving of outcomes can push the enforced sum past
-  // the plan's (already validated) total.
-  bool decreases_ok = true;
+  // The shared decreases-first push, so a half-landed replan can only
+  // undershoot. An uncapped node is granted +inf (any cap is a decrease);
+  // an unavailable node is left alone (its target is its grant).
+  std::vector<double> granted(slots_.size());
+  std::vector<double> targets(slots_.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!available[i]) continue;
-    const auto old_cap = dcm_.node_applied_cap(slots_[i]->name);
-    const bool is_decrease = !old_cap || target_w[i] < *old_cap - kCapEpsW;
-    if (!is_decrease) continue;
-    if (dcm_.apply_node_cap(slots_[i]->name, target_w[i])) {
-      ++result.cap_updates;
-      if (config_.registry != nullptr) config_.registry->add(ctr_cap_updates_);
-    } else {
-      ++result.cap_update_failures;
-      decreases_ok = false;
-    }
+    granted[i] = dcm_.node_applied_cap(slots_[i]->name)
+                     .value_or(std::numeric_limits<double>::infinity());
+    targets[i] = available[i] ? target_w[i] : granted[i];
   }
-  if (!decreases_ok) return false;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!available[i]) continue;
-    const auto old_cap = dcm_.node_applied_cap(slots_[i]->name);
-    if (old_cap && target_w[i] > *old_cap + kCapEpsW) {
-      if (dcm_.apply_node_cap(slots_[i]->name, target_w[i])) {
-        ++result.cap_updates;
-        if (config_.registry != nullptr) {
-          config_.registry->add(ctr_cap_updates_);
-        }
-      } else {
-        ++result.cap_update_failures;
-      }
-    }
+  const core::PushOutcome outcome = core::push_decreases_first(
+      targets, granted, kCapEpsW, 0.0,
+      [this](std::size_t i, double watts) -> std::optional<double> {
+        if (!dcm_.apply_node_cap(slots_[i]->name, watts)) return std::nullopt;
+        return watts;
+      });
+  const std::uint64_t landed = outcome.pushes - outcome.failures;
+  result.cap_updates += landed;
+  result.cap_update_failures += outcome.failures;
+  if (config_.registry != nullptr) {
+    config_.registry->add(ctr_cap_updates_, landed);
   }
-  return true;
 }
 
 ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
@@ -430,7 +406,8 @@ ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
     // --- budget-invariant tick ---
     TickRecord tick;
     tick.t_s = t;
-    tick.cap_sum_w = applied_cap_sum(&tick.reserved_w);
+    tick.cap_sum_w = dcm_.committed_w();
+    tick.reserved_w = dcm_.reserved_w();
     tick.budget_w = config_.budget_w;
     tick.queue_depth = ready.size();
     tick.feasible = feasible;

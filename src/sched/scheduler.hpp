@@ -182,9 +182,8 @@ class ClusterScheduler {
  private:
   struct Slot;
 
-  bool apply_caps(const std::vector<double>& target_w,
+  void apply_caps(const std::vector<double>& target_w,
                   const std::vector<bool>& available, ScheduleResult& result);
-  double applied_cap_sum(double* reserved_w) const;
 
   SchedulerConfig config_;
   ChunkBatch batch_;

@@ -108,8 +108,8 @@ struct MachineConfig {
   power::NodePowerConfig power;
   power::ThermalConfig thermal;
   /// RC thermal network. Empty `nodes` (the default) means the Node builds
-  /// the degenerate single-RC network from `thermal` — bit-identical to the
-  /// legacy `power::ThermalModel`, so golden results are untouched.
+  /// the degenerate single-RC network from `thermal` — the lumped model the
+  /// golden results were recorded with.
   thermal::RcNetworkConfig thermal_network;
   /// Chassis fan; `max_rpm == 0` (the default) means none fitted.
   thermal::FanConfig fan;

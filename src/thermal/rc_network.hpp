@@ -1,10 +1,11 @@
 // RC-network thermal model: per-subsystem heat sources (CPU / uncore /
 // DRAM) driving a small graph of thermal nodes (dies, heatsink) coupled by
-// configurable resistances to each other and to ambient. Generalizes the
-// lumped single-RC `power::ThermalModel`: the degenerate one-node
-// configuration (`RcNetworkConfig::single_rc`) executes the *exact same*
-// floating-point sequence as the legacy model, so golden results are
-// bit-identical while multi-node configs open fan + governor studies.
+// configurable resistances to each other and to ambient. The degenerate
+// one-node configuration (`RcNetworkConfig::single_rc`) is the lumped
+// single-RC package model of `power::ThermalConfig`: it executes the
+// floating-point sequence the golden results were recorded with (pinned by
+// RcNetwork.DegenerateMatchesLegacyThermalModelBitExact), while multi-node
+// configs open fan + governor studies.
 #pragma once
 
 #include <array>
@@ -51,11 +52,11 @@ struct RcNetworkConfig {
 
   /// Legacy single-RC time constant. Nonzero marks the degenerate
   /// configuration: exactly one node, no edges, and `update_lumped` runs
-  /// `power::ThermalModel`'s arithmetic verbatim (same steady state, same
-  /// alpha, same order of operations) so results stay bit-identical.
+  /// the lumped model's first-order exponential step (steady state
+  /// Ta + R*P, alpha = 1 - exp(-dt/tau)).
   util::Picoseconds legacy_tau = 0;
 
-  /// The degenerate configuration equivalent to `power::ThermalModel`.
+  /// The degenerate one-node configuration: the lumped package model.
   static RcNetworkConfig single_rc(const power::ThermalConfig& legacy);
 
   /// A four-node Romley-ish network: CPU and uncore dies onto a shared
@@ -77,7 +78,7 @@ class RcNetwork {
   }
 
   /// Degenerate path only: advances the single node with the lumped
-  /// silicon watts, bit-identical to `power::ThermalModel::update`.
+  /// silicon watts — a first-order exponential approach to Ta + R*P.
   void update_lumped(double watts, util::Picoseconds dt);
 
   /// General path: advances every node with per-subsystem heat input

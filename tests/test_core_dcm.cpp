@@ -2,13 +2,18 @@
 // DCM -> IPMI session/transport -> BMC server -> BMC -> node.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
 #include "core/bmc_ipmi_server.hpp"
 #include "core/dcm.hpp"
+#include "ipmi/commands.hpp"
+#include "ipmi/message.hpp"
 #include "ipmi/transport.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
@@ -90,15 +95,20 @@ TEST_F(DcmTest, GroupCapRespectsBudgetAndFloors) {
   for (auto& s : slots_) s->load();
   dcm_.poll();
   const auto applied = dcm_.apply_group_cap(420.0);
-  ASSERT_EQ(applied.size(), 3u);
-  double total = 0.0;
-  for (const auto& [name, cap] : applied) {
+  EXPECT_TRUE(applied.complete);
+  ASSERT_EQ(applied.caps.size(), 3u);
+  for (const auto& [name, cap] : applied.caps) {
     EXPECT_GE(cap, 110.0);  // node floor
-    total += cap;
   }
-  EXPECT_LE(total, 420.0 + 1e-6);
-  // Caps actually landed on the BMCs.
-  for (auto& s : slots_) EXPECT_TRUE(s->bmc->cap().has_value());
+  // The caps the BMCs decoded off the wire — not the DCM's book-keeping —
+  // fit the budget.
+  double enforced = 0.0;
+  for (auto& s : slots_) {
+    ASSERT_TRUE(s->bmc->cap().has_value());
+    enforced += *s->bmc->cap();
+  }
+  EXPECT_LE(enforced, 420.0 + 1e-6);
+  EXPECT_DOUBLE_EQ(dcm_.committed_w(), enforced);
 }
 
 TEST_F(DcmTest, GroupCapHonoursPriorities) {
@@ -111,9 +121,9 @@ TEST_F(DcmTest, GroupCapHonoursPriorities) {
   EXPECT_EQ(dcm_.node_priority("node-1"), 1);
 
   const auto applied = dcm_.apply_group_cap(420.0);
-  ASSERT_EQ(applied.size(), 3u);
+  ASSERT_EQ(applied.caps.size(), 3u);
   double high = 0.0, low = 0.0;
-  for (const auto& [name, cap] : applied) {
+  for (const auto& [name, cap] : applied.caps) {
     if (name == "node-0") high = cap;
     if (name == "node-1") low = cap;
   }
@@ -124,7 +134,10 @@ TEST_F(DcmTest, GroupCapHonoursPriorities) {
 
 TEST_F(DcmTest, GroupCapBelowFloorsRefused) {
   const auto applied = dcm_.apply_group_cap(200.0);  // < 3 x 110 W
-  EXPECT_TRUE(applied.empty());
+  EXPECT_FALSE(applied.complete);
+  EXPECT_TRUE(applied.caps.empty());
+  EXPECT_FALSE(dcm_.group_budget_w().has_value());
+  for (auto& s : slots_) EXPECT_FALSE(s->bmc->cap().has_value());
 }
 
 TEST_F(DcmTest, ClearCapsUncapsEveryNode) {
@@ -210,6 +223,141 @@ TEST_F(DcmTest, CapScheduleValidation) {
   EXPECT_TRUE(dcm_.set_cap_schedule("node-0", {Sched{1, 130.0}}));
   dcm_.poll();
   EXPECT_DOUBLE_EQ(*slots_[0]->bmc->cap(), 130.0);
+}
+
+// --- group budget at every exchange ---------------------------------------
+
+/// Shared by a group's wires: runs `after_set` after every SetPowerLimit
+/// exchange and drops the `drop_at`-th SetPowerLimit frame (1-based).
+struct CapWatch {
+  std::function<void()> after_set;
+  int set_limits = 0;
+  int drop_at = 0;
+};
+
+/// Forwards one node's frames, reporting SetPowerLimit traffic to a watch.
+class WatchedTransport final : public ipmi::Transport {
+ public:
+  WatchedTransport(ipmi::Transport& inner, CapWatch& watch)
+      : inner_(inner), watch_(watch) {}
+
+  std::vector<std::uint8_t> transact(
+      std::span<const std::uint8_t> frame) override {
+    ipmi::Request request;
+    const bool set_limit =
+        ipmi::decode_request(frame, request) &&
+        request.command ==
+            static_cast<std::uint8_t>(ipmi::Command::kSetPowerLimit);
+    if (set_limit && ++watch_.set_limits == watch_.drop_at) return {};
+    auto response = inner_.transact(frame);
+    if (set_limit && watch_.after_set) watch_.after_set();
+    return response;
+  }
+
+ private:
+  ipmi::Transport& inner_;
+  CapWatch& watch_;
+};
+
+/// DcmTest's three loaded nodes, every wire watched.
+class DcmBudgetTest : public ::testing::Test {
+ protected:
+  void build(const DcmConfig& config = {}) {
+    dcm_ = std::make_unique<DataCenterManager>(config);
+    for (int i = 0; i < 3; ++i) {
+      slots_.push_back(
+          std::make_unique<Slot>(static_cast<std::uint64_t>(i + 1)));
+      wires_.push_back(std::make_unique<WatchedTransport>(
+          *slots_.back()->transport, watch_));
+      ASSERT_TRUE(dcm_->add_node("node-" + std::to_string(i), *wires_.back()));
+    }
+    for (auto& s : slots_) s->load();
+    dcm_->poll();
+  }
+
+  /// Sum of the caps the BMCs enforce, reachable or not (uncapped nodes
+  /// count zero): what the group may draw.
+  double enforced_w() const {
+    double total = 0.0;
+    for (const auto& s : slots_) total += s->bmc->cap().value_or(0.0);
+    return total;
+  }
+
+  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<std::unique_ptr<WatchedTransport>> wires_;
+  CapWatch watch_;
+  std::unique_ptr<DataCenterManager> dcm_;
+};
+
+TEST_F(DcmBudgetTest, EnforcedCapsStayInBudgetAtEveryExchange) {
+  build();
+  ASSERT_TRUE(dcm_->set_node_priority("node-2", 4));
+  ASSERT_TRUE(dcm_->apply_group_cap(420.0).complete);
+
+  double bound_w = 420.0;
+  double peak_w = 0.0;
+  int exchanges = 0;
+  watch_.after_set = [&] {
+    ++exchanges;
+    peak_w = std::max(peak_w, enforced_w());
+  };
+  // Moving the priority from node-2 to node-0 re-splits the same budget:
+  // node-0 may rise only once node-2's decrease has landed.
+  ASSERT_TRUE(dcm_->set_node_priority("node-2", 1));
+  ASSERT_TRUE(dcm_->set_node_priority("node-0", 4));
+  EXPECT_TRUE(dcm_->apply_group_cap(bound_w).complete);
+  EXPECT_GE(exchanges, 2);
+  EXPECT_LE(peak_w, bound_w + 1e-6);
+  EXPECT_GT(*dcm_->node_applied_cap("node-0"),
+            *dcm_->node_applied_cap("node-2") + 15.0);
+
+  // A budget decrease: every exchange stays under the old budget and the
+  // round ends under the new one.
+  peak_w = 0.0;
+  EXPECT_TRUE(dcm_->apply_group_cap(380.0).complete);
+  EXPECT_LE(peak_w, bound_w + 1e-6);
+  EXPECT_LE(enforced_w(), 380.0 + 1e-6);
+}
+
+TEST_F(DcmBudgetTest, EnforcedCapsFitEveryBudgetOnTheWireGrid) {
+  // Budgets off the 0.1 W grid: the caps the BMCs decode must still fit.
+  build();
+  for (int k = 0; k < 109; ++k) {
+    const double budget_w = 400.0 + 0.37 * k;
+    ASSERT_TRUE(dcm_->apply_group_cap(budget_w).complete) << budget_w;
+    EXPECT_LE(enforced_w(), budget_w + 1e-6) << budget_w;
+  }
+}
+
+TEST_F(DcmBudgetTest, ReportsExactlyTheCapsThatLanded) {
+  DcmConfig config;
+  config.comms.backoff.max_attempts = 1;  // a dropped frame fails the push
+  build(config);
+  watch_.drop_at = 2;  // node-1's SetPowerLimit
+
+  const auto partial = dcm_->apply_group_cap(420.0);
+  EXPECT_FALSE(partial.complete);
+  ASSERT_EQ(partial.caps.size(), 2u);
+  for (const std::string& name : dcm_->node_names()) {
+    const auto reported = std::find_if(
+        partial.caps.begin(), partial.caps.end(),
+        [&](const auto& entry) { return entry.first == name; });
+    if (reported == partial.caps.end()) {
+      EXPECT_FALSE(dcm_->node_applied_cap(name).has_value()) << name;
+    } else {
+      EXPECT_EQ(dcm_->node_applied_cap(name), reported->second) << name;
+    }
+  }
+  EXPECT_FALSE(dcm_->node_applied_cap("node-1").has_value());
+
+  // Re-issuing finishes the round.
+  const auto done = dcm_->apply_group_cap(420.0);
+  EXPECT_TRUE(done.complete);
+  ASSERT_EQ(done.caps.size(), 3u);
+  for (const auto& [name, cap] : done.caps) {
+    EXPECT_EQ(dcm_->node_applied_cap(name), cap) << name;
+  }
+  EXPECT_LE(enforced_w(), 420.0 + 1e-6);
 }
 
 TEST(DcmFaulty, SurvivesLossyManagementNetwork) {

@@ -43,64 +43,8 @@ namespace {
 constexpr double kTol = 1e-3;
 
 // ---------------------------------------------------------------------------
-// divide_budget properties
+// Budget schedule (the division itself is tested in test_core_budget.cpp)
 // ---------------------------------------------------------------------------
-
-TEST(FleetBudget, DivideConservesAndRespectsBounds) {
-  Rng rng(0xB07);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t n = 1 + rng.below(12);
-    std::vector<double> floors(n), weights(n), ceilings(n);
-    double floor_sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      floors[i] = 50.0 + 10.0 * static_cast<double>(rng.below(10));
-      ceilings[i] = floors[i] + rng.uniform(0.0, 300.0);
-      weights[i] = rng.uniform() < 0.2 ? 0.0 : rng.uniform(0.1, 4.0);
-      floor_sum += floors[i];
-    }
-    const double budget = floor_sum + rng.uniform(0.0, 150.0 * n);
-    const double grid = rng.uniform() < 0.5 ? 0.0 : 8.0;
-    const std::vector<double> out =
-        fleet::divide_budget(budget, floors, weights, ceilings, grid);
-    ASSERT_EQ(out.size(), n);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_GE(out[i], floors[i] - kTol);
-      EXPECT_LE(out[i], std::max(floors[i], ceilings[i]) + kTol);
-      sum += out[i];
-    }
-    // Quantization always rounds down, so the division can never overspend.
-    EXPECT_LE(sum, budget + kTol);
-  }
-}
-
-TEST(FleetBudget, InfeasibleDivisionRejectedWhole) {
-  const std::vector<double> floors{110.0, 110.0, 110.0};
-  const std::vector<double> weights{1.0, 1.0, 1.0};
-  const std::vector<double> ceilings{400.0, 400.0, 400.0};
-  EXPECT_TRUE(fleet::divide_budget(329.0, floors, weights, ceilings).empty());
-  const std::vector<double> ok =
-      fleet::divide_budget(330.0, floors, weights, ceilings);
-  ASSERT_EQ(ok.size(), 3u);
-}
-
-TEST(FleetBudget, DivisionLandsOnWireGrid) {
-  // grid_w = 0 still quantizes onto the 0.1 W IPMI fixed-point grid, so a
-  // budget round-trips the u16/u32 wire encoding unchanged.
-  Rng rng(0x11E);
-  for (int trial = 0; trial < 100; ++trial) {
-    const std::size_t n = 1 + rng.below(7);
-    const std::vector<double> floors(n, 110.0);
-    const std::vector<double> ceilings(n, 400.0);
-    std::vector<double> weights(n);
-    for (auto& w : weights) w = rng.uniform(0.0, 3.0);
-    const double budget = 110.0 * n + rng.uniform(0.0, 290.0 * n);
-    for (const double w :
-         fleet::divide_budget(budget, floors, weights, ceilings, 0.0)) {
-      EXPECT_NEAR(w * 10.0, std::round(w * 10.0), 1e-6) << w;
-    }
-  }
-}
 
 TEST(FleetBudget, ScheduleStepsPeriodAndEvents) {
   fleet::BudgetSchedule schedule(1000.0);

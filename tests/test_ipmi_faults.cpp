@@ -260,18 +260,7 @@ class HealthTest : public ::testing::Test {
     }
     for (auto& s : slots_) s->load();
     dcm_.poll();
-    EXPECT_EQ(dcm_.apply_group_cap(kBudgetW).size(), 3u);
-  }
-
-  /// Allocation invariant: caps held by reachable nodes plus conservative
-  /// reservations for lost ones never exceed the group budget.
-  double committed_budget_w() const {
-    double total = 0.0;
-    for (const auto& name : dcm_.node_names()) {
-      const auto cap = dcm_.node_applied_cap(name);
-      total += cap.value_or(0.0);
-    }
-    return total;
+    EXPECT_EQ(dcm_.apply_group_cap(kBudgetW).caps.size(), 3u);
   }
 
   bool alert_mentions(const std::string& needle) const {
@@ -325,7 +314,7 @@ TEST_F(HealthTest, DegradedNodeRecoversWithoutRebalance) {
 TEST_F(HealthTest, LostNodeBudgetRedistributedConservatively) {
   const auto cap_before = dcm_.node_applied_cap("node-0");
   ASSERT_TRUE(cap_before.has_value());
-  EXPECT_LE(committed_budget_w(), kBudgetW + 1e-6);
+  EXPECT_LE(dcm_.committed_w(), kBudgetW + 1e-6);
 
   slots_[0]->faulty->partition_for(1'000'000);
   for (int i = 0; i < 4; ++i) dcm_.poll();
@@ -334,7 +323,7 @@ TEST_F(HealthTest, LostNodeBudgetRedistributedConservatively) {
   // The lost node's reservation is exactly the cap its BMC still enforces;
   // the survivors were re-planned inside budget - reservation.
   EXPECT_EQ(dcm_.node_applied_cap("node-0"), cap_before);
-  EXPECT_LE(committed_budget_w(), kBudgetW + 1e-6);
+  EXPECT_LE(dcm_.committed_w(), kBudgetW + 1e-6);
   double survivors = 0.0;
   for (const auto& name : {"node-1", "node-2"}) {
     const auto cap = dcm_.node_applied_cap(name);
@@ -351,7 +340,7 @@ TEST_F(HealthTest, LostNodeBudgetRedistributedConservatively) {
   slots_[0]->faulty->heal();
   dcm_.poll();  // recovery rebalances across all three again
   EXPECT_EQ(dcm_.node_health("node-0"), NodeHealth::kRecovered);
-  EXPECT_LE(committed_budget_w(), kBudgetW + 1e-6);
+  EXPECT_LE(dcm_.committed_w(), kBudgetW + 1e-6);
   // The recovered node is being capped again (restoration happened).
   ASSERT_TRUE(slots_[0]->bmc->cap().has_value());
   EXPECT_DOUBLE_EQ(*slots_[0]->bmc->cap(), *dcm_.node_applied_cap("node-0"));
@@ -364,12 +353,13 @@ TEST_F(HealthTest, GroupCapSkipsLostNodes) {
 
   // Re-issuing the group policy plans only the reachable nodes.
   const auto applied = dcm_.apply_group_cap(kBudgetW);
-  ASSERT_EQ(applied.size(), 2u);
-  for (const auto& [name, cap] : applied) {
+  EXPECT_TRUE(applied.complete);
+  ASSERT_EQ(applied.caps.size(), 2u);
+  for (const auto& [name, cap] : applied.caps) {
     EXPECT_NE(name, "node-0");
     EXPECT_GE(cap, 110.0);
   }
-  EXPECT_LE(committed_budget_w(), kBudgetW + 1e-6);
+  EXPECT_LE(dcm_.committed_w(), kBudgetW + 1e-6);
 }
 
 // --- Seeded message-layer fuzz: round-trips for every command, bit

@@ -1,11 +1,12 @@
-// Unit tests for P-states, the thermal model and the calibrated node power
-// model (the paper's operating points are encoded as expectations here).
+// Unit tests for P-states, the lumped thermal model and the calibrated node
+// power model (the paper's operating points are encoded as expectations here).
 #include <gtest/gtest.h>
 
 #include "power/model.hpp"
 #include "power/pstate.hpp"
 #include "power/thermal.hpp"
 #include "sim/machine_config.hpp"
+#include "thermal/rc_network.hpp"
 #include "util/units.hpp"
 
 namespace pcap::power {
@@ -59,23 +60,35 @@ TEST(PStateTable, LinearCtorAssignsVoltages) {
   EXPECT_EQ(t.state(1).index, 1u);
 }
 
+// The lumped package thermal model: the degenerate single-RC network.
+thermal::RcNetwork single_rc(const ThermalConfig& config) {
+  return thermal::RcNetwork(thermal::RcNetworkConfig::single_rc(config));
+}
+
 TEST(Thermal, ConvergesToSteadyState) {
-  ThermalModel model({.ambient_c = 35.0, .r_thermal_c_per_w = 0.35,
-                      .tau = util::milliseconds(1.0)});
-  for (int i = 0; i < 100; ++i) model.update(60.0, util::milliseconds(1.0));
+  thermal::RcNetwork model = single_rc({.ambient_c = 35.0,
+                                        .r_thermal_c_per_w = 0.35,
+                                        .tau = util::milliseconds(1.0)});
+  for (int i = 0; i < 100; ++i) {
+    model.update_lumped(60.0, util::milliseconds(1.0));
+  }
   EXPECT_NEAR(model.temperature_c(), 35.0 + 0.35 * 60.0, 0.1);
 }
 
 TEST(Thermal, CoolsBackToAmbient) {
-  ThermalModel model({});
-  for (int i = 0; i < 100; ++i) model.update(80.0, util::milliseconds(1.0));
-  for (int i = 0; i < 200; ++i) model.update(0.0, util::milliseconds(1.0));
+  thermal::RcNetwork model = single_rc({});
+  for (int i = 0; i < 100; ++i) {
+    model.update_lumped(80.0, util::milliseconds(1.0));
+  }
+  for (int i = 0; i < 200; ++i) {
+    model.update_lumped(0.0, util::milliseconds(1.0));
+  }
   EXPECT_NEAR(model.temperature_c(), model.config().ambient_c, 0.5);
 }
 
 TEST(Thermal, ResetRestoresAmbient) {
-  ThermalModel model({});
-  model.update(100.0, util::milliseconds(5.0));
+  thermal::RcNetwork model = single_rc({});
+  model.update_lumped(100.0, util::milliseconds(5.0));
   model.reset();
   EXPECT_DOUBLE_EQ(model.temperature_c(), model.config().ambient_c);
 }

@@ -1,8 +1,9 @@
 // Tests for the thermal subsystem (DESIGN.md §15): the RC-network model's
-// bit-exact degenerate path, tau calibration, fan curve monotonicity, the
-// thermal governor's escalation ladder and its documented conflict with
-// DCM cap raises, per-subsystem caps (invariant under lossy transports),
-// and governor-off bit-identity of the full power-cap study.
+// bit-exact degenerate path (pinned to the removed lumped model's outputs),
+// tau calibration, fan curve monotonicity, the thermal governor's
+// escalation ladder and its documented conflict with DCM cap raises,
+// per-subsystem caps (invariant under lossy transports), and governor-off
+// bit-identity of the full power-cap study.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +23,7 @@
 #include "thermal/fan.hpp"
 #include "thermal/governor.hpp"
 #include "thermal/rc_network.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -31,28 +33,30 @@ namespace {
 // --- RC network: degenerate single-RC path -------------------------------
 
 TEST(RcNetwork, DegenerateMatchesLegacyThermalModelBitExact) {
-  power::ThermalConfig legacy_config;
-  power::ThermalModel legacy(legacy_config);
+  // The removed lumped `power::ThermalModel` produced the temperature
+  // sequence pinned below for this irregular power/dt schedule (FNV-1a
+  // over all 500 intermediate temperatures, plus the last one in readable
+  // form). The degenerate path replays its FP sequence verbatim, which is
+  // what keeps the golden studies green, so it must still match bit for bit.
+  const power::ThermalConfig legacy_config;
   thermal::RcNetwork net(thermal::RcNetworkConfig::single_rc(legacy_config));
   ASSERT_TRUE(net.is_single_rc());
-  EXPECT_EQ(net.temperature_c(), legacy.temperature_c());
+  EXPECT_EQ(net.temperature_c(), legacy_config.ambient_c);
 
-  // Drive both with an identical irregular power/dt schedule; every
-  // intermediate temperature must be bit-identical (the degenerate path
-  // replays the legacy FP sequence verbatim, which is what keeps the
-  // golden studies green).
   util::Rng rng(0xC0FFEE);
+  std::uint64_t digest = util::kFnvOffset;
   for (int i = 0; i < 500; ++i) {
     const double watts = 40.0 + 0.001 * static_cast<double>(rng.below(130000));
     const util::Picoseconds dt =
         util::microseconds(1.0) + rng.below(1000) * 1000000ull;
-    legacy.update(watts, dt);
     net.update_lumped(watts, dt);
-    ASSERT_EQ(net.temperature_c(), legacy.temperature_c()) << "step " << i;
+    digest = util::fnv_mix(digest, net.temperature_c());
   }
+  EXPECT_EQ(digest, 0x6026fa02df4c7480ull)
+      << std::hex << "digest 0x" << digest;
+  EXPECT_EQ(net.temperature_c(), 73.633073113713195);
   net.reset();
-  legacy.reset();
-  EXPECT_EQ(net.temperature_c(), legacy.temperature_c());
+  EXPECT_EQ(net.temperature_c(), legacy_config.ambient_c);
 }
 
 TEST(RcNetwork, RomleyNetworkWarmsTowardSteadyState) {
