@@ -12,6 +12,9 @@
 #include "cache/tlb.hpp"
 #include "core/bmc.hpp"
 #include "fleet/datacenter.hpp"
+#include "fleet/virtual_node.hpp"
+#include "ipmi/commands.hpp"
+#include "ipmi/transport.hpp"
 #include "mem/dram.hpp"
 #include "power/model.hpp"
 #include "predict/learner.hpp"
@@ -671,6 +674,26 @@ void BM_FleetPlan10k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FleetPlan10k)->MinTime(0.5);
+
+// One GetPowerReading exchange through the stack every fleet node link
+// uses: Session -> FaultyTransport (fault rates zero, so every exchange
+// completes) -> LoopbackTransport -> VirtualNodeIpmiServer. Prices the
+// codec, the transports and the server dispatch; tracked, not gated.
+void BM_IpmiExchange(benchmark::State& state) {
+  fleet::VirtualNode node(110.0, 400.0, 101.0);
+  fleet::VirtualNodeIpmiServer server(node);
+  ipmi::LoopbackTransport loopback(
+      [&server](std::span<const std::uint8_t> frame) {
+        return server.handle_frame(frame);
+      });
+  ipmi::FaultyTransport faulty(loopback, ipmi::FaultSpec{}, 7);
+  ipmi::Session session(faulty);
+  const ipmi::Request request = ipmi::make_get_power_reading();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.transact(request).payload.size());
+  }
+}
+BENCHMARK(BM_IpmiExchange);
 
 void BM_BmcControlTick(benchmark::State& state) {
   sim::Node node(sim::MachineConfig::romley());

@@ -74,16 +74,9 @@ ipmi::Response BmcIpmiServer::handle(const ipmi::Request& request) {
   return ipmi::make_error_response(CompletionCode::kInvalidCommand);
 }
 
-std::vector<std::uint8_t> BmcIpmiServer::handle_frame(
-    std::span<const std::uint8_t> frame) {
-  ipmi::Request request;
-  if (!ipmi::decode_request(frame, request)) {
-    return ipmi::encode_response(
-        ipmi::make_error_response(CompletionCode::kRequestDataInvalid));
-  }
-  ipmi::Response response = handle(request);
-  response.seq = request.seq;  // rqSeq echo — lets the client reject stale frames
-  return ipmi::encode_response(response);
+ipmi::Frame BmcIpmiServer::handle_frame(std::span<const std::uint8_t> frame) {
+  return ipmi::serve_frame(
+      frame, [this](const ipmi::Request& request) { return handle(request); });
 }
 
 }  // namespace pcap::core

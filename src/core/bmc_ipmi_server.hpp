@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "core/bmc.hpp"
 #include "ipmi/commands.hpp"
@@ -16,7 +15,7 @@ class BmcIpmiServer {
   explicit BmcIpmiServer(Bmc& bmc) : bmc_(&bmc) {}
 
   /// Frame-level entry point, bindable to ipmi::LoopbackTransport.
-  std::vector<std::uint8_t> handle_frame(std::span<const std::uint8_t> frame);
+  ipmi::Frame handle_frame(std::span<const std::uint8_t> frame);
 
   /// Request-level dispatch (used directly by tests).
   ipmi::Response handle(const ipmi::Request& request);

@@ -10,18 +10,17 @@ double quantize_watts(double watts, double grid_w) {
   return std::floor(watts / grid + 1e-9) * grid;
 }
 
-std::vector<double> divide_budget(double budget_w,
-                                  const std::vector<double>& floors,
-                                  const std::vector<double>& weights,
-                                  const std::vector<double>& ceilings,
-                                  double grid_w) {
+bool divide_budget(double budget_w, std::span<const double> floors,
+                   std::span<const double> weights,
+                   std::span<const double> ceilings, double grid_w,
+                   std::vector<double>& out) {
   const std::size_t n = floors.size();
-  std::vector<double> out;
-  if (n == 0) return out;
+  out.clear();
+  if (n == 0) return true;
 
   double floor_sum = 0.0;
   for (double f : floors) floor_sum += f;
-  if (budget_w + 1e-9 < floor_sum) return out;  // infeasible: reject whole
+  if (budget_w + 1e-9 < floor_sum) return false;  // infeasible: reject whole
 
   double weight_sum = 0.0;
   for (double w : weights) weight_sum += std::max(w, 0.0);
@@ -40,7 +39,7 @@ std::vector<double> divide_budget(double budget_w,
     // the floor.
     out[i] = std::max(floors[i], quantize_watts(share, grid_w));
   }
-  return out;
+  return true;
 }
 
 }  // namespace pcap::core

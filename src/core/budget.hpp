@@ -20,15 +20,16 @@ double quantize_watts(double watts, double grid_w);
 /// surplus splits in proportion to `weights`, each share clamps to the
 /// child's ceiling, and the part above the floor rounds down onto the
 /// `grid_w` grid (coarse grids keep the set of distinct child budgets — and
-/// hence distinct chunk-memo keys — small at fleet scale). Returns one
-/// budget per child with sum(result) <= budget_w, or an empty vector when
-/// the division is infeasible (budget below the floor sum): infeasible
-/// divisions are rejected whole, never partially applied.
-std::vector<double> divide_budget(double budget_w,
-                                  const std::vector<double>& floors,
-                                  const std::vector<double>& weights,
-                                  const std::vector<double>& ceilings,
-                                  double grid_w = 0.0);
+/// hence distinct chunk-memo keys — small at fleet scale). Writes one
+/// budget per child into `out` (a caller-owned buffer, so a control loop
+/// reuses its capacity) with sum(out) <= budget_w and returns true; returns
+/// false with `out` empty when the division is infeasible (budget below the
+/// floor sum): infeasible divisions are rejected whole, never partially
+/// applied.
+bool divide_budget(double budget_w, std::span<const double> floors,
+                   std::span<const double> weights,
+                   std::span<const double> ceilings, double grid_w,
+                   std::vector<double>& out);
 
 /// What one decreases-first push round did.
 struct PushOutcome {

@@ -326,9 +326,9 @@ DataCenterManager::GroupCapResult DataCenterManager::push_group_split(
   // grid_w = 0: caps land on the 0.1 W wire grid, so the caps the BMCs
   // decode sum to no more than the budget.
   const double available = total_w - reserved;
-  std::vector<double> division =
-      divide_budget(available, floors, weights, ceilings);
-  const bool feasible = !division.empty();
+  std::vector<double> division;
+  const bool feasible =
+      divide_budget(available, floors, weights, ceilings, 0.0, division);
   if (feasible) {
     group_budget_w_ = total_w;
   } else if (pin_floors) {

@@ -68,36 +68,36 @@ CouplerRound BudgetCoupler::push_round(double target_w,
                                        double grid_w, bool allow_increases) {
   // Reachable children share target minus what lost children may still be
   // enforcing (their last grant stays reserved until they are heard from).
+  // The scratch buffers are members so a steady-state round allocates
+  // nothing.
   const std::size_t n = children_.size();
   const double available = target_w - reserved_w();
-  std::vector<double> floors, wts, ceilings;
-  floors.reserve(n);
-  wts.reserve(n);
-  ceilings.reserve(n);
+  floors_.clear();
+  weights_.clear();
+  ceilings_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (children_[i].health == core::NodeHealth::kLost) continue;
-    floors.push_back(children_[i].link->floor_w());
-    wts.push_back(weights ? (*weights)[i] : children_[i].demand_w);
-    ceilings.push_back(children_[i].link->ceiling_w());
+    floors_.push_back(children_[i].link->floor_w());
+    weights_.push_back(weights ? (*weights)[i] : children_[i].demand_w);
+    ceilings_.push_back(children_[i].link->ceiling_w());
   }
 
-  const std::vector<double> division =
-      core::divide_budget(available, floors, wts, ceilings, grid_w);
-  if (division.empty() && !floors.empty()) {
+  if (!core::divide_budget(available, floors_, weights_, ceilings_, grid_w,
+                           division_)) {
     // Infeasible: keep previous grants, apply nothing partially.
     return finish_round(target_w, false, false);
   }
 
   // A lost child's target is its grant (nothing to push); a push-only
   // round caps every target at the grant, so no increase is ever issued.
-  std::vector<double> targets(granted_);
+  targets_.assign(granted_.begin(), granted_.end());
   for (std::size_t i = 0, k = 0; i < n; ++i) {
     if (children_[i].health == core::NodeHealth::kLost) continue;
-    const double desired = division[k++];
-    targets[i] = allow_increases ? desired : std::min(desired, granted_[i]);
+    const double desired = division_[k++];
+    targets_[i] = allow_increases ? desired : std::min(desired, granted_[i]);
   }
   const core::PushOutcome outcome = core::push_decreases_first(
-      targets, granted_, config_.push_epsilon_w, config_.tolerance_w,
+      targets_, granted_, config_.push_epsilon_w, config_.tolerance_w,
       [this](std::size_t i, double watts) {
         Child& child = children_[i];
         const std::optional<double> grant = child.link->push_budget(watts);

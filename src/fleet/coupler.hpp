@@ -123,6 +123,9 @@ class BudgetCoupler {
   CouplerConfig config_;
   std::vector<Child> children_;
   std::vector<double> granted_;  // last acked grant per child: what it enforces
+  // Per-round scratch (reachable children's division inputs and result,
+  // then every child's push target), reused across rounds.
+  std::vector<double> floors_, weights_, ceilings_, division_, targets_;
   CouplerRound last_round_;
   std::uint64_t pushes_ = 0;
   std::uint64_t push_failures_ = 0;

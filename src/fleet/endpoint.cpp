@@ -45,17 +45,10 @@ ipmi::Response BudgetEndpointServer::handle(const ipmi::Request& request) {
   }
 }
 
-std::vector<std::uint8_t> BudgetEndpointServer::handle_frame(
+ipmi::Frame BudgetEndpointServer::handle_frame(
     std::span<const std::uint8_t> frame) {
-  ipmi::Request request;
-  if (!ipmi::decode_request(frame, request)) {
-    ipmi::Response error =
-        ipmi::make_error_response(ipmi::CompletionCode::kRequestDataInvalid);
-    return ipmi::encode_response(error);
-  }
-  ipmi::Response response = handle(request);
-  response.seq = request.seq;
-  return ipmi::encode_response(response);
+  return ipmi::serve_frame(
+      frame, [this](const ipmi::Request& request) { return handle(request); });
 }
 
 ipmi::Response BudgetClient::transact_with_retry(

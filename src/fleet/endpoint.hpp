@@ -47,7 +47,7 @@ class BudgetEndpointServer {
   explicit BudgetEndpointServer(BudgetHolder& holder) : holder_(&holder) {}
 
   ipmi::Response handle(const ipmi::Request& request);
-  std::vector<std::uint8_t> handle_frame(std::span<const std::uint8_t> frame);
+  ipmi::Frame handle_frame(std::span<const std::uint8_t> frame);
 
  private:
   BudgetHolder* holder_;

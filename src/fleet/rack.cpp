@@ -67,37 +67,36 @@ double RackManager::enforced_w() const {
   return std::max(target_w_, coupler_.committed_w());
 }
 
-std::vector<double> RackManager::division_weights() const {
-  std::vector<double> weights(slots_.size(), 1.0);
+const std::vector<double>& RackManager::division_weights() {
+  weights_.assign(slots_.size(), 1.0);
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const NodeSlot& slot = *slots_[i];
     const bool busy = std::any_of(slot.lanes.begin(), slot.lanes.end(),
                                   [](const Lane& l) { return l.busy(); });
     switch (config_.division) {
       case RackDivision::kTwoTier:
-        weights[i] = busy ? 1.0 : 0.0;
+        weights_[i] = busy ? 1.0 : 0.0;
         break;
       case RackDivision::kUniform:
-        weights[i] = 1.0;
+        weights_[i] = 1.0;
         break;
       case RackDivision::kDemand:
-        weights[i] = slot.vnode.draw_w();
+        weights_[i] = slot.vnode.draw_w();
         break;
     }
   }
-  return weights;
+  return weights_;
 }
 
 double RackManager::set_budget_target(double watts) {
   target_w_ = watts;
-  const std::vector<double> weights = division_weights();
-  coupler_.converge_down(target_w_, &weights, config_.cap_grid_w);
+  coupler_.converge_down(target_w_, &division_weights(), config_.cap_grid_w);
   return enforced_w();
 }
 
 CouplerRound RackManager::rebalance() {
-  const std::vector<double> weights = division_weights();
-  return coupler_.run_round(target_w_, &weights, config_.cap_grid_w);
+  return coupler_.run_round(target_w_, &division_weights(),
+                            config_.cap_grid_w);
 }
 
 ipmi::RackStatus RackManager::status() {

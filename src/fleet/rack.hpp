@@ -220,12 +220,14 @@ class RackManager : public BudgetHolder {
   };
 
   void refresh_draw(std::size_t node);
-  std::vector<double> division_weights() const;
+  /// The coupler's division weights for this round, in a reused buffer.
+  const std::vector<double>& division_weights();
 
   RackConfig config_;
   std::vector<std::unique_ptr<NodeSlot>> slots_;
   std::vector<std::unique_ptr<NodeLink>> links_;
   BudgetCoupler coupler_;
+  std::vector<double> weights_;  // division_weights() scratch
   std::deque<LaneJob> queue_;
   double target_w_ = 0.0;
 };

@@ -37,17 +37,10 @@ ipmi::Response VirtualNodeIpmiServer::handle(const ipmi::Request& request) {
   }
 }
 
-std::vector<std::uint8_t> VirtualNodeIpmiServer::handle_frame(
+ipmi::Frame VirtualNodeIpmiServer::handle_frame(
     std::span<const std::uint8_t> frame) {
-  ipmi::Request request;
-  if (!ipmi::decode_request(frame, request)) {
-    ipmi::Response error =
-        ipmi::make_error_response(ipmi::CompletionCode::kRequestDataInvalid);
-    return ipmi::encode_response(error);
-  }
-  ipmi::Response response = handle(request);
-  response.seq = request.seq;
-  return ipmi::encode_response(response);
+  return ipmi::serve_frame(
+      frame, [this](const ipmi::Request& request) { return handle(request); });
 }
 
 }  // namespace pcap::fleet

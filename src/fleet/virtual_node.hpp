@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "ipmi/commands.hpp"
 #include "power/thermal.hpp"
@@ -100,7 +99,7 @@ class VirtualNodeIpmiServer {
   explicit VirtualNodeIpmiServer(VirtualNode& node) : node_(&node) {}
 
   ipmi::Response handle(const ipmi::Request& request);
-  std::vector<std::uint8_t> handle_frame(std::span<const std::uint8_t> frame);
+  ipmi::Frame handle_frame(std::span<const std::uint8_t> frame);
 
  private:
   VirtualNode* node_;

@@ -1,9 +1,11 @@
 #include "harness/cli.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 namespace pcap::harness {
@@ -34,7 +36,9 @@ const std::vector<OptionSpec>& option_table() {
        [](CliOptions& o, std::string_view) { o.full = true; }},
       {"--reps", "N", "repetition override",
        [](CliOptions& o, std::string_view v) { o.reps = to_int(v); }},
-      {"--jobs", "N", "worker threads for independent cells",
+      {"--jobs", "N",
+       "worker threads for independent cells (default: hardware "
+       "concurrency; outputs are identical at any N)",
        [](CliOptions& o, std::string_view v) {
          o.jobs = static_cast<std::size_t>(to_int(v));
          if (o.jobs == 0) o.jobs = 1;
@@ -162,6 +166,9 @@ void print_usage() {
 
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions options;
+  // Every study's output is bit-identical at any worker count, so a
+  // command line without --jobs uses every core.
+  options.jobs = std::max(1u, std::thread::hardware_concurrency());
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg(argv[i]);
     if (arg == "--help" || arg == "-h") {

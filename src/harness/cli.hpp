@@ -1,7 +1,8 @@
 // Tiny flag parser shared by the bench binaries:
 //   --full                 paper-scale repetitions/grids (benches default quick)
 //   --reps=N               repetition override
-//   --jobs=N               worker threads for independent cells
+//   --jobs=N               worker threads for independent cells (default:
+//                          hardware concurrency)
 //   --csv-dir=PATH         where result CSVs land (default "results")
 //   --seed=N
 //   --telemetry            enable per-node time-series sampling
@@ -44,7 +45,7 @@ namespace pcap::harness {
 struct CliOptions {
   bool full = false;
   int reps = -1;  // -1: bench default
-  std::size_t jobs = 1;
+  std::size_t jobs = 1;  // parse_cli defaults it to hardware concurrency
   std::string csv_dir = "results";
   std::uint64_t seed = 1;
   bool telemetry = false;

@@ -49,9 +49,11 @@ Request make_set_power_limit(const PowerLimit& limit) {
   return r;
 }
 
-Response make_ok_response() { return Response{CompletionCode::kOk, {}}; }
+Response make_ok_response() { return Response{CompletionCode::kOk, 0, {}}; }
 
-Response make_error_response(CompletionCode code) { return Response{code, {}}; }
+Response make_error_response(CompletionCode code) {
+  return Response{code, 0, {}};
+}
 
 Response encode_device_id(const DeviceId& v) {
   Response r = make_ok_response();

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "ipmi/message.hpp"
 
@@ -156,6 +157,22 @@ Request make_get_throttle_status();
 // --- payload codecs (both sides) ---
 Response make_ok_response();
 Response make_error_response(CompletionCode code);
+
+/// Server side of one exchange, shared by every IPMI responder: decodes
+/// `frame`, answers it with `handle(request)` and echoes the request's
+/// sequence number (so the client can reject stale frames). An
+/// undecodable frame gets a kRequestDataInvalid response.
+template <typename Handle>
+Frame serve_frame(std::span<const std::uint8_t> frame, Handle&& handle) {
+  Request request;
+  if (!decode_request(frame, request)) {
+    return encode_response(
+        make_error_response(CompletionCode::kRequestDataInvalid));
+  }
+  Response response = handle(request);
+  response.seq = request.seq;
+  return encode_response(response);
+}
 
 Response encode_device_id(const DeviceId& v);
 std::optional<DeviceId> decode_device_id(const Response& r);

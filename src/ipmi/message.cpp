@@ -10,59 +10,61 @@ std::uint8_t checksum(std::span<const std::uint8_t> bytes) {
   return static_cast<std::uint8_t>(-sum);
 }
 
+std::uint16_t length_field(std::uint8_t lo, std::uint8_t hi) {
+  return static_cast<std::uint16_t>(
+      lo | static_cast<std::uint16_t>(static_cast<std::uint16_t>(hi) << 8));
+}
+
+void put_length(Frame& frame, std::size_t len) {
+  frame.push_back(static_cast<std::uint8_t>(len & 0xFF));
+  frame.push_back(static_cast<std::uint8_t>(len >> 8));
+}
+
 }  // namespace
 
-std::vector<std::uint8_t> encode_request(const Request& request) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(request.payload.size() + 6);
+Frame encode_request(const Request& request) {
+  Frame frame;
   frame.push_back(static_cast<std::uint8_t>(request.netfn));
   frame.push_back(request.command);
   frame.push_back(request.seq);
-  const auto len = static_cast<std::uint16_t>(request.payload.size());
-  frame.push_back(static_cast<std::uint8_t>(len & 0xFF));
-  frame.push_back(static_cast<std::uint8_t>(len >> 8));
-  frame.insert(frame.end(), request.payload.begin(), request.payload.end());
+  put_length(frame, request.payload.size());
+  frame.append(request.payload);
   frame.push_back(checksum(frame));
   return frame;
 }
 
 bool decode_request(std::span<const std::uint8_t> frame, Request& out) {
-  if (frame.size() < 6) return false;
-  const std::uint16_t len =
-      static_cast<std::uint16_t>(frame[3]) |
-      static_cast<std::uint16_t>(static_cast<std::uint16_t>(frame[4]) << 8);
-  if (frame.size() != static_cast<std::size_t>(len) + 6) return false;
+  if (frame.size() < kFrameOverhead) return false;
+  const std::size_t len = length_field(frame[3], frame[4]);
+  if (len > kMaxPayload || frame.size() != len + kFrameOverhead) return false;
   if (checksum(frame.first(frame.size() - 1)) != frame.back()) return false;
   out.netfn = static_cast<NetFn>(frame[0]);
   out.command = frame[1];
   out.seq = frame[2];
-  out.payload.assign(frame.begin() + 5, frame.end() - 1);
+  out.payload = Payload(frame.subspan(5, len));
   return true;
 }
 
-std::vector<std::uint8_t> encode_response(const Response& response) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(response.payload.size() + 5);
+Frame encode_response(const Response& response) {
+  Frame frame;
   frame.push_back(static_cast<std::uint8_t>(response.code));
   frame.push_back(response.seq);
-  const auto len = static_cast<std::uint16_t>(response.payload.size());
-  frame.push_back(static_cast<std::uint8_t>(len & 0xFF));
-  frame.push_back(static_cast<std::uint8_t>(len >> 8));
-  frame.insert(frame.end(), response.payload.begin(), response.payload.end());
+  put_length(frame, response.payload.size());
+  frame.append(response.payload);
   frame.push_back(checksum(frame));
   return frame;
 }
 
 bool decode_response(std::span<const std::uint8_t> frame, Response& out) {
-  if (frame.size() < 5) return false;
-  const std::uint16_t len =
-      static_cast<std::uint16_t>(frame[2]) |
-      static_cast<std::uint16_t>(static_cast<std::uint16_t>(frame[3]) << 8);
-  if (frame.size() != static_cast<std::size_t>(len) + 5) return false;
+  if (frame.size() < kFrameOverhead - 1) return false;
+  const std::size_t len = length_field(frame[2], frame[3]);
+  if (len > kMaxPayload || frame.size() != len + kFrameOverhead - 1) {
+    return false;
+  }
   if (checksum(frame.first(frame.size() - 1)) != frame.back()) return false;
   out.code = static_cast<CompletionCode>(frame[0]);
   out.seq = frame[1];
-  out.payload.assign(frame.begin() + 4, frame.end() - 1);
+  out.payload = Payload(frame.subspan(4, len));
   return true;
 }
 
@@ -77,17 +79,20 @@ std::string completion_code_name(CompletionCode code) {
   return "Unknown";
 }
 
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
+void put_u8(Payload& out, std::uint8_t v) { out.push_back(v); }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+void put_u16(Payload& out, std::uint16_t v) {
+  const std::uint8_t bytes[] = {static_cast<std::uint8_t>(v & 0xFF),
+                                static_cast<std::uint8_t>(v >> 8)};
+  out.append(bytes);
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
+void put_u32(Payload& out, std::uint32_t v) {
+  std::uint8_t bytes[4];
+  for (int i = 0; i < 4; ++i) {
+    bytes[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
   }
+  out.append(bytes);
 }
 
 bool PayloadReader::read_u8(std::uint8_t& v) {

@@ -4,8 +4,7 @@
 
 namespace pcap::ipmi {
 
-std::vector<std::uint8_t> FaultyTransport::transact(
-    std::span<const std::uint8_t> frame) {
+Frame FaultyTransport::transact(std::span<const std::uint8_t> frame) {
   ++transactions_;
 
   // Latency is drawn first so the stream position is independent of which
@@ -43,7 +42,7 @@ std::vector<std::uint8_t> FaultyTransport::transact(
     return previous_response_;
   }
 
-  std::vector<std::uint8_t> response = inner_->transact(frame);
+  Frame response = inner_->transact(frame);
   if (!response.empty()) previous_response_ = response;
   if (!response.empty() && spec_.corrupt_rate > 0.0 &&
       rng_.chance(spec_.corrupt_rate)) {
@@ -57,8 +56,8 @@ std::vector<std::uint8_t> FaultyTransport::transact(
 Response Session::transact(const Request& request) {
   Request tagged = request;
   tagged.seq = next_seq_++;  // uint8 wrap is the IPMI rqSeq modulus
-  const std::vector<std::uint8_t> frame = encode_request(tagged);
-  const std::vector<std::uint8_t> reply = transport_->transact(frame);
+  const Frame frame = encode_request(tagged);
+  const Frame reply = transport_->transact(frame);
   last_error_ = Error::kNone;
   if (reply.empty()) {
     last_error_ = Error::kLost;

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <vector>
 
 #include "ipmi/message.hpp"
 #include "util/rng.hpp"
@@ -18,9 +17,8 @@ class Transport {
  public:
   virtual ~Transport() = default;
   /// Sends an encoded request frame, returns the encoded response frame.
-  /// An empty vector means the transaction was lost.
-  virtual std::vector<std::uint8_t> transact(
-      std::span<const std::uint8_t> frame) = 0;
+  /// An empty frame means the transaction was lost.
+  virtual Frame transact(std::span<const std::uint8_t> frame) = 0;
 
   /// Modelled one-way+return latency of the most recent transact() in
   /// simulated milliseconds. A client session compares this against its
@@ -31,12 +29,10 @@ class Transport {
 /// Binds directly to a server-side frame handler.
 class LoopbackTransport final : public Transport {
  public:
-  using Handler =
-      std::function<std::vector<std::uint8_t>(std::span<const std::uint8_t>)>;
+  using Handler = std::function<Frame(std::span<const std::uint8_t>)>;
   explicit LoopbackTransport(Handler handler) : handler_(std::move(handler)) {}
 
-  std::vector<std::uint8_t> transact(
-      std::span<const std::uint8_t> frame) override {
+  Frame transact(std::span<const std::uint8_t> frame) override {
     return handler_(frame);
   }
 
@@ -77,8 +73,7 @@ class FaultyTransport final : public Transport {
     spec_.corrupt_rate = corrupt_rate;
   }
 
-  std::vector<std::uint8_t> transact(
-      std::span<const std::uint8_t> frame) override;
+  Frame transact(std::span<const std::uint8_t> frame) override;
   double last_latency_ms() const override { return last_latency_ms_; }
 
   /// Scripted partition: black-holes the next `transactions` transactions
@@ -103,7 +98,7 @@ class FaultyTransport final : public Transport {
   Transport* inner_;
   FaultSpec spec_;
   util::Rng rng_;
-  std::vector<std::uint8_t> previous_response_;
+  Frame previous_response_;
   double last_latency_ms_ = 0.0;
   std::uint64_t manual_partition_left_ = 0;
   std::uint64_t transactions_ = 0;

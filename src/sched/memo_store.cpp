@@ -22,6 +22,10 @@ namespace {
 //           member_count x (u8 cls, u64 identity, u64 seed, u32 chunk_index),
 //           member_count x (u64 elapsed_ps, u64 energy_bits, u64 power_bits)
 constexpr char kMagic[4] = {'P', 'C', 'M', 'S'};
+// Smallest encodings, which bound any count field by the bytes left: a
+// count the payload cannot hold is rejected before anything is sized by it.
+constexpr std::size_t kSoloEntryBytes = 1 + 1 + 3 * 8 + 3 * 8;
+constexpr std::size_t kCellMemberBytes = (1 + 8 + 8 + 4) + 3 * 8;
 constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
@@ -92,6 +96,7 @@ class Reader {
   }
   std::size_t pos() const { return pos_; }
   std::size_t size() const { return size_; }
+  std::size_t remaining() const { return size_ - pos_; }
 
  private:
   const std::uint8_t* data_;
@@ -218,6 +223,9 @@ MemoStoreLoadResult load_memo_store(const std::string& path,
   Reader r(payload, payload_size);
   std::uint64_t count = 0;
   if (!r.u64(count)) return reject("truncated entry count");
+  if (count > r.remaining() / kSoloEntryBytes) {
+    return reject("entry count exceeds payload");
+  }
   std::vector<Staged> staged;
   staged.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t e = 0; e < count; ++e) {
@@ -240,6 +248,9 @@ MemoStoreLoadResult load_memo_store(const std::string& path,
         return reject("truncated cell entry");
       }
       if (members == 0) return reject("empty cell member list");
+      if (members > r.remaining() / kCellMemberBytes) {
+        return reject("cell member count exceeds payload");
+      }
       s.cell_key.members.resize(members);
       for (CoRunMember& m : s.cell_key.members) {
         std::uint8_t cls = 0;

@@ -6,8 +6,10 @@
 // Integrity contract: a store is trusted WHOLE or not at all. The header
 // carries a magic, a format version and an FNV-1a hash of the entire
 // payload; any mismatch (wrong magic, unknown version, hash mismatch,
-// truncation, trailing bytes, an out-of-range class byte) rejects the file
-// and leaves the cache untouched (tests/test_memo_store.cpp). Integrity is
+// truncation, trailing bytes, an out-of-range class byte, a count larger
+// than the payload can hold) rejects the file and leaves the cache
+// untouched (tests/test_memo_store.cpp, including the MemoStoreFuzz byte
+// flips, truncations and seeded garbage). Integrity is
 // not provenance: the keys cover class, identity, cap and thermal identity
 // only, so which runs a store may be replayed into is ChunkBatch's contract
 // (chunk_batch.hpp, ChunkBatch::Config::memo_store).

@@ -13,6 +13,10 @@ namespace pcap::util {
 
 namespace {
 
+// Nesting bound: the parser recurses per array/object level, so untrusted
+// input must not be able to pick the stack depth.
+constexpr int kMaxDepth = 256;
+
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}
@@ -62,8 +66,14 @@ class Parser {
                            ? std::optional<JsonValue>(JsonValue{false})
                            : std::nullopt;
       case '"': return parse_string();
-      case '[': return parse_array();
-      case '{': return parse_object();
+      case '[':
+      case '{': {
+        if (depth_ == kMaxDepth) return std::nullopt;
+        ++depth_;
+        auto value = text_[pos_] == '[' ? parse_array() : parse_object();
+        --depth_;
+        return value;
+      }
       default: return parse_number();
     }
   }
@@ -121,6 +131,7 @@ class Parser {
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) return std::nullopt;
+    if (!std::isfinite(value)) return std::nullopt;  // JSON has no infinity
     return JsonValue{value};
   }
 
@@ -158,6 +169,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace
@@ -196,7 +208,7 @@ void append_number(std::string& out, double n) {
   // Shortest decimal form that round-trips the double; integral values
   // within 2^53 print without an exponent or trailing ".0".
   char buf[32];
-  if (n == static_cast<std::int64_t>(n) && std::abs(n) < 9.0e15) {
+  if (std::abs(n) < 9.0e15 && n == static_cast<std::int64_t>(n)) {
     std::snprintf(buf, sizeof(buf), "%lld",
                   static_cast<long long>(static_cast<std::int64_t>(n)));
   } else {

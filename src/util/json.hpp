@@ -69,7 +69,8 @@ class JsonValue {
 };
 
 /// Parses a complete JSON document (trailing whitespace allowed). Returns
-/// nullopt on any syntax error or trailing garbage.
+/// nullopt on any syntax error, trailing garbage or nesting deeper than 256
+/// arrays/objects.
 std::optional<JsonValue> parse_json(const std::string& text);
 
 /// Serializes a value back to JSON text. `indent` > 0 pretty-prints with

@@ -35,8 +35,8 @@ TEST(Budget, DivideConservesAndRespectsBounds) {
     }
     const double budget = floor_sum + rng.uniform(0.0, 150.0 * n);
     const double grid = rng.uniform() < 0.5 ? 0.0 : 8.0;
-    const std::vector<double> out =
-        divide_budget(budget, floors, weights, ceilings, grid);
+    std::vector<double> out;
+    ASSERT_TRUE(divide_budget(budget, floors, weights, ceilings, grid, out));
     ASSERT_EQ(out.size(), n);
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -53,10 +53,15 @@ TEST(Budget, InfeasibleDivisionRejectedWhole) {
   const std::vector<double> floors{110.0, 110.0, 110.0};
   const std::vector<double> weights{1.0, 1.0, 1.0};
   const std::vector<double> ceilings{400.0, 400.0, 400.0};
-  EXPECT_TRUE(divide_budget(329.0, floors, weights, ceilings).empty());
-  const std::vector<double> ok =
-      divide_budget(330.0, floors, weights, ceilings);
-  ASSERT_EQ(ok.size(), 3u);
+  std::vector<double> out{1.0};
+  EXPECT_FALSE(divide_budget(329.0, floors, weights, ceilings, 0.0, out));
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(divide_budget(330.0, floors, weights, ceilings, 0.0, out));
+  ASSERT_EQ(out.size(), 3u);
+  // The caller's buffer is reused: a second division overwrites, never
+  // appends.
+  EXPECT_TRUE(divide_budget(400.0, floors, weights, ceilings, 0.0, out));
+  ASSERT_EQ(out.size(), 3u);
 }
 
 TEST(Budget, DivisionLandsOnWireGrid) {
@@ -70,8 +75,9 @@ TEST(Budget, DivisionLandsOnWireGrid) {
     std::vector<double> weights(n);
     for (auto& w : weights) w = rng.uniform(0.0, 3.0);
     const double budget = 110.0 * n + rng.uniform(0.0, 290.0 * n);
-    for (const double w :
-         divide_budget(budget, floors, weights, ceilings, 0.0)) {
+    std::vector<double> out;
+    ASSERT_TRUE(divide_budget(budget, floors, weights, ceilings, 0.0, out));
+    for (const double w : out) {
       EXPECT_NEAR(w * 10.0, std::round(w * 10.0), 1e-6) << w;
     }
   }

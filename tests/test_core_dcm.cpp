@@ -75,7 +75,7 @@ TEST_F(DcmTest, RejectsDuplicateName) {
 
 TEST_F(DcmTest, RejectsDeadTransport) {
   ipmi::LoopbackTransport dead(
-      [](std::span<const std::uint8_t>) { return std::vector<std::uint8_t>{}; });
+      [](std::span<const std::uint8_t>) { return ipmi::Frame{}; });
   EXPECT_FALSE(dcm_.add_node("dead", dead));
 }
 
@@ -241,8 +241,7 @@ class WatchedTransport final : public ipmi::Transport {
   WatchedTransport(ipmi::Transport& inner, CapWatch& watch)
       : inner_(inner), watch_(watch) {}
 
-  std::vector<std::uint8_t> transact(
-      std::span<const std::uint8_t> frame) override {
+  ipmi::Frame transact(std::span<const std::uint8_t> frame) override {
     ipmi::Request request;
     const bool set_limit =
         ipmi::decode_request(frame, request) &&

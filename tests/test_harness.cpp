@@ -2,11 +2,13 @@
 // table/figure renderers, CSV emission and the bench CLI parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <thread>
 
 #include "apps/stride/stride.hpp"
 #include "apps/synthetic.hpp"
@@ -198,6 +200,16 @@ TEST(Cli, ZeroJobsClampedToOne) {
   const char* argv[] = {"bench", "--jobs=0"};
   const CliOptions options = parse_cli(2, const_cast<char**>(argv));
   EXPECT_EQ(options.jobs, 1u);
+}
+
+TEST(Cli, JobsDefaultsToHardwareConcurrency) {
+  // Only the command line defaults to every core; in-process callers that
+  // build CliOptions themselves stay serial.
+  EXPECT_EQ(parse_cli(1, nullptr).jobs,
+            std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+  EXPECT_EQ(CliOptions{}.jobs, 1u);
+  const char* argv[] = {"bench", "--jobs=2"};
+  EXPECT_EQ(parse_cli(2, const_cast<char**>(argv)).jobs, 2u);
 }
 
 TEST(Cli, ParsesPredictorFlags) {

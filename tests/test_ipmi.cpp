@@ -83,9 +83,9 @@ TEST(Message, PayloadReaderBoundsChecked) {
 }
 
 TEST(Message, LittleEndianHelpers) {
-  std::vector<std::uint8_t> out;
+  Payload out;
   put_u32(out, 0xAABBCCDD);
-  EXPECT_EQ(out, (std::vector<std::uint8_t>{0xDD, 0xCC, 0xBB, 0xAA}));
+  EXPECT_EQ(out, (Payload{0xDD, 0xCC, 0xBB, 0xAA}));
   PayloadReader reader(out);
   std::uint32_t v = 0;
   EXPECT_TRUE(reader.read_u32(v));
@@ -183,9 +183,9 @@ TEST(Commands, CompletionCodeNames) {
 
 TEST(Transport, LoopbackDelivers) {
   LoopbackTransport transport([](std::span<const std::uint8_t> frame) {
-    return std::vector<std::uint8_t>(frame.begin(), frame.end());  // echo
+    return Frame(frame);  // echo
   });
-  const std::vector<std::uint8_t> frame = {1, 2, 3};
+  const Frame frame = {1, 2, 3};
   EXPECT_EQ(transport.transact(frame), frame);
 }
 
@@ -193,8 +193,7 @@ namespace {
 
 /// A well-behaved responder: decodes the request and echoes its sequence
 /// number, the way BmcIpmiServer does.
-std::vector<std::uint8_t> echo_seq(std::span<const std::uint8_t> frame,
-                                   Response response) {
+Frame echo_seq(std::span<const std::uint8_t> frame, Response response) {
   Request request;
   if (!decode_request(frame, request)) return {};
   response.seq = request.seq;

@@ -4,7 +4,9 @@
 // DCM's node health state machine with group-budget redistribution.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "apps/synthetic.hpp"
@@ -26,7 +28,7 @@ using core::NodeHealth;
 /// Echoes the request's sequence number around a fixed response body, the
 /// way BmcIpmiServer does.
 ipmi::LoopbackTransport::Handler ok_responder() {
-  return [](std::span<const std::uint8_t> frame) -> std::vector<std::uint8_t> {
+  return [](std::span<const std::uint8_t> frame) -> ipmi::Frame {
     ipmi::Request request;
     if (!ipmi::decode_request(frame, request)) return {};
     ipmi::Response response = ipmi::make_ok_response();
@@ -453,7 +455,7 @@ void poke_all_decoders(const ipmi::Request& request,
 
 TEST(IpmiFuzz, EveryCommandRoundTrips) {
   for (const ipmi::Request& request : fuzz_requests()) {
-    const std::vector<std::uint8_t> frame = ipmi::encode_request(request);
+    const ipmi::Frame frame = ipmi::encode_request(request);
     ipmi::Request out;
     ASSERT_TRUE(ipmi::decode_request(frame, out));
     EXPECT_EQ(out.netfn, request.netfn);
@@ -462,7 +464,7 @@ TEST(IpmiFuzz, EveryCommandRoundTrips) {
     EXPECT_EQ(out.payload, request.payload);
   }
   for (const ipmi::Response& response : fuzz_responses()) {
-    const std::vector<std::uint8_t> frame = ipmi::encode_response(response);
+    const ipmi::Frame frame = ipmi::encode_response(response);
     ipmi::Response out;
     ASSERT_TRUE(ipmi::decode_response(frame, out));
     EXPECT_EQ(out.code, response.code);
@@ -506,10 +508,10 @@ TEST(IpmiFuzz, AnySingleByteFlipRejected) {
   // change can go unnoticed (flipping the length bytes trips the length
   // check first).
   for (const ipmi::Request& request : fuzz_requests()) {
-    const std::vector<std::uint8_t> frame = ipmi::encode_request(request);
+    const ipmi::Frame frame = ipmi::encode_request(request);
     for (std::size_t i = 0; i < frame.size(); ++i) {
       for (int bit = 0; bit < 8; ++bit) {
-        std::vector<std::uint8_t> mutated = frame;
+        ipmi::Frame mutated = frame;
         mutated[i] = static_cast<std::uint8_t>(mutated[i] ^ (1u << bit));
         ipmi::Request out;
         EXPECT_FALSE(ipmi::decode_request(mutated, out))
@@ -518,10 +520,10 @@ TEST(IpmiFuzz, AnySingleByteFlipRejected) {
     }
   }
   for (const ipmi::Response& response : fuzz_responses()) {
-    const std::vector<std::uint8_t> frame = ipmi::encode_response(response);
+    const ipmi::Frame frame = ipmi::encode_response(response);
     for (std::size_t i = 0; i < frame.size(); ++i) {
       for (int bit = 0; bit < 8; ++bit) {
-        std::vector<std::uint8_t> mutated = frame;
+        ipmi::Frame mutated = frame;
         mutated[i] = static_cast<std::uint8_t>(mutated[i] ^ (1u << bit));
         ipmi::Response out;
         EXPECT_FALSE(ipmi::decode_response(mutated, out))
@@ -533,7 +535,7 @@ TEST(IpmiFuzz, AnySingleByteFlipRejected) {
 
 TEST(IpmiFuzz, EveryTruncationRejected) {
   for (const ipmi::Request& request : fuzz_requests()) {
-    const std::vector<std::uint8_t> frame = ipmi::encode_request(request);
+    const ipmi::Frame frame = ipmi::encode_request(request);
     for (std::size_t len = 0; len < frame.size(); ++len) {
       ipmi::Request out;
       EXPECT_FALSE(ipmi::decode_request(
@@ -542,7 +544,7 @@ TEST(IpmiFuzz, EveryTruncationRejected) {
     }
   }
   for (const ipmi::Response& response : fuzz_responses()) {
-    const std::vector<std::uint8_t> frame = ipmi::encode_response(response);
+    const ipmi::Frame frame = ipmi::encode_response(response);
     for (std::size_t len = 0; len < frame.size(); ++len) {
       ipmi::Response out;
       EXPECT_FALSE(ipmi::decode_response(
@@ -552,17 +554,105 @@ TEST(IpmiFuzz, EveryTruncationRejected) {
   }
 }
 
+/// Rewrites `frame`'s trailing checksum so the byte sum is zero again.
+void fix_checksum(std::vector<std::uint8_t>& frame) {
+  std::uint8_t sum = 0;
+  for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
+    sum = static_cast<std::uint8_t>(sum + frame[i]);
+  }
+  frame.back() = static_cast<std::uint8_t>(-sum);
+}
+
+/// A well-formed frame (consistent length field, valid checksum) carrying
+/// `payload_len` bytes: request layout when `request`, else response.
+std::vector<std::uint8_t> framed(std::size_t payload_len, bool request) {
+  const std::size_t header = request ? 5 : 4;
+  std::vector<std::uint8_t> frame(header + payload_len + 1, 0x5A);
+  frame[header - 2] = static_cast<std::uint8_t>(payload_len & 0xFF);
+  frame[header - 1] = static_cast<std::uint8_t>(payload_len >> 8);
+  fix_checksum(frame);
+  return frame;
+}
+
+TEST(IpmiFuzz, OverLengthFrameRejected) {
+  // A frame that is otherwise perfect but declares more payload than any
+  // message can carry never reaches the fixed-capacity payload buffer.
+  for (const std::size_t len :
+       {ipmi::kMaxPayload + 1, ipmi::kMaxFrame, 4 * ipmi::kMaxFrame,
+        std::size_t{0xFFFF}}) {
+    ipmi::Request request;
+    ipmi::Response response;
+    EXPECT_FALSE(ipmi::decode_request(framed(len, true), request)) << len;
+    EXPECT_FALSE(ipmi::decode_response(framed(len, false), response)) << len;
+  }
+  // The capacity itself is still a legal payload.
+  ipmi::Request request;
+  ipmi::Response response;
+  ASSERT_TRUE(ipmi::decode_request(framed(ipmi::kMaxPayload, true), request));
+  EXPECT_EQ(request.payload.size(), ipmi::kMaxPayload);
+  ASSERT_TRUE(
+      ipmi::decode_response(framed(ipmi::kMaxPayload, false), response));
+  EXPECT_EQ(response.payload.size(), ipmi::kMaxPayload);
+}
+
+TEST(IpmiFuzz, PutPastCapacityThrowsWithoutWriting) {
+  // Guard bytes on both sides of the payload: a put past capacity must
+  // throw before touching anything, in or out of the buffer.
+  struct Guarded {
+    std::uint8_t before[16];
+    ipmi::Payload payload;
+    std::uint8_t after[16];
+  } g;
+  std::memset(g.before, 0xEE, sizeof g.before);
+  std::memset(g.after, 0xEE, sizeof g.after);
+  for (std::size_t i = 0; i + 3 < ipmi::kMaxPayload; ++i) {
+    ipmi::put_u8(g.payload, static_cast<std::uint8_t>(i));
+  }
+  const ipmi::Payload snapshot = g.payload;  // kMaxPayload - 3 bytes
+  EXPECT_THROW(ipmi::put_u32(g.payload, 0xDEADBEEF), std::length_error);
+  EXPECT_EQ(g.payload, snapshot);
+  ipmi::put_u16(g.payload, 0xBEEF);
+  EXPECT_THROW(ipmi::put_u16(g.payload, 0xBEEF), std::length_error);
+  ipmi::put_u8(g.payload, 0x42);
+  EXPECT_EQ(g.payload.size(), ipmi::kMaxPayload);
+  EXPECT_THROW(ipmi::put_u8(g.payload, 0x42), std::length_error);
+  EXPECT_THROW(ipmi::put_u16(g.payload, 0x4242), std::length_error);
+  EXPECT_EQ(g.payload.size(), ipmi::kMaxPayload);
+  EXPECT_EQ(g.payload[ipmi::kMaxPayload - 1], 0x42);
+  for (std::size_t i = 0; i < sizeof g.before; ++i) {
+    EXPECT_EQ(g.before[i], 0xEE);
+    EXPECT_EQ(g.after[i], 0xEE);
+  }
+}
+
 TEST(IpmiFuzz, SeededGarbageAndMultiFlipsNeverCrash) {
   util::Rng rng(0xF022);
-  // Pure garbage frames: decode must reject or produce a message the typed
-  // decoders handle without crashing.
+  // Pure garbage frames up to 4x the frame capacity: decode must reject or
+  // produce a message the typed decoders handle without crashing. Every
+  // other frame gets a self-consistent length field and checksum, so the
+  // over-length check (not the length or checksum mismatch) must catch
+  // the long ones.
   for (int trial = 0; trial < 4000; ++trial) {
-    std::vector<std::uint8_t> frame(rng.below(64));
+    std::vector<std::uint8_t> frame(rng.below(4 * ipmi::kMaxFrame + 1));
     for (auto& b : frame) b = static_cast<std::uint8_t>(rng.below(256));
+    const bool as_request = rng.below(2) == 0;
+    if (trial % 2 == 0 && frame.size() >= 6) {
+      const std::size_t header = as_request ? 5 : 4;
+      const std::size_t len = frame.size() - header - 1;
+      frame[header - 2] = static_cast<std::uint8_t>(len & 0xFF);
+      frame[header - 1] = static_cast<std::uint8_t>(len >> 8);
+      fix_checksum(frame);
+    }
     ipmi::Request request;
     ipmi::Response response;
     const bool req_ok = ipmi::decode_request(frame, request);
     const bool resp_ok = ipmi::decode_response(frame, response);
+    if (trial % 2 == 0 && frame.size() >= 6) {
+      const std::size_t header = as_request ? 5 : 4;
+      EXPECT_EQ(as_request ? req_ok : resp_ok,
+                frame.size() - header - 1 <= ipmi::kMaxPayload)
+          << frame.size();
+    }
     poke_all_decoders(req_ok ? request : ipmi::Request{},
                       resp_ok ? response : ipmi::Response{});
   }
@@ -572,7 +662,7 @@ TEST(IpmiFuzz, SeededGarbageAndMultiFlipsNeverCrash) {
   const std::vector<ipmi::Request> requests = fuzz_requests();
   const std::vector<ipmi::Response> responses = fuzz_responses();
   for (int trial = 0; trial < 4000; ++trial) {
-    std::vector<std::uint8_t> frame =
+    ipmi::Frame frame =
         trial % 2 == 0
             ? ipmi::encode_request(requests[rng.below(requests.size())])
             : ipmi::encode_response(responses[rng.below(responses.size())]);

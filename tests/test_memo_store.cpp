@@ -11,7 +11,10 @@
 //  * LRU capacity bounding composes with the store: eviction changes what
 //    re-simulates, never what any simulation returns;
 //  * the schedule digest is invariant across the whole grid of
-//    jobs x memo on/off x store on/off.
+//    jobs x memo on/off x store on/off;
+//  * fuzzed the way IpmiFuzz fuzzes frames: every single-byte flip and
+//    every truncation of a recorded store is rejected, and seeded garbage
+//    (including garbage under a valid header) never crashes the loader.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +32,7 @@
 #include "sched/memo_store.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine_config.hpp"
+#include "util/rng.hpp"
 
 namespace pcap::sched {
 namespace {
@@ -342,6 +346,145 @@ TEST(MemoStoreTest, DigestInvariantAcrossJobsMemoAndStoreGrid) {
         EXPECT_EQ(got.makespan_s, want.makespan_s);
         EXPECT_EQ(got.total_energy_j, want.total_energy_j);
       }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// MemoStoreFuzz: the loader is fed untrusted bytes from disk
+// ---------------------------------------------------------------------------
+
+void write_bytes(const std::string& path, const std::vector<std::uint8_t>& b) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(b.data()),
+          static_cast<std::streamsize>(b.size()));
+}
+
+/// A recorded store holding two solo chunks and one two-member cell.
+std::vector<std::uint8_t> recorded_store(const std::string& path) {
+  ChunkCache cache;
+  cache.insert(make_key(JobClass::kSireLike, 125.0), make_result(1.0));
+  cache.insert(make_key(JobClass::kPhased, 115.0), make_result(2.0));
+  CoRunKey cell;
+  cell.cap_bits = ChunkKey::encode_cap(135.0);
+  cell.thermal_bits = 7;
+  cell.members.push_back({JobClass::kSireLike, 11, 3, 0});
+  cell.members.push_back({JobClass::kStrideLike, 22, 3, 1});
+  cache.insert_cell(cell, {make_result(3.0), make_result(4.0)});
+  EXPECT_TRUE(save_memo_store(path, cache));
+  std::ifstream f(path, std::ios::binary);
+  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(f),
+                                   std::istreambuf_iterator<char>());
+}
+
+/// Loads `bytes` through a file; a rejected load must leave the cache
+/// empty.
+MemoStoreLoadResult load_bytes(const std::string& path,
+                               const std::vector<std::uint8_t>& bytes) {
+  write_bytes(path, bytes);
+  ChunkCache cache;
+  const MemoStoreLoadResult load = load_memo_store(path, cache);
+  if (load.rejected) {
+    EXPECT_EQ(cache.size() + cache.cell_count(), 0u) << load.error;
+  }
+  return load;
+}
+
+TEST(MemoStoreFuzz, EverySingleByteFlipRejected) {
+  const std::string path = store_path("fuzz_flip.pcms");
+  const std::vector<std::uint8_t> bytes = recorded_store(path);
+  ASSERT_GT(bytes.size(), 100u);
+  ASSERT_FALSE(load_bytes(path, bytes).rejected);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (const std::uint8_t mask : {0x01, 0x10, 0x80, 0xFF}) {
+      std::vector<std::uint8_t> mutated = bytes;
+      mutated[i] = static_cast<std::uint8_t>(mutated[i] ^ mask);
+      EXPECT_TRUE(load_bytes(path, mutated).rejected)
+          << "byte " << i << " mask " << int{mask};
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(MemoStoreFuzz, EveryTruncationRejected) {
+  const std::string path = store_path("fuzz_truncate.pcms");
+  const std::vector<std::uint8_t> bytes = recorded_store(path);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    const std::vector<std::uint8_t> prefix(bytes.begin(),
+                                           bytes.begin() + len);
+    const MemoStoreLoadResult load = load_bytes(path, prefix);
+    EXPECT_TRUE(load.file_present);
+    EXPECT_TRUE(load.rejected) << "prefix " << len;
+  }
+  std::remove(path.c_str());
+}
+
+/// FNV-1a, as the store header hashes its payload.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+TEST(MemoStoreFuzz, SeededGarbageNeverCrashes) {
+  const std::string path = store_path("fuzz_garbage.pcms");
+  const std::vector<std::uint8_t> recorded = recorded_store(path);
+  util::Rng rng(0x9C35);
+  auto garbage = [&](std::size_t n) {
+    std::vector<std::uint8_t> out(n);
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng.below(256));
+    return out;
+  };
+  // Pure garbage, with and without the real magic and version in front.
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<std::uint8_t> bytes = garbage(rng.below(4 * recorded.size()));
+    if (trial % 2 == 0 && bytes.size() >= 8) {
+      std::copy(recorded.begin(), recorded.begin() + 8, bytes.begin());
+    }
+    (void)load_bytes(path, bytes);
+  }
+  // Garbage under a valid header (magic, version, matching payload hash),
+  // so the entry parser itself sees it: random counts, kinds, class bytes
+  // and member counts, sometimes spliced from the recorded payload. Any
+  // outcome but a crash or an oversized allocation is fine; an accepted
+  // store loads exactly the entries it declares.
+  const std::vector<std::uint8_t> payload(recorded.begin() + 16,
+                                          recorded.end());
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::uint8_t> body;
+    switch (trial % 3) {
+      case 0:
+        body = garbage(rng.below(512));
+        break;
+      case 1:  // the recorded payload with a few bytes overwritten
+        body = payload;
+        for (int k = 0; k < 1 + static_cast<int>(rng.below(4)); ++k) {
+          body[rng.below(body.size())] =
+              static_cast<std::uint8_t>(rng.below(256));
+        }
+        break;
+      default:  // a small entry count, then garbage entries
+        body = garbage(8 + rng.below(400));
+        for (int k = 0; k < 8; ++k) body[k] = 0;
+        body[0] = static_cast<std::uint8_t>(rng.below(5));
+        if (body.size() > 8) body[8] = static_cast<std::uint8_t>(rng.below(3));
+        break;
+    }
+    std::vector<std::uint8_t> bytes(recorded.begin(), recorded.begin() + 8);
+    const std::uint64_t hash = fnv1a(body);
+    for (int k = 0; k < 8; ++k) {
+      bytes.push_back(static_cast<std::uint8_t>(hash >> (8 * k)));
+    }
+    bytes.insert(bytes.end(), body.begin(), body.end());
+    const MemoStoreLoadResult load = load_bytes(path, bytes);
+    if (!load.rejected) {
+      std::uint64_t declared = 0;
+      for (int k = 7; k >= 0; --k) declared = (declared << 8) | body[k];
+      EXPECT_EQ(load.entries_loaded, declared);
     }
   }
   std::remove(path.c_str());

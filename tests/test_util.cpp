@@ -250,10 +250,13 @@ TEST(TimeSeriesChart, EmptyRendersNothing) {
   EXPECT_TRUE(chart.render().empty());
 }
 
+constexpr const char* kNestedDoc =
+    R"({"traceEvents":[{"name":"set-cap","ph":"i","ts":1.5,)"
+    R"("args":{"watts":150}}],"displayTimeUnit":"ms","ok":true,"n":null})";
+constexpr const char* kEscapesDoc = R"(["a\"b\n\tA", -1.25e2, 0, []])";
+
 TEST(Json, ParsesNestedDocument) {
-  const auto doc = parse_json(
-      R"({"traceEvents":[{"name":"set-cap","ph":"i","ts":1.5,)"
-      R"("args":{"watts":150}}],"displayTimeUnit":"ms","ok":true,"n":null})");
+  const auto doc = parse_json(kNestedDoc);
   ASSERT_TRUE(doc.has_value());
   ASSERT_TRUE(doc->is_object());
   const JsonValue* events = doc->find("traceEvents");
@@ -270,7 +273,7 @@ TEST(Json, ParsesNestedDocument) {
 }
 
 TEST(Json, ParsesEscapesAndNumbers) {
-  const auto doc = parse_json(R"(["a\"b\n\tA", -1.25e2, 0, []])");
+  const auto doc = parse_json(kEscapesDoc);
   ASSERT_TRUE(doc.has_value());
   const JsonArray& a = doc->as_array();
   ASSERT_EQ(a.size(), 4u);
@@ -287,6 +290,71 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(parse_json(R"("unterminated)").has_value());
   EXPECT_FALSE(parse_json("true false").has_value());  // trailing garbage
   EXPECT_FALSE(parse_json("").has_value());
+}
+
+// JsonFuzz: parse_json reads files from disk (amenability tables, learner
+// state), so it is fuzzed like the other byte loaders.
+
+/// The valid documents above, compact and pretty-printed.
+std::vector<std::string> valid_docs() {
+  std::vector<std::string> docs{kNestedDoc, kEscapesDoc};
+  for (const char* text : {kNestedDoc, kEscapesDoc}) {
+    docs.push_back(json_to_string(*parse_json(text), 2));
+  }
+  return docs;
+}
+
+TEST(JsonFuzz, EveryTruncationRejected) {
+  for (const std::string& doc : valid_docs()) {
+    ASSERT_TRUE(parse_json(doc).has_value()) << doc;
+    for (std::size_t len = 0; len < doc.size(); ++len) {
+      EXPECT_FALSE(parse_json(doc.substr(0, len)).has_value())
+          << "prefix " << len << " of " << doc;
+    }
+  }
+}
+
+TEST(JsonFuzz, DeepNestingAndOverflowRejected) {
+  EXPECT_TRUE(parse_json(std::string(200, '[') + std::string(200, ']')));
+  EXPECT_FALSE(parse_json(std::string(100000, '[')).has_value());
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += R"({"a":)";
+  EXPECT_FALSE(parse_json(objects).has_value());
+  // Out-of-range numbers overflow strtod to infinity, which JSON cannot
+  // express (and json_to_string could not write back).
+  EXPECT_FALSE(parse_json("1e999").has_value());
+  EXPECT_FALSE(parse_json("[-1e999]").has_value());
+}
+
+TEST(JsonFuzz, SeededGarbageNeverCrashes) {
+  // Garbage drawn mostly from JSON's own alphabet (so it gets past the
+  // first byte), plus byte mutations of the valid documents. A document
+  // that happens to parse must survive a serialize/parse round trip.
+  const std::string alphabet = R"({}[]:,"\ -+.eE0123456789truefalsn/bu)";
+  const std::vector<std::string> docs = valid_docs();
+  Rng rng(0x150F);
+  for (int trial = 0; trial < 6000; ++trial) {
+    std::string text;
+    if (trial % 2 == 0) {
+      text.resize(rng.below(256));
+      for (char& c : text) {
+        c = rng.below(8) == 0 ? static_cast<char>(rng.below(256))
+                              : alphabet[rng.below(alphabet.size())];
+      }
+    } else {
+      text = docs[rng.below(docs.size())];
+      for (int k = 0; k < 1 + static_cast<int>(rng.below(4)); ++k) {
+        text[rng.below(text.size())] = static_cast<char>(rng.below(256));
+      }
+    }
+    const auto doc = parse_json(text);
+    if (doc.has_value()) {
+      const std::string again = json_to_string(*doc);
+      const auto reparsed = parse_json(again);
+      ASSERT_TRUE(reparsed.has_value()) << text;
+      EXPECT_EQ(json_to_string(*reparsed), again);
+    }
+  }
 }
 
 TEST(ThreadPool, RunsAllTasks) {
