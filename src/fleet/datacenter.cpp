@@ -443,6 +443,10 @@ FleetResult DatacenterManager::run() {
 }
 
 FleetResult DatacenterManager::finish() {
+  if (finished_) {
+    throw std::logic_error("DatacenterManager::finish: already called");
+  }
+  finished_ = true;
   result_.ticks = tick_count_;
 
   double makespan = 0.0;
@@ -510,15 +514,13 @@ FleetResult DatacenterManager::finish() {
             : 0.0;
   }
 
-  // Telemetry fan-in: node samplers -> rack series -> fleet series,
-  // through the Reducer's pairwise merge at every level.
-  const telemetry::Reducer reducer(config_.sampler.period);
+  // Telemetry fan-in: each rack streamed its nodes' draws into its series
+  // as they were sampled; the fleet series left-folds the racks in order.
   result_.rack_series.clear();
   for (const auto& slot : racks_) {
-    result_.rack_series.push_back(slot->manager->series(reducer));
+    result_.rack_series.push_back(slot->manager->take_series());
   }
   telemetry::GroupSeries fleet;
-  fleet.name = "fleet";
   for (const telemetry::GroupSeries& series : result_.rack_series) {
     fleet = telemetry::Reducer::merge(fleet, series);
   }
@@ -533,7 +535,7 @@ FleetResult DatacenterManager::finish() {
   result_.store_entries_loaded = memo.store_entries_loaded;
   result_.store_load_rejected = memo.store_load_rejected;
   result_.store_entries_saved = batch_.save_store();
-  return result_;
+  return std::move(result_);
 }
 
 void write_fleet_ticks_csv(const FleetResult& result,

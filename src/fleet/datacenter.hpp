@@ -16,7 +16,8 @@
 //   5. chunk starts — one sched::ChunkBatch round over the whole fleet in
 //                     rack/node/lane order (the scheduler's engine, ONE
 //                     shared memo cache for every rack)
-//   6. telemetry    — per-node samplers record; Reducer fan-in at the end
+//   6. telemetry    — each rack folds its nodes' draws into its series;
+//                     finish() left-folds the rack series
 //
 // The invariant records written every tick at every level are what the
 // property tests assert: committed <= enforced always, committed <= target
@@ -77,7 +78,8 @@ struct FleetConfig {
   RackDivision division = RackDivision::kTwoTier;
   CouplerConfig coupler;
   core::NodeCommsConfig comms;
-  telemetry::SamplerConfig sampler;  // per-node rings (small capacity)
+  /// Every rack's telemetry sampling (RackConfig::sampler).
+  telemetry::SamplerConfig sampler;
   util::Picoseconds corun_quantum = util::microseconds(5);
 
   /// Phase prediction over each rack's demand series (DESIGN.md §16):
@@ -201,7 +203,9 @@ class DatacenterManager {
   bool done() const;
 
   /// Final accounting: tenant stats, energy, telemetry fan-in. Called by
-  /// run(); exposed for step()-driven uses.
+  /// run(); exposed for step()-driven uses. Single-shot: it moves the
+  /// result out, so a second call (or run() after it) throws
+  /// std::logic_error.
   FleetResult finish();
 
  private:
@@ -236,6 +240,7 @@ class DatacenterManager {
   bool started_this_tick_ = false;
 
   FleetResult result_;
+  bool finished_ = false;
   std::size_t tick_count_ = 0;
   std::size_t completed_jobs_ = 0;
   std::size_t stalled_ticks_ = 0;

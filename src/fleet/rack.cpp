@@ -15,13 +15,15 @@ RackManager::NodeSlot::NodeSlot(const RackConfig& config)
       server(vnode),
       loopback([this](std::span<const std::uint8_t> frame) {
         return server.handle_frame(frame);
-      }),
-      sampler(config.sampler) {
+      }) {
   lanes.resize(config.lanes_per_node);
 }
 
 RackManager::RackManager(const RackConfig& config)
-    : config_(config), coupler_(config.coupler) {
+    : config_(config),
+      coupler_(config.coupler),
+      series_(config.name, config.node_count, config.sampler),
+      draws_(config.node_count) {
   for (std::size_t i = 0; i < config_.node_count; ++i) {
     auto slot = std::make_unique<NodeSlot>(config_);
     if (config_.node_faults) {
@@ -263,24 +265,11 @@ bool RackManager::anything_in_flight() const {
 
 void RackManager::sample(double t) {
   const util::Picoseconds now = util::seconds(t);
+  if (!series_.due(now)) return;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    NodeSlot& slot = *slots_[i];
-    if (!slot.sampler.due(now)) continue;
-    telemetry::NodeSample sample;
-    sample.time = now;
-    sample.watts = slot.vnode.draw_w();
-    sample.cap_w = coupler_.granted_w(i);
-    sample.health = static_cast<std::int32_t>(coupler_.health(i));
-    slot.sampler.record(sample);
+    draws_[i] = slots_[i]->vnode.draw_w();
   }
-}
-
-telemetry::GroupSeries RackManager::series(
-    const telemetry::Reducer& reducer) const {
-  std::vector<const telemetry::Sampler*> samplers;
-  samplers.reserve(slots_.size());
-  for (const auto& slot : slots_) samplers.push_back(&slot->sampler);
-  return reducer.reduce(samplers, config_.name);
+  series_.record(now, draws_);
 }
 
 double RackManager::actual_cap_sum_w() const {

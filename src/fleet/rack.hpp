@@ -6,8 +6,8 @@
 // the nodes (two-tier by default: idle nodes parked at the floor, busy
 // nodes splitting the surplus on a coarse watt grid that keeps the fleet
 // chunk-memo key set small); upward it reports grant/committed/reserved
-// per the budget-tree discipline and aggregates node telemetry for the
-// Reducer fan-in.
+// per the budget-tree discipline and folds its nodes' draws into one
+// telemetry series as they are sampled (telemetry::GroupSeriesBuilder).
 //
 // The rack's job plane (queue, placement, chunk bookkeeping) is in-process
 // state driven by the DatacenterManager's tick: management partitions cut
@@ -58,7 +58,9 @@ struct RackConfig {
   std::optional<ipmi::FaultSpec> node_faults;
   core::NodeCommsConfig comms;
   CouplerConfig coupler;
-  telemetry::SamplerConfig sampler;  // per-node ring (keep capacity small)
+  /// Sampling period (= grid) of the rack's telemetry series. `capacity`
+  /// bounds retention: the bins from the newest `capacity` samples.
+  telemetry::SamplerConfig sampler;
   std::uint64_t seed = 1;
 };
 
@@ -131,7 +133,7 @@ class RackManager : public BudgetHolder {
   std::size_t place(double t);
   /// One rack-level coupler round (poll nodes, divide, push).
   CouplerRound rebalance();
-  /// Samples every node's operating point if its sampler is due.
+  /// Folds every node's draw into the rack's series if a sample is due.
   void sample(double t);
 
   // --- chunk-start material for the fleet-wide classify/fan-out/commit ---
@@ -157,7 +159,9 @@ class RackManager : public BudgetHolder {
   bool anything_in_flight() const;
 
   // --- telemetry & ground truth ---
-  telemetry::GroupSeries series(const telemetry::Reducer& reducer) const;
+  /// Moves the rack's series out (bins on the sampler's grid); later
+  /// samples start a new one.
+  telemetry::GroupSeries take_series() { return series_.take(); }
   /// Sum of the caps the VirtualNodes are *actually* enforcing — read
   /// directly, bypassing the management plane. Tests assert this ground
   /// truth never exceeds the rack's enforced budget.
@@ -186,7 +190,6 @@ class RackManager : public BudgetHolder {
     std::unique_ptr<ipmi::FaultyTransport> faulty;
     std::unique_ptr<core::ManagedNode> client;
     std::vector<Lane> lanes;
-    telemetry::Sampler sampler;
     // Busy-time union across lanes (chunk start times are non-decreasing,
     // so the incremental merge in begin_chunk is exact).
     double busy_union_s = 0.0;
@@ -228,6 +231,8 @@ class RackManager : public BudgetHolder {
   std::vector<std::unique_ptr<NodeLink>> links_;
   BudgetCoupler coupler_;
   std::vector<double> weights_;  // division_weights() scratch
+  telemetry::GroupSeriesBuilder series_;
+  std::vector<double> draws_;  // sample() scratch, one per node
   std::deque<LaneJob> queue_;
   double target_w_ = 0.0;
 };

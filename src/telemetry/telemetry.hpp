@@ -5,6 +5,7 @@
 //   NodeProbe    per-node glue the simulator layers feed
 //   TraceWriter  Chrome trace-event JSON of management-plane activity
 //   Reducer      hierarchical per-node -> group series aggregation
+//   GroupSeriesBuilder  the Reducer's tree, streamed as nodes sample
 //
 // Everything is runtime-disableable (a branch on a bool on the hot path)
 // and compiles out entirely under cmake -DPCAP_TELEMETRY=OFF.

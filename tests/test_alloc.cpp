@@ -1,6 +1,8 @@
 // The management plane's allocation contract (DESIGN.md §8, "Frame
 // buffers"): once warm, an IPMI exchange and a budget-coupler round touch
-// no heap. This binary replaces the global allocation functions with
+// no heap. Beside it, the fleet's memory contract (DESIGN.md §14): a
+// fleet's construction and ticks request a bounded number of heap bytes
+// per node. This binary replaces the global allocation functions with
 // counting ones, which is why it is an executable of its own.
 #include <gtest/gtest.h>
 
@@ -15,7 +17,9 @@
 
 #include "core/bmc.hpp"
 #include "core/bmc_ipmi_server.hpp"
+#include "fleet/budget.hpp"
 #include "fleet/coupler.hpp"
+#include "fleet/datacenter.hpp"
 #include "fleet/endpoint.hpp"
 #include "fleet/rack.hpp"
 #include "fleet/virtual_node.hpp"
@@ -27,9 +31,11 @@
 namespace {
 
 std::atomic<std::uint64_t> g_heap_allocations{0};
+std::atomic<std::uint64_t> g_heap_bytes{0};  // requested; frees not netted
 
 void* counted_alloc(std::size_t size, std::size_t align) {
   g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_heap_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size == 0) size = 1;
   void* p = align <= alignof(std::max_align_t)
                 ? std::malloc(size)
@@ -66,10 +72,20 @@ std::uint64_t allocations_during(Body&& body) {
   return g_heap_allocations.load(std::memory_order_relaxed) - before;
 }
 
+/// Heap bytes `body` requests, summed over every allocation it makes.
+template <typename Body>
+std::uint64_t bytes_during(Body&& body) {
+  const std::uint64_t before = g_heap_bytes.load(std::memory_order_relaxed);
+  body();
+  return g_heap_bytes.load(std::memory_order_relaxed) - before;
+}
+
 std::vector<int> g_sink;  // escapes, so the probe's allocation is not elided
 
 TEST(HeapAllocations, CounterSeesAllocations) {
   EXPECT_GT(allocations_during([] { g_sink.assign(1000, 1); }), 0u);
+  EXPECT_GE(bytes_during([] { g_sink.assign(5000, 1); }),
+            5000 * sizeof(int));
   g_sink.clear();
   g_sink.shrink_to_fit();
 }
@@ -233,6 +249,26 @@ TEST(HeapAllocations, CouplerRounds) {
   EXPECT_EQ(allocations_during(rounds), 0u);
   EXPECT_GT(root.pushes(), pushes_before);
   EXPECT_GT(links[0]->faulty.drops() + links[0]->faulty.corruptions(), 0u);
+}
+
+/// The memory contract: building a 64-node fleet and stepping it 200
+/// ticks (the control plane with telemetry sampling on every other tick)
+/// requests at most 32 KiB of heap per node, all allocations summed. A
+/// per-node ring of 4096 samples alone would be 640 KiB per node.
+TEST(HeapAllocations, FleetBytesPerNode) {
+  constexpr std::size_t kNodes = 64;
+  fleet::FleetConfig config;
+  config.rack_nodes.assign(8, kNodes / 8);
+  config.schedule = fleet::BudgetSchedule(kNodes * 150.0);
+  config.schedule.add_phase(8e-3, kNodes * 120.0);
+  config.node_faults = lossy_link();
+  std::size_t ticks = 0;
+  const std::uint64_t bytes = bytes_during([&] {
+    fleet::DatacenterManager dc(config);
+    for (; ticks < 200; ++ticks) dc.step();
+  });
+  EXPECT_EQ(ticks, 200u);
+  EXPECT_LE(bytes, kNodes * 32 * 1024) << bytes / kNodes << " B per node";
 }
 
 }  // namespace

@@ -17,8 +17,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,7 +33,10 @@
 #include "fleet/tenant.hpp"
 #include "fleet/virtual_node.hpp"
 #include "ipmi/transport.hpp"
+#include "telemetry/reducer.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace core = pcap::core;
 namespace fleet = pcap::fleet;
@@ -379,6 +385,16 @@ TEST(Fleet, SmallRunCompletesAndConserves) {
   EXPECT_NE(result.schedule_digest(), 0u);
 }
 
+TEST(Fleet, FinishIsSingleShot) {
+  // finish() moves the result out; a second call would count every job's
+  // energy again, so it throws instead.
+  fleet::DatacenterManager dc(small_fleet_config());
+  const fleet::FleetResult result = dc.run();
+  EXPECT_GT(result.busy_energy_j, 0.0);
+  EXPECT_THROW(dc.finish(), std::logic_error);
+  EXPECT_THROW(dc.run(), std::logic_error);
+}
+
 TEST(Fleet, ThermalShadowFollowsMachineThermalConfig) {
   // Before any chunk runs every node draws its idle power, so the racks'
   // hottest node reads ambient + R * idle of the fleet's machine.
@@ -431,6 +447,116 @@ TEST(Fleet, ScheduleBitIdenticalAcrossJobsAndMemo) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fleet telemetry output
+// ---------------------------------------------------------------------------
+
+/// Order-sensitive FNV-1a digest over every bin of every rack series and
+/// of the fleet series: equal digests mean bit-identical telemetry.
+/// schedule_digest() does not cover these.
+std::uint64_t telemetry_digest(const fleet::FleetResult& result) {
+  using pcap::util::fnv_mix;
+  std::uint64_t h = pcap::util::kFnvOffset;
+  const auto mix = [&h](const pcap::telemetry::GroupSeries& series) {
+    h = fnv_mix(h, static_cast<std::uint64_t>(series.bins.size()));
+    for (const pcap::telemetry::GroupSample& bin : series.bins) {
+      h = fnv_mix(h, bin.time);
+      h = fnv_mix(h, static_cast<std::uint64_t>(bin.nodes));
+      h = fnv_mix(h, bin.min_w);
+      h = fnv_mix(h, bin.mean_w);
+      h = fnv_mix(h, bin.max_w);
+      h = fnv_mix(h, bin.sum_w);
+    }
+  };
+  for (const auto& series : result.rack_series) mix(series);
+  mix(result.fleet_series);
+  return h;
+}
+
+/// A seeded faulty fleet whose telemetry also exercises held bins (a
+/// sampling period that is not a multiple of the tick, so some samples
+/// fall between grid edges) and the retention bound (a capacity far below
+/// the run's sample count, so old bins are dropped).
+fleet::FleetConfig faulty_telemetry_fleet_config() {
+  fleet::FleetConfig config;
+  config.rack_nodes = {4, 5, 3};
+  config.lanes_per_node = 2;
+  config.seed = 9;
+  config.schedule = fleet::BudgetSchedule(12 * 150.0);
+  config.schedule.add_phase(2e-3, 12 * 122.0);
+  config.schedule.add_phase(4e-3, 12 * 150.0);
+  ipmi::FaultSpec faults;
+  faults.drop_rate = 0.05;
+  faults.duplicate_rate = 0.02;
+  faults.corrupt_rate = 0.02;
+  config.node_faults = faults;
+  config.rack_faults = faults;
+  config.sampler.period = pcap::util::microseconds(250);
+  config.sampler.capacity = 12;
+  fleet::TenantSpec tenant;
+  tenant.name = "t";
+  tenant.arrivals.job_count = 10;
+  tenant.arrivals.mean_interarrival_s = 150e-6;
+  tenant.arrivals.min_chunks = 2;
+  tenant.arrivals.max_chunks = 5;
+  tenant.arrivals.class_weights = {1.0, 1.0, 0.5, 0.0};
+  tenant.arrivals.seed = 77;
+  config.tenants.push_back(tenant);
+  return config;
+}
+
+TEST(Fleet, TelemetrySeriesPinned) {
+  // Recorded when every node kept its own sample ring and finish()
+  // reduced the rings: the streamed fan-in reproduces them bit for bit,
+  // including the ring's wrap rule (the faulty fleet's capacity of 12
+  // keeps the bins from each node's 12th-newest sample on).
+  const fleet::FleetResult small =
+      fleet::DatacenterManager(small_fleet_config()).run();
+  EXPECT_EQ(small.rack_series.size(), 2u);
+  EXPECT_EQ(telemetry_digest(small), 0xe38f96f85e3eb410ull)
+      << std::hex << "digest 0x" << telemetry_digest(small);
+
+  const fleet::FleetResult faulty =
+      fleet::DatacenterManager(faulty_telemetry_fleet_config()).run();
+  ASSERT_EQ(faulty.rack_series.size(), 3u);
+  EXPECT_GT(faulty.ticks, 4 * 12u);  // the 12-sample window slid
+  EXPECT_LE(faulty.rack_series[0].bins.size(), 12u);
+  // The first grid edge a sample reaches is 500 us; older bins are gone.
+  EXPECT_GT(faulty.rack_series[0].bins.front().time,
+            pcap::util::microseconds(500));
+  EXPECT_EQ(telemetry_digest(faulty), 0x734d264bd0f58a66ull)
+      << std::hex << "digest 0x" << telemetry_digest(faulty);
+}
+
+TEST(Fleet, TelemetrySeriesBitIdenticalAcrossJobsAndMemoStore) {
+  const std::string store = ::testing::TempDir() + "/fleet_telemetry.pcms";
+  std::remove(store.c_str());
+  std::optional<std::uint64_t> want;
+  for (const std::size_t jobs : {1u, 2u}) {
+    fleet::FleetConfig config = small_fleet_config();
+    config.jobs = jobs;
+    const std::uint64_t digest =
+        telemetry_digest(fleet::DatacenterManager(config).run());
+    if (want.has_value()) {
+      EXPECT_EQ(digest, *want) << "jobs=" << jobs;
+    } else {
+      want = digest;
+    }
+  }
+  // A cold run records the store; the warm run replays it.
+  fleet::FleetConfig config = small_fleet_config();
+  config.memo_store = store;
+  const fleet::FleetResult cold = fleet::DatacenterManager(config).run();
+  const fleet::FleetResult warm = fleet::DatacenterManager(config).run();
+  EXPECT_EQ(cold.store_entries_loaded, 0u);
+  EXPECT_GT(warm.store_entries_loaded, 0u);
+  EXPECT_EQ(warm.memo_misses, 0u);
+  EXPECT_EQ(telemetry_digest(cold), *want);
+  EXPECT_EQ(telemetry_digest(warm), *want);
+  EXPECT_EQ(warm.schedule_digest(), cold.schedule_digest());
+  std::remove(store.c_str());
 }
 
 TEST(Fleet, Headline1000NodeInvariantUnderFaultsAndPartition) {

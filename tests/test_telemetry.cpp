@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "harness/experiment.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace pcap::telemetry {
@@ -316,9 +319,10 @@ const util::JsonValue* find_event(const util::JsonValue& events,
 TEST(Reducer, FleetScaleFanInAssociativeAndCommutative) {
   // 1200 synthetic node series with staggered starts and irregular
   // cadences: the tree fan-in, the left fold, the reversed fold and a
-  // rotated fold must agree bin-for-bin, bit-for-bit. Watt values are
-  // small integers, so double summation is exact and the comparison is
-  // genuinely bitwise.
+  // rotated fold agree on every bin's edge, node count, min and max for
+  // any watts. Here the watt values are small integers, so double
+  // summation is exact and the sums agree bit for bit as well; with
+  // non-integer watts they do not (FanInOrderIsFixedForNonIntegerWatts).
   const util::Picoseconds period = util::microseconds(200);
   Reducer reducer(period);
   std::vector<std::unique_ptr<Sampler>> samplers;
@@ -414,6 +418,126 @@ TEST(Reducer, ZeroOrderHoldBridgesPartitionGaps) {
       EXPECT_EQ(bin.max_w, a_w) << k;
     }
   }
+}
+
+TEST(Reducer, FanInOrderIsFixedForNonIntegerWatts) {
+  // With non-integer watts the double sum depends on the fan-in order:
+  // reduce() pairs (0,1),(2,3) and then the pairs; a left fold adds one
+  // leaf at a time. min, max and the node count agree, the sums do not.
+  const double watts[4] = {100.1, 100.1, 100.1, 100.2};
+  std::vector<Sampler> samplers;
+  for (const double w : watts) {
+    samplers.push_back(make_sampler(util::microseconds(10), {{0.0, w}}));
+  }
+  Reducer reducer(util::microseconds(10));
+  const std::vector<const Sampler*> ptrs = {&samplers[0], &samplers[1],
+                                            &samplers[2], &samplers[3]};
+  const GroupSeries tree = reducer.reduce(ptrs, "rack");
+  GroupSeries left;
+  for (const Sampler* s : ptrs) left = Reducer::merge(left, reducer.align(*s, ""));
+
+  ASSERT_EQ(tree.bins.size(), 1u);
+  ASSERT_EQ(left.bins.size(), 1u);
+  EXPECT_EQ(tree.bins[0].sum_w, (watts[0] + watts[1]) + (watts[2] + watts[3]));
+  EXPECT_EQ(left.bins[0].sum_w, ((watts[0] + watts[1]) + watts[2]) + watts[3]);
+  EXPECT_NE(tree.bins[0].sum_w, left.bins[0].sum_w);
+  EXPECT_EQ(tree.bins[0].nodes, left.bins[0].nodes);
+  EXPECT_EQ(tree.bins[0].min_w, left.bins[0].min_w);
+  EXPECT_EQ(tree.bins[0].max_w, left.bins[0].max_w);
+}
+
+// --- GroupSeriesBuilder ---
+
+void expect_bins_identical(std::span<const GroupSample> got,
+                           const std::vector<GroupSample>& want,
+                           const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t b = 0; b < want.size(); ++b) {
+    EXPECT_EQ(got[b].time, want[b].time) << what << " bin " << b;
+    EXPECT_EQ(got[b].nodes, want[b].nodes) << what << " bin " << b;
+    EXPECT_EQ(got[b].min_w, want[b].min_w) << what << " bin " << b;
+    EXPECT_EQ(got[b].mean_w, want[b].mean_w) << what << " bin " << b;
+    EXPECT_EQ(got[b].max_w, want[b].max_w) << what << " bin " << b;
+    EXPECT_EQ(got[b].sum_w, want[b].sum_w) << what << " bin " << b;
+  }
+}
+
+TEST(GroupSeriesBuilder, MatchesReduceBitForBit) {
+  // One Sampler per node and one builder, fed the same non-integer draws
+  // on one clock. The clock ticks every 70 us against a 200 us grid, so
+  // samples land on grid edges (every 1400 us) and between them, and it
+  // stalls now and then, skipping boundaries (held bins). With
+  // `late`, every third node reports only from the fourth sample on (an
+  // absent leaf before that). A capacity of 5 slides the retention window.
+  const util::Picoseconds period = util::microseconds(200);
+  for (const std::size_t nodes : {1u, 2u, 3u, 16u, 17u}) {
+    for (const std::size_t capacity : {4096u, 5u}) {
+      for (const bool late : {false, true}) {
+        const std::string what = "nodes=" + std::to_string(nodes) +
+                                 " capacity=" + std::to_string(capacity) +
+                                 " late=" + std::to_string(late);
+        SamplerConfig config;
+        config.period = period;
+        config.capacity = capacity;
+        std::vector<Sampler> samplers(nodes, Sampler(config));
+        GroupSeriesBuilder builder("rack", nodes, config);
+        std::vector<double> draws(nodes);
+        util::Rng rng(nodes * 31 + capacity);
+        util::Picoseconds now = 0;
+        std::size_t on_edge = 0, between = 0, held = 0;
+        for (int tick = 0; tick < 400; ++tick) {
+          now += util::microseconds(tick % 37 == 36 ? 900 : 70);
+          ASSERT_EQ(builder.due(now), samplers[0].due(now)) << what;
+          if (!builder.due(now)) continue;
+          (now % period == 0 ? on_edge : between) += 1;
+          const std::size_t k = builder.taken();
+          for (std::size_t i = 0; i < nodes; ++i) {
+            if (late && i % 3 == 1 && k < 3) {
+              draws[i] = std::nan("");
+              continue;
+            }
+            draws[i] = rng.uniform(95.0, 260.0);
+            samplers[i].record(watts_sample(now, draws[i]));
+          }
+          const std::size_t before = builder.bins().size();
+          builder.record(now, draws);
+          if (builder.bins().size() > before + 1) ++held;
+        }
+        EXPECT_GT(on_edge, 0u) << what;
+        EXPECT_GT(between, 0u) << what;
+        EXPECT_GT(held, 0u) << what;
+
+        std::vector<const Sampler*> ptrs;
+        for (const Sampler& s : samplers) ptrs.push_back(&s);
+        const GroupSeries want = Reducer(period).reduce(ptrs, "rack");
+        expect_bins_identical(builder.bins(), want.bins, what);
+        const GroupSeries taken = builder.take();
+        EXPECT_EQ(taken.name, "rack");
+        expect_bins_identical(taken.bins, want.bins, what);
+        EXPECT_TRUE(builder.bins().empty()) << what;
+        if (capacity == 5) {
+          EXPECT_TRUE(samplers[0].series().wrapped()) << what;
+          EXPECT_LT(want.bins.size(), 20u) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(GroupSeriesBuilder, RejectsMissingDraws) {
+  SamplerConfig config;
+  config.period = util::microseconds(10);
+  GroupSeriesBuilder builder("rack", 2, config);
+  const double wrong_size[1] = {100.0};
+  EXPECT_THROW(builder.record(util::microseconds(10), wrong_size),
+               std::invalid_argument);
+  const double first[2] = {100.0, std::nan("")};  // node 1 not yet reporting
+  builder.record(util::microseconds(10), first);
+  ASSERT_EQ(builder.bins().size(), 1u);
+  EXPECT_EQ(builder.bins()[0].nodes, 1u);
+  const double dropped[2] = {std::nan(""), 101.0};  // node 0 went quiet
+  EXPECT_THROW(builder.record(util::microseconds(20), dropped),
+               std::invalid_argument);
 }
 
 TEST(TraceWriter, JsonParsesBackWithSpansInstantsAndMetadata) {
