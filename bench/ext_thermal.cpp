@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
       for (const std::string& policy : policies) {
         sim::MachineConfig machine = sim::MachineConfig::romley_thermal();
         machine.thermal.ambient_c = ambient;
-        machine.thermal_network.ambient_c = ambient;
 
         sim::Node node(machine, cli.seed);
         core::Bmc bmc(node);

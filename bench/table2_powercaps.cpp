@@ -1,7 +1,10 @@
 // Reproduces Table II: for both applications, power / energy / average
 // frequency / execution time and L1/L2/L3/TLB miss counts at baseline and
 // at the paper's nine power caps (160..120 W), with % diff columns and the
-// paper's published values printed alongside.
+// paper's published values printed alongside. Figures 1 and 2 are the same
+// two studies with every series normalised to its maximum: Figure 1 SIRE/RSM
+// (ITLB misses, frequency, time, power, energy), Figure 2 Stereo Matching
+// (plus the L2/L3 miss-rate series the paper adds for it).
 //
 // Quick by default (1 repetition); --full runs the paper's five.
 #include <cstdio>
@@ -40,6 +43,15 @@ int main(int argc, char** argv) {
       "time %.3f, power %.3f, energy %.3f\n\n",
       stereo_fit.caps_compared, stereo_fit.time, stereo_fit.power,
       stereo_fit.energy);
+  harness::render_normalized_figure(
+      std::cout, stereo,
+      "Figure 2: Stereo Matching normalized performance data vs power cap",
+      /*include_cache_rates=*/true);
+  harness::write_figure_csv(cli.csv_dir + "/fig2_stereo.csv", stereo, true);
+  harness::write_figure_gnuplot(cli.csv_dir + "/fig2_stereo.gp",
+                                cli.csv_dir + "/fig2_stereo.csv",
+                                "Figure 2: Stereo Matching (normalized)", true);
+  std::printf("\n");
 
   harness::StudyConfig sire_config = config;
   harness::apply_cli_telemetry(sire_config, cli, "table2_sire");
@@ -54,7 +66,17 @@ int main(int argc, char** argv) {
       "shape agreement vs paper (Pearson on signed-log %%diff, %d caps): "
       "time %.3f, power %.3f, energy %.3f\n",
       sire_fit.caps_compared, sire_fit.time, sire_fit.power, sire_fit.energy);
+  harness::render_normalized_figure(
+      std::cout, sire,
+      "Figure 1: SIRE/RSM normalized performance data vs power cap",
+      /*include_cache_rates=*/false);
+  harness::write_figure_csv(cli.csv_dir + "/fig1_sire.csv", sire, false);
+  harness::write_figure_gnuplot(cli.csv_dir + "/fig1_sire.gp",
+                                cli.csv_dir + "/fig1_sire.csv",
+                                "Figure 1: SIRE/RSM (normalized)", false);
 
-  std::cout << "\nwrote " << cli.csv_dir << "/table2_{stereo,sire}.csv\n";
+  std::cout << "\nwrote " << cli.csv_dir << "/table2_{stereo,sire}.csv, "
+            << cli.csv_dir << "/fig1_sire.{csv,gp}, " << cli.csv_dir
+            << "/fig2_stereo.{csv,gp}\n";
   return 0;
 }

@@ -50,10 +50,10 @@ RackManager::RackManager(const RackConfig& config)
   target_w_ = floor_w();
 }
 
-void RackManager::set_thermal_shadow(const power::ThermalConfig& thermal) {
+void RackManager::set_thermal_shadow(const thermal::RcNetworkConfig& thermal) {
+  const double r_c_per_w = thermal.sensor_r_to_ambient();
   for (const auto& slot : slots_) {
-    slot->vnode.set_thermal_shadow(thermal.ambient_c,
-                                   thermal.r_thermal_c_per_w);
+    slot->vnode.set_thermal_shadow(thermal.ambient_c, r_c_per_w);
   }
 }
 

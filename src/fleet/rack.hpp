@@ -33,6 +33,7 @@
 #include "sched/job.hpp"
 #include "telemetry/reducer.hpp"
 #include "telemetry/sampler.hpp"
+#include "thermal/rc_network.hpp"
 
 namespace pcap::fleet {
 
@@ -102,8 +103,8 @@ class RackManager : public BudgetHolder {
   explicit RackManager(const RackConfig& config);
 
   /// Every node's thermal shadow settles at `thermal`'s ambient plus its
-  /// junction-to-ambient resistance times the node's draw.
-  void set_thermal_shadow(const power::ThermalConfig& thermal);
+  /// sensor-to-ambient resistance times the node's draw.
+  void set_thermal_shadow(const thermal::RcNetworkConfig& thermal);
 
   const std::string& name() const { return config_.name; }
   std::size_t node_count() const { return slots_.size(); }

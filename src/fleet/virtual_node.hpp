@@ -17,7 +17,6 @@
 #include <span>
 
 #include "ipmi/commands.hpp"
-#include "power/thermal.hpp"
 
 namespace pcap::fleet {
 
@@ -87,9 +86,9 @@ class VirtualNode {
   double min_seen_w_;
   double max_seen_w_;
   // Until the owning rack derives them from its machine's thermal config,
-  // the shadow uses that config's defaults.
-  double ambient_c_ = power::ThermalConfig{}.ambient_c;
-  double r_c_per_w_ = power::ThermalConfig{}.r_thermal_c_per_w;
+  // the shadow uses the default machine's (RcNetworkConfig::single_rc()).
+  double ambient_c_ = 35.0;
+  double r_c_per_w_ = 0.35;
 };
 
 /// Answers the node-level power-management commands for one VirtualNode —

@@ -127,20 +127,15 @@ void apply_cli_thermal(StudyConfig& config, const CliOptions& cli) {
   if (!cli.fan_policy.empty()) {
     config.thermal_governor = thermal::governor_for_policy(cli.fan_policy);
     if (config.thermal_governor.enabled &&
-        config.machine.thermal_network.nodes.empty()) {
+        config.machine.thermal.is_single_rc()) {
       // A governor without the RC network / fan has nothing to steer;
       // upgrade, keeping whatever ambient the config already carries.
       const double ambient = config.machine.thermal.ambient_c;
-      sim::MachineConfig upgraded = sim::MachineConfig::romley_thermal();
-      upgraded.thermal.ambient_c = ambient;
-      upgraded.thermal_network.ambient_c = ambient;
-      config.machine = upgraded;
+      config.machine = sim::MachineConfig::romley_thermal();
+      config.machine.thermal.ambient_c = ambient;
     }
   }
-  if (cli.ambient_c > 0.0) {
-    config.machine.thermal.ambient_c = cli.ambient_c;
-    config.machine.thermal_network.ambient_c = cli.ambient_c;
-  }
+  if (cli.ambient_c > 0.0) config.machine.thermal.ambient_c = cli.ambient_c;
   if (cli.subsystem_caps_set) {
     ipmi::SubsystemCaps caps;
     caps.enabled = true;

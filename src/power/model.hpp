@@ -25,7 +25,6 @@
 #include <cstdint>
 
 #include "power/pstate.hpp"
-#include "power/thermal.hpp"
 
 namespace pcap::power {
 

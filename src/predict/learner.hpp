@@ -42,8 +42,9 @@ struct LearnerConfig {
   std::vector<double> caps_w = {160, 150, 140, 135, 130, 125, 120, 115};
   /// EW smoothing factor for new samples.
   double alpha = 0.2;
-  /// A sample counts as "uncapped" when the cap exceeded the measured draw
-  /// by at least this headroom (mirrors OnlinePowerModel).
+  /// A sample counts as "uncapped" when the cap exceeds max(learned
+  /// baseline, the sample's draw) by at least this headroom (unlike
+  /// OnlinePowerModel, which uses the draw alone; DESIGN.md §16).
   double headroom_w = 4.0;
   /// Confidence = samples / (samples + confidence_samples).
   double confidence_samples = 24.0;

@@ -36,13 +36,7 @@ void mix_double(std::uint64_t& h, double v) {
 
 std::uint64_t thermal_identity_bits(const sim::MachineConfig& machine) {
   std::uint64_t h = 0x7C9A0B5D2E8F1357ull;
-  // Legacy single-RC parameters (always consulted: the degenerate network
-  // is built from them).
-  mix_double(h, machine.thermal.ambient_c);
-  mix_double(h, machine.thermal.r_thermal_c_per_w);
-  mix_u64(h, machine.thermal.tau);
-  // RC network (empty = degenerate single-RC).
-  const thermal::RcNetworkConfig& net = machine.thermal_network;
+  const thermal::RcNetworkConfig& net = machine.thermal;
   mix_double(h, net.ambient_c);
   mix_u64(h, net.nodes.size());
   for (const thermal::RcNodeConfig& n : net.nodes) {

@@ -8,7 +8,6 @@
 #include "mem/dram.hpp"
 #include "power/model.hpp"
 #include "power/pstate.hpp"
-#include "power/thermal.hpp"
 #include "thermal/fan.hpp"
 #include "thermal/rc_network.hpp"
 #include "util/units.hpp"
@@ -106,11 +105,9 @@ struct MachineConfig {
   CoreTimingConfig core;
   HierarchyConfig hierarchy;
   power::NodePowerConfig power;
-  power::ThermalConfig thermal;
-  /// RC thermal network. Empty `nodes` (the default) means the Node builds
-  /// the degenerate single-RC network from `thermal` — the lumped model the
-  /// golden results were recorded with.
-  thermal::RcNetworkConfig thermal_network;
+  /// RC thermal network; the default is the degenerate single-RC network,
+  /// the lumped model the golden results were recorded with.
+  thermal::RcNetworkConfig thermal = thermal::RcNetworkConfig::single_rc();
   /// Chassis fan; `max_rpm == 0` (the default) means none fitted.
   thermal::FanConfig fan;
   TickConfig ticks;
@@ -124,11 +121,9 @@ struct MachineConfig {
   /// this variant; thermal studies opt in explicitly.
   static MachineConfig romley_thermal();
 
-  /// Thermal tau as a multiple of the meter period (both simulated times).
-  double thermal_tau_meter_periods() const {
-    return static_cast<double>(thermal.tau) /
-           static_cast<double>(ticks.meter_period());
-  }
+  /// The integrated thermal tau (single RC: legacy_tau; else the slowest
+  /// node's) as a multiple of the meter period, both simulated times.
+  double thermal_tau_meter_periods() const;
   /// True when tau sits inside the calibration band — the check that pins
   /// the "tau is scaled with the control periods" comment to an assertion.
   bool thermal_tau_calibrated() const {

@@ -29,9 +29,7 @@ void add_probe_counters(telemetry::ProbeInput& in,
 Package::Package(const MachineConfig& config)
     : base_ipc_(config.core.base_ipc),
       power_model_(config.power),
-      thermal_(config.thermal_network.nodes.empty()
-                   ? thermal::RcNetworkConfig::single_rc(config.thermal)
-                   : config.thermal_network),
+      thermal_(config.thermal),
       fan_(config.fan),
       meter_(config.ticks.meter_period()) {}
 

@@ -13,7 +13,8 @@
 // The engine is a SINGLE-THREADED COOPERATIVE scheduler: a min-local-time
 // run queue resumes each core's workload either through the Workload
 // step() interface (steppable workloads) or as a stackful continuation
-// (util::Fiber) for monolithic run() bodies. No host threads, mutexes, or
+// (util::Fiber) for monolithic run() bodies, which can finish a lane one
+// resume later than step() (sim/workload.hpp). No host threads, mutexes, or
 // condvars are involved, so an N-core quantum switch costs a function call
 // or a user-space stack switch, and the engine is trivially safe to run
 // inside the harness's `--jobs` worker pool (one engine per cell, zero

@@ -8,9 +8,10 @@
 //    them as plain function calls;
 //  * monolithic workloads only implement run(); the engine suspends them at
 //    quantum boundaries via a stackful continuation (util::Fiber) instead.
-// Both drive the identical priced-op sequence, so the interleaving a
-// quantum budget induces is bit-identical either way
-// (tests/test_smp_equivalence.cpp).
+// Both drive the identical priced-op sequence, but a fiber lane whose last
+// op ends past its quantum end is marked finished one resume later than a
+// steppable one and counts as active in housekeeping until then, so such a
+// cell's report differs (tests/test_smp_equivalence.cpp pins one).
 #pragma once
 
 #include <stdexcept>

@@ -2,28 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 namespace pcap::thermal {
 
-RcNetworkConfig RcNetworkConfig::single_rc(const power::ThermalConfig& legacy) {
+RcNetworkConfig RcNetworkConfig::single_rc(double ambient_c, double r_c_per_w,
+                                           util::Picoseconds tau) {
   RcNetworkConfig cfg;
-  cfg.ambient_c = legacy.ambient_c;
-  RcNodeConfig node;
-  node.name = "package";
-  node.r_to_ambient_c_per_w = legacy.r_thermal_c_per_w;
-  cfg.nodes.push_back(node);
-  cfg.legacy_tau = legacy.tau;
+  cfg.ambient_c = ambient_c;
+  cfg.nodes.push_back({.name = "package", .r_to_ambient_c_per_w = r_c_per_w});
+  cfg.legacy_tau = tau;
   return cfg;
 }
 
-RcNetworkConfig RcNetworkConfig::romley_network(
-    const power::ThermalConfig& legacy) {
+RcNetworkConfig RcNetworkConfig::romley_network(double ambient_c) {
   RcNetworkConfig cfg;
-  cfg.ambient_c = legacy.ambient_c;
+  cfg.ambient_c = ambient_c;
   // Node 0: CPU die. Node 1: uncore die region. Node 2: DRAM (DIMMs, cooled
   // by chassis airflow, not the heatsink). Node 3: heatsink.
   // CPU path junction-to-ambient = r(cpu->hs) + r(hs->amb)
-  //                              = 0.08 + 0.27 = legacy 0.35 C/W.
+  //                              = 0.08 + 0.27 = lumped 0.35 C/W.
   // Capacities chosen for time constants in the legacy-tau band (simulated
   // milliseconds): cpu ~0.4 ms, uncore ~0.7 ms, dram ~1 ms, heatsink ~2 ms.
   cfg.nodes = {
@@ -42,18 +41,42 @@ RcNetworkConfig RcNetworkConfig::romley_network(
   return cfg;
 }
 
+double RcNetworkConfig::node_tau_s(std::size_t i,
+                                   double r_to_ambient_c_per_w) const {
+  double conductance = 0.0;
+  if (r_to_ambient_c_per_w > 0.0) conductance += 1.0 / r_to_ambient_c_per_w;
+  for (const RcEdgeConfig& e : edges) {
+    if (static_cast<std::size_t>(e.a) == i ||
+        static_cast<std::size_t>(e.b) == i) {
+      if (e.r_c_per_w > 0.0) conductance += 1.0 / e.r_c_per_w;
+    }
+  }
+  return nodes[i].heat_capacity_j_per_c / conductance;
+}
+
+double RcNetworkConfig::sensor_r_to_ambient() const {
+  double r = 0.0;
+  int node = sensor_node;
+  int from = -1;  // never walk back along the edge just taken
+  for (std::size_t hop = 0; hop < nodes.size(); ++hop) {
+    const RcNodeConfig& n = nodes[static_cast<std::size_t>(node)];
+    if (n.r_to_ambient_c_per_w > 0.0) return r + n.r_to_ambient_c_per_w;
+    const auto e = std::find_if(edges.begin(), edges.end(), [&](auto& x) {
+      return (x.a == node && x.b != from) || (x.b == node && x.a != from);
+    });
+    if (e == edges.end()) break;
+    r += e->r_c_per_w;
+    from = std::exchange(node, e->a == node ? e->b : e->a);
+  }
+  throw std::invalid_argument("RcNetworkConfig: sensor has no path to ambient");
+}
+
 RcNetwork::RcNetwork(const RcNetworkConfig& config) : config_(config) {
-  if (config_.nodes.empty()) {
-    config_ = RcNetworkConfig::single_rc(power::ThermalConfig{});
-  }
-  temps_.assign(config_.nodes.size(), config_.ambient_c);
+  if (config_.nodes.empty()) throw std::invalid_argument("RcNetwork: no nodes");
+  temps_.resize(config_.nodes.size());
   r_ambient_.resize(config_.nodes.size());
-  for (std::size_t i = 0; i < config_.nodes.size(); ++i) {
-    r_ambient_[i] = config_.nodes[i].r_to_ambient_c_per_w;
-  }
   flow_.assign(config_.nodes.size(), 0.0);
-  recompute_min_tau();
-  rebuild_coefficients();
+  reset();
 }
 
 void RcNetwork::rebuild_coefficients() {
@@ -72,20 +95,12 @@ void RcNetwork::rebuild_coefficients() {
 }
 
 void RcNetwork::recompute_min_tau() {
-  // Per-node effective time constant tau_i = C_i / sum(1/R) over the node's
-  // edges (ambient included). Bounds the explicit-Euler substep.
+  // The fastest node time constant (at the fan-modulated ambient R) bounds
+  // the explicit-Euler substep.
   min_tau_s_ = 0.0;
   for (std::size_t i = 0; i < config_.nodes.size(); ++i) {
-    double conductance = 0.0;
-    if (r_ambient_[i] > 0.0) conductance += 1.0 / r_ambient_[i];
-    for (const RcEdgeConfig& e : config_.edges) {
-      if (static_cast<std::size_t>(e.a) == i ||
-          static_cast<std::size_t>(e.b) == i) {
-        if (e.r_c_per_w > 0.0) conductance += 1.0 / e.r_c_per_w;
-      }
-    }
-    if (conductance <= 0.0) continue;  // isolated node: no constraint
-    const double tau = config_.nodes[i].heat_capacity_j_per_c / conductance;
+    const double tau = config_.node_tau_s(i, r_ambient_[i]);
+    if (!std::isfinite(tau)) continue;  // isolated node: no constraint
     if (min_tau_s_ == 0.0 || tau < min_tau_s_) min_tau_s_ = tau;
   }
   plan_dt_ = 0;  // substep plan depends on min_tau: recompute on next update

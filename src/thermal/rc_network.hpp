@@ -1,8 +1,8 @@
 // RC-network thermal model: per-subsystem heat sources (CPU / uncore /
 // DRAM) driving a small graph of thermal nodes (dies, heatsink) coupled by
 // configurable resistances to each other and to ambient. The degenerate
-// one-node configuration (`RcNetworkConfig::single_rc`) is the lumped
-// single-RC package model of `power::ThermalConfig`: it executes the
+// one-node configuration (`RcNetworkConfig::single_rc`, every machine's
+// default) is the lumped single-RC package model: it executes the
 // floating-point sequence the golden results were recorded with (pinned by
 // RcNetwork.DegenerateMatchesLegacyThermalModelBitExact), while multi-node
 // configs open fan + governor studies.
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "power/model.hpp"
-#include "power/thermal.hpp"
 #include "util/units.hpp"
 
 namespace pcap::thermal {
@@ -50,32 +49,43 @@ struct RcNetworkConfig {
   /// Node whose ambient resistance the fan modulates (the heatsink).
   int exhaust_node = 0;
 
-  /// Legacy single-RC time constant. Nonzero marks the degenerate
-  /// configuration: exactly one node, no edges, and `update_lumped` runs
-  /// the lumped model's first-order exponential step (steady state
-  /// Ta + R*P, alpha = 1 - exp(-dt/tau)).
+  /// Legacy single-RC time constant, in *simulated* time (the default 2 ms
+  /// is 10 meter periods; `MachineConfig::thermal_tau_calibrated()` checks
+  /// the ratio). Nonzero marks the degenerate configuration: one node, no
+  /// edges, and `update_lumped` runs the lumped model's first-order
+  /// exponential step (steady state Ta + R*P, alpha = 1 - exp(-dt/tau)).
   util::Picoseconds legacy_tau = 0;
+  bool is_single_rc() const { return legacy_tau != 0 && nodes.size() == 1; }
+
+  /// Node i's time constant C_i / sum(1/R) over its edges, with the given
+  /// ambient R (0 = none); infinite for an isolated node.
+  double node_tau_s(std::size_t i, double r_to_ambient_c_per_w) const;
+  /// Series R from the sensor node to ambient along the first edge out of
+  /// each node; throws std::invalid_argument when there is no such path.
+  double sensor_r_to_ambient() const;
 
   /// The degenerate one-node configuration: the lumped package model.
-  static RcNetworkConfig single_rc(const power::ThermalConfig& legacy);
+  static RcNetworkConfig single_rc(double ambient_c = 35.0,
+                                   double r_c_per_w = 0.35,
+                                   util::Picoseconds tau =
+                                       util::milliseconds(2.0));
 
   /// A four-node Romley-ish network: CPU and uncore dies onto a shared
   /// heatsink to ambient, DRAM cooled directly by chassis airflow. Total
-  /// junction-to-ambient resistance along the CPU path matches the legacy
+  /// junction-to-ambient resistance along the CPU path matches the lumped
   /// R (0.35 C/W) at the default still-air exhaust resistance.
-  static RcNetworkConfig romley_network(const power::ThermalConfig& legacy);
+  static RcNetworkConfig romley_network(double ambient_c = 35.0);
 };
 
 class RcNetwork {
  public:
+  /// Throws std::invalid_argument for a config without nodes.
   explicit RcNetwork(const RcNetworkConfig& config);
 
   const RcNetworkConfig& config() const { return config_; }
 
   /// True for the degenerate one-node legacy configuration.
-  bool is_single_rc() const {
-    return config_.legacy_tau != 0 && temps_.size() == 1;
-  }
+  bool is_single_rc() const { return config_.is_single_rc(); }
 
   /// Degenerate path only: advances the single node with the lumped
   /// silicon watts — a first-order exponential approach to Ta + R*P.

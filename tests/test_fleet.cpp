@@ -33,6 +33,7 @@
 #include "fleet/tenant.hpp"
 #include "fleet/virtual_node.hpp"
 #include "ipmi/transport.hpp"
+#include "sim/machine_config.hpp"
 #include "telemetry/reducer.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -42,6 +43,7 @@ namespace core = pcap::core;
 namespace fleet = pcap::fleet;
 namespace ipmi = pcap::ipmi;
 namespace sched = pcap::sched;
+namespace sim = pcap::sim;
 using pcap::util::Rng;
 
 namespace {
@@ -411,13 +413,20 @@ TEST(Fleet, ThermalShadowFollowsMachineThermalConfig) {
   const std::vector<double> base = max_temps(config);
   for (const double t : base) {
     EXPECT_DOUBLE_EQ(t, thermal.ambient_c +
-                            thermal.r_thermal_c_per_w * config.idle_node_w);
+                            thermal.nodes[0].r_to_ambient_c_per_w *
+                                config.idle_node_w);
   }
   config.machine.thermal.ambient_c += 10.0;
   const std::vector<double> hot = max_temps(config);
   ASSERT_EQ(hot.size(), base.size());
   for (std::size_t r = 0; r < hot.size(); ++r) {
     EXPECT_NEAR(hot[r] - base[r], 10.0, 1e-9) << "rack " << r;
+  }
+  // A multi-node network shadows the series R from its sensor to ambient:
+  // cpu -> heatsink -> ambient, 0.08 + 0.27 C/W on the fitted machine.
+  config.machine = sim::MachineConfig::romley_thermal();
+  for (const double t : max_temps(config)) {
+    EXPECT_NEAR(t, 35.0 + 0.35 * config.idle_node_w, 1e-9);
   }
 }
 

@@ -32,6 +32,7 @@
 #include "sched/memo_store.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine_config.hpp"
+#include "util/units.hpp"
 #include "util/rng.hpp"
 
 namespace pcap::sched {
@@ -298,6 +299,60 @@ TEST(MemoStoreTest, StoreRecordedUnderThermalConfigANeverServesConfigB) {
       << "foreign-thermal entries served hits";
   EXPECT_EQ(b_stored.schedule_digest(), b_cold.schedule_digest());
   std::remove(path.c_str());
+}
+
+TEST(MemoStoreTest, ThermalIdentityCoversEveryThermalField) {
+  // Every field of the machine's thermal network and fan reaches the bits,
+  // so no memo entry is served across a thermal change. Checked on the
+  // single-RC default and on the fitted four-node network.
+  for (const sim::MachineConfig& base :
+       {sim::MachineConfig::romley(), sim::MachineConfig::romley_thermal()}) {
+    const std::uint64_t base_bits = thermal_identity_bits(base);
+    const auto expect_changes = [&](const std::string& field,
+                                    const auto& perturb) {
+      sim::MachineConfig m = base;
+      perturb(m);
+      EXPECT_NE(thermal_identity_bits(m), base_bits)
+          << field << " (" << base.thermal.nodes.size() << "-node base)";
+    };
+    using M = sim::MachineConfig;
+    expect_changes("ambient", [](M& m) { m.thermal.ambient_c += 1.0; });
+    for (std::size_t i = 0; i < base.thermal.nodes.size(); ++i) {
+      const std::string node = "node " + std::to_string(i);
+      expect_changes(node + " C", [i](M& m) {
+        m.thermal.nodes[i].heat_capacity_j_per_c *= 2.0;
+      });
+      expect_changes(node + " R", [i](M& m) {
+        m.thermal.nodes[i].r_to_ambient_c_per_w += 0.1;
+      });
+    }
+    for (std::size_t k = 0; k < base.thermal.edges.size(); ++k) {
+      const std::string edge = "edge " + std::to_string(k);
+      expect_changes(edge + " a", [k](M& m) { m.thermal.edges[k].a += 1; });
+      expect_changes(edge + " b", [k](M& m) { m.thermal.edges[k].b += 1; });
+      expect_changes(edge + " R",
+                     [k](M& m) { m.thermal.edges[k].r_c_per_w *= 2.0; });
+    }
+    for (std::size_t s = 0; s < base.thermal.source_node.size(); ++s) {
+      expect_changes("source " + std::to_string(s),
+                     [s](M& m) { m.thermal.source_node[s] += 1; });
+    }
+    expect_changes("sensor", [](M& m) { m.thermal.sensor_node += 1; });
+    expect_changes("exhaust", [](M& m) { m.thermal.exhaust_node += 1; });
+    expect_changes("legacy_tau", [](M& m) {
+      m.thermal.legacy_tau += util::microseconds(100.0);
+    });
+    expect_changes("fan max_rpm", [](M& m) { m.fan.max_rpm += 100.0; });
+    expect_changes("fan min_rpm", [](M& m) { m.fan.min_rpm += 100.0; });
+    expect_changes("fan levels", [](M& m) { m.fan.levels += 1; });
+    expect_changes("fan max_power_w", [](M& m) { m.fan.max_power_w += 1.0; });
+    expect_changes("fan r_still",
+                   [](M& m) { m.fan.r_still_c_per_w += 0.01; });
+    expect_changes("fan r_max_flow",
+                   [](M& m) { m.fan.r_max_flow_c_per_w += 0.01; });
+    expect_changes("fan flow_exponent",
+                   [](M& m) { m.fan.flow_exponent += 0.1; });
+  }
 }
 
 TEST(MemoStoreTest, LruCapacityBoundsTheStoreAndStaysBitIdentical) {

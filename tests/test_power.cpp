@@ -4,7 +4,6 @@
 
 #include "power/model.hpp"
 #include "power/pstate.hpp"
-#include "power/thermal.hpp"
 #include "sim/machine_config.hpp"
 #include "thermal/rc_network.hpp"
 #include "util/units.hpp"
@@ -61,14 +60,13 @@ TEST(PStateTable, LinearCtorAssignsVoltages) {
 }
 
 // The lumped package thermal model: the degenerate single-RC network.
-thermal::RcNetwork single_rc(const ThermalConfig& config) {
-  return thermal::RcNetwork(thermal::RcNetworkConfig::single_rc(config));
+thermal::RcNetwork single_rc() {
+  return thermal::RcNetwork(thermal::RcNetworkConfig::single_rc());
 }
 
 TEST(Thermal, ConvergesToSteadyState) {
-  thermal::RcNetwork model = single_rc({.ambient_c = 35.0,
-                                        .r_thermal_c_per_w = 0.35,
-                                        .tau = util::milliseconds(1.0)});
+  thermal::RcNetwork model(thermal::RcNetworkConfig::single_rc(
+      35.0, 0.35, util::milliseconds(1.0)));
   for (int i = 0; i < 100; ++i) {
     model.update_lumped(60.0, util::milliseconds(1.0));
   }
@@ -76,7 +74,7 @@ TEST(Thermal, ConvergesToSteadyState) {
 }
 
 TEST(Thermal, CoolsBackToAmbient) {
-  thermal::RcNetwork model = single_rc({});
+  thermal::RcNetwork model = single_rc();
   for (int i = 0; i < 100; ++i) {
     model.update_lumped(80.0, util::milliseconds(1.0));
   }
@@ -87,7 +85,7 @@ TEST(Thermal, CoolsBackToAmbient) {
 }
 
 TEST(Thermal, ResetRestoresAmbient) {
-  thermal::RcNetwork model = single_rc({});
+  thermal::RcNetwork model = single_rc();
   model.update_lumped(100.0, util::milliseconds(5.0));
   model.reset();
   EXPECT_DOUBLE_EQ(model.temperature_c(), model.config().ambient_c);

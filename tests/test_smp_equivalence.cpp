@@ -9,7 +9,10 @@
 //    fiber+steppable and BMC-capped cells; the cooperative engine must
 //    still reproduce them bit for bit.
 //  * Native stepping vs forced-fiber execution of the same workload:
-//    identical resume points, identical reports.
+//    identical resume points. The reports match only when no lane's last
+//    op ends past its quantum end: a fiber lane is then marked finished
+//    one resume later, which moves the housekeeping. Both digests of one
+//    such cell are frozen.
 //  * Quantum-boundary batching legality: the PR 2 stream fast paths
 //    truncate bulk groups at the lane's quantum horizon, so a stream-API
 //    workload co-running with an antagonist matches its per-op twin
@@ -168,17 +171,47 @@ class ForceMonolithic final : public Workload {
   std::unique_ptr<Workload> inner_;
 };
 
-TEST(SmpEquivalence, NativeStepMatchesForcedFiber) {
-  auto forced = [] {
+/// The workloads of `make`, each hidden behind ForceMonolithic.
+template <typename MakeWorkloads>
+auto forced_fiber(MakeWorkloads make) {
+  return [make] {
     std::vector<std::unique_ptr<Workload>> ws;
-    for (auto& w : steppable_mix()) {
+    for (auto& w : make()) {
       ws.push_back(std::make_unique<ForceMonolithic>(std::move(w)));
     }
     return ws;
   };
+}
+
+TEST(SmpEquivalence, NativeStepMatchesForcedFiber) {
+  // Neither lane's last op ends past its quantum end here, so both paths
+  // finish each lane on the same resume.
   const SmpRunReport stepped = run_cell(steppable_mix, 31);
-  const SmpRunReport fibered = run_cell(forced, 31);
+  const SmpRunReport fibered = run_cell(forced_fiber(steppable_mix), 31);
   expect_identical(stepped, fibered);
+}
+
+TEST(SmpEquivalence, FiberFinishesOneResumeLater) {
+  // The compute lane's last op ends past its quantum end. step() reports
+  // completion from that call; the fiber yields inside the op and the lane
+  // is marked finished one resume later, counted as an active core until
+  // then. Same resume points, same elapsed, different reports: both
+  // digests are frozen.
+  const auto mix = [] {
+    std::vector<std::unique_ptr<Workload>> ws;
+    ws.push_back(std::make_unique<apps::MemoryBoundWorkload>(2ull << 20,
+                                                             20000));
+    ws.push_back(std::make_unique<apps::ComputeBoundWorkload>(174055));
+    return ws;
+  };
+  const SmpRunReport stepped = run_cell(mix, 31);
+  const SmpRunReport fibered = run_cell(forced_fiber(mix), 31);
+  EXPECT_EQ(report_digest(stepped), 0x98cf6c8eabc724aeull)
+      << std::hex << "digest 0x" << report_digest(stepped);
+  EXPECT_EQ(report_digest(fibered), 0x69dc2bd588f000c5ull)
+      << std::hex << "digest 0x" << report_digest(fibered);
+  EXPECT_EQ(stepped.elapsed, fibered.elapsed);
+  EXPECT_GT(fibered.energy_j, stepped.energy_j);
 }
 
 // --- quantum-boundary batching legality -------------------------------------

@@ -9,15 +9,17 @@
 #include <cmath>
 #include <cstring>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
 #include "core/bmc_ipmi_server.hpp"
+#include "harness/cli.hpp"
 #include "harness/experiment.hpp"
 #include "ipmi/commands.hpp"
 #include "ipmi/transport.hpp"
-#include "power/thermal.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
 #include "thermal/fan.hpp"
@@ -38,10 +40,10 @@ TEST(RcNetwork, DegenerateMatchesLegacyThermalModelBitExact) {
   // over all 500 intermediate temperatures, plus the last one in readable
   // form). The degenerate path replays its FP sequence verbatim, which is
   // what keeps the golden studies green, so it must still match bit for bit.
-  const power::ThermalConfig legacy_config;
-  thermal::RcNetwork net(thermal::RcNetworkConfig::single_rc(legacy_config));
+  const auto config = thermal::RcNetworkConfig::single_rc();
+  thermal::RcNetwork net(config);
   ASSERT_TRUE(net.is_single_rc());
-  EXPECT_EQ(net.temperature_c(), legacy_config.ambient_c);
+  EXPECT_EQ(net.temperature_c(), config.ambient_c);
 
   util::Rng rng(0xC0FFEE);
   std::uint64_t digest = util::kFnvOffset;
@@ -56,12 +58,11 @@ TEST(RcNetwork, DegenerateMatchesLegacyThermalModelBitExact) {
       << std::hex << "digest 0x" << digest;
   EXPECT_EQ(net.temperature_c(), 73.633073113713195);
   net.reset();
-  EXPECT_EQ(net.temperature_c(), legacy_config.ambient_c);
+  EXPECT_EQ(net.temperature_c(), config.ambient_c);
 }
 
 TEST(RcNetwork, RomleyNetworkWarmsTowardSteadyState) {
-  const auto config =
-      thermal::RcNetworkConfig::romley_network(power::ThermalConfig{});
+  const auto config = thermal::RcNetworkConfig::romley_network();
   thermal::RcNetwork net(config);
   EXPECT_FALSE(net.is_single_rc());
   const double t0 = net.temperature_c();
@@ -76,7 +77,7 @@ TEST(RcNetwork, RomleyNetworkWarmsTowardSteadyState) {
 }
 
 TEST(RcNetwork, HotterAmbientShiftsEverythingUp) {
-  auto config = thermal::RcNetworkConfig::romley_network(power::ThermalConfig{});
+  auto config = thermal::RcNetworkConfig::romley_network();
   thermal::RcNetwork cool(config);
   config.ambient_c = 45.0;
   thermal::RcNetwork hot(config);
@@ -85,6 +86,26 @@ TEST(RcNetwork, HotterAmbientShiftsEverythingUp) {
     hot.update({70.0, 20.0, 15.0}, util::microseconds(5.0));
   }
   EXPECT_GT(hot.temperature_c(), cool.temperature_c() + 5.0);
+}
+
+TEST(RcNetwork, RejectsEmptyConfig) {
+  EXPECT_THROW(thermal::RcNetwork(thermal::RcNetworkConfig{}),
+               std::invalid_argument);
+}
+
+TEST(RcNetwork, SensorResistanceToAmbientFollowsTheSensorPath) {
+  EXPECT_EQ(
+      thermal::RcNetworkConfig::single_rc(35.0, 0.4).sensor_r_to_ambient(),
+      0.4);
+  auto config = thermal::RcNetworkConfig::romley_network();
+  EXPECT_DOUBLE_EQ(config.sensor_r_to_ambient(), 0.08 + 0.27);
+  config.sensor_node = 1;  // the uncore region: 0.12 to the heatsink
+  EXPECT_DOUBLE_EQ(config.sensor_r_to_ambient(), 0.12 + 0.27);
+  config.sensor_node = 2;  // DRAM is cooled directly
+  EXPECT_DOUBLE_EQ(config.sensor_r_to_ambient(), 0.6);
+  config.nodes[3].r_to_ambient_c_per_w = 0.0;  // heatsink sealed off
+  config.sensor_node = 0;
+  EXPECT_THROW(config.sensor_r_to_ambient(), std::invalid_argument);
 }
 
 // --- tau calibration ------------------------------------------------------
@@ -99,9 +120,20 @@ TEST(ThermalTau, RomleyTauIsCalibratedToMeterPeriod) {
 
 TEST(ThermalTau, DriftedTauFailsCalibration) {
   sim::MachineConfig m = sim::MachineConfig::romley();
-  m.thermal.tau = util::microseconds(50.0);  // 0.25 meter periods: decoupled
+  m.thermal.legacy_tau = util::microseconds(50.0);  // 0.25 periods: decoupled
   EXPECT_FALSE(m.thermal_tau_calibrated());
-  m.thermal.tau = util::milliseconds(100.0);  // 500 periods: glacial
+  m.thermal.legacy_tau = util::milliseconds(100.0);  // 500 periods: glacial
+  EXPECT_FALSE(m.thermal_tau_calibrated());
+}
+
+TEST(ThermalTau, NetworkTauIsTheSlowestNodes) {
+  // The fitted network never integrates a lumped tau: its check reads the
+  // slowest node, the heatsink (C 0.052 J/C over 1/0.27 + 1/0.08 + 1/0.12
+  // W/C, ~2.12 ms = ~10.6 meter periods).
+  sim::MachineConfig m = sim::MachineConfig::romley_thermal();
+  EXPECT_NEAR(m.thermal_tau_meter_periods(), 10.597, 1e-3);
+  EXPECT_TRUE(m.thermal_tau_calibrated());
+  m.thermal.nodes[3].heat_capacity_j_per_c *= 100.0;  // ~1060 periods
   EXPECT_FALSE(m.thermal_tau_calibrated());
 }
 
@@ -161,7 +193,6 @@ TEST(ThermalConflict, GovernorOverridesCapRaise) {
   // must keep the node clamped for thermal reasons, visibly.
   sim::MachineConfig machine = sim::MachineConfig::romley_thermal();
   machine.thermal.ambient_c = 48.0;
-  machine.thermal_network.ambient_c = 48.0;
   sim::Node node(machine, 7);
 
   core::Bmc bmc(node);
@@ -201,7 +232,6 @@ TEST(ThermalConflict, GovernorOverridesCapRaise) {
 TEST(ThermalConflict, GovernorIsInertWhenDisabled) {
   sim::MachineConfig machine = sim::MachineConfig::romley_thermal();
   machine.thermal.ambient_c = 48.0;
-  machine.thermal_network.ambient_c = 48.0;
   sim::Node node(machine, 7);
   core::Bmc bmc(node);
   thermal::ThermalGovernorConfig gov_config = thermal::governor_for_policy("off");
@@ -262,7 +292,6 @@ TEST(ThermalStudy, EnabledGovernorInHotChassisCostsTime) {
   hot.repetitions = 1;
   hot.machine = sim::MachineConfig::romley_thermal();
   hot.machine.thermal.ambient_c = 48.0;
-  hot.machine.thermal_network.ambient_c = 48.0;
 
   harness::StudyConfig governed = hot;
   governed.thermal_governor = thermal::governor_for_policy("balanced");
@@ -275,6 +304,47 @@ TEST(ThermalStudy, EnabledGovernorInHotChassisCostsTime) {
       harness::run_power_cap_study("phased", phased_factory(), governed);
   // The clamp costs baseline performance — that is its purpose.
   EXPECT_GT(b.baseline.time_s, a.baseline.time_s);
+}
+
+// --- CLI thermal flags ------------------------------------------------------
+
+harness::StudyConfig config_from_cli(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  harness::StudyConfig config;
+  harness::apply_cli_thermal(
+      config,
+      harness::parse_cli(static_cast<int>(argv.size()), argv.data()));
+  return config;
+}
+
+/// The package sensor of a node built from the config, before any tick.
+double first_temperature_c(const harness::StudyConfig& config) {
+  return sim::Node(config.machine).temperature_c();
+}
+
+TEST(CliThermal, AmbientAloneHeatsTheDefaultMachine) {
+  const harness::StudyConfig config = config_from_cli({"--ambient=45"});
+  EXPECT_FALSE(config.thermal_governor.enabled);
+  EXPECT_EQ(config.machine.fan.max_rpm, 0.0);
+  EXPECT_EQ(first_temperature_c(config), 45.0);
+}
+
+TEST(CliThermal, FanPolicyAloneUpgradesToTheNetworkAtDefaultAmbient) {
+  const harness::StudyConfig config = config_from_cli({"--fan-policy=quiet"});
+  EXPECT_TRUE(config.thermal_governor.enabled);
+  EXPECT_EQ(config.machine.thermal.nodes.size(), 4u);
+  EXPECT_GT(config.machine.fan.max_rpm, 0.0);
+  EXPECT_EQ(first_temperature_c(config), 35.0);
+}
+
+TEST(CliThermal, AmbientAndFanPolicyGiveAHotNetwork) {
+  const harness::StudyConfig config =
+      config_from_cli({"--fan-policy=quiet", "--ambient=45"});
+  EXPECT_TRUE(config.thermal_governor.enabled);
+  EXPECT_EQ(config.machine.thermal.nodes.size(), 4u);
+  EXPECT_EQ(first_temperature_c(config), 45.0);
 }
 
 // --- per-subsystem caps ---------------------------------------------------
