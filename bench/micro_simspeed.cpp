@@ -339,21 +339,26 @@ BENCHMARK(BM_SchedChunkMemoMiss);
 void BM_SchedChunkMemoHit(benchmark::State& state) {
   const sim::MachineConfig machine = sim::MachineConfig::romley();
   const core::BmcConfig bmc;
+  const sched::CoRunMember member =
+      sched::CoRunMember::of(sched::JobClass::kStereoLike, 3, 0);
   sched::ChunkKey key;
-  key.cls = sched::JobClass::kStereoLike;
-  key.identity = sched::chunk_identity(sched::JobClass::kStereoLike, 3, 0);
+  key.cls = member.cls;
+  key.identity = member.identity;
   key.cap_bits = sched::ChunkKey::encode_cap(150.0);
+  // A solo start is memoised as its one-member cell.
+  sched::CoRunKey probe;
+  probe.cap_bits = key.cap_bits;
+  probe.members = {member};
   sched::ChunkCache cache;
-  cache.insert(key, sched::simulate_chunk(machine, bmc, key, 3, 0, 1));
+  cache.insert(probe, {sched::simulate_chunk(machine, bmc, key, 3, 0, 1)});
   for (auto _ : state) {
-    // The scheduler's per-start hit path: rebuild the key, look it up,
-    // copy the recorded result.
-    sched::ChunkKey probe;
-    probe.cls = sched::JobClass::kStereoLike;
-    probe.identity = sched::chunk_identity(sched::JobClass::kStereoLike, 3, 0);
+    // The scheduler's per-start hit path: rebuild the one-member key in
+    // reused scratch, look it up, copy the recorded result.
     probe.cap_bits = sched::ChunkKey::encode_cap(150.0);
-    const sched::ChunkResult* found = cache.find(probe);
-    benchmark::DoNotOptimize(found->elapsed);
+    probe.members.assign(
+        1, sched::CoRunMember::of(sched::JobClass::kStereoLike, 3, 0));
+    const std::vector<sched::ChunkResult>* found = cache.find(probe);
+    benchmark::DoNotOptimize((*found)[0].elapsed);
   }
 }
 BENCHMARK(BM_SchedChunkMemoHit);

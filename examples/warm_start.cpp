@@ -3,9 +3,12 @@
 // a pure replay — zero chunk misses, bit-identical schedule digest.
 //
 //   ./warm_start [--memo-store=PATH] [--arrivals=N] [--budget=W] [--jobs=N]
+//                [--lanes=N]
 //
-// Exit code is non-zero when either warm-start guarantee is violated, so
-// CI can gate on it directly.
+// With --lanes > 1 jobs co-run on a node, so the store also carries co-run
+// cells; the cold run must then simulate at least one. Exit code is
+// non-zero when a warm-start guarantee is violated, so CI can gate on it
+// directly.
 #include <cstdio>
 #include <string>
 
@@ -25,6 +28,7 @@ sched::ScheduleResult run_once(const harness::CliOptions& cli,
   config.policy_name = "uniform";
   config.seed = cli.seed;
   config.jobs = cli.jobs;
+  config.lanes_per_node = cli.lanes > 0 ? cli.lanes : 1;
   config.memo_store = store_path;
   config.memo_capacity = cli.memo_capacity;
 
@@ -50,9 +54,11 @@ int main(int argc, char** argv) {
   std::printf("cold run (store: %s)...\n", store_path.c_str());
   const sched::ScheduleResult cold = run_once(cli, store_path);
   std::printf(
-      "  misses %llu, hits %llu, saved %llu entries, digest %016llx\n",
+      "  misses %llu, hits %llu, co-run cells %llu, saved %llu entries, "
+      "digest %016llx\n",
       static_cast<unsigned long long>(cold.memo_misses),
       static_cast<unsigned long long>(cold.memo_hits),
+      static_cast<unsigned long long>(cold.corun_cells),
       static_cast<unsigned long long>(cold.store_entries_saved),
       static_cast<unsigned long long>(cold.schedule_digest()));
 
@@ -66,6 +72,12 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(warm.schedule_digest()));
 
   bool ok = true;
+  if (cli.lanes > 1 && cold.corun_cells == 0) {
+    std::printf("FAIL: --lanes=%zu but the cold run simulated no co-run "
+                "cell\n",
+                cli.lanes);
+    ok = false;
+  }
   if (warm.store_load_rejected != 0) {
     std::printf("FAIL: store rejected on reload\n");
     ok = false;

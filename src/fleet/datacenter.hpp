@@ -60,7 +60,7 @@ struct FleetConfig {
   std::uint64_t seed = 1;
   std::size_t jobs = 1;  // worker threads for memo-miss chunk simulations
   bool memo = true;
-  /// Upper bound on recorded memo entries (solo chunks + co-run cells) in
+  /// Upper bound on recorded memo entries (cells, solo ones included) in
   /// the fleet-wide shared cache; LRU-evicted at serial commit points.
   /// 0 = unbounded. Pure performance/memory knob (never changes results).
   std::size_t memo_capacity = 0;

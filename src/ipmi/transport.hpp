@@ -65,13 +65,6 @@ class FaultyTransport final : public Transport {
   FaultyTransport(Transport& inner, const FaultSpec& spec,
                   std::uint64_t seed = 7)
       : inner_(&inner), spec_(spec), rng_(seed) {}
-  /// Legacy drop/corrupt-only construction.
-  FaultyTransport(Transport& inner, double drop_rate, double corrupt_rate,
-                  std::uint64_t seed = 7)
-      : inner_(&inner), rng_(seed) {
-    spec_.drop_rate = drop_rate;
-    spec_.corrupt_rate = corrupt_rate;
-  }
 
   Frame transact(std::span<const std::uint8_t> frame) override;
   double last_latency_ms() const override { return last_latency_ms_; }

@@ -23,89 +23,68 @@ ChunkBatch::ChunkBatch(Config config)
 void ChunkBatch::add_start(const CoRunMember& self,
                            std::span<const CoRunMember> co_residents,
                            std::optional<double> cap_w) {
-  const std::size_t k = starts_.size();
-  Start& start = starts_.emplace_back();
-  const std::uint64_t cap_bits = ChunkKey::encode_cap(cap_w);
-  if (co_residents.empty()) {
-    start.self = self;
-    start.key = {self.cls, self.identity, cap_bits, thermal_bits_};
-    if (config_.memo) start.hit = cache_.find(start.key);
-    ++(start.hit != nullptr ? stats_.hits : stats_.misses);
-    if (start.hit == nullptr) misses_.push_back({false, k});
-    return;
-  }
-  CoRunKey key;
-  key.cap_bits = cap_bits;
-  key.thermal_bits = thermal_bits_;
-  key.members.push_back(self);
-  key.members.insert(key.members.end(), co_residents.begin(),
-                     co_residents.end());
-  std::sort(key.members.begin(), key.members.end(),
+  key_.cap_bits = ChunkKey::encode_cap(cap_w);
+  key_.thermal_bits = thermal_bits_;
+  key_.members.assign(1, self);
+  key_.members.insert(key_.members.end(), co_residents.begin(),
+                      co_residents.end());
+  std::sort(key_.members.begin(), key_.members.end(),
             [](const CoRunMember& a, const CoRunMember& b) {
               return key_less(a, b);
             });
+  Start& start = starts_.emplace_back();
   // Own result = first occurrence of own (cls, identity) in the sorted
   // member list (duplicates are interchangeable: the cell is a pure
   // function of the key).
   start.member = static_cast<std::size_t>(
-      std::find_if(key.members.begin(), key.members.end(),
+      std::find_if(key_.members.begin(), key_.members.end(),
                    [&](const CoRunMember& m) { return same_key(m, self); }) -
-      key.members.begin());
-  const auto [found, first_seen] = cell_index_.try_emplace(key, cells_.size());
-  start.cell = found->second;
-  if (first_seen) {
-    Cell& cell = cells_.emplace_back();
-    if (config_.memo) cell.hit = cache_.find_cell(key);
-    if (cell.hit == nullptr) misses_.push_back({true, start.cell});
-    cell.key = std::move(key);
+      key_.members.begin());
+  if (config_.memo) start.hit = cache_.find(key_);
+  if (start.hit != nullptr) {
+    ++stats_.hits;
+    return;
   }
-  ++(cells_[start.cell].hit != nullptr ? stats_.hits : stats_.misses);
+  ++stats_.misses;
+  const auto [found, first_seen] = cell_index_.try_emplace(key_, cells_.size());
+  start.cell = found->second;
+  if (first_seen) cells_.push_back({key_, {}});
 }
 
 std::span<const ChunkBatch::Outcome> ChunkBatch::run_round() {
-  // The cache is not touched while the misses simulate.
-  util::parallel_for(misses_.size(), config_.jobs, [&](std::size_t w) {
-    const Miss& miss = misses_[w];
-    if (miss.cell) {
-      Cell& cell = cells_[miss.index];
+  // The cache is not touched while the new cells simulate. A one-member
+  // cell runs on a Node, so a solo result never depends on the SmpNode.
+  util::parallel_for(cells_.size(), config_.jobs, [this](std::size_t c) {
+    Cell& cell = cells_[c];
+    if (cell.key.members.size() == 1) {
+      const CoRunMember& m = cell.key.members[0];
+      const ChunkKey key{m.cls, m.identity, cell.key.cap_bits,
+                         cell.key.thermal_bits};
+      cell.fresh = {simulate_chunk(config_.machine, config_.bmc, key, m.seed,
+                                   m.chunk_index, config_.seed)};
+    } else {
       cell.fresh = simulate_corun_cell(config_.machine, config_.bmc, cell.key,
                                        config_.seed, config_.corun_quantum);
-    } else {
-      Start& start = starts_[miss.index];
-      start.fresh = simulate_chunk(config_.machine, config_.bmc, start.key,
-                                   start.self.seed, start.self.chunk_index,
-                                   config_.seed);
     }
   });
 
-  // Commit. find()/find_cell() pointers stay live across these inserts;
-  // eviction happens only in the one trim() after them.
+  // Commit. find() pointers stay live across these inserts; eviction
+  // happens only in the one trim() after them.
   outcomes_.clear();
   for (const Start& start : starts_) {
-    Outcome& outcome = outcomes_.emplace_back();
-    if (start.cell == kSolo) {
-      outcome.result = start.hit != nullptr ? *start.hit : start.fresh;
-      if (config_.memo && start.hit == nullptr) {
-        cache_.insert(start.key, start.fresh);
-      }
-    } else {
-      const Cell& cell = cells_[start.cell];
-      outcome.result =
-          (cell.hit != nullptr ? *cell.hit : cell.fresh)[start.member];
-      outcome.corun = true;
-    }
+    const std::vector<ChunkResult>& results =
+        start.hit != nullptr ? *start.hit : cells_[start.cell].fresh;
+    outcomes_.push_back({results[start.member], results.size() > 1});
   }
   for (Cell& cell : cells_) {
-    if (cell.hit != nullptr) continue;
-    ++stats_.corun_cells;
-    if (config_.memo) cache_.insert_cell(cell.key, std::move(cell.fresh));
+    if (cell.key.members.size() > 1) ++stats_.corun_cells;
+    if (config_.memo) cache_.insert(cell.key, std::move(cell.fresh));
   }
   if (config_.memo) cache_.trim();
 
   starts_.clear();
   cells_.clear();
   cell_index_.clear();
-  misses_.clear();
   return outcomes_;
 }
 
@@ -114,7 +93,7 @@ std::uint64_t ChunkBatch::save_store() const {
       !save_memo_store(config_.memo_store, cache_)) {
     return 0;
   }
-  return cache_.size() + cache_.cell_count();
+  return cache_.size();
 }
 
 ChunkBatch::Stats ChunkBatch::stats() const {

@@ -1,15 +1,16 @@
 // The chunk-round engine (DESIGN.md §12): the rack scheduler and the fleet
 // start every chunk through one ChunkBatch, one round per scheduler event
-// or fleet tick. Each chunk is one of the paper's capped-node cells — a
-// fresh Node (solo) or SmpNode (co-run) plus a BMC enforcing the node's
-// cap — simulated as a pure function of its memo key (chunk_cache.hpp):
-//   1. add_start() classifies each start serially, in call order, as solo
-//      or co-run and as memo hit or miss; identical co-run cells within
-//      a round are simulated once;
-//   2. run_round() simulates every miss, solo chunks and new cells
-//      together, in one util::parallel_for over `jobs`, then commits
-//      serially: solo inserts in start order, new cells in first-seen
-//      order, one ChunkCache::trim().
+// or fleet tick. Each start is one of the paper's capped-node cells — the
+// node's resident chunks plus a BMC enforcing the node's cap, one member
+// for a solo start — simulated as a pure function of its memo key
+// (chunk_cache.hpp):
+//   1. add_start() classifies each start serially, in call order, as memo
+//      hit or miss; identical missed cells within a round are simulated
+//      once;
+//   2. run_round() simulates every new cell in one util::parallel_for over
+//      `jobs` (one member on a fresh Node, more on an SmpNode), then
+//      commits serially: new cells in first-seen order, one
+//      ChunkCache::trim().
 // Results, hit/miss counts, LRU recency and evictions therefore do not
 // depend on `jobs`, and results do not depend on `memo`.
 #pragma once
@@ -43,16 +44,16 @@ class ChunkBatch {
     /// version-mismatched file is rejected whole) and save_store() writes
     /// the cache back.
     ///
-    /// Replay contract: a memo key covers the job class, the workload
-    /// identity, the enforced-cap bits and the machine's thermal identity.
-    /// It omits the scheduler `seed`, the BMC configuration (dithering
-    /// included), the rest of the machine configuration and the co-run
-    /// quantum, which every simulation also reads. A store may therefore
-    /// only be replayed into a run with the same seed, BMC configuration,
-    /// machine and quantum. Any other run replays the recorded answers
-    /// without a single miss: a store recorded at seed 1 turns a seed-2 run
-    /// into the seed-1 schedule. ROADMAP.md's open item "Key every memoised
-    /// result on its full provenance" closes this gap.
+    /// Replay contract: a memo key covers each resident's job class and
+    /// workload identity, the enforced-cap bits and the machine's thermal
+    /// identity. It omits the scheduler `seed`, the BMC configuration
+    /// (dithering included), the rest of the machine configuration and the
+    /// co-run quantum, which every simulation also reads. A store may
+    /// therefore only be replayed into a run with the same seed, BMC
+    /// configuration, machine and quantum. Any other run replays the
+    /// recorded answers without a single miss: a store recorded at seed 1
+    /// turns a seed-2 run into the seed-1 schedule. ROADMAP.md's open item
+    /// "Key every memoised result on its full provenance" closes this gap.
     std::string memo_store;
 
     /// The batch settings of a SchedulerConfig or FleetConfig, which carry
@@ -78,8 +79,8 @@ class ChunkBatch {
   /// Memo accounting since construction.
   struct Stats {
     std::uint64_t hits = 0;         // starts replayed from the cache
-    std::uint64_t misses = 0;       // starts whose chunk or cell simulated
-    std::uint64_t corun_cells = 0;  // distinct co-run cells simulated
+    std::uint64_t misses = 0;       // starts whose cell simulated
+    std::uint64_t corun_cells = 0;  // distinct cells of 2+ members simulated
     std::uint64_t evictions = 0;
     std::uint64_t store_entries_loaded = 0;
     std::uint64_t store_load_rejected = 0;  // 1 = present but failed checks
@@ -105,35 +106,26 @@ class ChunkBatch {
   Stats stats() const;
 
  private:
-  static constexpr std::size_t kSolo = static_cast<std::size_t>(-1);
-
   struct Start {
-    std::size_t cell = kSolo;  // index into cells_, or kSolo
-    std::size_t member = 0;    // own position in the cell's members
-    CoRunMember self;          // solo only, as are key, hit and fresh
-    ChunkKey key;
-    const ChunkResult* hit = nullptr;
-    ChunkResult fresh;
+    const std::vector<ChunkResult>* hit = nullptr;  // recorded results
+    std::size_t cell = 0;    // index into cells_ when missed
+    std::size_t member = 0;  // own position in the cell's members
   };
   struct Cell {
     CoRunKey key;
-    const std::vector<ChunkResult>* hit = nullptr;
     std::vector<ChunkResult> fresh;
-  };
-  struct Miss {
-    bool cell = false;
-    std::size_t index = 0;  // into cells_ when `cell`, else into starts_
   };
 
   Config config_;
   std::uint64_t thermal_bits_ = 0;
   ChunkCache cache_;
   Stats stats_;
-  // Per-round scratch, reused across rounds.
+  // Per-round scratch, reused across rounds: `key_` is the key of the
+  // start being classified, so an all-hit round touches no heap.
+  CoRunKey key_;
   std::vector<Start> starts_;
-  std::vector<Cell> cells_;
+  std::vector<Cell> cells_;  // missed cells, first-seen order
   std::unordered_map<CoRunKey, std::size_t, CoRunKeyHash> cell_index_;
-  std::vector<Miss> misses_;
   std::vector<Outcome> outcomes_;
 };
 

@@ -1,32 +1,34 @@
 // Chunk memoization for the cluster power scheduler and the fleet
 // (DESIGN.md §12, §13).
 //
-// A solo chunk is simulated on a FRESH Node + BMC pair, so its result is a
-// pure function of everything simulate_chunk reads. The key holds only part
-// of that: job class, workload identity, enforced-cap bits and the thermal
-// identity of the machine. The rest (the scheduler seed, the BMC
-// configuration with its dithering, the rest of the machine configuration
-// and the co-run quantum) is left out, so one cache may only serve runs that
-// agree on it; ChunkBatch, which owns the cache, states the full contract.
-// Arrival streams with repeated (class, cap) cells then replay recorded
-// results bit-exactly instead of re-simulating: a hit returns the identical
-// ChunkResult the miss recorded, and the schedule it produces is
-// bit-identical to the cache-off run (tests/test_scheduler.cpp).
+// Every chunk start is one co-run CELL: the chunks resident on one node
+// under the cap its BMC enforces. A solo start is the one-member cell. A
+// cell is simulated on a FRESH node + BMC pair (a Node for one member, an
+// SmpNode for more), so its per-member results are a pure function of
+// everything the simulation reads. The key, CoRunKey, holds only part of
+// that: the enforced-cap bits, the thermal identity of the machine and the
+// sorted (class, workload identity) multiset of the residents. The rest
+// (the scheduler seed, the BMC configuration with its dithering, the rest
+// of the machine configuration and the co-run quantum) is left out, so one
+// cache may only serve runs that agree on it; ChunkBatch, which owns the
+// cache, states the full contract. Arrival streams with repeated cells
+// then replay recorded results bit-exactly instead of re-simulating: a hit
+// returns the identical ChunkResults the miss recorded, and the schedule
+// it produces is bit-identical to the cache-off run
+// (tests/test_scheduler.cpp).
 //
-// Under co-residency (lanes_per_node > 1) the solo key is NOT sound: the
-// same (class, identity, cap) chunk runs slower next to an L3 thrasher
+// The key holds every resident because co-residency changes the answer:
+// the same (class, identity, cap) chunk runs slower next to an L3 thrasher
 // than next to a streaming neighbour, and that slowdown is emergent from
 // the shared-hierarchy SmpNode simulation, so no per-chunk key can ignore
-// the neighbours. Co-resident chunks therefore key on the whole co-run
-// CELL — the enforced cap plus the sorted (class, identity) multiset of
-// every resident — and the cell cache memoizes the per-member results of
-// one cell simulation together (DESIGN.md §13 derives why the key must
-// grow exactly this way).
+// the neighbours (DESIGN.md §13 derives why the key must grow exactly this
+// way).
 //
 // The slot's long-lived node stays on the management plane (DCM/IPMI caps,
 // health, idle calibration); only chunk execution moved to pure simulation.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <list>
@@ -49,8 +51,8 @@ struct ChunkResult {
   double avg_power_w = 0.0;
 };
 
-/// Memo key for one SOLO chunk simulation (see the header comment for what
-/// it leaves out).
+/// simulate_chunk's argument: one chunk on a fresh Node. The memo itself
+/// keys every start, solo or not, on its CoRunKey.
 struct ChunkKey {
   JobClass cls = JobClass::kSireLike;
   /// Workload identity: everything make_chunk_workload's output depends on
@@ -69,17 +71,6 @@ struct ChunkKey {
   }
 
   bool operator==(const ChunkKey&) const = default;
-};
-
-struct ChunkKeyHash {
-  std::size_t operator()(const ChunkKey& key) const {
-    std::uint64_t h = key.identity;
-    h ^= key.cap_bits + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    h ^= key.thermal_bits + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-    h ^= static_cast<std::uint64_t>(key.cls) + 0x9E3779B97F4A7C15ull +
-         (h << 6) + (h >> 2);
-    return static_cast<std::size_t>(h);
-  }
 };
 
 /// One resident of a co-run cell. Ordering and equality consider only
@@ -105,9 +96,9 @@ struct CoRunMember {
   }
 };
 
-/// Memo key for one co-run cell: the enforced cap, the thermal identity and
-/// the key-sorted resident multiset (the header comment says what it
-/// leaves out).
+/// Memo key for one cell: the enforced cap, the thermal identity and the
+/// key-sorted resident multiset, one member for a solo start (the header
+/// comment says what it leaves out).
 struct CoRunKey {
   std::uint64_t cap_bits = std::bit_cast<std::uint64_t>(-1.0);
   /// Same contract as ChunkKey::thermal_bits.
@@ -115,14 +106,11 @@ struct CoRunKey {
   std::vector<CoRunMember> members;  // sorted with key_less
 
   bool operator==(const CoRunKey& other) const {
-    if (cap_bits != other.cap_bits || thermal_bits != other.thermal_bits ||
-        members.size() != other.members.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (!same_key(members[i], other.members[i])) return false;
-    }
-    return true;
+    return cap_bits == other.cap_bits && thermal_bits == other.thermal_bits &&
+           std::equal(members.begin(), members.end(), other.members.begin(),
+                      other.members.end(), [](const auto& a, const auto& b) {
+                        return same_key(a, b);
+                      });
   }
 };
 
@@ -177,82 +165,58 @@ std::vector<ChunkResult> simulate_corun_cell(
     const CoRunKey& key, std::uint64_t node_seed_material,
     util::Picoseconds quantum);
 
-/// Bounded memo store (solo chunks and co-run cells) with LRU eviction and
-/// eviction accounting. Not thread-safe: ChunkBatch classifies hits and
-/// inserts results serially in start order (jobs-invariance), only the
-/// miss simulations fan out.
+/// Bounded memo store of recorded cells with LRU eviction and eviction
+/// accounting. Not thread-safe: ChunkBatch classifies hits and inserts
+/// results serially in start order (jobs-invariance), only the miss
+/// simulations fan out.
 ///
-/// Bit-identity under eviction: find()/find_cell() return pointers the
-/// serial commit epilogue holds across subsequent insert()s, so eviction
-/// NEVER happens inline — ChunkBatch calls trim() once after the whole
-/// commit round. Recency motion (list splice) and eviction order are both
-/// driven purely by the serial classify/commit sequence, which is the same
-/// for every `--jobs` value, so a capacity bound changes which chunks
-/// re-simulate but never what any simulation returns.
+/// Bit-identity under eviction: find() returns pointers the serial commit
+/// epilogue holds across subsequent insert()s, so eviction NEVER happens
+/// inline — ChunkBatch calls trim() once after the whole commit round.
+/// Recency motion (list splice) and eviction order are both driven purely
+/// by the serial classify/commit sequence, which is the same for every
+/// `--jobs` value, so a capacity bound changes which cells re-simulate but
+/// never what any simulation returns.
 class ChunkCache {
  public:
-  /// One recorded entry; exposed (recency-ordered) for persistence.
+  /// One recorded cell; exposed (recency-ordered) for persistence.
   struct Entry {
-    bool is_cell = false;
-    ChunkKey key;        // meaningful when !is_cell
-    CoRunKey cell_key;   // meaningful when is_cell
-    ChunkResult solo;    // meaningful when !is_cell
-    std::vector<ChunkResult> cell;  // parallel to cell_key.members
+    CoRunKey key;
+    std::vector<ChunkResult> results;  // parallel to key.members
   };
 
   /// capacity == 0 means unbounded (the pre-bound behaviour).
   explicit ChunkCache(std::size_t capacity = 0) : capacity_(capacity) {}
 
-  /// Recorded result for the key, touching its recency; nullptr on miss.
-  /// The pointer stays valid across insert()s and touches (std::list
+  /// Per-member results of a recorded cell (parallel to key.members),
+  /// touching its recency; nullptr when the cell has not been simulated
+  /// yet. The pointer stays valid across insert()s and touches (std::list
   /// storage) until the next trim().
-  const ChunkResult* find(const ChunkKey& key) {
+  const std::vector<ChunkResult>* find(const CoRunKey& key) {
     const auto it = map_.find(key);
     if (it == map_.end()) return nullptr;
     entries_.splice(entries_.begin(), entries_, it->second);
-    return &it->second->solo;
+    return &it->second->results;
   }
-  void insert(const ChunkKey& key, const ChunkResult& result) {
+  void insert(const CoRunKey& key, std::vector<ChunkResult> results) {
     if (map_.contains(key)) return;
-    entries_.push_front(Entry{false, key, CoRunKey{}, result, {}});
+    entries_.push_front(Entry{key, std::move(results)});
     map_.emplace(key, entries_.begin());
   }
 
-  /// Per-member results of a recorded cell (parallel to key.members), or
-  /// nullptr when the cell has not been simulated yet. Same recency and
-  /// pointer-stability contract as find().
-  const std::vector<ChunkResult>* find_cell(const CoRunKey& key) {
-    const auto it = cells_.find(key);
-    if (it == cells_.end()) return nullptr;
-    entries_.splice(entries_.begin(), entries_, it->second);
-    return &it->second->cell;
-  }
-  void insert_cell(const CoRunKey& key, std::vector<ChunkResult> results) {
-    if (cells_.contains(key)) return;
-    entries_.push_front(Entry{true, ChunkKey{}, key, ChunkResult{},
-                              std::move(results)});
-    cells_.emplace(entries_.begin()->cell_key, entries_.begin());
-  }
-
-  /// Evicts least-recently-used entries until the combined size fits the
-  /// capacity. Only legal at a serial commit point where no find()/
-  /// find_cell() pointers are still live (DESIGN.md §17).
+  /// Evicts least-recently-used entries until the size fits the capacity.
+  /// Only legal at a serial commit point where no find() pointers are
+  /// still live (DESIGN.md §17).
   void trim() {
     if (capacity_ == 0) return;
     while (entries_.size() > capacity_) {
-      const Entry& victim = entries_.back();
-      if (victim.is_cell) {
-        cells_.erase(victim.cell_key);
-      } else {
-        map_.erase(victim.key);
-      }
+      map_.erase(entries_.back().key);
       entries_.pop_back();
       ++evictions_;
     }
   }
 
   std::size_t size() const { return map_.size(); }
-  std::size_t cell_count() const { return cells_.size(); }
   void set_capacity(std::size_t capacity) { capacity_ = capacity; }
 
   std::uint64_t evictions() const { return evictions_; }
@@ -265,9 +229,8 @@ class ChunkCache {
   std::size_t capacity_ = 0;
   std::uint64_t evictions_ = 0;
   std::list<Entry> entries_;  // front = most recent
-  std::unordered_map<ChunkKey, std::list<Entry>::iterator, ChunkKeyHash> map_;
   std::unordered_map<CoRunKey, std::list<Entry>::iterator, CoRunKeyHash>
-      cells_;
+      map_;
 };
 
 }  // namespace pcap::sched

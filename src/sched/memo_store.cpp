@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <span>
 #include <vector>
+
+#include "util/hash.hpp"
 
 namespace pcap::sched {
 
@@ -14,34 +17,16 @@ namespace {
 //   u32 version                  kFormatVersion
 //   u64 payload_hash             FNV-1a of every byte after this field
 //   u64 entry_count
-//   entry_count entries, oldest-first:
-//     u8 kind                    0 = solo chunk, 1 = co-run cell
-//     solo: u8 cls, u64 identity, u64 cap_bits, u64 thermal_bits,
-//           u64 elapsed_ps, u64 energy_bits, u64 power_bits
-//     cell: u64 cap_bits, u64 thermal_bits, u32 member_count,
-//           member_count x (u8 cls, u64 identity, u64 seed, u32 chunk_index),
-//           member_count x (u64 elapsed_ps, u64 energy_bits, u64 power_bits)
+//   entry_count cells, oldest-first (a solo chunk is a one-member cell):
+//     u64 cap_bits, u64 thermal_bits, u32 member_count >= 1,
+//     member_count x (u8 cls, u64 identity, u64 seed, u32 chunk_index),
+//     member_count x (u64 elapsed_ps, u64 energy_bits, u64 power_bits)
 constexpr char kMagic[4] = {'P', 'C', 'M', 'S'};
 // Smallest encodings, which bound any count field by the bytes left: a
 // count the payload cannot hold is rejected before anything is sized by it.
-constexpr std::size_t kSoloEntryBytes = 1 + 1 + 3 * 8 + 3 * 8;
-constexpr std::size_t kCellMemberBytes = (1 + 8 + 8 + 4) + 3 * 8;
-constexpr std::uint32_t kFormatVersion = 1;
-constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ull;
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
+constexpr std::size_t kMemberBytes = (1 + 8 + 8 + 4) + 3 * 8;
+constexpr std::size_t kCellBytes = 8 + 8 + 4 + kMemberBytes;
+constexpr std::uint32_t kFormatVersion = 2;
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back((v >> (8 * i)) & 0xFF);
@@ -116,34 +101,23 @@ bool save_memo_store(const std::string& path, const ChunkCache& cache,
   // Oldest-first: sequential re-insertion reproduces the recency order.
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     const ChunkCache::Entry& entry = *it;
-    if (!entry.is_cell) {
-      put_u8(payload, 0);
-      put_u8(payload, static_cast<std::uint8_t>(entry.key.cls));
-      put_u64(payload, entry.key.identity);
-      put_u64(payload, entry.key.cap_bits);
-      put_u64(payload, entry.key.thermal_bits);
-      put_result(payload, entry.solo);
-    } else {
-      put_u8(payload, 1);
-      put_u64(payload, entry.cell_key.cap_bits);
-      put_u64(payload, entry.cell_key.thermal_bits);
-      put_u32(payload,
-              static_cast<std::uint32_t>(entry.cell_key.members.size()));
-      for (const CoRunMember& m : entry.cell_key.members) {
-        put_u8(payload, static_cast<std::uint8_t>(m.cls));
-        put_u64(payload, m.identity);
-        put_u64(payload, m.seed);
-        put_u32(payload, static_cast<std::uint32_t>(m.chunk_index));
-      }
-      for (const ChunkResult& r : entry.cell) put_result(payload, r);
+    put_u64(payload, entry.key.cap_bits);
+    put_u64(payload, entry.key.thermal_bits);
+    put_u32(payload, static_cast<std::uint32_t>(entry.key.members.size()));
+    for (const CoRunMember& m : entry.key.members) {
+      payload.push_back(static_cast<std::uint8_t>(m.cls));
+      put_u64(payload, m.identity);
+      put_u64(payload, m.seed);
+      put_u32(payload, static_cast<std::uint32_t>(m.chunk_index));
     }
+    for (const ChunkResult& r : entry.results) put_result(payload, r);
   }
 
   std::vector<std::uint8_t> file;
   file.reserve(payload.size() + 16);
   file.insert(file.end(), kMagic, kMagic + 4);
   put_u32(file, kFormatVersion);
-  put_u64(file, fnv1a(payload.data(), payload.size()));
+  put_u64(file, util::fnv1a(payload));
   file.insert(file.end(), payload.begin(), payload.end());
 
   // Write-then-rename so a crash mid-save never leaves a torn store a
@@ -205,83 +179,53 @@ MemoStoreLoadResult load_memo_store(const std::string& path,
   if (version != kFormatVersion) {
     return reject("unsupported format version " + std::to_string(version));
   }
-  const std::uint8_t* payload = file.data() + 16;
-  const std::size_t payload_size = file.size() - 16;
-  if (fnv1a(payload, payload_size) != stored_hash) {
+  const std::span<const std::uint8_t> payload(file.begin() + 16, file.end());
+  if (util::fnv1a(payload) != stored_hash) {
     return reject("payload hash mismatch (corrupt store)");
   }
 
-  // Parse the WHOLE payload into staging structures before touching the
+  // Parse the WHOLE payload into staging entries before touching the
   // cache: a malformed store must never be partially trusted.
-  struct Staged {
-    bool is_cell = false;
-    ChunkKey key;
-    CoRunKey cell_key;
-    ChunkResult solo;
-    std::vector<ChunkResult> cell;
-  };
-  Reader r(payload, payload_size);
+  Reader r(payload.data(), payload.size());
   std::uint64_t count = 0;
   if (!r.u64(count)) return reject("truncated entry count");
-  if (count > r.remaining() / kSoloEntryBytes) {
+  if (count > r.remaining() / kCellBytes) {
     return reject("entry count exceeds payload");
   }
-  std::vector<Staged> staged;
-  staged.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t e = 0; e < count; ++e) {
-    std::uint8_t kind = 0;
-    if (!r.u8(kind)) return reject("truncated entry");
-    Staged s;
-    if (kind == 0) {
+  std::vector<ChunkCache::Entry> staged(static_cast<std::size_t>(count));
+  for (ChunkCache::Entry& entry : staged) {
+    std::uint32_t members = 0;
+    if (!r.u64(entry.key.cap_bits) || !r.u64(entry.key.thermal_bits) ||
+        !r.u32(members)) {
+      return reject("truncated cell entry");
+    }
+    if (members == 0) return reject("empty cell member list");
+    if (members > r.remaining() / kMemberBytes) {
+      return reject("cell member count exceeds payload");
+    }
+    entry.key.members.resize(members);
+    for (CoRunMember& m : entry.key.members) {
       std::uint8_t cls = 0;
-      if (!r.u8(cls) || !r.u64(s.key.identity) || !r.u64(s.key.cap_bits) ||
-          !r.u64(s.key.thermal_bits) || !r.result(s.solo)) {
-        return reject("truncated solo entry");
+      std::uint32_t chunk_index = 0;
+      if (!r.u8(cls) || !r.u64(m.identity) || !r.u64(m.seed) ||
+          !r.u32(chunk_index)) {
+        return reject("truncated cell member");
       }
       if (!valid_class(cls)) return reject("invalid job class byte");
-      s.key.cls = static_cast<JobClass>(cls);
-    } else if (kind == 1) {
-      s.is_cell = true;
-      std::uint32_t members = 0;
-      if (!r.u64(s.cell_key.cap_bits) || !r.u64(s.cell_key.thermal_bits) ||
-          !r.u32(members)) {
-        return reject("truncated cell entry");
-      }
-      if (members == 0) return reject("empty cell member list");
-      if (members > r.remaining() / kCellMemberBytes) {
-        return reject("cell member count exceeds payload");
-      }
-      s.cell_key.members.resize(members);
-      for (CoRunMember& m : s.cell_key.members) {
-        std::uint8_t cls = 0;
-        std::uint32_t chunk_index = 0;
-        if (!r.u8(cls) || !r.u64(m.identity) || !r.u64(m.seed) ||
-            !r.u32(chunk_index)) {
-          return reject("truncated cell member");
-        }
-        if (!valid_class(cls)) return reject("invalid job class byte");
-        m.cls = static_cast<JobClass>(cls);
-        m.chunk_index = static_cast<int>(chunk_index);
-      }
-      s.cell.resize(members);
-      for (ChunkResult& cr : s.cell) {
-        if (!r.result(cr)) return reject("truncated cell results");
-      }
-    } else {
-      return reject("unknown entry kind");
+      m.cls = static_cast<JobClass>(cls);
+      m.chunk_index = static_cast<int>(chunk_index);
     }
-    staged.push_back(std::move(s));
+    entry.results.resize(members);
+    for (ChunkResult& cr : entry.results) {
+      if (!r.result(cr)) return reject("truncated cell results");
+    }
   }
   if (r.pos() != r.size()) return reject("trailing bytes after entries");
 
-  for (Staged& s : staged) {
-    if (s.is_cell) {
-      cache.insert_cell(s.cell_key, std::move(s.cell));
-    } else {
-      cache.insert(s.key, s.solo);
-    }
-    ++result.entries_loaded;
+  for (ChunkCache::Entry& entry : staged) {
+    cache.insert(entry.key, std::move(entry.results));
   }
+  result.entries_loaded = staged.size();
   return result;
 }
 

@@ -1,18 +1,19 @@
 // Persistent chunk-memo store (DESIGN.md §17): serializes a ChunkCache's
-// recorded solo chunks and co-run cells to a versioned on-disk format so a
-// later run of the SAME study starts warm — every chunk whose key was
-// recorded replays bit-exactly from disk with zero misses.
+// recorded cells (a solo chunk is a one-member cell) to a versioned on-disk
+// format so a later run of the SAME study starts warm — every chunk whose
+// key was recorded replays bit-exactly from disk with zero misses.
 //
 // Integrity contract: a store is trusted WHOLE or not at all. The header
 // carries a magic, a format version and an FNV-1a hash of the entire
-// payload; any mismatch (wrong magic, unknown version, hash mismatch,
-// truncation, trailing bytes, an out-of-range class byte, a count larger
-// than the payload can hold) rejects the file and leaves the cache
-// untouched (tests/test_memo_store.cpp, including the MemoStoreFuzz byte
-// flips, truncations and seeded garbage). Integrity is
-// not provenance: the keys cover class, identity, cap and thermal identity
-// only, so which runs a store may be replayed into is ChunkBatch's contract
-// (chunk_batch.hpp, ChunkBatch::Config::memo_store).
+// payload; any mismatch (wrong magic, any version but the current v2 —
+// v1 files included, hash mismatch, truncation, trailing bytes, an
+// out-of-range class byte, an empty member list, a count larger than the
+// payload can hold) rejects the file and leaves the cache untouched
+// (tests/test_memo_store.cpp, including the MemoStoreFuzz byte flips,
+// truncations and seeded garbage). Integrity is not provenance: the keys
+// cover cap, thermal identity and each resident's class and identity
+// only, so which runs a store may be replayed into is ChunkBatch's
+// contract (chunk_batch.hpp, ChunkBatch::Config::memo_store).
 //
 // Entries are written oldest-first so sequential re-insertion reproduces
 // the recency order the cache had at save time — LRU eviction then behaves

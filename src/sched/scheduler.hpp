@@ -73,10 +73,10 @@ struct SchedulerConfig {
   /// recorded results bit-exactly. Pure performance knob — OFF produces a
   /// bit-identical schedule, slower.
   bool memo = true;
-  /// Upper bound on recorded memo entries (solo chunks + co-run cells
-  /// combined); least-recently-used entries are evicted at serial commit
-  /// points. 0 = unbounded. Pure performance/memory knob: eviction changes
-  /// which chunks re-simulate, never what any simulation returns.
+  /// Upper bound on recorded memo entries (cells, solo ones included);
+  /// least-recently-used entries are evicted at serial commit points.
+  /// 0 = unbounded. Pure performance/memory knob: eviction changes which
+  /// chunks re-simulate, never what any simulation returns.
   std::size_t memo_capacity = 0;
   /// Persistent chunk-memo store path (DESIGN.md §17). When set, recorded
   /// entries are loaded from this file before the run (missing file = cold

@@ -1,6 +1,7 @@
 // The management plane's allocation contract (DESIGN.md §8, "Frame
 // buffers"): once warm, an IPMI exchange and a budget-coupler round touch
-// no heap. Beside it, the fleet's memory contract (DESIGN.md §14): a
+// no heap, and neither does a chunk round whose every start replays from
+// the memo (DESIGN.md §12). Beside it, the fleet's memory contract (DESIGN.md §14): a
 // fleet's construction and ticks request a bounded number of heap bytes
 // per node. This binary replaces the global allocation functions with
 // counting ones, which is why it is an executable of its own.
@@ -25,6 +26,7 @@
 #include "fleet/virtual_node.hpp"
 #include "ipmi/commands.hpp"
 #include "ipmi/transport.hpp"
+#include "sched/chunk_batch.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
 
@@ -249,6 +251,36 @@ TEST(HeapAllocations, CouplerRounds) {
   EXPECT_EQ(allocations_during(rounds), 0u);
   EXPECT_GT(root.pushes(), pushes_before);
   EXPECT_GT(links[0]->faulty.drops() + links[0]->faulty.corruptions(), 0u);
+}
+
+/// A fleet tick whose chunk starts all replay from the memo: after one
+/// warm-up round has simulated every start and sized the round scratch,
+/// each further all-hit round of solo starts touches no heap.
+TEST(HeapAllocations, ChunkBatchAllHitRound) {
+  using sched::CoRunMember;
+  using sched::JobClass;
+  sched::ChunkBatch batch(sched::ChunkBatch::Config{});
+  const CoRunMember starts[] = {CoRunMember::of(JobClass::kSireLike, 3, 0),
+                                CoRunMember::of(JobClass::kStereoLike, 5, 0),
+                                CoRunMember::of(JobClass::kPhased, 7, 1),
+                                CoRunMember::of(JobClass::kSireLike, 9, 2)};
+  auto round = [&] {
+    for (const CoRunMember& start : starts) {
+      batch.add_start(start, {}, 135.0);
+      batch.add_start(start, {}, std::nullopt);
+    }
+    return batch.run_round().size();
+  };
+  ASSERT_EQ(round(), 8u);  // warm-up: every start misses and simulates
+  const sched::ChunkBatch::Stats warm = batch.stats();
+  std::size_t outcomes = 0;
+  EXPECT_EQ(allocations_during([&] {
+              for (int i = 0; i < 10; ++i) outcomes += round();
+            }),
+            0u);
+  EXPECT_EQ(outcomes, 80u);
+  EXPECT_EQ(batch.stats().misses, warm.misses);
+  EXPECT_EQ(batch.stats().hits, warm.hits + 80u);
 }
 
 /// The memory contract: building a 64-node fleet and stepping it 200

@@ -361,7 +361,9 @@ TEST_F(DcmBudgetTest, ReportsExactlyTheCapsThatLanded) {
 
 TEST(DcmFaulty, SurvivesLossyManagementNetwork) {
   Slot slot(7);
-  ipmi::FaultyTransport faulty(*slot.transport, 0.3, 0.2, 11);
+  ipmi::FaultyTransport faulty(
+      *slot.transport,
+      ipmi::FaultSpec{.drop_rate = 0.3, .corrupt_rate = 0.2}, 11);
   DataCenterManager dcm;
   // Discovery may need a few tries over a lossy link.
   bool added = false;

@@ -230,7 +230,8 @@ TEST(Transport, SessionSurvivesDropsAndCorruption) {
   LoopbackTransport inner([](std::span<const std::uint8_t> f) {
     return echo_seq(f, make_ok_response());
   });
-  FaultyTransport faulty(inner, /*drop=*/0.4, /*corrupt=*/0.4, /*seed=*/3);
+  FaultyTransport faulty(
+      inner, FaultSpec{.drop_rate = 0.4, .corrupt_rate = 0.4}, /*seed=*/3);
   Session session(faulty);
   int ok = 0, failed = 0;
   for (int i = 0; i < 200; ++i) {

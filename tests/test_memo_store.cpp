@@ -2,9 +2,12 @@
 //  * a saved store reloads bit-exactly — entries, values and LRU recency —
 //    and a warm scheduler run is a pure replay: zero chunk misses and a
 //    bit-identical schedule digest;
-//  * a store is trusted WHOLE or not at all: version mismatch, truncation
-//    and a single flipped payload bit each reject the file and leave the
-//    cache untouched (a corrupt store can cost speed, never correctness);
+//  * at two lanes per node, co-run cells round-trip through a real run the
+//    same way;
+//  * a store is trusted WHOLE or not at all: version mismatch (a v1 store
+//    included), truncation and a single flipped payload bit each reject
+//    the file and leave the cache untouched (a corrupt store can cost
+//    speed, never correctness);
 //  * a missing file is a normal cold start, not an error;
 //  * keys embed the thermal identity, so a store recorded under thermal
 //    configuration A is structurally unable to serve configuration B;
@@ -32,8 +35,9 @@
 #include "sched/memo_store.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine_config.hpp"
-#include "util/units.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace pcap::sched {
 namespace {
@@ -96,12 +100,22 @@ ChunkResult make_result(double scale) {
   return r;
 }
 
-ChunkKey make_key(JobClass cls, double cap_w, std::uint64_t thermal = 7) {
-  ChunkKey key;
-  key.cls = cls;
-  key.identity = chunk_identity(cls, 3, 0);
+/// The one-member cell of a solo chunk of class `cls` under `cap_w`.
+CoRunKey solo_key(JobClass cls, double cap_w) {
+  CoRunKey key;
   key.cap_bits = ChunkKey::encode_cap(cap_w);
-  key.thermal_bits = thermal;
+  key.thermal_bits = 7;
+  key.members.push_back(CoRunMember::of(cls, 3, 0));
+  return key;
+}
+
+/// A two-member co-run cell.
+CoRunKey pair_key() {
+  CoRunKey key;
+  key.cap_bits = ChunkKey::encode_cap(135.0);
+  key.thermal_bits = 7;
+  key.members.push_back({JobClass::kSireLike, 11, 3, 0});
+  key.members.push_back({JobClass::kStrideLike, 22, 3, 1});
   return key;
 }
 
@@ -116,18 +130,14 @@ TEST(MemoStoreTest, SaveLoadRoundTripsEntriesValuesAndRecency) {
   std::remove(path.c_str());
 
   ChunkCache cache;
-  cache.insert(make_key(JobClass::kSireLike, 125.0), make_result(1.0));
-  cache.insert(make_key(JobClass::kStereoLike, 150.0), make_result(2.0));
-  CoRunKey cell;
-  cell.cap_bits = ChunkKey::encode_cap(135.0);
-  cell.thermal_bits = 7;
-  cell.members.push_back({JobClass::kSireLike, 11, 3, 0});
-  cell.members.push_back({JobClass::kStrideLike, 22, 3, 1});
-  cache.insert_cell(cell, {make_result(3.0), make_result(4.0)});
+  cache.insert(solo_key(JobClass::kSireLike, 125.0), {make_result(1.0)});
+  cache.insert(solo_key(JobClass::kStereoLike, 150.0), {make_result(2.0)});
+  const CoRunKey cell = pair_key();
+  cache.insert(cell, {make_result(3.0), make_result(4.0)});
   // Touch the first solo entry so the saved recency order is not insertion
   // order: the reloaded cache must evict in the same order the original
   // would have.
-  ASSERT_NE(cache.find(make_key(JobClass::kSireLike, 125.0)), nullptr);
+  ASSERT_NE(cache.find(solo_key(JobClass::kSireLike, 125.0)), nullptr);
 
   ASSERT_TRUE(save_memo_store(path, cache));
   ChunkCache reloaded;
@@ -135,13 +145,14 @@ TEST(MemoStoreTest, SaveLoadRoundTripsEntriesValuesAndRecency) {
   EXPECT_TRUE(load.file_present);
   EXPECT_FALSE(load.rejected) << load.error;
   EXPECT_EQ(load.entries_loaded, 3u);
-  EXPECT_EQ(reloaded.size(), 2u);
-  EXPECT_EQ(reloaded.cell_count(), 1u);
+  EXPECT_EQ(reloaded.size(), 3u);
 
-  const ChunkResult* solo = reloaded.find(make_key(JobClass::kSireLike, 125.0));
+  const std::vector<ChunkResult>* solo =
+      reloaded.find(solo_key(JobClass::kSireLike, 125.0));
   ASSERT_NE(solo, nullptr);
-  expect_results_equal(*solo, make_result(1.0));
-  const std::vector<ChunkResult>* got = reloaded.find_cell(cell);
+  ASSERT_EQ(solo->size(), 1u);
+  expect_results_equal((*solo)[0], make_result(1.0));
+  const std::vector<ChunkResult>* got = reloaded.find(cell);
   ASSERT_NE(got, nullptr);
   ASSERT_EQ(got->size(), 2u);
   expect_results_equal((*got)[0], make_result(3.0));
@@ -155,11 +166,10 @@ TEST(MemoStoreTest, SaveLoadRoundTripsEntriesValuesAndRecency) {
   ASSERT_FALSE(load_memo_store(path, trimmed).rejected);
   trimmed.set_capacity(2);
   trimmed.trim();
-  EXPECT_EQ(trimmed.size(), 1u);
-  EXPECT_EQ(trimmed.cell_count(), 1u);
-  EXPECT_NE(trimmed.find(make_key(JobClass::kSireLike, 125.0)), nullptr);
-  EXPECT_NE(trimmed.find_cell(cell), nullptr);
-  EXPECT_EQ(trimmed.find(make_key(JobClass::kStereoLike, 150.0)), nullptr);
+  EXPECT_EQ(trimmed.size(), 2u);
+  EXPECT_NE(trimmed.find(solo_key(JobClass::kSireLike, 125.0)), nullptr);
+  EXPECT_NE(trimmed.find(cell), nullptr);
+  EXPECT_EQ(trimmed.find(solo_key(JobClass::kStereoLike, 150.0)), nullptr);
   std::remove(path.c_str());
 }
 
@@ -187,11 +197,88 @@ TEST(MemoStoreTest, WarmRunReplaysBitExactlyWithZeroMisses) {
   std::remove(path.c_str());
 }
 
+TEST(MemoStoreTest, TwoLaneWarmRunReplaysCellsWithZeroMisses) {
+  // Two lanes per node co-run chunks, so the store round-trips co-run
+  // cells (two or more members) beside the one-member solo cells.
+  const AmenabilityTable table = synthetic_table();
+  const auto stream = small_stream(8);
+  const std::string path = store_path("warm_lanes.pcms");
+  std::remove(path.c_str());
+
+  SchedulerConfig config = base_config(&table, path);
+  config.lanes_per_node = 2;
+  const ScheduleResult cold = ClusterScheduler(config).run(stream);
+  EXPECT_GT(cold.corun_cells, 0u);
+  EXPECT_GT(cold.store_entries_saved, cold.corun_cells);
+
+  const ScheduleResult warm = ClusterScheduler(config).run(stream);
+  EXPECT_EQ(warm.store_load_rejected, 0u);
+  EXPECT_EQ(warm.store_entries_loaded, cold.store_entries_saved);
+  EXPECT_EQ(warm.memo_misses, 0u) << "warm run re-simulated chunks";
+  EXPECT_EQ(warm.corun_cells, 0u);
+  EXPECT_EQ(warm.memo_hits, warm.chunks);
+  EXPECT_EQ(warm.schedule_digest(), cold.schedule_digest());
+  std::remove(path.c_str());
+}
+
+/// A well-formed store in the retired v1 layout, which tagged each entry
+/// with a kind byte: one solo record (kind 0) under a valid payload hash.
+std::vector<std::uint8_t> v1_store_bytes() {
+  std::vector<std::uint8_t> payload;
+  const auto put = [&payload](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) payload.push_back((v >> (8 * i)) & 0xFF);
+  };
+  put(1, 8);  // entry count
+  put(0, 1);  // kind: solo chunk
+  put(static_cast<std::uint64_t>(JobClass::kSireLike), 1);
+  put(0, 8);  // identity
+  put(ChunkKey::encode_cap(125.0), 8);
+  put(thermal_identity_bits(sim::MachineConfig::romley()), 8);
+  for (int i = 0; i < 3; ++i) put(1000, 8);  // elapsed, energy, power
+  std::vector<std::uint8_t> file = {'P', 'C', 'M', 'S', 1, 0, 0, 0};
+  const std::uint64_t hash = util::fnv1a(payload);
+  for (int i = 0; i < 8; ++i) file.push_back((hash >> (8 * i)) & 0xFF);
+  file.insert(file.end(), payload.begin(), payload.end());
+  return file;
+}
+
+void write_bytes(const std::string& path, const std::vector<std::uint8_t>& b) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(b.data()),
+          static_cast<std::streamsize>(b.size()));
+}
+
+TEST(MemoStoreTest, V1StoreIsRejectedWholeAndTheRunStartsCold) {
+  const AmenabilityTable table = synthetic_table();
+  const auto stream = small_stream(6);
+  const std::string path = store_path("v1.pcms");
+  write_bytes(path, v1_store_bytes());
+
+  ChunkCache cache;
+  const MemoStoreLoadResult load = load_memo_store(path, cache);
+  EXPECT_TRUE(load.rejected);
+  EXPECT_NE(load.error.find("unsupported format version 1"),
+            std::string::npos)
+      << load.error;
+  EXPECT_EQ(cache.size(), 0u);
+
+  const ScheduleResult plain =
+      ClusterScheduler(base_config(&table, "")).run(stream);
+  const ScheduleResult v1 =
+      ClusterScheduler(base_config(&table, path)).run(stream);
+  EXPECT_EQ(v1.store_load_rejected, 1u);
+  EXPECT_EQ(v1.store_entries_loaded, 0u);
+  EXPECT_EQ(v1.memo_misses, plain.memo_misses);
+  EXPECT_EQ(v1.memo_hits, plain.memo_hits);
+  EXPECT_EQ(v1.schedule_digest(), plain.schedule_digest());
+  std::remove(path.c_str());
+}
+
 TEST(MemoStoreTest, VersionMismatchRejectsWholeStore) {
   const std::string path = store_path("version.pcms");
   std::remove(path.c_str());
   ChunkCache cache;
-  cache.insert(make_key(JobClass::kSireLike, 125.0), make_result(1.0));
+  cache.insert(solo_key(JobClass::kSireLike, 125.0), {make_result(1.0)});
   ASSERT_TRUE(save_memo_store(path, cache));
 
   {
@@ -205,7 +292,7 @@ TEST(MemoStoreTest, VersionMismatchRejectsWholeStore) {
   EXPECT_TRUE(load.file_present);
   EXPECT_TRUE(load.rejected);
   EXPECT_EQ(load.entries_loaded, 0u);
-  EXPECT_EQ(loaded.size() + loaded.cell_count(), 0u)
+  EXPECT_EQ(loaded.size(), 0u)
       << "rejected store leaked entries into the cache";
   std::remove(path.c_str());
 }
@@ -214,8 +301,8 @@ TEST(MemoStoreTest, TruncationAndBitFlipRejectWholeStore) {
   const std::string path = store_path("corrupt.pcms");
   std::remove(path.c_str());
   ChunkCache cache;
-  cache.insert(make_key(JobClass::kSireLike, 125.0), make_result(1.0));
-  cache.insert(make_key(JobClass::kPhased, 115.0), make_result(2.0));
+  cache.insert(solo_key(JobClass::kSireLike, 125.0), {make_result(1.0)});
+  cache.insert(solo_key(JobClass::kPhased, 115.0), {make_result(2.0)});
   ASSERT_TRUE(save_memo_store(path, cache));
 
   std::string bytes;
@@ -233,7 +320,7 @@ TEST(MemoStoreTest, TruncationAndBitFlipRejectWholeStore) {
   }
   ChunkCache truncated;
   EXPECT_TRUE(load_memo_store(path, truncated).rejected);
-  EXPECT_EQ(truncated.size() + truncated.cell_count(), 0u);
+  EXPECT_EQ(truncated.size(), 0u);
 
   // A single flipped payload bit: the FNV hash catches it, rejected whole —
   // never "the entries before the flip".
@@ -245,7 +332,7 @@ TEST(MemoStoreTest, TruncationAndBitFlipRejectWholeStore) {
   }
   ChunkCache bitflip;
   EXPECT_TRUE(load_memo_store(path, bitflip).rejected);
-  EXPECT_EQ(bitflip.size() + bitflip.cell_count(), 0u);
+  EXPECT_EQ(bitflip.size(), 0u);
 
   // Trailing garbage after a valid payload: also rejected whole.
   std::string trailing = bytes + "x";
@@ -255,7 +342,7 @@ TEST(MemoStoreTest, TruncationAndBitFlipRejectWholeStore) {
   }
   ChunkCache trailed;
   EXPECT_TRUE(load_memo_store(path, trailed).rejected);
-  EXPECT_EQ(trailed.size() + trailed.cell_count(), 0u);
+  EXPECT_EQ(trailed.size(), 0u);
   std::remove(path.c_str());
 }
 
@@ -410,23 +497,13 @@ TEST(MemoStoreTest, DigestInvariantAcrossJobsMemoAndStoreGrid) {
 // MemoStoreFuzz: the loader is fed untrusted bytes from disk
 // ---------------------------------------------------------------------------
 
-void write_bytes(const std::string& path, const std::vector<std::uint8_t>& b) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  f.write(reinterpret_cast<const char*>(b.data()),
-          static_cast<std::streamsize>(b.size()));
-}
-
-/// A recorded store holding two solo chunks and one two-member cell.
+/// A recorded v2 store holding two one-member (solo) cells and one
+/// two-member cell.
 std::vector<std::uint8_t> recorded_store(const std::string& path) {
   ChunkCache cache;
-  cache.insert(make_key(JobClass::kSireLike, 125.0), make_result(1.0));
-  cache.insert(make_key(JobClass::kPhased, 115.0), make_result(2.0));
-  CoRunKey cell;
-  cell.cap_bits = ChunkKey::encode_cap(135.0);
-  cell.thermal_bits = 7;
-  cell.members.push_back({JobClass::kSireLike, 11, 3, 0});
-  cell.members.push_back({JobClass::kStrideLike, 22, 3, 1});
-  cache.insert_cell(cell, {make_result(3.0), make_result(4.0)});
+  cache.insert(solo_key(JobClass::kSireLike, 125.0), {make_result(1.0)});
+  cache.insert(solo_key(JobClass::kPhased, 115.0), {make_result(2.0)});
+  cache.insert(pair_key(), {make_result(3.0), make_result(4.0)});
   EXPECT_TRUE(save_memo_store(path, cache));
   std::ifstream f(path, std::ios::binary);
   return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(f),
@@ -441,7 +518,7 @@ MemoStoreLoadResult load_bytes(const std::string& path,
   ChunkCache cache;
   const MemoStoreLoadResult load = load_memo_store(path, cache);
   if (load.rejected) {
-    EXPECT_EQ(cache.size() + cache.cell_count(), 0u) << load.error;
+    EXPECT_EQ(cache.size(), 0u) << load.error;
   }
   return load;
 }
@@ -475,16 +552,6 @@ TEST(MemoStoreFuzz, EveryTruncationRejected) {
   std::remove(path.c_str());
 }
 
-/// FNV-1a, as the store header hashes its payload.
-std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 TEST(MemoStoreFuzz, SeededGarbageNeverCrashes) {
   const std::string path = store_path("fuzz_garbage.pcms");
   const std::vector<std::uint8_t> recorded = recorded_store(path);
@@ -503,8 +570,8 @@ TEST(MemoStoreFuzz, SeededGarbageNeverCrashes) {
     (void)load_bytes(path, bytes);
   }
   // Garbage under a valid header (magic, version, matching payload hash),
-  // so the entry parser itself sees it: random counts, kinds, class bytes
-  // and member counts, sometimes spliced from the recorded payload. Any
+  // so the entry parser itself sees it: random counts, class bytes and
+  // member counts, sometimes spliced from the recorded payload. Any
   // outcome but a crash or an oversized allocation is fine; an accepted
   // store loads exactly the entries it declares.
   const std::vector<std::uint8_t> payload(recorded.begin() + 16,
@@ -522,15 +589,17 @@ TEST(MemoStoreFuzz, SeededGarbageNeverCrashes) {
               static_cast<std::uint8_t>(rng.below(256));
         }
         break;
-      default:  // a small entry count, then garbage entries
-        body = garbage(8 + rng.below(400));
+      default:  // a small entry count, then garbage cells whose first
+                // member count is small too (bytes 24..27 of the payload)
+        body = garbage(28 + rng.below(400));
         for (int k = 0; k < 8; ++k) body[k] = 0;
         body[0] = static_cast<std::uint8_t>(rng.below(5));
-        if (body.size() > 8) body[8] = static_cast<std::uint8_t>(rng.below(3));
+        for (int k = 24; k < 28; ++k) body[k] = 0;
+        body[24] = static_cast<std::uint8_t>(rng.below(4));
         break;
     }
     std::vector<std::uint8_t> bytes(recorded.begin(), recorded.begin() + 8);
-    const std::uint64_t hash = fnv1a(body);
+    const std::uint64_t hash = util::fnv1a(body);
     for (int k = 0; k < 8; ++k) {
       bytes.push_back(static_cast<std::uint8_t>(hash >> (8 * k)));
     }

@@ -401,6 +401,64 @@ TEST(ChunkBatchTest, SharedCellSimulatesOnceAndCountsAreJobsInvariant) {
   EXPECT_EQ(stats[0].misses, stats[1].misses);
 }
 
+TEST(ChunkBatchTest, SoloAndCoRunStartsMatchDirectSimulation) {
+  // Every start is a cell: a solo start is the one-member cell and runs on
+  // a Node through simulate_chunk, a co-run start on an SmpNode through
+  // simulate_corun_cell. With the memo on or off, a round returns exactly
+  // what the direct calls return.
+  ChunkBatch::Config config;
+  const std::uint64_t thermal = thermal_identity_bits(config.machine);
+  const CoRunMember phased = CoRunMember::of(JobClass::kPhased, 4, 2);
+  const CoRunMember sire = CoRunMember::of(JobClass::kSireLike, 3, 0);
+  const CoRunMember stereo = CoRunMember::of(JobClass::kStereoLike, 5, 0);
+
+  const ChunkKey solo_key{phased.cls, phased.identity,
+                          ChunkKey::encode_cap(125.0), thermal};
+  const ChunkResult solo = simulate_chunk(config.machine, config.bmc,
+                                          solo_key, phased.seed,
+                                          phased.chunk_index, config.seed);
+  CoRunKey pair;
+  pair.cap_bits = ChunkKey::encode_cap(135.0);
+  pair.thermal_bits = thermal;
+  pair.members = {sire, stereo};
+  std::sort(pair.members.begin(), pair.members.end(),
+            [](const CoRunMember& a, const CoRunMember& b) {
+              return key_less(a, b);
+            });
+  const std::vector<ChunkResult> cell =
+      simulate_corun_cell(config.machine, config.bmc, pair, config.seed,
+                          config.corun_quantum);
+  const std::size_t sire_at = pair.members[0].cls == sire.cls ? 0 : 1;
+
+  for (const bool memo : {true, false}) {
+    ChunkBatch::Config with = config;
+    with.memo = memo;
+    ChunkBatch batch(with);
+    batch.add_start(phased, {}, 125.0);
+    batch.add_start(phased, {}, 125.0);
+    batch.add_start(sire, std::span(&stereo, 1), 135.0);
+    const auto outcomes = batch.run_round();
+    ASSERT_EQ(outcomes.size(), 3u);
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_FALSE(outcomes[k].corun);
+      EXPECT_EQ(outcomes[k].result.elapsed, solo.elapsed) << "memo " << memo;
+      EXPECT_EQ(outcomes[k].result.energy_j, solo.energy_j);
+      EXPECT_EQ(outcomes[k].result.avg_power_w, solo.avg_power_w);
+    }
+    EXPECT_TRUE(outcomes[2].corun);
+    EXPECT_EQ(outcomes[2].result.elapsed, cell[sire_at].elapsed);
+    EXPECT_EQ(outcomes[2].result.energy_j, cell[sire_at].energy_j);
+    EXPECT_EQ(outcomes[2].result.avg_power_w, cell[sire_at].avg_power_w);
+
+    // Both duplicate solo starts missed (their cell was new this round);
+    // only the two-member cell counts as a co-run cell.
+    const ChunkBatch::Stats stats = batch.stats();
+    EXPECT_EQ(stats.misses, 3u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.corun_cells, 1u);
+  }
+}
+
 TEST(ClusterSchedulerTest, MemoCacheIsBitNeutralAndActuallyHits) {
   const AmenabilityTable table = synthetic_table();
   const auto stream = small_stream(8);
