@@ -156,25 +156,8 @@ void BM_ContextLoadTelemetry(benchmark::State& state) {
 BENCHMARK(BM_ContextLoadTelemetry);
 
 // Batched stream cases: each iteration simulates a whole regular access
-// stream, so per-iteration time is comparable between the per-access loop
-// (baseline) and the batched access_stream/load_stream implementations.
-constexpr std::uint64_t kStreamCount = 4096;
-
-void BM_HierarchyStream(benchmark::State& state) {
-  pmu::CounterBank bank;
-  sim::MemoryHierarchy hierarchy(sim::MachineConfig::romley().hierarchy, bank);
-  std::uint64_t base = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        hierarchy.access_stream(base, 8, kStreamCount, sim::AccessType::kLoad)
-            .cycles);
-    base += kStreamCount * 8;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kStreamCount));
-}
-BENCHMARK(BM_HierarchyStream);
-
+// stream, so per-iteration time is comparable between the batched
+// load_stream and the per-op loop it must stay bit-identical to.
 void BM_ContextStreamLoad(benchmark::State& state) {
   sim::Node node(sim::MachineConfig::romley());
   sim::ExecutionContext ctx(node);
@@ -186,6 +169,19 @@ void BM_ContextStreamLoad(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2048);
 }
 BENCHMARK(BM_ContextStreamLoad);
+
+// Per-op baseline of BM_ContextStreamLoad: the same 2048 loads, one
+// ctx.load each. Gated as a within-run ratio (stream <= 0.9x per-op).
+void BM_ContextLoadPerOp(benchmark::State& state) {
+  sim::Node node(sim::MachineConfig::romley());
+  sim::ExecutionContext ctx(node);
+  const sim::Address base = ctx.alloc(16 * 1024);
+  for (auto _ : state) {
+    for (std::uint64_t i = 0; i < 2048; ++i) ctx.load(base + 8 * i);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2048);
+}
+BENCHMARK(BM_ContextLoadPerOp);
 
 void BM_ContextRmw(benchmark::State& state) {
   sim::Node node(sim::MachineConfig::romley());
@@ -392,45 +388,6 @@ void BM_ChunkMissHeap(benchmark::State& state) {
   util::set_cell_arena_enabled(true);
 }
 BENCHMARK(BM_ChunkMissHeap);
-
-// Whole-set sweep kernels (DESIGN.md §17): one page of resident lines
-// walked line-by-line. The batched path proves the whole span resident
-// with one SoA probe and commits it in one pass; the per-access baseline
-// pays the full access() fast path per op. Gated as a within-run ratio
-// (sweep >= 2x cheaper per access).
-void BM_SweepWholeSet(benchmark::State& state) {
-  pmu::CounterBank bank;
-  sim::MemoryHierarchy hierarchy(sim::MachineConfig::romley().hierarchy, bank);
-  constexpr std::uint64_t kBase = 0x10000;  // page-aligned
-  constexpr std::uint64_t kLines = 64;      // 64 lines x 64 B = one 4 KB page
-  hierarchy.access_stream(kBase, 64, kLines, sim::AccessType::kLoad);  // warm
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        hierarchy.access_stream(kBase, 64, kLines, sim::AccessType::kLoad)
-            .cycles);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kLines));
-}
-BENCHMARK(BM_SweepWholeSet);
-
-void BM_SweepWholeSetPerAccess(benchmark::State& state) {
-  pmu::CounterBank bank;
-  sim::MemoryHierarchy hierarchy(sim::MachineConfig::romley().hierarchy, bank);
-  constexpr std::uint64_t kBase = 0x10000;
-  constexpr std::uint64_t kLines = 64;
-  hierarchy.access_stream(kBase, 64, kLines, sim::AccessType::kLoad);  // warm
-  for (auto _ : state) {
-    std::uint64_t cycles = 0;
-    for (std::uint64_t i = 0; i < kLines; ++i) {
-      cycles += hierarchy.access(kBase + i * 64, sim::AccessType::kLoad).cycles;
-    }
-    benchmark::DoNotOptimize(cycles);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kLines));
-}
-BENCHMARK(BM_SweepWholeSetPerAccess);
 
 // Persistent chunk-memo store (DESIGN.md §17): the same small scheduler
 // study cold (store deleted first: every chunk simulates, then the store

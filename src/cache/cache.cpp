@@ -162,50 +162,6 @@ bool Cache::note_mru_hits(Address addr, bool is_write, std::uint64_t n) {
   return true;
 }
 
-std::uint64_t Cache::probe_line_sweep(Address addr, std::uint64_t n_lines,
-                                      std::uint64_t line_step,
-                                      std::uint32_t* hit_ways) const {
-  const Address addr_step = line_step << line_shift_;
-  std::uint64_t set = set_index(addr);
-  for (std::uint64_t i = 0; i < n_lines; ++i) {
-    const SetCtl& ctl = ctl_[set];
-    const Address* const tags = tags_.data() + set * config_.ways;
-    // Hint first: a repeated sweep finds every line at its set's MRU way,
-    // making the common probe one compare per line instead of a group match.
-    const std::uint32_t hint = ctl.mru;
-    if (live(ctl, hint) && tags[hint] == tag_of(addr)) {
-      hit_ways[i] = hint;
-    } else {
-      const std::uint32_t w = find_way(ctl, tags, addr);
-      if (w == kMaxWays) return i;
-      hit_ways[i] = w;
-    }
-    set = (set + line_step) & set_mask_;
-    addr += addr_step;
-  }
-  return n_lines;
-}
-
-void Cache::commit_line_sweep(Address addr, std::uint64_t n_lines,
-                              std::uint64_t line_step,
-                              const std::uint32_t* hit_ways, bool is_write,
-                              std::uint64_t extra_hits) {
-  stats_.accesses += n_lines + extra_hits;
-  stats_.hits += n_lines + extra_hits;
-  std::uint64_t set = set_index(addr);
-  for (std::uint64_t i = 0; i < n_lines; ++i) {
-    const std::uint32_t w = hit_ways[i];
-    SetCtl& ctl = ctl_[set];
-    // Exactly access()'s hit bookkeeping: a non-MRU hit ages the set and
-    // promotes the line; an MRU hit leaves ages alone. The hint update is
-    // idempotent on the MRU path, so it is applied unconditionally.
-    if (ctl.age[w] != 0) touch(ctl.age, w);
-    ctl.mru = w;
-    if (is_write) ctl.dirty |= 1u << w;
-    set = (set + line_step) & set_mask_;
-  }
-}
-
 AccessOutcome Cache::access(Address addr, bool is_write) {
   ++stats_.accesses;
   const std::uint64_t set = set_index(addr);

@@ -120,29 +120,6 @@ class Cache {
   /// does not hold — callers then fall back to access().
   bool note_mru_hits(Address addr, bool is_write, std::uint64_t n);
 
-  /// Whole-set sweep probe: for the `n_lines` lines starting at the line of
-  /// `addr` and advancing `line_step` lines each, counts how many of the
-  /// LEADING lines are resident in an active way, writing the hit way per
-  /// line into `hit_ways`. Non-mutating (no statistics, no LRU motion), so
-  /// the caller may probe first and decide later. The swept lines must map
-  /// to distinct sets (n_lines * line_step <= sets(); the hierarchy keeps
-  /// sweeps within one page, which guarantees it for L1 geometries).
-  std::uint64_t probe_line_sweep(Address addr, std::uint64_t n_lines,
-                                 std::uint64_t line_step,
-                                 std::uint32_t* hit_ways) const;
-
-  /// Commits a sweep of `n_lines` resident lines the caller proved with
-  /// probe_line_sweep: per line, leaves exactly the state one access()
-  /// hit leaves (LRU touch unless the line is already its set's MRU, the
-  /// per-set MRU hint, the dirty bit for writes) and counts one hit.
-  /// `extra_hits` additionally accounts that many pure MRU repeat hits
-  /// (statistics only — the per-line repeats of a strided stream). The
-  /// distinct-sets precondition of the probe applies.
-  void commit_line_sweep(Address addr, std::uint64_t n_lines,
-                         std::uint64_t line_step,
-                         const std::uint32_t* hit_ways, bool is_write,
-                         std::uint64_t extra_hits);
-
   /// True if the line containing addr is present (no LRU update).
   bool contains(Address addr) const;
 

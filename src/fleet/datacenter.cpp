@@ -56,7 +56,6 @@ DatacenterManager::DatacenterManager(const FleetConfig& config)
     rack.bmc = config_.bmc;
     rack.idle_node_w = config_.idle_node_w;
     rack.cap_grid_w = config_.cap_grid_w;
-    rack.division = config_.division;
     rack.node_faults = config_.node_faults;
     rack.comms = config_.comms;
     rack.coupler = config_.coupler;

@@ -75,7 +75,6 @@ struct FleetConfig {
   std::optional<ipmi::FaultSpec> node_faults;
   double idle_node_w = 101.0;
   double cap_grid_w = 8.0;
-  RackDivision division = RackDivision::kTwoTier;
   CouplerConfig coupler;
   core::NodeCommsConfig comms;
   /// Every rack's telemetry sampling (RackConfig::sampler).

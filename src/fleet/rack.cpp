@@ -75,17 +75,7 @@ const std::vector<double>& RackManager::division_weights() {
     const NodeSlot& slot = *slots_[i];
     const bool busy = std::any_of(slot.lanes.begin(), slot.lanes.end(),
                                   [](const Lane& l) { return l.busy(); });
-    switch (config_.division) {
-      case RackDivision::kTwoTier:
-        weights_[i] = busy ? 1.0 : 0.0;
-        break;
-      case RackDivision::kUniform:
-        weights_[i] = 1.0;
-        break;
-      case RackDivision::kDemand:
-        weights_[i] = slot.vnode.draw_w();
-        break;
-    }
+    weights_[i] = busy ? 1.0 : 0.0;
   }
   return weights_;
 }

@@ -37,13 +37,6 @@
 
 namespace pcap::fleet {
 
-/// How a rack divides its enforced budget across its nodes.
-enum class RackDivision {
-  kTwoTier,  // idle nodes at the floor, busy nodes split the surplus
-  kUniform,  // equal shares regardless of occupancy
-  kDemand,   // proportional to current draw
-};
-
 struct RackConfig {
   std::string name = "rack";
   std::size_t node_count = 8;
@@ -54,7 +47,6 @@ struct RackConfig {
   /// grid). Coarse grids bound the set of distinct enforced caps — and so
   /// the set of distinct chunk-memo keys — fleet-wide.
   double cap_grid_w = 8.0;
-  RackDivision division = RackDivision::kTwoTier;
   /// Faults injected on every node's management link (seeded per node).
   std::optional<ipmi::FaultSpec> node_faults;
   core::NodeCommsConfig comms;
@@ -224,7 +216,8 @@ class RackManager : public BudgetHolder {
   };
 
   void refresh_draw(std::size_t node);
-  /// The coupler's division weights for this round, in a reused buffer.
+  /// The coupler's division weights for this round, in a reused buffer:
+  /// idle nodes at the floor, busy nodes split the surplus.
   const std::vector<double>& division_weights();
 
   RackConfig config_;

@@ -13,9 +13,6 @@ Frame FaultyTransport::transact(std::span<const std::uint8_t> frame) {
   if (spec_.latency_jitter_ms > 0.0) {
     latency += rng_.uniform(0.0, spec_.latency_jitter_ms);
   }
-  if (spec_.spike_rate > 0.0 && rng_.chance(spec_.spike_rate)) {
-    latency += spec_.spike_latency_ms;
-  }
   last_latency_ms_ = latency;
 
   bool in_partition = manual_partition_left_ > 0;

@@ -49,8 +49,6 @@ struct FaultSpec {
   double corrupt_rate = 0.0;    // one response byte flipped (checksum-visible)
   double base_latency_ms = 0.0;       // fixed per-transaction latency
   double latency_jitter_ms = 0.0;     // extra uniform latency in [0, jitter)
-  double spike_rate = 0.0;            // chance of a latency spike
-  double spike_latency_ms = 0.0;      // spike magnitude (added on top)
   /// Periodic partitions: every `partition_period` transactions, the first
   /// `partition_length` of them are black-holed (0 = no periodic windows).
   std::uint64_t partition_period = 0;

@@ -85,18 +85,6 @@ ClusterScheduler::ClusterScheduler(const SchedulerConfig& config)
     dcm_.set_telemetry(config_.trace);
     trace_track_ = config_.trace->track("sched");
   }
-  if (config_.registry != nullptr) {
-    ctr_replans_ = config_.registry->counter("sched.replans");
-    ctr_chunks_ = config_.registry->counter("sched.chunks");
-    ctr_completed_ = config_.registry->counter("sched.jobs_completed");
-    ctr_misses_ = config_.registry->counter("sched.deadline_misses");
-    ctr_cap_updates_ = config_.registry->counter("sched.cap_updates");
-    ctr_memo_hits_ = config_.registry->counter("sched.memo_hits");
-    ctr_memo_misses_ = config_.registry->counter("sched.memo_misses");
-    ctr_memo_evictions_ = config_.registry->counter("sched.memo_evictions");
-    gauge_cap_sum_ = config_.registry->gauge("sched.cap_sum_w");
-    gauge_queue_ = config_.registry->gauge("sched.queue_depth");
-  }
 
   slots_.reserve(config_.node_count);
   for (std::size_t i = 0; i < config_.node_count; ++i) {
@@ -175,9 +163,6 @@ void ClusterScheduler::apply_caps(const std::vector<double>& target_w,
   const std::uint64_t landed = outcome.pushes - outcome.failures;
   result.cap_updates += landed;
   result.cap_update_failures += outcome.failures;
-  if (config_.registry != nullptr) {
-    config_.registry->add(ctr_cap_updates_, landed);
-  }
 }
 
 ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
@@ -247,7 +232,6 @@ ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
         record.energy_j += lane.last_chunk.energy_j;
         ++record.chunks_done;
         ++result.chunks;
-        if (config_.registry != nullptr) config_.registry->add(ctr_chunks_);
         if (lane.corun_classes.empty()) {
           // Only solo chunks feed the power model: a co-run share is an
           // attribution of the package draw, not a node draw.
@@ -280,12 +264,6 @@ ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
               record.finish_s > *record.spec.deadline_s + kTimeEps) {
             record.missed_deadline = true;
             ++result.deadline_misses;
-            if (config_.registry != nullptr) {
-              config_.registry->add(ctr_misses_);
-            }
-          }
-          if (config_.registry != nullptr) {
-            config_.registry->add(ctr_completed_);
           }
           if (config_.trace != nullptr) {
             config_.trace->span(
@@ -401,7 +379,6 @@ ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
       ++result.infeasible_plans;  // previous caps stay enforced
     }
     ++result.replans;
-    if (config_.registry != nullptr) config_.registry->add(ctr_replans_);
 
     // --- budget-invariant tick ---
     TickRecord tick;
@@ -416,11 +393,6 @@ ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
     }
     result.max_cap_sum_w = std::max(result.max_cap_sum_w, tick.cap_sum_w);
     result.ticks.push_back(tick);
-    if (config_.registry != nullptr) {
-      config_.registry->set(gauge_cap_sum_, tick.cap_sum_w);
-      config_.registry->set(gauge_queue_,
-                           static_cast<double>(ready.size()));
-    }
     if (config_.trace != nullptr) {
       config_.trace->instant(
           trace_track_, "sched", "replan", t * 1e6,
@@ -585,11 +557,6 @@ ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
   result.corun_cells = memo.corun_cells;
   result.store_entries_loaded = memo.store_entries_loaded;
   result.store_load_rejected = memo.store_load_rejected;
-  if (config_.registry != nullptr) {
-    config_.registry->add(ctr_memo_hits_, result.memo_hits);
-    config_.registry->add(ctr_memo_misses_, result.memo_misses);
-    config_.registry->add(ctr_memo_evictions_, result.memo_evictions);
-  }
   result.store_entries_saved = batch_.save_store();
   result.jobs = std::move(records);
   return result;

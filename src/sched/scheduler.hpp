@@ -47,7 +47,6 @@
 #include "sched/predictor_hook.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
-#include "telemetry/registry.hpp"
 #include "telemetry/trace_writer.hpp"
 
 namespace pcap::sched {
@@ -96,10 +95,8 @@ struct SchedulerConfig {
   const AmenabilityTable* table = nullptr;
   OnlinePowerModel::Config power_model;
   /// Optional telemetry: decision instants + per-node job spans land in
-  /// `trace`; counters/gauges in `registry`. Attaching either must not
-  /// change scheduling results.
+  /// `trace`. Attaching it must not change scheduling results.
   telemetry::TraceWriter* trace = nullptr;
-  telemetry::Registry* registry = nullptr;
   /// Optional predictor attachment (src/predict/, DESIGN.md §16): learner
   /// feedback, phase forecasts, proactive plan adjustment. Null — or an
   /// attached-but-disabled implementation — is bit-identical to the
@@ -193,10 +190,6 @@ class ClusterScheduler {
   std::vector<std::unique_ptr<Slot>> slots_;
   std::uint32_t trace_track_ = 0;
   std::vector<std::uint32_t> node_tracks_;
-  telemetry::CounterHandle ctr_replans_{}, ctr_chunks_{}, ctr_completed_{},
-      ctr_misses_{}, ctr_cap_updates_{}, ctr_memo_hits_{}, ctr_memo_misses_{},
-      ctr_memo_evictions_{};
-  telemetry::GaugeHandle gauge_cap_sum_{}, gauge_queue_{};
 };
 
 }  // namespace pcap::sched

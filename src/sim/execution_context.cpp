@@ -107,43 +107,6 @@ void ExecutionContext::unit_stream(Address base, std::int64_t stride,
   Address addr = base;
   std::uint64_t i = 0;
   while (i < count) {
-    // Whole-set sweep bulk: one group may cover MANY provably-resident
-    // lines (hierarchy fast_span geometry), under exactly the constraints
-    // of the per-line bulk below — every elided sink call provably a no-op
-    // (horizon bound) and no I-fetch firing inside the group (fetch
-    // boundary cap, the fetch then fires in retire_fetches at the same
-    // committed-instruction slot as per-op execution).
-    if (stride > 0) {
-      const util::Picoseconds horizon = sink_->op_horizon();
-      const util::Picoseconds now = core_->now();
-      std::uint64_t n = 0;
-      if (horizon > now) {
-        const util::Picoseconds period = core_->cycle_period();
-        const auto ub_ps =
-            static_cast<util::Picoseconds>(
-                static_cast<double>(
-                    (l1_hit_cycles_ + mispredict_penalty_cycles_) * period) /
-                core_->duty()) +
-            3;
-        n = (horizon - now) / ub_ps;
-      }
-      const std::uint64_t to_fetch = ins_per_fetch_ - fetch_accum_;
-      if (n > to_fetch) n = to_fetch;
-      if (n > count - i) n = count - i;
-      if (n >= 2) {
-        AccessLatency span;
-        const std::uint64_t done =
-            hierarchy_->fast_span(addr, stride, n, type, span);
-        if (done > 0) {
-          core_->memory_op_repeat(span, is_store, done);
-          retire_fetches(done);
-          sink_->on_op();
-          i += done;
-          addr += static_cast<Address>(stride) * done;
-          continue;
-        }
-      }
-    }
     // Lead op of each line: the full-fidelity path (may miss anywhere).
     if (is_store) {
       store(addr);

@@ -26,17 +26,6 @@ struct AccessLatency {
   util::Picoseconds fixed_ps = 0;
 };
 
-/// Summed cost of a batched access stream. Cycles and wall-clock picoseconds
-/// are both integers, so the batched sum is exactly the per-access sum.
-struct StreamLatency {
-  std::uint64_t cycles = 0;
-  util::Picoseconds fixed_ps = 0;
-  void add(const AccessLatency& lat) {
-    cycles += lat.cycles;
-    fixed_ps += lat.fixed_ps;
-  }
-};
-
 class MemoryHierarchy {
  public:
   /// Full node hierarchy: owns every level including L3 and DRAM.
@@ -50,20 +39,6 @@ class MemoryHierarchy {
 
   /// Performs one access, updating caches/TLBs and the counter bank.
   AccessLatency access(Address addr, AccessType type);
-
-  /// Exactly equivalent to `count` calls of `access(base + i*stride, type)`
-  /// for i in [0, count): identical PMU counts, identical structural stats,
-  /// identical summed latency. Consecutive accesses that provably hit the
-  /// L1's MRU line (and the matching TLB entry) are accounted analytically
-  /// instead of being replayed one by one.
-  ///
-  /// Single-owner form: the whole stream is priced as one uninterrupted
-  /// burst, so only callers that own the hierarchy for the stream's full
-  /// duration (single-core Node, benchmarks) may use it. SMP lanes instead
-  /// batch through ExecutionContext's streams, whose bulk groups truncate
-  /// at the lane's quantum horizon (DESIGN.md §12).
-  StreamLatency access_stream(Address base, std::int64_t stride,
-                              std::uint64_t count, AccessType type);
 
   /// Single-access fast path: when `addr` is a provable TLB hit plus L1 MRU
   /// hit, accounts the access fully (PMU and structural stats) and returns
@@ -85,24 +60,6 @@ class MemoryHierarchy {
   /// levels fails the precondition and takes the full access() path.
   bool try_fast_repeat(Address addr, AccessType type, std::uint64_t n,
                        AccessLatency& lat);
-
-  /// Whole-set sweep fast path (DESIGN.md §17): accounts up to `max_ops`
-  /// ops at addr + j*stride as provable L1 + TLB hits spanning MULTIPLE
-  /// consecutive lines, and returns how many ops were accounted (0 = none
-  /// were, nothing changed, caller takes the full path). The group is
-  /// clamped to one page (a single TLB entry covers the span, so
-  /// Tlb::note_hits bulk-accounts it) and to the leading run of resident
-  /// lines found by a non-mutating SoA probe (cache::Cache::
-  /// probe_line_sweep); the lines of one page map to distinct L1 sets, so
-  /// per-line commit order is immaterial and the batched accounting is
-  /// bit-identical to the per-op loop (tests/test_batch_equivalence.cpp).
-  /// `lat` is the uniform per-op latency of the hit path. The same SMP
-  /// legality argument as try_fast_repeat applies: only core-private state
-  /// (L1, its TLB, this core's counters) is touched — any op that would
-  /// reach the shared levels fails the probe and takes the full path.
-  std::uint64_t fast_span(Address addr, std::int64_t stride,
-                          std::uint64_t max_ops, AccessType type,
-                          AccessLatency& lat);
 
   // --- gating actuators (BMC escalation ladder) ---
   void set_l3_ways(std::uint32_t n);
@@ -137,12 +94,6 @@ class MemoryHierarchy {
  private:
   /// Invalidate an L3-evicted line from the inner levels (inclusive L3).
   void back_invalidate(Address line);
-
-  /// How many of the addresses addr+stride, addr+2*stride, ... (at most
-  /// `remaining` of them) stay within the cache line holding `addr`.
-  static std::uint64_t same_line_run(Address addr, std::int64_t stride,
-                                     std::uint64_t remaining,
-                                     std::uint32_t line_bytes);
 
   HierarchyConfig config_;
   pmu::CounterBank& bank_;

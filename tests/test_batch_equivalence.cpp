@@ -2,19 +2,21 @@
 // how fast the simulator runs, never what it computes. Pairs of identically
 // configured components are driven with the same logical operation stream —
 // one through the batched entry points, one through the per-operation loop —
-// and every observable (summed latency, PMU counters, structural cache/TLB
-// stats, the picosecond clock) must match bit for bit. Also pins the
+// and every observable (the picosecond clock, PMU counters, structural
+// cache/TLB stats and resident lines) must match bit for bit. Also pins the
 // jobs-invariance of the study runner: StudyConfig{jobs=8} returns a
 // bit-identical StudyResult to jobs=1.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "apps/stride/stride.hpp"
 #include "harness/experiment.hpp"
 #include "pmu/counters.hpp"
+#include "power/pstate.hpp"
 #include "sim/execution_context.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
@@ -23,43 +25,70 @@
 namespace pcap {
 namespace {
 
-// --- hierarchy level --------------------------------------------------------
+// --- bare hierarchy, stream vs per-op ---------------------------------------
 
+/// Never ticks: every op completes before the horizon, so stream groups
+/// are bounded only by the same-line run and the I-fetch slot.
+class NeverTicks final : public sim::TickSink {
+ public:
+  void on_op() override {}
+  util::Picoseconds op_horizon() const override {
+    return std::numeric_limits<util::Picoseconds>::max();
+  }
+};
+
+/// Two ExecutionContexts over identically configured bare hierarchies and
+/// cores (no Node): `streamed` narrates each walk through load_stream/
+/// store_stream, `looped` through the equivalent per-op load/store calls.
 class HierarchyPair {
  public:
-  explicit HierarchyPair(const sim::MachineConfig& config = sim::MachineConfig::romley())
-      : batched_(config.hierarchy, batched_bank_),
-        looped_(config.hierarchy, looped_bank_) {}
+  HierarchyPair()
+      : config_(sim::MachineConfig::romley()),
+        pstates_(power::PStateTable::romley_e5_2680()),
+        streamed_hierarchy_(config_.hierarchy, streamed_bank_),
+        looped_hierarchy_(config_.hierarchy, looped_bank_),
+        streamed_core_(config_.core, pstates_, streamed_bank_),
+        looped_core_(config_.core, pstates_, looped_bank_),
+        streamed_(streamed_hierarchy_, streamed_core_, sink_, config_),
+        looped_(looped_hierarchy_, looped_core_, sink_, config_) {}
 
   void run_stream(sim::Address base, std::int64_t stride, std::uint64_t count,
-                  sim::AccessType type) {
-    const sim::StreamLatency got =
-        batched_.access_stream(base, stride, count, type);
-    sim::StreamLatency want;
+                  bool is_store) {
+    if (is_store) {
+      streamed_.store_stream(base, stride, count);
+    } else {
+      streamed_.load_stream(base, stride, count);
+    }
     sim::Address addr = base;
     for (std::uint64_t i = 0; i < count; ++i) {
-      want.add(looped_.access(addr, type));
+      if (is_store) {
+        looped_.store(addr);
+      } else {
+        looped_.load(addr);
+      }
       addr += static_cast<sim::Address>(stride);
     }
-    ASSERT_EQ(got.cycles, want.cycles)
-        << "base=" << base << " stride=" << stride << " count=" << count;
-    ASSERT_EQ(got.fixed_ps, want.fixed_ps)
+    ASSERT_EQ(streamed_.now(), looped_.now())
         << "base=" << base << " stride=" << stride << " count=" << count;
     expect_equal_state();
   }
 
   void expect_equal_state() {
-    ASSERT_EQ(batched_bank_.snapshot(), looped_bank_.snapshot());
-    expect_equal_cache(batched_.l1i(), looped_.l1i());
-    expect_equal_cache(batched_.l1d(), looped_.l1d());
-    expect_equal_cache(batched_.l2(), looped_.l2());
-    expect_equal_cache(batched_.l3(), looped_.l3());
-    expect_equal_tlb(batched_.itlb(), looped_.itlb());
-    expect_equal_tlb(batched_.dtlb(), looped_.dtlb());
+    ASSERT_EQ(streamed_bank_.snapshot(), looped_bank_.snapshot());
+    expect_equal_cache(streamed_hierarchy_.l1i(), looped_hierarchy_.l1i());
+    expect_equal_cache(streamed_hierarchy_.l1d(), looped_hierarchy_.l1d());
+    expect_equal_cache(streamed_hierarchy_.l2(), looped_hierarchy_.l2());
+    expect_equal_cache(streamed_hierarchy_.l3(), looped_hierarchy_.l3());
+    expect_equal_tlb(streamed_hierarchy_.itlb(), looped_hierarchy_.itlb());
+    expect_equal_tlb(streamed_hierarchy_.dtlb(), looped_hierarchy_.dtlb());
   }
 
-  sim::MemoryHierarchy& batched() { return batched_; }
-  sim::MemoryHierarchy& looped() { return looped_; }
+  /// Applies the same reconfiguration to both hierarchies.
+  template <typename F>
+  void on_both(F&& f) {
+    f(streamed_hierarchy_);
+    f(looped_hierarchy_);
+  }
 
  private:
   static void expect_equal_cache(const cache::Cache& a, const cache::Cache& b) {
@@ -77,10 +106,17 @@ class HierarchyPair {
     ASSERT_EQ(a.stats().misses, b.stats().misses) << a.config().name;
   }
 
-  pmu::CounterBank batched_bank_;
+  sim::MachineConfig config_;
+  power::PStateTable pstates_;
+  NeverTicks sink_;
+  pmu::CounterBank streamed_bank_;
   pmu::CounterBank looped_bank_;
-  sim::MemoryHierarchy batched_;
-  sim::MemoryHierarchy looped_;
+  sim::MemoryHierarchy streamed_hierarchy_;
+  sim::MemoryHierarchy looped_hierarchy_;
+  sim::CoreModel streamed_core_;
+  sim::CoreModel looped_core_;
+  sim::ExecutionContext streamed_;
+  sim::ExecutionContext looped_;
 };
 
 TEST(BatchEquivalence, HierarchyStreamRandomGrid) {
@@ -88,15 +124,11 @@ TEST(BatchEquivalence, HierarchyStreamRandomGrid) {
   util::Rng rng(31);
   const std::int64_t strides[] = {0,  1,   -1,  8,    -8,   63,   64,
                                   65, 256, -256, 4096, -4096, 65536};
-  const sim::AccessType types[] = {sim::AccessType::kLoad,
-                                   sim::AccessType::kStore,
-                                   sim::AccessType::kFetch};
   for (int trial = 0; trial < 300; ++trial) {
     const sim::Address base = rng.below(1ull << 24) + (1ull << 22);
     const std::int64_t stride = strides[rng.below(std::size(strides))];
     const std::uint64_t count = 1 + rng.below(400);
-    const sim::AccessType type = types[rng.below(std::size(types))];
-    pair.run_stream(base, stride, count, type);
+    pair.run_stream(base, stride, count, rng.chance(0.5));
   }
 }
 
@@ -106,45 +138,38 @@ TEST(BatchEquivalence, HierarchyStreamHotLoop) {
   // accounting would hide.
   HierarchyPair pair;
   for (int pass = 0; pass < 50; ++pass) {
-    pair.run_stream(0x10000, 8, 512, sim::AccessType::kLoad);
-    pair.run_stream(0x10000, 8, 512, sim::AccessType::kStore);
-    pair.run_stream(0x10000, 0, 173, sim::AccessType::kLoad);
-    pair.run_stream(0x11000, 4, 64, sim::AccessType::kFetch);
+    pair.run_stream(0x10000, 8, 512, /*is_store=*/false);
+    pair.run_stream(0x10000, 8, 512, /*is_store=*/true);
+    pair.run_stream(0x10000, 0, 173, /*is_store=*/false);
   }
 }
 
 TEST(BatchEquivalence, HierarchyWholeSetSweeps) {
-  // Shapes aimed at the whole-set sweep kernel (fast_span): line-stride
-  // walks over resident pages, where probe_line_sweep's hint-first compare
-  // and the branch-free way scan carry the whole access. Each shape runs
-  // twice — the second pass probes lines the first made MRU, the path the
-  // hint optimisation serves.
+  // Line-stride walks over resident pages: every op leads its own line, so
+  // each one takes the full access path. Each shape runs twice — the
+  // second pass finds every line its set's MRU.
   HierarchyPair pair;
-  const sim::AccessType types[] = {sim::AccessType::kLoad,
-                                   sim::AccessType::kStore,
-                                   sim::AccessType::kFetch};
-  for (const sim::AccessType type : types) {
+  for (const bool is_store : {false, true}) {
     for (int pass = 0; pass < 2; ++pass) {
       // Full page at exactly line stride, aligned and unaligned bases.
-      pair.run_stream(0x40000, 64, 64, type);
-      pair.run_stream(0x40030, 64, 64, type);
-      // line_step = 2 (stride 128) and a page-boundary crossing.
-      pair.run_stream(0x40000, 128, 32, type);
-      pair.run_stream(0x40F80, 64, 8, type);
+      pair.run_stream(0x40000, 64, 64, is_store);
+      pair.run_stream(0x40030, 64, 64, is_store);
+      // Every other line (stride 128) and a page-boundary crossing.
+      pair.run_stream(0x40000, 128, 32, is_store);
+      pair.run_stream(0x40F80, 64, 8, is_store);
     }
   }
-  // Leading-resident prefix with an in-sweep miss: alias 8 pages onto the
-  // same L1 sets so the line at offset 48*64 of the first page is evicted,
-  // then sweep that page — the probe stops at the dead line mid-span and
-  // the per-op path must account the tail identically.
+  // A line evicted mid-walk: alias 8 pages onto the same L1 sets so the
+  // line at offset 48*64 of the first page is evicted, then walk that page
+  // and its dead line.
   for (int p = 0; p < 8; ++p) {
     pair.run_stream(0x200000 + static_cast<sim::Address>(p) * 4096 + 48 * 64,
-                    64, 1, sim::AccessType::kLoad);
+                    64, 1, /*is_store=*/false);
   }
-  pair.run_stream(0x200000, 64, 64, sim::AccessType::kLoad);
-  // Repeats per line (stride < 64): spans collapse to repeat-hit batches.
-  pair.run_stream(0x40000, 8, 512, sim::AccessType::kLoad);
-  pair.run_stream(0x40000, 16, 256, sim::AccessType::kStore);
+  pair.run_stream(0x200000, 64, 64, /*is_store=*/false);
+  // Repeats per line (stride < 64): same-line runs batch between fetches.
+  pair.run_stream(0x40000, 8, 512, /*is_store=*/false);
+  pair.run_stream(0x40000, 16, 256, /*is_store=*/true);
 }
 
 TEST(BatchEquivalence, HierarchyStreamAcrossGatingChanges) {
@@ -155,23 +180,17 @@ TEST(BatchEquivalence, HierarchyStreamAcrossGatingChanges) {
   for (int round = 0; round < 12; ++round) {
     for (int trial = 0; trial < 20; ++trial) {
       pair.run_stream(rng.below(1ull << 22), 8 * (1 + rng.below(8)),
-                      1 + rng.below(300),
-                      rng.chance(0.5) ? sim::AccessType::kLoad
-                                      : sim::AccessType::kStore);
+                      1 + rng.below(300), rng.chance(0.5));
     }
     const std::uint32_t l3_ways = 4 + static_cast<std::uint32_t>(rng.below(17));
     const std::uint32_t itlb = 4 + static_cast<std::uint32_t>(rng.below(45));
     const std::uint32_t dtlb = 4 + static_cast<std::uint32_t>(rng.below(61));
-    pair.batched().set_l3_ways(l3_ways);
-    pair.looped().set_l3_ways(l3_ways);
-    pair.batched().set_itlb_entries(itlb);
-    pair.looped().set_itlb_entries(itlb);
-    pair.batched().set_dtlb_entries(dtlb);
-    pair.looped().set_dtlb_entries(dtlb);
-    if (round == 6) {
-      pair.batched().flush_tlbs();
-      pair.looped().flush_tlbs();
-    }
+    pair.on_both([&](sim::MemoryHierarchy& h) {
+      h.set_l3_ways(l3_ways);
+      h.set_itlb_entries(itlb);
+      h.set_dtlb_entries(dtlb);
+      if (round == 6) h.flush_tlbs();
+    });
   }
   pair.expect_equal_state();
 }

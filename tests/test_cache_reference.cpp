@@ -233,54 +233,6 @@ class SoaReferenceCache {
     return true;
   }
 
-  std::uint64_t probe_line_sweep(Address addr, std::uint64_t n_lines,
-                                 std::uint64_t line_step,
-                                 std::uint32_t* hit_ways) const {
-    const std::uint32_t ways = config_.ways;
-    std::uint64_t set = set_index(addr);
-    Address tag = tag_of(addr);
-    for (std::uint64_t i = 0; i < n_lines; ++i) {
-      const std::size_t base = set * ways;
-      const std::uint32_t hint = mru_way_[set];
-      if (hint < active_ways_ && valid_[base + hint] != 0 &&
-          tags_[base + hint] == tag) {
-        hit_ways[i] = hint;
-      } else {
-        std::uint32_t hit_way = 0;
-        std::uint32_t hit = 0;
-        for (std::uint32_t w = 0; w < active_ways_; ++w) {
-          const std::uint32_t match =
-              static_cast<std::uint32_t>(valid_[base + w] != 0 &&
-                                         tags_[base + w] == tag);
-          hit |= match;
-          hit_way |= match * w;
-        }
-        if (hit == 0) return i;
-        hit_ways[i] = hit_way;
-      }
-      set = (set + line_step) & set_mask_;
-      tag += line_step;
-    }
-    return n_lines;
-  }
-
-  void commit_line_sweep(Address addr, std::uint64_t n_lines,
-                         std::uint64_t line_step,
-                         const std::uint32_t* hit_ways, bool is_write,
-                         std::uint64_t extra_hits) {
-    stats_.accesses += n_lines + extra_hits;
-    stats_.hits += n_lines + extra_hits;
-    std::uint64_t set = set_index(addr);
-    for (std::uint64_t i = 0; i < n_lines; ++i) {
-      const std::uint32_t w = hit_ways[i];
-      const std::size_t idx = set * config_.ways + w;
-      if (age_[idx] != 0) touch(set, w);
-      mru_way_[set] = w;
-      if (is_write) dirty_[idx] = 1;
-      set = (set + line_step) & set_mask_;
-    }
-  }
-
   Outcome access(Address addr, bool is_write) {
     ++stats_.accesses;
     const std::uint64_t set = set_index(addr);
@@ -665,8 +617,8 @@ TEST(CacheReference, GatedWidthBehavesLikeNarrowCache) {
 // Lockstep against the frozen struct-of-arrays cache over seeded mixes of
 // every operation. `lines` is the pool of line addresses the ops draw from
 // (offsets within a line are added per op). Outcomes, statistics, MRU
-// answers and probe results are compared on every op, the resident set
-// every 64 ops and at the end.
+// and residency answers are compared on every op, the resident set every
+// 64 ops and at the end.
 void expect_same_lines(const cache::Cache& dut, const SoaReferenceCache& ref,
                        int op) {
   std::vector<Address> got = dut.valid_line_addresses();
@@ -683,7 +635,6 @@ void drive_soa(const cache::CacheConfig& config,
   cache::Cache dut(config);
   SoaReferenceCache ref(config);
   util::Rng rng(seed);
-  const std::uint64_t sets = config.sets();
   const auto pick = [&] {
     return lines[rng.below(lines.size())] + rng.below(config.line_bytes);
   };
@@ -691,39 +642,24 @@ void drive_soa(const cache::CacheConfig& config,
     const std::uint64_t kind = rng.below(100);
     const Address addr = pick();
     const bool is_write = rng.chance(0.35);
-    if (kind < 50) {
+    if (kind < 62) {
       const auto got = dut.access(addr, is_write);
       const auto want = ref.access(addr, is_write);
       ASSERT_EQ(got.hit, want.hit) << "op " << op;
       ASSERT_EQ(got.evicted, want.evicted_line.has_value()) << "op " << op;
       ASSERT_EQ(got.evicted_line, want.evicted_line.value_or(0)) << "op " << op;
       ASSERT_EQ(got.evicted_dirty, want.evicted_dirty) << "op " << op;
-    } else if (kind < 58) {
+    } else if (kind < 70) {
       bool got_dirty = false;
       bool want_dirty = false;
       ASSERT_EQ(dut.invalidate(addr, &got_dirty), ref.invalidate(addr, &want_dirty))
           << "op " << op;
       ASSERT_EQ(got_dirty, want_dirty) << "op " << op;
-    } else if (kind < 68) {
+    } else if (kind < 80) {
       const std::uint64_t n = rng.below(5);  // includes n == 0
       ASSERT_EQ(dut.note_mru_hits(addr, is_write, n),
                 ref.note_mru_hits(addr, is_write, n))
           << "op " << op;
-    } else if (kind < 80) {
-      // A sweep over distinct sets, committed up to the first absent line.
-      const std::uint64_t step = 1 + rng.below(2);
-      const std::uint64_t n = 1 + rng.below(std::min<std::uint64_t>(8, sets / step));
-      std::vector<std::uint32_t> got_ways(n);
-      std::vector<std::uint32_t> want_ways(n);
-      const std::uint64_t got = dut.probe_line_sweep(addr, n, step, got_ways.data());
-      const std::uint64_t want = ref.probe_line_sweep(addr, n, step, want_ways.data());
-      ASSERT_EQ(got, want) << "op " << op;
-      got_ways.resize(got);
-      want_ways.resize(want);
-      ASSERT_EQ(got_ways, want_ways) << "op " << op;
-      const std::uint64_t extra = rng.below(3);
-      dut.commit_line_sweep(addr, got, step, got_ways.data(), is_write, extra);
-      ref.commit_line_sweep(addr, want, step, want_ways.data(), is_write, extra);
     } else if (kind < 90) {
       ASSERT_EQ(dut.is_mru_hit(addr), ref.is_mru_hit(addr)) << "op " << op;
       ASSERT_EQ(dut.contains(addr), ref.contains(addr)) << "op " << op;

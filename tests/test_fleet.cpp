@@ -308,7 +308,9 @@ TEST(FleetTree, RandomizedTopologyBudgetConservation) {
             << "seed " << seed << " tick " << tick;
       }
     }
-    if (cut != nullptr) EXPECT_TRUE(saw_lost) << "seed " << seed;
+    if (cut != nullptr) {
+      EXPECT_TRUE(saw_lost) << "seed " << seed;
+    }
 
     // Fully healed and re-raised: every level reconverges at its target.
     for (auto& group : tree.groups) {

@@ -77,7 +77,9 @@ TEST(FleetExtended, ChaosSweepHoldsInvariant) {
     for (const auto& record : result.jobs) {
       EXPECT_TRUE(record.done()) << "drop " << drop;
     }
-    if (drop > 0.0) EXPECT_GT(result.mgmt_retries, 0u) << "drop " << drop;
+    if (drop > 0.0) {
+      EXPECT_GT(result.mgmt_retries, 0u) << "drop " << drop;
+    }
   }
 }
 
