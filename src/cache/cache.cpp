@@ -166,8 +166,12 @@ AccessOutcome Cache::access(Address addr, bool is_write) {
   ++stats_.accesses;
   const std::uint64_t set = set_index(addr);
   const Address tag = tag_of(addr);
-  SetCtl& ctl = ctl_[set];
   Address* const tags = tags_.data() + set * config_.ways;
+  // Start the tag row's host miss before the control line's: a large
+  // cache's rows do not stay in the host's caches, and every tag read
+  // below would otherwise wait for the control line first.
+  __builtin_prefetch(tags);
+  SetCtl& ctl = ctl_[set];
 
   // Fast path: repeat hit on the set's MRU line. touch() would be a no-op
   // (every other line is already older), so skip the probe and aging.

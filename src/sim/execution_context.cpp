@@ -62,6 +62,25 @@ void ExecutionContext::retire_fetches(std::uint64_t committed) {
   }
 }
 
+std::uint64_t ExecutionContext::fetch_bound(std::uint64_t n,
+                                            std::uint64_t ins_per_op) const {
+  // The group's instructions are numbered 1..n*ins_per_op; fetch t fires
+  // on instruction t*ins_per_fetch_ - fetch_accum_. One that fires on the
+  // last instruction retires in its per-op slot anyway.
+  const MemoryHierarchy& h = *hierarchy_;
+  const Address end = code_base_ + static_cast<Address>(code_pages_) * 4096ull;
+  Address ptr = fetch_ptr_;
+  for (std::uint64_t at = ins_per_fetch_ - fetch_accum_; at < n * ins_per_op;
+       at += ins_per_fetch_) {
+    if (!h.l1i().is_mru_hit(ptr) || !h.itlb().contains(ptr)) {
+      return at / ins_per_op;
+    }
+    ptr += line_bytes_;
+    if (ptr >= end) ptr = code_base_;
+  }
+  return n;
+}
+
 void ExecutionContext::load(Address addr) {
   const AccessLatency lat = hierarchy_->access(addr, AccessType::kLoad);
   core_->memory_op(lat, /*is_store=*/false);
@@ -119,8 +138,8 @@ void ExecutionContext::unit_stream(Address base, std::int64_t stride,
     addr += static_cast<Address>(stride);
     while (run > 0) {
       // A bulk sub-run may elide per-op sink calls only while every op is
-      // guaranteed to finish before the sink's horizon, and must stop at
-      // the next I-fetch boundary so fetches fire in their exact slots.
+      // guaranteed to finish before the sink's horizon, and may span only
+      // I-fetches that can retire after it (fetch_bound).
       const util::Picoseconds horizon = sink_->op_horizon();
       const util::Picoseconds now = core_->now();
       std::uint64_t n = 0;
@@ -136,13 +155,13 @@ void ExecutionContext::unit_stream(Address base, std::int64_t stride,
             3;
         n = (horizon - now) / ub_ps;
       }
-      const std::uint64_t to_fetch = ins_per_fetch_ - fetch_accum_;
-      if (n > to_fetch) n = to_fetch;
       if (n > run) n = run;
+      n = fetch_bound(n, 1);
       AccessLatency rep;
       if (n < 2 || !hierarchy_->try_fast_repeat(addr, type, n, rep)) {
-        // Horizon too close, fetch due, or no provable hit: one op at full
-        // fidelity, then retry the remainder of the run.
+        // Horizon too close, a fetch that must fire in its slot, or no
+        // provable hit: one op at full fidelity, then retry the remainder
+        // of the run.
         if (is_store) {
           store(addr);
         } else {
@@ -211,9 +230,9 @@ void ExecutionContext::rmw_stream(Address base, std::int64_t stride,
                                   std::uint64_t count, std::uint64_t uops) {
   // Per element: load(addr); store(addr); compute(uops) when uops != 0.
   // Elements whose address stays on one line bulk through rmw_repeat under
-  // the same constraints as unit_stream: no I-fetch may fire inside a bulk
-  // group (so groups span at most ins_per_fetch_ committed instructions)
-  // and every elided sink call must provably be a no-op (horizon bound).
+  // the same constraints as unit_stream: every I-fetch firing inside a bulk
+  // group must be one that can retire after it (fetch_bound) and every
+  // elided sink call must provably be a no-op (horizon bound).
   const std::uint64_t ins_per_elem = 2 + uops;
   Address addr = base;
   std::uint64_t k = 0;
@@ -243,10 +262,8 @@ void ExecutionContext::rmw_stream(Address base, std::int64_t stride,
                            8;
         n = (horizon - now) / ub_ps;
       }
-      const std::uint64_t fit =
-          (ins_per_fetch_ - fetch_accum_) / ins_per_elem;
-      if (n > fit) n = fit;
       if (n > run) n = run;
+      n = fetch_bound(n, ins_per_elem);
       AccessLatency load_lat;
       if (n < 2 ||
           !hierarchy_->try_fast_repeat(addr, AccessType::kLoad, n, load_lat)) {

@@ -101,6 +101,13 @@ class ExecutionContext {
 
  private:
   void retire_fetches(std::uint64_t committed);
+  /// The largest bulk group of at most `n` ops, `ins_per_op` committed
+  /// instructions each, that may retire its I-fetches after the group:
+  /// every fetch firing before the group's last instruction must be a
+  /// provable L1I-MRU + ITLB hit. Such a fetch charges no time and touches
+  /// only L1I stats and ITLB recency, which the group's data-side MRU hits
+  /// never touch, so deferring it is exact and stays core-private.
+  std::uint64_t fetch_bound(std::uint64_t n, std::uint64_t ins_per_op) const;
   /// Single-reference stream with bulk accounting of same-line runs.
   void unit_stream(Address base, std::int64_t stride, std::uint64_t count,
                    bool is_store);

@@ -55,7 +55,6 @@ bool MemoryHierarchy::try_fast_repeat(Address addr, AccessType type,
 
 AccessLatency MemoryHierarchy::access(Address addr, AccessType type) {
   AccessLatency lat;
-  if (try_fast_access(addr, type, lat)) return lat;
   const bool is_fetch = type == AccessType::kFetch;
   const bool is_store = type == AccessType::kStore;
 

@@ -37,20 +37,16 @@ class MemoryHierarchy {
   MemoryHierarchy(const HierarchyConfig& config, pmu::CounterBank& bank,
                   cache::Cache& shared_l3, mem::Dram& shared_dram);
 
-  /// Performs one access, updating caches/TLBs and the counter bank.
+  /// Performs one access, updating caches/TLBs and the counter bank. A TLB
+  /// hit plus an L1 MRU hit costs one TLB find and one MRU probe here, so
+  /// there is no separate single-access fast path.
   AccessLatency access(Address addr, AccessType type);
 
-  /// Single-access fast path: when `addr` is a provable TLB hit plus L1 MRU
-  /// hit, accounts the access fully (PMU and structural stats) and returns
-  /// true with `lat` filled; otherwise accounts nothing and returns false,
-  /// and the caller must take the full access() path.
-  bool try_fast_access(Address addr, AccessType type, AccessLatency& lat) {
-    return try_fast_repeat(addr, type, 1, lat);
-  }
-
-  /// Bulk form: accounts `n` back-to-back accesses to `addr`'s line under
-  /// the same provable-hit precondition, with `lat` the (identical)
-  /// per-access latency. Accounts nothing and returns false otherwise.
+  /// Bulk fast path: when `addr` is a provable TLB hit plus L1 MRU hit,
+  /// accounts `n` back-to-back accesses to its line (PMU and structural
+  /// stats) exactly as `n` access() calls would and returns true with `lat`
+  /// the (identical) per-access latency. Accounts nothing and returns false
+  /// otherwise; the caller then takes the access() path.
   ///
   /// SMP legality: the provable-hit precondition and the accounting touch
   /// only core-private state (L1 MRU way, the matching TLB entry, this

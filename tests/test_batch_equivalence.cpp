@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/stride/stride.hpp"
+#include "core/bmc.hpp"
 #include "harness/experiment.hpp"
 #include "pmu/counters.hpp"
 #include "power/pstate.hpp"
@@ -27,30 +29,90 @@ namespace {
 
 // --- bare hierarchy, stream vs per-op ---------------------------------------
 
-/// Never ticks: every op completes before the horizon, so stream groups
-/// are bounded only by the same-line run and the I-fetch slot.
-class NeverTicks final : public sim::TickSink {
+/// Ticks every `period` of simulated time like the node's OS noise: a
+/// pipeline drain plus a TLB flush, so a tick moves the clock and the
+/// counters, makes the next fetches walk the ITLB, and an elided or
+/// misplaced tick shows. Period 0 never ticks: stream groups are then
+/// bounded only by the same-line run and the I-fetches.
+class NoiseTicks final : public sim::TickSink {
  public:
-  void on_op() override {}
-  util::Picoseconds op_horizon() const override {
-    return std::numeric_limits<util::Picoseconds>::max();
+  NoiseTicks(sim::CoreModel& core, sim::MemoryHierarchy& hierarchy,
+             util::Picoseconds period)
+      : core_(&core),
+        hierarchy_(&hierarchy),
+        period_(period),
+        next_(period == 0 ? kNever : period) {}
+
+  void on_op() override {
+    if (core_->now() < next_) return;
+    hierarchy_->flush_tlbs();
+    core_->external_drain();
+    next_ = core_->now() + period_;
+    ++ticks_;
   }
+  util::Picoseconds op_horizon() const override { return next_; }
+  std::uint64_t ticks() const { return ticks_; }
+
+ private:
+  static constexpr util::Picoseconds kNever =
+      std::numeric_limits<util::Picoseconds>::max();
+  sim::CoreModel* core_;
+  sim::MemoryHierarchy* hierarchy_;
+  util::Picoseconds period_;
+  util::Picoseconds next_;
+  std::uint64_t ticks_ = 0;
 };
+
+void expect_equal_cache(const cache::Cache& a, const cache::Cache& b) {
+  ASSERT_EQ(a.stats().accesses, b.stats().accesses) << a.config().name;
+  ASSERT_EQ(a.stats().hits, b.stats().hits) << a.config().name;
+  ASSERT_EQ(a.stats().misses, b.stats().misses) << a.config().name;
+  ASSERT_EQ(a.stats().evictions, b.stats().evictions) << a.config().name;
+  ASSERT_EQ(a.stats().invalidations, b.stats().invalidations)
+      << a.config().name;
+  ASSERT_EQ(a.valid_line_addresses(), b.valid_line_addresses())
+      << a.config().name;
+}
+
+void expect_equal_tlb(const cache::Tlb& a, const cache::Tlb& b) {
+  ASSERT_EQ(a.stats().accesses, b.stats().accesses) << a.config().name;
+  ASSERT_EQ(a.stats().misses, b.stats().misses) << a.config().name;
+}
+
+/// Cache/TLB stats and resident lines of every level.
+void expect_equal_hierarchy(const sim::MemoryHierarchy& a,
+                            const sim::MemoryHierarchy& b) {
+  expect_equal_cache(a.l1i(), b.l1i());
+  expect_equal_cache(a.l1d(), b.l1d());
+  expect_equal_cache(a.l2(), b.l2());
+  expect_equal_cache(a.l3(), b.l3());
+  expect_equal_tlb(a.itlb(), b.itlb());
+  expect_equal_tlb(a.dtlb(), b.dtlb());
+}
 
 /// Two ExecutionContexts over identically configured bare hierarchies and
 /// cores (no Node): `streamed` narrates each walk through load_stream/
-/// store_stream, `looped` through the equivalent per-op load/store calls.
+/// store_stream/rmw_stream, `looped` through the equivalent per-op calls.
+/// A duty below 1 leaves a fractional time carry after each charge, so the
+/// clock also shows a charge that moved to another slot.
 class HierarchyPair {
  public:
-  HierarchyPair()
-      : config_(sim::MachineConfig::romley()),
+  explicit HierarchyPair(
+      util::Picoseconds tick_period = 0, double duty = 1.0,
+      const sim::MachineConfig& config = sim::MachineConfig::romley())
+      : config_(config),
         pstates_(power::PStateTable::romley_e5_2680()),
         streamed_hierarchy_(config_.hierarchy, streamed_bank_),
         looped_hierarchy_(config_.hierarchy, looped_bank_),
         streamed_core_(config_.core, pstates_, streamed_bank_),
         looped_core_(config_.core, pstates_, looped_bank_),
-        streamed_(streamed_hierarchy_, streamed_core_, sink_, config_),
-        looped_(looped_hierarchy_, looped_core_, sink_, config_) {}
+        streamed_sink_(streamed_core_, streamed_hierarchy_, tick_period),
+        looped_sink_(looped_core_, looped_hierarchy_, tick_period),
+        streamed_(streamed_hierarchy_, streamed_core_, streamed_sink_, config_),
+        looped_(looped_hierarchy_, looped_core_, looped_sink_, config_) {
+    streamed_core_.set_duty(duty);
+    looped_core_.set_duty(duty);
+  }
 
   void run_stream(sim::Address base, std::int64_t stride, std::uint64_t count,
                   bool is_store) {
@@ -73,14 +135,29 @@ class HierarchyPair {
     expect_equal_state();
   }
 
+  void run_rmw(sim::Address base, std::int64_t stride, std::uint64_t count,
+               std::uint64_t uops) {
+    streamed_.rmw_stream(base, stride, count, uops);
+    for (std::uint64_t k = 0; k < count; ++k) {
+      const sim::Address a = base + static_cast<sim::Address>(stride) * k;
+      looped_.load(a);
+      looped_.store(a);
+      if (uops != 0) looped_.compute(uops);
+    }
+    ASSERT_EQ(streamed_.now(), looped_.now())
+        << "base=" << base << " stride=" << stride << " count=" << count;
+    expect_equal_state();
+  }
+
+  void set_code_footprint(std::uint32_t pages) {
+    streamed_.set_code_footprint(1, pages);
+    looped_.set_code_footprint(1, pages);
+  }
+
   void expect_equal_state() {
+    ASSERT_EQ(streamed_sink_.ticks(), looped_sink_.ticks());
     ASSERT_EQ(streamed_bank_.snapshot(), looped_bank_.snapshot());
-    expect_equal_cache(streamed_hierarchy_.l1i(), looped_hierarchy_.l1i());
-    expect_equal_cache(streamed_hierarchy_.l1d(), looped_hierarchy_.l1d());
-    expect_equal_cache(streamed_hierarchy_.l2(), looped_hierarchy_.l2());
-    expect_equal_cache(streamed_hierarchy_.l3(), looped_hierarchy_.l3());
-    expect_equal_tlb(streamed_hierarchy_.itlb(), looped_hierarchy_.itlb());
-    expect_equal_tlb(streamed_hierarchy_.dtlb(), looped_hierarchy_.dtlb());
+    expect_equal_hierarchy(streamed_hierarchy_, looped_hierarchy_);
   }
 
   /// Applies the same reconfiguration to both hierarchies.
@@ -90,31 +167,19 @@ class HierarchyPair {
     f(looped_hierarchy_);
   }
 
- private:
-  static void expect_equal_cache(const cache::Cache& a, const cache::Cache& b) {
-    ASSERT_EQ(a.stats().accesses, b.stats().accesses) << a.config().name;
-    ASSERT_EQ(a.stats().hits, b.stats().hits) << a.config().name;
-    ASSERT_EQ(a.stats().misses, b.stats().misses) << a.config().name;
-    ASSERT_EQ(a.stats().evictions, b.stats().evictions) << a.config().name;
-    ASSERT_EQ(a.stats().invalidations, b.stats().invalidations)
-        << a.config().name;
-    ASSERT_EQ(a.valid_line_addresses(), b.valid_line_addresses())
-        << a.config().name;
-  }
-  static void expect_equal_tlb(const cache::Tlb& a, const cache::Tlb& b) {
-    ASSERT_EQ(a.stats().accesses, b.stats().accesses) << a.config().name;
-    ASSERT_EQ(a.stats().misses, b.stats().misses) << a.config().name;
-  }
+  std::uint64_t ticks() const { return looped_sink_.ticks(); }
 
+ private:
   sim::MachineConfig config_;
   power::PStateTable pstates_;
-  NeverTicks sink_;
   pmu::CounterBank streamed_bank_;
   pmu::CounterBank looped_bank_;
   sim::MemoryHierarchy streamed_hierarchy_;
   sim::MemoryHierarchy looped_hierarchy_;
   sim::CoreModel streamed_core_;
   sim::CoreModel looped_core_;
+  NoiseTicks streamed_sink_;
+  NoiseTicks looped_sink_;
   sim::ExecutionContext streamed_;
   sim::ExecutionContext looped_;
 };
@@ -193,6 +258,67 @@ TEST(BatchEquivalence, HierarchyStreamAcrossGatingChanges) {
     });
   }
   pair.expect_equal_state();
+}
+
+// --- groups spanning I-fetch slots ------------------------------------------
+
+// A 1-page code footprint (the stride workload's) puts each fetch line alone
+// in its L1I set, so once warm every fetch is a provable L1I-MRU + ITLB hit
+// and a same-line group may span fetch slots. A 2-page footprint puts two
+// fetch lines in each set: the fetches still hit L1I but not its MRU line,
+// so groups fall back to ending at the next fetch slot.
+
+/// The stride workload's shapes over a hot 32 KB buffer: rmw_stream
+/// (uops 2) at strides 8/16/32, then load_stream and store_stream at
+/// stride 8. Three passes, so later ones run with every fetch warm.
+void run_fetch_shapes(HierarchyPair& pair) {
+  constexpr sim::Address kBase = 0x40000;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (const std::int64_t stride : {8, 16, 32}) {
+      pair.run_rmw(kBase, stride, 1024, 2);
+    }
+    pair.run_stream(kBase, 8, 2048, /*is_store=*/false);
+    pair.run_stream(kBase, 8, 2048, /*is_store=*/true);
+  }
+}
+
+// The duty cycle of a deep cap; the bare pairs run at it.
+constexpr double kCappedDuty = 0.375;
+
+TEST(BatchEquivalence, FetchSpanningGroupsOneCodePage) {
+  HierarchyPair pair(/*tick_period=*/0, kCappedDuty);
+  pair.set_code_footprint(1);
+  run_fetch_shapes(pair);
+}
+
+TEST(BatchEquivalence, FetchSpanningGroupsFallBackOnTwoCodePages) {
+  HierarchyPair pair(/*tick_period=*/0, kCappedDuty);
+  pair.set_code_footprint(2);
+  run_fetch_shapes(pair);
+}
+
+TEST(BatchEquivalence, FetchSpanningGroupsWithTickHorizonInside) {
+  // A 500 ns tick period lands the horizon inside a same-line run in most
+  // periods, and each tick's TLB flush makes the next fetch an ITLB miss.
+  HierarchyPair pair(util::nanoseconds(500), kCappedDuty);
+  pair.set_code_footprint(1);
+  run_fetch_shapes(pair);
+  EXPECT_GT(pair.ticks(), 100u);
+}
+
+TEST(BatchEquivalence, FetchSpanningGroupsStopAtItlbMisses) {
+  // A fetch whose line is L1I-MRU but whose page left the ITLB (each tick
+  // flushes it) walks the page table. Walks of ~2 us (2000 cycles at duty
+  // 0.375) and a 3.75 us tick period put the tick horizon between the
+  // lead op's DTLB walk and the first fetch's ITLB walk: a fetch walk
+  // charged after its group instead of in its slot would move that tick,
+  // and the DTLB flush with it, past the rest of the group.
+  sim::MachineConfig config = sim::MachineConfig::romley();
+  config.hierarchy.tlb_walk_cycles = 2000;
+  HierarchyPair pair(util::nanoseconds(3750), kCappedDuty, config);
+  pair.set_code_footprint(1);
+  run_fetch_shapes(pair);
+  EXPECT_GT(pair.ticks(), 100u);
 }
 
 // --- execution-context level ------------------------------------------------
@@ -321,6 +447,114 @@ TEST_F(NodePair, StreamsInterleavedWithScalarOps) {
     for (std::uint64_t k = 0; k < count; ++k) looped_.load(start + 8 * k);
     expect_equal_state();
   }
+}
+
+// --- capped node ------------------------------------------------------------
+
+/// Runs on a node capped at 120 W: DRAM-bound per-op loads until the BMC's
+/// ladder has gated L3 ways and cut the duty cycle, then the fetch-spanning
+/// shapes under 1- and 2-page code footprints, through the stream APIs
+/// (`streamed`) or the equivalent per-op loop. Node ticks (power, BMC
+/// control, OS noise) fall inside the shapes' same-line runs.
+class CappedFetchShapes final : public sim::Workload {
+ public:
+  CappedFetchShapes(const sim::Node& node, bool streamed)
+      : node_(&node), streamed_(streamed) {}
+
+  std::string name() const override { return "capped-fetch-shapes"; }
+
+  void run(sim::ExecutionContext& ctx) override {
+    constexpr std::uint64_t kWarmBytes = 64ull << 20;
+    const sim::Address warm = ctx.alloc(kWarmBytes);
+    const sim::Address hot = ctx.alloc(32 * 1024);
+    for (std::uint64_t i = 0; i < 4'000'000 && !throttled(); ++i) {
+      ctx.load(warm + (i * 64) % kWarmBytes);
+    }
+    throttled_before_shapes_ = throttled();
+    for (const std::uint32_t pages : {1u, 2u}) {
+      ctx.set_code_footprint(1, pages);
+      for (int pass = 0; pass < 3; ++pass) {
+        for (const std::int64_t stride : {8, 16, 32}) {
+          rmw(ctx, hot, stride, 1024, 2);
+        }
+        unit(ctx, hot, 8, 2048, /*is_store=*/false);
+        unit(ctx, hot, 8, 2048, /*is_store=*/true);
+      }
+    }
+  }
+
+  bool throttled_before_shapes() const { return throttled_before_shapes_; }
+
+ private:
+  bool throttled() const {
+    return node_->duty() < 1.0 &&
+           node_->l3_ways() < node_->config().hierarchy.l3.ways;
+  }
+
+  void rmw(sim::ExecutionContext& ctx, sim::Address base, std::int64_t stride,
+           std::uint64_t count, std::uint64_t uops) const {
+    if (streamed_) {
+      ctx.rmw_stream(base, stride, count, uops);
+      return;
+    }
+    for (std::uint64_t k = 0; k < count; ++k) {
+      const sim::Address a = base + static_cast<sim::Address>(stride) * k;
+      ctx.load(a);
+      ctx.store(a);
+      if (uops != 0) ctx.compute(uops);
+    }
+  }
+
+  void unit(sim::ExecutionContext& ctx, sim::Address base, std::int64_t stride,
+            std::uint64_t count, bool is_store) const {
+    if (streamed_) {
+      if (is_store) {
+        ctx.store_stream(base, stride, count);
+      } else {
+        ctx.load_stream(base, stride, count);
+      }
+      return;
+    }
+    for (std::uint64_t k = 0; k < count; ++k) {
+      const sim::Address a = base + static_cast<sim::Address>(stride) * k;
+      if (is_store) {
+        ctx.store(a);
+      } else {
+        ctx.load(a);
+      }
+    }
+  }
+
+  const sim::Node* node_;
+  bool streamed_;
+  bool throttled_before_shapes_ = false;
+};
+
+TEST(BatchEquivalence, FetchSpanningGroupsOnNodeCappedAt120W) {
+  sim::Node streamed_node(sim::MachineConfig::romley());
+  sim::Node looped_node(sim::MachineConfig::romley());
+  core::Bmc streamed_bmc(streamed_node);
+  core::Bmc looped_bmc(looped_node);
+  streamed_node.set_control_hook(
+      [&](sim::PlatformControl&) { streamed_bmc.on_control_tick(); });
+  looped_node.set_control_hook(
+      [&](sim::PlatformControl&) { looped_bmc.on_control_tick(); });
+  streamed_bmc.set_cap(120.0);
+  looped_bmc.set_cap(120.0);
+  CappedFetchShapes streamed(streamed_node, /*streamed=*/true);
+  CappedFetchShapes looped(looped_node, /*streamed=*/false);
+
+  const sim::RunReport a = streamed_node.run(streamed);
+  const sim::RunReport b = looped_node.run(looped);
+
+  ASSERT_TRUE(looped.throttled_before_shapes());
+  ASSERT_TRUE(streamed.throttled_before_shapes());
+  ASSERT_EQ(a.elapsed, b.elapsed);
+  ASSERT_EQ(a.counters, b.counters);
+  ASSERT_EQ(a.energy_j, b.energy_j);
+  ASSERT_EQ(streamed_node.counters().snapshot(),
+            looped_node.counters().snapshot());
+  expect_equal_hierarchy(streamed_node.hierarchy(), looped_node.hierarchy());
 }
 
 // --- study runner -----------------------------------------------------------

@@ -7,7 +7,9 @@
 // values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <thread>
 
 #include "apps/sar/workload.hpp"
 #include "apps/stereo/workload.hpp"
@@ -48,6 +50,8 @@ harness::StudyConfig study_config() {
   config.repetitions = 1;
   config.machine = sim::MachineConfig::romley();
   config.machine.hierarchy.l3.size_bytes = 4096ull * 20 * 64;  // 5 MB L3
+  // Cells run concurrently; a study's result is bit-identical at any jobs.
+  config.jobs = std::min(4u, std::thread::hardware_concurrency());
   return config;
 }
 

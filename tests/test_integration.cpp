@@ -3,7 +3,9 @@
 // small scale through the full stack: workload -> simulator -> BMC -> meter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <thread>
 
 #include "apps/sar/workload.hpp"
 #include "apps/stereo/workload.hpp"
@@ -51,6 +53,8 @@ harness::StudyConfig study_config() {
   config.caps_w = {160.0, 150.0, 135.0, 125.0, 120.0};
   config.repetitions = 1;
   config.machine = small_machine();
+  // Cells run concurrently; a study's result is bit-identical at any jobs.
+  config.jobs = std::min(4u, std::thread::hardware_concurrency());
   return config;
 }
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <ostream>
 
 #include "apps/stride/stride.hpp"
 #include "apps/synthetic.hpp"
@@ -57,6 +58,14 @@ struct MachineVariant {
   int cores;          // power-model core count
   double cap_w;
 };
+
+// gtest_discover_tests names each ctest entry after the printed parameter
+// (e.g. .../L3_20MiB_Cores16_Cap140W). Without this, gtest prints the
+// struct's raw bytes, padding included, which change from build to build.
+void PrintTo(const MachineVariant& v, std::ostream* os) {
+  *os << "L3_" << (v.l3_bytes >> 20) << "MiB_Cores" << v.cores << "_Cap"
+      << v.cap_w << "W";
+}
 
 class BmcVariantProperty : public ::testing::TestWithParam<MachineVariant> {};
 

@@ -105,10 +105,18 @@ OVERHEAD_CASES = [
     ("BM_ChunkMissArena", "BM_ChunkMissHeap", 0.769),
     # Batched stream floor: load_stream's per-line bulk grouping over a
     # hit-dominated stride-8 walk of a 16 KB buffer vs the same 2048 loads
-    # issued one ctx.load each. Groups end at every I-fetch slot (8 ops), so
-    # the honest gain is modest (~0.5-0.6x measured); a ratio at or above
-    # 0.9 means the bulk grouping died.
+    # issued one ctx.load each. A group may span only I-fetches that are
+    # provable L1I-MRU + ITLB hits; the default 8-page code footprint puts
+    # 8 fetch lines in each L1I set, so none is MRU and groups still end at
+    # every fetch slot (8 ops). The honest gain is modest (~0.5-0.6x
+    # measured); a ratio at or above 0.9 means the bulk grouping died.
     ("BM_ContextStreamLoad", "BM_ContextLoadPerOp", 0.9),
+    # The stride workload's rmw loop (1-page code footprint, 1024 stride-8
+    # elements, uops 2) vs the same elements as ctx.load/ctx.store/
+    # ctx.compute: every warm fetch is provable, so groups span fetch slots
+    # and, away from the tick horizon, take all 7 same-line elements after
+    # each line's lead op.
+    ("BM_ContextRmwStride", "BM_ContextRmwStridePerOp", 0.9),
 ]
 
 
