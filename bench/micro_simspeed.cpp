@@ -4,6 +4,7 @@
 // the simulator's own throughput (accesses simulated per second).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -157,14 +158,16 @@ BENCHMARK(BM_ContextLoadTelemetry);
 
 // Batched stream cases: each iteration simulates a whole regular access
 // stream, so per-iteration time is comparable between the batched
-// load_stream and the per-op loop it must stay bit-identical to.
+// pattern_stream and the per-op loop it must stay bit-identical to.
+using StreamOp = sim::ExecutionContext::StreamOp;
 void BM_ContextStreamLoad(benchmark::State& state) {
   sim::Node node(sim::MachineConfig::romley());
   sim::ExecutionContext ctx(node);
   // 16 KB hot buffer: L1-resident, so the stream is hit-dominated.
   const sim::Address base = ctx.alloc(16 * 1024);
+  const StreamOp load[1] = {{.kind = StreamOp::Kind::kLoad, .base = base}};
   for (auto _ : state) {
-    ctx.load_stream(base, 8, 2048);
+    ctx.pattern_stream(load, 8, 2048, /*uops=*/0);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2048);
 }
@@ -183,28 +186,34 @@ void BM_ContextLoadPerOp(benchmark::State& state) {
 }
 BENCHMARK(BM_ContextLoadPerOp);
 
+// x[i]++ as one pattern: a load then a store of the element, then 2 uops.
+std::array<StreamOp, 2> rmw_ops(sim::Address base) {
+  return {{{.kind = StreamOp::Kind::kLoad, .base = base},
+           {.kind = StreamOp::Kind::kStore, .base = base}}};
+}
+
 void BM_ContextRmw(benchmark::State& state) {
   sim::Node node(sim::MachineConfig::romley());
   sim::ExecutionContext ctx(node);
-  const sim::Address base = ctx.alloc(16 * 1024);
+  const auto ops = rmw_ops(ctx.alloc(16 * 1024));
   for (auto _ : state) {
-    ctx.rmw_stream(base, 8, 1024, 2);
+    ctx.pattern_stream(ops, 8, 1024, 2);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_ContextRmw);
 
 // The stride workload's read-modify-write loop: a 1-page code footprint
-// makes every warm I-fetch a provable L1I-MRU + ITLB hit, so rmw_stream's
-// same-line groups span fetch slots. Gated as a within-run ratio against
+// makes every warm I-fetch a provable L1I-MRU + ITLB hit, so the
+// load-then-store pattern's same-line groups span fetch slots. Gated as a within-run ratio against
 // the same 1024 elements issued per op (stride <= 0.9x per-op).
 void BM_ContextRmwStride(benchmark::State& state) {
   sim::Node node(sim::MachineConfig::romley());
   sim::ExecutionContext ctx(node);
   ctx.set_code_footprint(1, 1);
-  const sim::Address base = ctx.alloc(16 * 1024);
+  const auto ops = rmw_ops(ctx.alloc(16 * 1024));
   for (auto _ : state) {
-    ctx.rmw_stream(base, 8, 1024, 2);
+    ctx.pattern_stream(ops, 8, 1024, 2);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 1024);
 }

@@ -24,9 +24,6 @@ class HostMachine {
   void load(Address) {}
   void store(Address) {}
   void compute(std::uint64_t) {}
-  void load_stream(Address, std::int64_t, std::uint64_t) {}
-  void store_stream(Address, std::int64_t, std::uint64_t) {}
-  void rmw_stream(Address, std::int64_t, std::uint64_t, std::uint64_t) {}
   void pattern_stream(std::span<const StreamOp>, std::int64_t, std::uint64_t,
                       std::uint64_t) {}
   void set_code_footprint(std::uint32_t, std::uint32_t) {}
@@ -48,16 +45,6 @@ class SimMachine {
   void load(Address a) { ctx_->load(a); }
   void store(Address a) { ctx_->store(a); }
   void compute(std::uint64_t uops) { ctx_->compute(uops); }
-  void load_stream(Address base, std::int64_t stride, std::uint64_t count) {
-    ctx_->load_stream(base, stride, count);
-  }
-  void store_stream(Address base, std::int64_t stride, std::uint64_t count) {
-    ctx_->store_stream(base, stride, count);
-  }
-  void rmw_stream(Address base, std::int64_t stride, std::uint64_t count,
-                  std::uint64_t uops) {
-    ctx_->rmw_stream(base, stride, count, uops);
-  }
   void pattern_stream(std::span<const StreamOp> ops, std::int64_t stride,
                       std::uint64_t count, std::uint64_t uops) {
     ctx_->pattern_stream(ops, stride, count, uops);

@@ -72,8 +72,11 @@ std::vector<std::uint8_t> wta_init(Machine& m, const CostVolume& vol,
       disparity[static_cast<std::size_t>(y) * vol.width + x] =
           static_cast<std::uint8_t>(best_d);
       if (scan_loads != 0) {
-        m.load_stream(volume_addr + vol.index(x, y, 4) * 2, /*stride=*/8,
-                      scan_loads);
+        const StreamOp scan[1] = {
+            {.kind = StreamOp::Kind::kLoad,
+             .base = volume_addr + vol.index(x, y, 4) * 2},
+        };
+        m.pattern_stream(scan, /*stride=*/8, scan_loads, /*uops=*/0);
       }
       m.compute(static_cast<std::uint64_t>(vol.disparities) * 2);
     }

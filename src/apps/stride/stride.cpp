@@ -95,6 +95,11 @@ void StrideWorkload::run(sim::ExecutionContext& ctx) {
   ctx.set_code_footprint(/*region=*/7, /*pages=*/1);
   ctx.compute(2048);
   const sim::Address base = ctx.alloc(config_.max_array_bytes);
+  using StreamOp = sim::ExecutionContext::StreamOp;
+  const StreamOp x_inc[2] = {
+      {.kind = StreamOp::Kind::kLoad, .base = base},
+      {.kind = StreamOp::Kind::kStore, .base = base},
+  };
 
   for (std::uint64_t array = config_.min_array_bytes;
        array <= config_.max_array_bytes; array *= 2) {
@@ -110,12 +115,12 @@ void StrideWorkload::run(sim::ExecutionContext& ctx) {
       // (the published curves are steady-state plateaus). Each element is
       // x[i]++ — one load and one store of the element plus the increment —
       // batched through the stream API.
-      ctx.rmw_stream(base, static_cast<std::int64_t>(stride), walk,
-                     /*uops=*/2);
+      ctx.pattern_stream(x_inc, static_cast<std::int64_t>(stride), walk,
+                         /*uops=*/2);
       const util::Picoseconds start = ctx.now();
       for (std::uint64_t r = 0; r < reps; ++r) {
-        ctx.rmw_stream(base, static_cast<std::int64_t>(stride), walk,
-                       /*uops=*/2);
+        ctx.pattern_stream(x_inc, static_cast<std::int64_t>(stride), walk,
+                           /*uops=*/2);
       }
       const util::Picoseconds elapsed = ctx.now() - start;
       StrideCell cell;

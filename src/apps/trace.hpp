@@ -61,41 +61,12 @@ class RecordingMachine {
     inner_->store(a);
   }
   void compute(std::uint64_t uops) {
-    // Coalesce adjacent compute ops to keep traces compact.
-    if (!trace_->ops.empty() &&
-        trace_->ops.back().kind == TraceOp::Kind::kCompute) {
-      trace_->ops.back().value += uops;
-    } else {
-      trace_->ops.push_back({TraceOp::Kind::kCompute, uops, 0});
-    }
+    record_compute(uops);
     inner_->compute(uops);
   }
   // Streams are recorded expanded, one op per element: the trace format
   // stays per-op, and replaying a stream-built trace through the per-op
   // path doubles as an end-to-end batch-vs-per-op equivalence check.
-  void load_stream(Address base, std::int64_t stride, std::uint64_t count) {
-    for (std::uint64_t k = 0; k < count; ++k) {
-      trace_->ops.push_back(
-          {TraceOp::Kind::kLoad, base + static_cast<Address>(stride) * k, 0});
-    }
-    inner_->load_stream(base, stride, count);
-  }
-  void store_stream(Address base, std::int64_t stride, std::uint64_t count) {
-    for (std::uint64_t k = 0; k < count; ++k) {
-      trace_->ops.push_back(
-          {TraceOp::Kind::kStore, base + static_cast<Address>(stride) * k, 0});
-    }
-    inner_->store_stream(base, stride, count);
-  }
-  void rmw_stream(Address base, std::int64_t stride, std::uint64_t count,
-                  std::uint64_t uops) {
-    const StreamOp ops[2] = {
-        {.kind = StreamOp::Kind::kLoad, .base = base},
-        {.kind = StreamOp::Kind::kStore, .base = base},
-    };
-    record_pattern(ops, stride, count, uops);
-    inner_->rmw_stream(base, stride, count, uops);
-  }
   void pattern_stream(std::span<const StreamOp> ops, std::int64_t stride,
                       std::uint64_t count, std::uint64_t uops) {
     record_pattern(ops, stride, count, uops);
@@ -111,6 +82,7 @@ class RecordingMachine {
   }
 
  private:
+  // Coalesces adjacent compute ops to keep traces compact.
   void record_compute(std::uint64_t uops) {
     if (!trace_->ops.empty() &&
         trace_->ops.back().kind == TraceOp::Kind::kCompute) {

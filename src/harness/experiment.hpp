@@ -27,7 +27,7 @@ using WorkloadFactory = std::function<std::unique_ptr<sim::Workload>()>;
 struct StudyConfig {
   std::vector<double> caps_w = {160, 155, 150, 145, 140, 135, 130, 125, 120};
   int repetitions = 5;
-  std::size_t jobs = 1;  // >1: one node per cell, cells run concurrently
+  std::size_t jobs = 1;  // worker threads; cells run concurrently when > 1
   sim::MachineConfig machine = sim::MachineConfig::romley();
   core::BmcConfig bmc;
   std::uint64_t seed = 1;
@@ -85,9 +85,10 @@ struct StudyResult {
   static double pct(double value, double base);
 };
 
-/// Runs the full study. With jobs == 1 everything runs on the calling
-/// thread on a single node (deterministic order); with jobs > 1 each cell
-/// gets its own node and workload instance.
+/// Runs the full study. Every cell gets its own node and workload instance
+/// built from the same seeds; with jobs <= 1 the cells run in order on the
+/// calling thread, with jobs > 1 on a pool, and the result is bit-identical
+/// either way.
 StudyResult run_power_cap_study(const std::string& workload_name,
                                 const WorkloadFactory& factory,
                                 const StudyConfig& config);

@@ -46,9 +46,12 @@ void ChunkBatch::add_start(const CoRunMember& self,
     return;
   }
   ++stats_.misses;
-  const auto [found, first_seen] = cell_index_.try_emplace(key_, cells_.size());
-  start.cell = found->second;
-  if (first_seen) cells_.push_back({key_, {}});
+  // A round misses a handful of cells, so a linear scan finds an earlier
+  // one without keeping a second copy of every key in an index.
+  const auto found = std::find_if(cells_.begin(), cells_.end(),
+                                  [&](const Cell& c) { return c.key == key_; });
+  start.cell = static_cast<std::size_t>(found - cells_.begin());
+  if (found == cells_.end()) cells_.push_back({key_, {}});
 }
 
 std::span<const ChunkBatch::Outcome> ChunkBatch::run_round() {
@@ -78,13 +81,14 @@ std::span<const ChunkBatch::Outcome> ChunkBatch::run_round() {
   }
   for (Cell& cell : cells_) {
     if (cell.key.members.size() > 1) ++stats_.corun_cells;
-    if (config_.memo) cache_.insert(cell.key, std::move(cell.fresh));
+    if (config_.memo) {
+      cache_.insert(std::move(cell.key), std::move(cell.fresh));
+    }
   }
   if (config_.memo) cache_.trim();
 
   starts_.clear();
   cells_.clear();
-  cell_index_.clear();
   return outcomes_;
 }
 

@@ -19,7 +19,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/bmc.hpp"
@@ -125,7 +124,6 @@ class ChunkBatch {
   CoRunKey key_;
   std::vector<Start> starts_;
   std::vector<Cell> cells_;  // missed cells, first-seen order
-  std::unordered_map<CoRunKey, std::size_t, CoRunKeyHash> cell_index_;
   std::vector<Outcome> outcomes_;
 };
 

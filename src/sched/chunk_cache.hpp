@@ -198,10 +198,12 @@ class ChunkCache {
     entries_.splice(entries_.begin(), entries_, it->second);
     return &it->second->results;
   }
-  void insert(const CoRunKey& key, std::vector<ChunkResult> results) {
+  /// Records a cell unless its key is already present. The key moves into
+  /// the entry; the map holds the one copy.
+  void insert(CoRunKey key, std::vector<ChunkResult> results) {
     if (map_.contains(key)) return;
-    entries_.push_front(Entry{key, std::move(results)});
-    map_.emplace(key, entries_.begin());
+    entries_.push_front(Entry{std::move(key), std::move(results)});
+    map_.emplace(entries_.front().key, entries_.begin());
   }
 
   /// Evicts least-recently-used entries until the size fits the capacity.

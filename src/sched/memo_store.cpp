@@ -223,7 +223,7 @@ MemoStoreLoadResult load_memo_store(const std::string& path,
   if (r.pos() != r.size()) return reject("trailing bytes after entries");
 
   for (ChunkCache::Entry& entry : staged) {
-    cache.insert(entry.key, std::move(entry.results));
+    cache.insert(std::move(entry.key), std::move(entry.results));
   }
   result.entries_loaded = staged.size();
   return result;

@@ -91,76 +91,76 @@ void CoreModel::memory_op(const AccessLatency& lat, bool is_store) {
   speculate(1);
 }
 
-void CoreModel::memory_op_repeat(const AccessLatency& lat, bool is_store,
-                                 std::uint64_t n) {
+template <bool kLoad, bool kStore>
+void CoreModel::repeat(const AccessLatency& load_lat,
+                       const AccessLatency& store_lat, std::uint64_t uops,
+                       std::uint64_t n) {
+  static_assert(kLoad || kStore, "an element has at least one memory op");
   if (n == 0) return;
-  bank_->add(Event::kTotIns, n);
-  bank_->add(Event::kInsExec, n);
-  bank_->add(is_store ? Event::kSrIns : Event::kLdIns, n);
+  constexpr std::uint64_t kOps = (kLoad ? 1 : 0) + (kStore ? 1 : 0);
+  bank_->add(Event::kTotIns, n * (kOps + uops));
+  bank_->add(Event::kInsExec, n * (kOps + uops));
+  if constexpr (kLoad) bank_->add(Event::kLdIns, n);
+  if constexpr (kStore) bank_->add(Event::kSrIns, n);
   const util::Picoseconds period = period_;
-  const double raw_ps =
-      static_cast<double>(lat.cycles) * static_cast<double>(period) +
-      static_cast<double>(lat.fixed_ps);
   // charge() computes fl(fl(raw_ps / duty) + carry); raw_ps and duty are
   // constant across the repeats, so hoisting the division preserves the
   // exact floating-point sequence.
-  const double per = raw_ps / duty_;
-  bank_->add(Event::kTotCyc, n * (lat.cycles + lat.fixed_ps / period));
-  if (lat.fixed_ps != 0) {
-    bank_->add(Event::kStallCyc, n * (lat.fixed_ps / period));
-  }
-  for (std::uint64_t i = 0; i < n; ++i) {
-    advance_scaled(per);
-    speculate(1);
-  }
-}
-
-void CoreModel::rmw_repeat(const AccessLatency& load_lat,
-                           const AccessLatency& store_lat, std::uint64_t uops,
-                           std::uint64_t n) {
-  if (n == 0) return;
-  bank_->add(Event::kTotIns, n * (2 + uops));
-  bank_->add(Event::kInsExec, n * (2 + uops));
-  bank_->add(Event::kLdIns, n);
-  bank_->add(Event::kSrIns, n);
-  const util::Picoseconds period = period_;
-  // Hoisting the duty division out of the loop preserves charge()'s exact
-  // float sequence because the inputs are constant (see memory_op_repeat).
-  const double per_load =
-      (static_cast<double>(load_lat.cycles) * static_cast<double>(period) +
-       static_cast<double>(load_lat.fixed_ps)) /
-      duty_;
-  const double per_store =
-      (static_cast<double>(store_lat.cycles) * static_cast<double>(period) +
-       static_cast<double>(store_lat.fixed_ps)) /
-      duty_;
+  const auto per_ps = [&](const AccessLatency& lat) {
+    return (static_cast<double>(lat.cycles) * static_cast<double>(period) +
+            static_cast<double>(lat.fixed_ps)) /
+           duty_;
+  };
+  const double per_load = kLoad ? per_ps(load_lat) : 0.0;
+  const double per_store = kStore ? per_ps(store_lat) : 0.0;
   // Integer cycle counters commute, so the memory ops' contributions bulk;
   // compute cycles vary per element (cycle_carry_) and accrue in the loop.
-  bank_->add(Event::kTotCyc,
-             n * (load_lat.cycles + load_lat.fixed_ps / period +
-                  store_lat.cycles + store_lat.fixed_ps / period));
-  const std::uint64_t stall_cycles =
-      load_lat.fixed_ps / period + store_lat.fixed_ps / period;
-  if (stall_cycles != 0) bank_->add(Event::kStallCyc, n * stall_cycles);
+  std::uint64_t stall = 0;
+  std::uint64_t cycles = 0;
+  if constexpr (kLoad) {
+    stall += load_lat.fixed_ps / period;
+    cycles += load_lat.cycles;
+  }
+  if constexpr (kStore) {
+    stall += store_lat.fixed_ps / period;
+    cycles += store_lat.cycles;
+  }
+  bank_->add(Event::kTotCyc, n * (cycles + stall));
+  if (stall != 0) bank_->add(Event::kStallCyc, n * stall);
   for (std::uint64_t i = 0; i < n; ++i) {
-    advance_scaled(per_load);
-    speculate(1);
-    advance_scaled(per_store);
-    speculate(1);
+    if constexpr (kLoad) {
+      advance_scaled(per_load);
+      speculate(1);
+    }
+    if constexpr (kStore) {
+      advance_scaled(per_store);
+      speculate(1);
+    }
     if (uops != 0) {
       // compute(uops) replayed: identical cycle-carry and charge() math,
       // only the (bulked) counter adds pulled out.
       const double cycles_f =
           static_cast<double>(uops) / config_.base_ipc + cycle_carry_;
-      const auto cycles = static_cast<std::uint64_t>(cycles_f);
-      cycle_carry_ = cycles_f - static_cast<double>(cycles);
-      advance_scaled(static_cast<double>(cycles) *
+      const auto compute_cycles = static_cast<std::uint64_t>(cycles_f);
+      cycle_carry_ = cycles_f - static_cast<double>(compute_cycles);
+      advance_scaled(static_cast<double>(compute_cycles) *
                      static_cast<double>(period) / duty_);
-      bank_->add(Event::kTotCyc, cycles);
+      bank_->add(Event::kTotCyc, compute_cycles);
       speculate(uops);
     }
   }
 }
+
+// The three element shapes ExecutionContext batches.
+template void CoreModel::repeat<true, false>(const AccessLatency&,
+                                             const AccessLatency&,
+                                             std::uint64_t, std::uint64_t);
+template void CoreModel::repeat<false, true>(const AccessLatency&,
+                                             const AccessLatency&,
+                                             std::uint64_t, std::uint64_t);
+template void CoreModel::repeat<true, true>(const AccessLatency&,
+                                            const AccessLatency&,
+                                            std::uint64_t, std::uint64_t);
 
 void CoreModel::fetch_op(const AccessLatency& lat, std::uint32_t l1_hit_cycles) {
   // An L1I hit overlaps with decode; only the excess stalls the front end.

@@ -41,20 +41,16 @@ class CoreModel {
   /// Accounts one committed load/store whose hierarchy cost is `lat`.
   void memory_op(const AccessLatency& lat, bool is_store);
 
-  /// Bit-identical to `n` memory_op(lat, is_store) calls: integer counters
-  /// are added in bulk, while the per-op floating-point sequence (duty
-  /// carry, branch/mispredict carries) is replayed exactly so the
-  /// picosecond clock matches the per-op path to the last bit.
-  void memory_op_repeat(const AccessLatency& lat, bool is_store,
-                        std::uint64_t n);
-
   /// Bit-identical to `n` repetitions of the element sequence
-  /// memory_op(load_lat, false); memory_op(store_lat, true);
-  /// compute(uops) [when uops != 0] — the read-modify-write inner loop.
-  /// Integer counters are added in bulk; the per-op floating-point state
-  /// (duty, cycle, branch, mispredict carries) is replayed in order.
-  void rmw_repeat(const AccessLatency& load_lat, const AccessLatency& store_lat,
-                  std::uint64_t uops, std::uint64_t n);
+  /// memory_op(load_lat, false) [kLoad]; memory_op(store_lat, true)
+  /// [kStore]; compute(uops) [when uops != 0]. The latency of an op the
+  /// shape lacks is ignored. Integer counters are added in bulk, while the
+  /// per-op floating-point state (duty, cycle, branch, mispredict carries)
+  /// is replayed in order, so the picosecond clock matches the per-op path
+  /// to the last bit.
+  template <bool kLoad, bool kStore>
+  void repeat(const AccessLatency& load_lat, const AccessLatency& store_lat,
+              std::uint64_t uops, std::uint64_t n);
 
   /// Accounts one instruction fetch (not a committed instruction); only the
   /// portion of the latency beyond an L1I hit stalls the front end.

@@ -120,84 +120,99 @@ std::uint64_t same_line_run(Address addr, std::int64_t stride,
 }
 }  // namespace
 
-void ExecutionContext::unit_stream(Address base, std::int64_t stride,
-                                   std::uint64_t count, bool is_store) {
-  const AccessType type = is_store ? AccessType::kStore : AccessType::kLoad;
+template <bool kLoad, bool kStore>
+void ExecutionContext::group_stream(Address base, std::int64_t stride,
+                                    std::uint64_t count, std::uint64_t uops) {
+  constexpr std::uint64_t kOps = (kLoad ? 1 : 0) + (kStore ? 1 : 0);
+  constexpr AccessType kLead = kLoad ? AccessType::kLoad : AccessType::kStore;
+  const std::uint64_t ins_per_elem = kOps + uops;
+  // Conservative per-element cycle bound: an L1 hit per memory op, the
+  // compute cycles (plus one of carry), and a mispredict penalty for every
+  // committed instruction.
+  const double cycles_ub =
+      static_cast<double>(kOps * l1_hit_cycles_) +
+      (uops != 0 ? static_cast<double>(uops) / core_->config().base_ipc + 1.0
+                 : 0.0) +
+      static_cast<double>(ins_per_elem * mispredict_penalty_cycles_);
+  // One element at full fidelity.
+  const auto element = [&](Address a) {
+    if constexpr (kLoad) load(a);
+    if constexpr (kStore) store(a);
+    if (uops != 0) compute(uops);
+  };
   Address addr = base;
-  std::uint64_t i = 0;
-  while (i < count) {
-    // Lead op of each line: the full-fidelity path (may miss anywhere).
-    if (is_store) {
-      store(addr);
-    } else {
-      load(addr);
-    }
-    ++i;
-    std::uint64_t run = same_line_run(addr, stride, count - i,
+  std::uint64_t k = 0;
+  while (k < count) {
+    // Lead element of each line: the full-fidelity path (may miss anywhere).
+    element(addr);
+    ++k;
+    std::uint64_t run = same_line_run(addr, stride, count - k,
                                       data_line_bytes_);
     addr += static_cast<Address>(stride);
     while (run > 0) {
-      // A bulk sub-run may elide per-op sink calls only while every op is
-      // guaranteed to finish before the sink's horizon, and may span only
+      // A bulk group may elide per-op sink calls only while every element
+      // is guaranteed to finish before the sink's horizon, and may span only
       // I-fetches that can retire after it (fetch_bound).
       const util::Picoseconds horizon = sink_->op_horizon();
       const util::Picoseconds now = core_->now();
       std::uint64_t n = 0;
       if (horizon > now) {
-        // Conservative per-op time bound: an L1 hit plus a possible
-        // mispredict penalty, duty-inflated, rounded up.
-        const util::Picoseconds period = core_->cycle_period();
-        const auto ub_ps =
-            static_cast<util::Picoseconds>(
-                static_cast<double>(
-                    (l1_hit_cycles_ + mispredict_penalty_cycles_) * period) /
-                core_->duty()) +
-            3;
+        const auto ub_ps = static_cast<util::Picoseconds>(
+                               cycles_ub *
+                               static_cast<double>(core_->cycle_period()) /
+                               core_->duty()) +
+                           8;
         n = (horizon - now) / ub_ps;
       }
       if (n > run) n = run;
-      n = fetch_bound(n, 1);
-      AccessLatency rep;
-      if (n < 2 || !hierarchy_->try_fast_repeat(addr, type, n, rep)) {
+      n = fetch_bound(n, ins_per_elem);
+      AccessLatency load_lat;
+      AccessLatency store_lat;
+      if (n < 2 || !hierarchy_->try_fast_repeat(
+                       addr, kLead, n, kLoad ? load_lat : store_lat)) {
         // Horizon too close, a fetch that must fire in its slot, or no
-        // provable hit: one op at full fidelity, then retry the remainder
-        // of the run.
-        if (is_store) {
-          store(addr);
-        } else {
-          load(addr);
-        }
-        ++i;
+        // provable hit: one element at full fidelity, then retry the
+        // remainder of the run.
+        element(addr);
+        ++k;
         --run;
         addr += static_cast<Address>(stride);
         continue;
       }
-      core_->memory_op_repeat(rep, is_store, n);
-      retire_fetches(n);
+      if constexpr (kLoad && kStore) {
+        // The stores target the line the loads just proved MRU-resident,
+        // so this cannot fail, and the pair accounts exactly like the
+        // interleaved per-op sequence (all hierarchy-level accounting is
+        // commutative integer arithmetic).
+        const bool ok =
+            hierarchy_->try_fast_repeat(addr, AccessType::kStore, n, store_lat);
+        (void)ok;
+      }
+      core_->repeat<kLoad, kStore>(load_lat, store_lat, uops, n);
+      retire_fetches(n * ins_per_elem);
       sink_->on_op();
-      i += n;
+      k += n;
       run -= n;
       addr += static_cast<Address>(stride) * n;
     }
   }
 }
 
-void ExecutionContext::load_stream(Address base, std::int64_t stride,
-                                   std::uint64_t count) {
-  unit_stream(base, stride, count, /*is_store=*/false);
-}
-
-void ExecutionContext::store_stream(Address base, std::int64_t stride,
-                                    std::uint64_t count) {
-  unit_stream(base, stride, count, /*is_store=*/true);
-}
-
 void ExecutionContext::pattern_stream(std::span<const StreamOp> ops,
                                       std::int64_t stride, std::uint64_t count,
                                       std::uint64_t uops) {
-  if (ops.size() == 1 && uops == 0) {
-    unit_stream(ops[0].base, stride, count,
-                ops[0].kind == StreamOp::Kind::kStore);
+  using Kind = StreamOp::Kind;
+  if (ops.size() == 1) {
+    if (ops[0].kind == Kind::kLoad) {
+      group_stream<true, false>(ops[0].base, stride, count, uops);
+    } else {
+      group_stream<false, true>(ops[0].base, stride, count, uops);
+    }
+    return;
+  }
+  if (ops.size() == 2 && ops[0].kind == Kind::kLoad &&
+      ops[1].kind == Kind::kStore && ops[0].base == ops[1].base) {
+    group_stream<true, true>(ops[0].base, stride, count, uops);
     return;
   }
   Address offset = 0;
@@ -208,7 +223,7 @@ void ExecutionContext::pattern_stream(std::span<const StreamOp> ops,
     // call happens in exactly the per-op slot it would have originally.
     util::Picoseconds horizon = sink_->op_horizon();
     for (const StreamOp& op : ops) {
-      const bool is_store = op.kind == StreamOp::Kind::kStore;
+      const bool is_store = op.kind == Kind::kStore;
       const AccessLatency lat = hierarchy_->access(
           op.base + offset, is_store ? AccessType::kStore : AccessType::kLoad);
       core_->memory_op(lat, is_store);
@@ -222,73 +237,6 @@ void ExecutionContext::pattern_stream(std::span<const StreamOp> ops,
       core_->compute(uops);
       retire_fetches(uops);
       if (core_->now() >= horizon) sink_->on_op();
-    }
-  }
-}
-
-void ExecutionContext::rmw_stream(Address base, std::int64_t stride,
-                                  std::uint64_t count, std::uint64_t uops) {
-  // Per element: load(addr); store(addr); compute(uops) when uops != 0.
-  // Elements whose address stays on one line bulk through rmw_repeat under
-  // the same constraints as unit_stream: every I-fetch firing inside a bulk
-  // group must be one that can retire after it (fetch_bound) and every
-  // elided sink call must provably be a no-op (horizon bound).
-  const std::uint64_t ins_per_elem = 2 + uops;
-  Address addr = base;
-  std::uint64_t k = 0;
-  while (k < count) {
-    load(addr);
-    store(addr);
-    if (uops != 0) compute(uops);
-    ++k;
-    std::uint64_t run = same_line_run(addr, stride, count - k,
-                                      data_line_bytes_);
-    addr += static_cast<Address>(stride);
-    while (run > 0) {
-      const util::Picoseconds horizon = sink_->op_horizon();
-      const util::Picoseconds now = core_->now();
-      std::uint64_t n = 0;
-      if (horizon > now) {
-        // Conservative per-element bound: two L1 hits, the compute cycles,
-        // and a mispredict penalty for every committed instruction.
-        const util::Picoseconds period = core_->cycle_period();
-        const double cycles_ub =
-            2.0 * l1_hit_cycles_ +
-            static_cast<double>(uops) / core_->config().base_ipc + 1.0 +
-            static_cast<double>((2 + uops) * mispredict_penalty_cycles_);
-        const auto ub_ps = static_cast<util::Picoseconds>(
-                               cycles_ub * static_cast<double>(period) /
-                               core_->duty()) +
-                           8;
-        n = (horizon - now) / ub_ps;
-      }
-      if (n > run) n = run;
-      n = fetch_bound(n, ins_per_elem);
-      AccessLatency load_lat;
-      if (n < 2 ||
-          !hierarchy_->try_fast_repeat(addr, AccessType::kLoad, n, load_lat)) {
-        load(addr);
-        store(addr);
-        if (uops != 0) compute(uops);
-        ++k;
-        --run;
-        addr += static_cast<Address>(stride);
-        continue;
-      }
-      // The stores target the line the loads just proved MRU-resident, so
-      // this cannot fail and the pair accounts exactly like the interleaved
-      // per-op sequence (all hierarchy-level accounting is commutative
-      // integer arithmetic).
-      AccessLatency store_lat;
-      const bool ok =
-          hierarchy_->try_fast_repeat(addr, AccessType::kStore, n, store_lat);
-      (void)ok;
-      core_->rmw_repeat(load_lat, store_lat, uops, n);
-      retire_fetches(n * ins_per_elem);
-      sink_->on_op();
-      k += n;
-      run -= n;
-      addr += static_cast<Address>(stride) * n;
     }
   }
 }

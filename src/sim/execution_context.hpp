@@ -71,22 +71,13 @@ class ExecutionContext {
     Address base = 0;
   };
 
-  // --- batched streams ---
-  // Each call is bit-identical — PMU counters, structural cache/TLB state,
-  // and the picosecond clock — to the equivalent per-operation loop; only
-  // simulator wall time changes (tests/test_batch_equivalence.cpp). Regular
-  // same-line runs are accounted analytically instead of being replayed.
-
-  /// `count` loads at base, base+stride, base+2*stride, ...
-  void load_stream(Address base, std::int64_t stride, std::uint64_t count);
-  /// `count` stores at base, base+stride, base+2*stride, ...
-  void store_stream(Address base, std::int64_t stride, std::uint64_t count);
-  /// Per element k in [0, count): load then store of base + k*stride,
-  /// then compute(uops) when uops != 0.
-  void rmw_stream(Address base, std::int64_t stride, std::uint64_t count,
-                  std::uint64_t uops);
-  /// Per element k in [0, count): each op in `ops` (at op.base + k*stride,
-  /// in order), then compute(uops) when uops != 0.
+  /// The batched stream: per element k in [0, count), each op in `ops` (at
+  /// op.base + k*stride, in order), then compute(uops) when uops != 0.
+  /// Bit-identical — PMU counters, structural cache/TLB state, and the
+  /// picosecond clock — to that per-operation loop; only simulator wall
+  /// time changes (tests/test_batch_equivalence.cpp). One op, or a load then
+  /// a store of one base, runs through same-line groups accounted
+  /// analytically instead of replayed; every other pattern runs per op.
   void pattern_stream(std::span<const StreamOp> ops, std::int64_t stride,
                       std::uint64_t count, std::uint64_t uops);
 
@@ -108,9 +99,13 @@ class ExecutionContext {
   /// only L1I stats and ITLB recency, which the group's data-side MRU hits
   /// never touch, so deferring it is exact and stays core-private.
   std::uint64_t fetch_bound(std::uint64_t n, std::uint64_t ins_per_op) const;
-  /// Single-reference stream with bulk accounting of same-line runs.
-  void unit_stream(Address base, std::int64_t stride, std::uint64_t count,
-                   bool is_store);
+  /// The same-line group loop: `count` elements at base, base+stride, ...,
+  /// each load(addr) [kLoad], store(addr) [kStore], then compute(uops) when
+  /// uops != 0. Each line's lead element runs at full fidelity and the rest
+  /// of the line bulk through CoreModel::repeat.
+  template <bool kLoad, bool kStore>
+  void group_stream(Address base, std::int64_t stride, std::uint64_t count,
+                    std::uint64_t uops);
 
   MemoryHierarchy* hierarchy_;
   CoreModel* core_;

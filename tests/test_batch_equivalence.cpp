@@ -8,9 +8,11 @@
 // bit-identical StudyResult to jobs=1.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,38 @@
 
 namespace pcap {
 namespace {
+
+using StreamOp = sim::ExecutionContext::StreamOp;
+
+/// The per-op loop pattern_stream must match: per element k, each op at
+/// op.base + k*stride, then compute(uops) when uops != 0.
+void loop_pattern(sim::ExecutionContext& ctx, std::span<const StreamOp> ops,
+                  std::int64_t stride, std::uint64_t count,
+                  std::uint64_t uops) {
+  for (std::uint64_t k = 0; k < count; ++k) {
+    const sim::Address offset = static_cast<sim::Address>(stride) * k;
+    for (const StreamOp& op : ops) {
+      if (op.kind == StreamOp::Kind::kStore) {
+        ctx.store(op.base + offset);
+      } else {
+        ctx.load(op.base + offset);
+      }
+    }
+    if (uops != 0) ctx.compute(uops);
+  }
+}
+
+/// One load or one store of `base` per element.
+std::array<StreamOp, 1> unit_op(sim::Address base, bool is_store) {
+  return {{{.kind = is_store ? StreamOp::Kind::kStore : StreamOp::Kind::kLoad,
+            .base = base}}};
+}
+
+/// x[i]++: a load then a store of `base` per element.
+std::array<StreamOp, 2> rmw_ops(sim::Address base) {
+  return {{{.kind = StreamOp::Kind::kLoad, .base = base},
+           {.kind = StreamOp::Kind::kStore, .base = base}}};
+}
 
 // --- bare hierarchy, stream vs per-op ---------------------------------------
 
@@ -91,8 +125,8 @@ void expect_equal_hierarchy(const sim::MemoryHierarchy& a,
 }
 
 /// Two ExecutionContexts over identically configured bare hierarchies and
-/// cores (no Node): `streamed` narrates each walk through load_stream/
-/// store_stream/rmw_stream, `looped` through the equivalent per-op calls.
+/// cores (no Node): `streamed` narrates each walk through pattern_stream,
+/// `looped` through the equivalent per-op calls.
 /// A duty below 1 leaves a fractional time carry after each charge, so the
 /// clock also shows a charge that moved to another slot.
 class HierarchyPair {
@@ -114,39 +148,24 @@ class HierarchyPair {
     looped_core_.set_duty(duty);
   }
 
+  void run_pattern(std::span<const StreamOp> ops, std::int64_t stride,
+                   std::uint64_t count, std::uint64_t uops) {
+    streamed_.pattern_stream(ops, stride, count, uops);
+    loop_pattern(looped_, ops, stride, count, uops);
+    ASSERT_EQ(streamed_.now(), looped_.now())
+        << "ops=" << ops.size() << " base=" << ops[0].base
+        << " stride=" << stride << " count=" << count << " uops=" << uops;
+    expect_equal_state();
+  }
+
   void run_stream(sim::Address base, std::int64_t stride, std::uint64_t count,
                   bool is_store) {
-    if (is_store) {
-      streamed_.store_stream(base, stride, count);
-    } else {
-      streamed_.load_stream(base, stride, count);
-    }
-    sim::Address addr = base;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      if (is_store) {
-        looped_.store(addr);
-      } else {
-        looped_.load(addr);
-      }
-      addr += static_cast<sim::Address>(stride);
-    }
-    ASSERT_EQ(streamed_.now(), looped_.now())
-        << "base=" << base << " stride=" << stride << " count=" << count;
-    expect_equal_state();
+    run_pattern(unit_op(base, is_store), stride, count, /*uops=*/0);
   }
 
   void run_rmw(sim::Address base, std::int64_t stride, std::uint64_t count,
                std::uint64_t uops) {
-    streamed_.rmw_stream(base, stride, count, uops);
-    for (std::uint64_t k = 0; k < count; ++k) {
-      const sim::Address a = base + static_cast<sim::Address>(stride) * k;
-      looped_.load(a);
-      looped_.store(a);
-      if (uops != 0) looped_.compute(uops);
-    }
-    ASSERT_EQ(streamed_.now(), looped_.now())
-        << "base=" << base << " stride=" << stride << " count=" << count;
-    expect_equal_state();
+    run_pattern(rmw_ops(base), stride, count, uops);
   }
 
   void set_code_footprint(std::uint32_t pages) {
@@ -184,16 +203,76 @@ class HierarchyPair {
   sim::ExecutionContext looped_;
 };
 
+// The duty cycle of a deep cap; some bare pairs run at it.
+constexpr double kCappedDuty = 0.375;
+
 TEST(BatchEquivalence, HierarchyStreamRandomGrid) {
-  HierarchyPair pair;
-  util::Rng rng(31);
+  // Every pattern_stream routing: one load or one store (with and without
+  // compute), a load then a store of one base (the grouped shapes), and
+  // same-base shapes that must stay on the per-op loop. Run without ticks
+  // (groups bounded only by the line and the I-fetches) and with a 500 ns
+  // tick period, whose horizon lands inside most same-line runs. The last
+  // variant makes every instruction a mispredicted branch at a capped duty,
+  // so the group loop's horizon bound is tight (an element costing more
+  // than it counts would carry a group past a tick). Its 1-page code
+  // footprint lets groups of elements with compute span fetch slots, and
+  // its 2 us period (about 30 such elements) leaves room for groups to
+  // reach the horizon between the ITLB walks each tick's flush causes.
+  sim::MachineConfig mispredicting = sim::MachineConfig::romley();
+  mispredicting.core.branch_fraction = 1.0;
+  mispredicting.core.mispredict_rate = 1.0;
+  struct Variant {
+    util::Picoseconds tick_period;
+    double duty;
+    sim::MachineConfig config;
+    std::uint32_t code_pages;
+  };
+  const Variant variants[] = {
+      {0, 1.0, sim::MachineConfig::romley(), 8},
+      {util::nanoseconds(500), 1.0, sim::MachineConfig::romley(), 8},
+      {util::nanoseconds(2000), kCappedDuty, mispredicting, 1},
+  };
   const std::int64_t strides[] = {0,  1,   -1,  8,    -8,   63,   64,
                                   65, 256, -256, 4096, -4096, 65536};
-  for (int trial = 0; trial < 300; ++trial) {
-    const sim::Address base = rng.below(1ull << 24) + (1ull << 22);
-    const std::int64_t stride = strides[rng.below(std::size(strides))];
-    const std::uint64_t count = 1 + rng.below(400);
-    pair.run_stream(base, stride, count, rng.chance(0.5));
+  const std::uint64_t unit_uops[] = {0, 1, 3};
+  for (const Variant& v : variants) {
+    HierarchyPair pair(v.tick_period, v.duty, v.config);
+    pair.set_code_footprint(v.code_pages);
+    util::Rng rng(31);
+    for (int trial = 0; trial < 300; ++trial) {
+      const sim::Address base = rng.below(1ull << 24) + (1ull << 22);
+      const std::int64_t stride = strides[rng.below(std::size(strides))];
+      const std::uint64_t count = 1 + rng.below(400);
+      switch (rng.below(4)) {
+        case 0: {
+          const std::uint64_t uops = unit_uops[rng.below(std::size(unit_uops))];
+          pair.run_pattern(unit_op(base, rng.chance(0.5)), stride, count, uops);
+          break;
+        }
+        case 1:
+          pair.run_rmw(base, stride, count, rng.below(4));
+          break;
+        case 2: {
+          const StreamOp store_load[2] = {
+              {.kind = StreamOp::Kind::kStore, .base = base},
+              {.kind = StreamOp::Kind::kLoad, .base = base},
+          };
+          pair.run_pattern(store_load, stride, count, rng.below(4));
+          break;
+        }
+        default: {
+          const StreamOp load_load[2] = {
+              {.kind = StreamOp::Kind::kLoad, .base = base},
+              {.kind = StreamOp::Kind::kLoad, .base = base},
+          };
+          pair.run_pattern(load_load, stride, count, rng.below(4));
+          break;
+        }
+      }
+    }
+    if (v.tick_period != 0) {
+      EXPECT_GT(pair.ticks(), 100u);
+    }
   }
 }
 
@@ -268,9 +347,9 @@ TEST(BatchEquivalence, HierarchyStreamAcrossGatingChanges) {
 // fetch lines in each set: the fetches still hit L1I but not its MRU line,
 // so groups fall back to ending at the next fetch slot.
 
-/// The stride workload's shapes over a hot 32 KB buffer: rmw_stream
-/// (uops 2) at strides 8/16/32, then load_stream and store_stream at
-/// stride 8. Three passes, so later ones run with every fetch warm.
+/// The stride workload's shapes over a hot 32 KB buffer: load-then-store
+/// elements (uops 2) at strides 8/16/32, then lone loads and lone stores
+/// at stride 8. Three passes, so later ones run with every fetch warm.
 void run_fetch_shapes(HierarchyPair& pair) {
   constexpr sim::Address kBase = 0x40000;
   for (int pass = 0; pass < 3; ++pass) {
@@ -281,9 +360,6 @@ void run_fetch_shapes(HierarchyPair& pair) {
     pair.run_stream(kBase, 8, 2048, /*is_store=*/true);
   }
 }
-
-// The duty cycle of a deep cap; the bare pairs run at it.
-constexpr double kCappedDuty = 0.375;
 
 TEST(BatchEquivalence, FetchSpanningGroupsOneCodePage) {
   HierarchyPair pair(/*tick_period=*/0, kCappedDuty);
@@ -361,18 +437,9 @@ TEST_F(NodePair, LoadAndStoreStreams) {
     const std::int64_t stride =
         static_cast<std::int64_t>(rng.below(129)) - 64;
     const std::uint64_t count = 1 + rng.below(1500);
-    const bool is_store = rng.chance(0.4);
-    if (is_store) {
-      streamed_.store_stream(start, stride, count);
-      for (std::uint64_t k = 0; k < count; ++k) {
-        looped_.store(start + static_cast<sim::Address>(stride) * k);
-      }
-    } else {
-      streamed_.load_stream(start, stride, count);
-      for (std::uint64_t k = 0; k < count; ++k) {
-        looped_.load(start + static_cast<sim::Address>(stride) * k);
-      }
-    }
+    const auto op = unit_op(start, rng.chance(0.4));
+    streamed_.pattern_stream(op, stride, count, /*uops=*/0);
+    loop_pattern(looped_, op, stride, count, /*uops=*/0);
     expect_equal_state();
   }
 }
@@ -385,19 +452,14 @@ TEST_F(NodePair, RmwStream) {
     const std::int64_t stride = static_cast<std::int64_t>(8 * rng.below(16));
     const std::uint64_t count = 1 + rng.below(800);
     const std::uint64_t uops = rng.below(5);
-    streamed_.rmw_stream(start, stride, count, uops);
-    for (std::uint64_t k = 0; k < count; ++k) {
-      const sim::Address a = start + static_cast<sim::Address>(stride) * k;
-      looped_.load(a);
-      looped_.store(a);
-      if (uops != 0) looped_.compute(uops);
-    }
+    const auto ops = rmw_ops(start);
+    streamed_.pattern_stream(ops, stride, count, uops);
+    loop_pattern(looped_, ops, stride, count, uops);
     expect_equal_state();
   }
 }
 
 TEST_F(NodePair, PatternStream) {
-  using StreamOp = sim::ExecutionContext::StreamOp;
   const sim::Address a = alloc_both(256 * 1024);
   const sim::Address b = alloc_both(256 * 1024);
   const sim::Address c = alloc_both(256 * 1024);
@@ -413,13 +475,7 @@ TEST_F(NodePair, PatternStream) {
     const std::uint64_t count = 1 + rng.below(600);
     const std::uint64_t uops = rng.below(9);
     streamed_.pattern_stream(ops, stride, count, uops);
-    for (std::uint64_t k = 0; k < count; ++k) {
-      const sim::Address o = static_cast<sim::Address>(stride) * k;
-      looped_.load(a + off + o);
-      looped_.load(b + off + o);
-      looped_.store(c + off + o);
-      if (uops != 0) looped_.compute(uops);
-    }
+    loop_pattern(looped_, ops, stride, count, uops);
     expect_equal_state();
   }
 }
@@ -443,8 +499,9 @@ TEST_F(NodePair, StreamsInterleavedWithScalarOps) {
     }
     const sim::Address start = base + rng.below(1024 * 1024);
     const std::uint64_t count = 1 + rng.below(900);
-    streamed_.load_stream(start, 8, count);
-    for (std::uint64_t k = 0; k < count; ++k) looped_.load(start + 8 * k);
+    const auto op = unit_op(start, /*is_store=*/false);
+    streamed_.pattern_stream(op, 8, count, /*uops=*/0);
+    loop_pattern(looped_, op, 8, count, /*uops=*/0);
     expect_equal_state();
   }
 }
@@ -475,10 +532,10 @@ class CappedFetchShapes final : public sim::Workload {
       ctx.set_code_footprint(1, pages);
       for (int pass = 0; pass < 3; ++pass) {
         for (const std::int64_t stride : {8, 16, 32}) {
-          rmw(ctx, hot, stride, 1024, 2);
+          narrate(ctx, rmw_ops(hot), stride, 1024, 2);
         }
-        unit(ctx, hot, 8, 2048, /*is_store=*/false);
-        unit(ctx, hot, 8, 2048, /*is_store=*/true);
+        narrate(ctx, unit_op(hot, /*is_store=*/false), 8, 2048, 0);
+        narrate(ctx, unit_op(hot, /*is_store=*/true), 8, 2048, 0);
       }
     }
   }
@@ -491,37 +548,13 @@ class CappedFetchShapes final : public sim::Workload {
            node_->l3_ways() < node_->config().hierarchy.l3.ways;
   }
 
-  void rmw(sim::ExecutionContext& ctx, sim::Address base, std::int64_t stride,
-           std::uint64_t count, std::uint64_t uops) const {
+  void narrate(sim::ExecutionContext& ctx, std::span<const StreamOp> ops,
+               std::int64_t stride, std::uint64_t count,
+               std::uint64_t uops) const {
     if (streamed_) {
-      ctx.rmw_stream(base, stride, count, uops);
-      return;
-    }
-    for (std::uint64_t k = 0; k < count; ++k) {
-      const sim::Address a = base + static_cast<sim::Address>(stride) * k;
-      ctx.load(a);
-      ctx.store(a);
-      if (uops != 0) ctx.compute(uops);
-    }
-  }
-
-  void unit(sim::ExecutionContext& ctx, sim::Address base, std::int64_t stride,
-            std::uint64_t count, bool is_store) const {
-    if (streamed_) {
-      if (is_store) {
-        ctx.store_stream(base, stride, count);
-      } else {
-        ctx.load_stream(base, stride, count);
-      }
-      return;
-    }
-    for (std::uint64_t k = 0; k < count; ++k) {
-      const sim::Address a = base + static_cast<sim::Address>(stride) * k;
-      if (is_store) {
-        ctx.store(a);
-      } else {
-        ctx.load(a);
-      }
+      ctx.pattern_stream(ops, stride, count, uops);
+    } else {
+      loop_pattern(ctx, ops, stride, count, uops);
     }
   }
 

@@ -5,6 +5,7 @@
 
 #include <list>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -271,6 +272,11 @@ struct Geometry {
   std::uint32_t line;
   std::uint32_t ways;
 };
+
+// Names the ctest entries (gtest would otherwise print the raw bytes).
+void PrintTo(const Geometry& g, std::ostream* os) {
+  *os << (g.size >> 10) << "KiB_Line" << g.line << "_Ways" << g.ways;
+}
 
 class CacheVsReference : public ::testing::TestWithParam<Geometry> {};
 

@@ -22,6 +22,12 @@ struct Geometry {
   std::uint64_t l2_bytes;
 };
 
+// Names the ctest entries (gtest would otherwise print the raw bytes).
+void PrintTo(const Geometry& g, std::ostream* os) {
+  *os << "L1_" << (g.l1_bytes >> 10) << "KiB_L2_" << (g.l2_bytes >> 10)
+      << "KiB";
+}
+
 class StrideInferenceProperty : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(StrideInferenceProperty, ProbeRecoversConfiguredGeometry) {

@@ -227,8 +227,12 @@ class StreamSweep final : public Workload {
   std::string name() const override { return "sweep"; }
   void run(ExecutionContext& ctx) override {
     const Address base = ctx.alloc(kSweepBytes);
+    const ExecutionContext::StreamOp sweep[1] = {
+        {.kind = ExecutionContext::StreamOp::Kind::kLoad, .base = base},
+    };
     for (int rep = 0; rep < kSweepReps; ++rep) {
-      ctx.load_stream(base, kSweepStride, kSweepBytes / kSweepStride);
+      ctx.pattern_stream(sweep, kSweepStride, kSweepBytes / kSweepStride,
+                         /*uops=*/0);
       ctx.compute(64);
     }
   }

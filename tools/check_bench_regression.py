@@ -103,7 +103,8 @@ OVERHEAD_CASES = [
     # >= 1.3x cheaper than the pre-arena heap path (malloc + conservative
     # zero-fill). Measured ~16x; the 1.3x floor catches the arena dying.
     ("BM_ChunkMissArena", "BM_ChunkMissHeap", 0.769),
-    # Batched stream floor: load_stream's per-line bulk grouping over a
+    # Batched stream floor: a one-load pattern_stream's per-line bulk
+    # grouping (the same-line group loop, CoreModel::repeat<load>) over a
     # hit-dominated stride-8 walk of a 16 KB buffer vs the same 2048 loads
     # issued one ctx.load each. A group may span only I-fetches that are
     # provable L1I-MRU + ITLB hits; the default 8-page code footprint puts
@@ -111,11 +112,12 @@ OVERHEAD_CASES = [
     # every fetch slot (8 ops). The honest gain is modest (~0.5-0.6x
     # measured); a ratio at or above 0.9 means the bulk grouping died.
     ("BM_ContextStreamLoad", "BM_ContextLoadPerOp", 0.9),
-    # The stride workload's rmw loop (1-page code footprint, 1024 stride-8
-    # elements, uops 2) vs the same elements as ctx.load/ctx.store/
-    # ctx.compute: every warm fetch is provable, so groups span fetch slots
-    # and, away from the tick horizon, take all 7 same-line elements after
-    # each line's lead op.
+    # The stride workload's x[i]++ loop, a {load, store} pattern_stream of
+    # one base through the same group loop (1-page code footprint, 1024
+    # stride-8 elements, uops 2), vs the same elements as ctx.load/
+    # ctx.store/ctx.compute: every warm fetch is provable, so groups span
+    # fetch slots and, away from the tick horizon, take all 7 same-line
+    # elements after each line's lead element.
     ("BM_ContextRmwStride", "BM_ContextRmwStridePerOp", 0.9),
 ]
 
