@@ -100,8 +100,11 @@ void BM_DramAccess(benchmark::State& state) {
 BENCHMARK(BM_DramAccess);
 
 void BM_HierarchySequential(benchmark::State& state) {
+  const sim::HierarchyConfig config = sim::MachineConfig::romley().hierarchy;
+  cache::Cache l3(config.l3);
+  mem::Dram dram(config.dram);
   pmu::CounterBank bank;
-  sim::MemoryHierarchy hierarchy(sim::MachineConfig::romley().hierarchy, bank);
+  sim::MemoryHierarchy hierarchy(config, bank, l3, dram);
   std::uint64_t addr = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(

@@ -5,20 +5,6 @@ namespace pcap::sim {
 using pmu::Event;
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config,
-                                 pmu::CounterBank& bank)
-    : config_(config),
-      bank_(bank),
-      l1i_(config.l1i),
-      l1d_(config.l1d),
-      l2_(config.l2),
-      itlb_(config.itlb),
-      dtlb_(config.dtlb),
-      owned_l3_(std::make_unique<cache::Cache>(config.l3)),
-      owned_dram_(std::make_unique<mem::Dram>(config.dram)),
-      l3_(owned_l3_.get()),
-      dram_(owned_dram_.get()) {}
-
-MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& config,
                                  pmu::CounterBank& bank,
                                  cache::Cache& shared_l3,
                                  mem::Dram& shared_dram)
@@ -124,21 +110,6 @@ AccessLatency MemoryHierarchy::access(Address addr, AccessType type) {
   return lat;
 }
 
-void MemoryHierarchy::set_l3_ways(std::uint32_t n) {
-  if (n < l3_->active_ways()) {
-    // The reconfiguration drops inclusive lines; conservatively flush the
-    // inner levels so inclusion holds (models the reconfig disruption).
-    l3_->set_active_ways(n);
-    l2_.flush_all();
-    l1d_.flush_all();
-    l1i_.flush_all();
-  } else {
-    l3_->set_active_ways(n);
-  }
-}
-
-void MemoryHierarchy::set_l2_ways(std::uint32_t n) { l2_.set_active_ways(n); }
-
 void MemoryHierarchy::flush_tlbs() {
   itlb_.flush();
   dtlb_.flush();
@@ -151,9 +122,7 @@ void MemoryHierarchy::flush_private() {
 }
 
 void MemoryHierarchy::flush_caches() {
-  l1i_.flush_all();
-  l1d_.flush_all();
-  l2_.flush_all();
+  flush_private();
   l3_->flush_all();
 }
 

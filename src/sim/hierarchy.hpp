@@ -1,10 +1,12 @@
-// Composed memory hierarchy: ITLB/DTLB -> L1I/L1D -> unified L2 -> inclusive
-// shared L3 -> DRAM, with PMU accounting and the gating hooks the BMC's
-// escalation ladder drives.
+// One core's view of the memory hierarchy: ITLB/DTLB -> L1I/L1D -> unified
+// L2, which it owns, over the inclusive shared L3 and the DRAM, which the
+// node owns (sim::PackagePlatform) and every core's view borrows. Accounts
+// each access into the core's PMU counter bank. The BMC's L2 and TLB gating
+// act on the private levels here; L3-way and DRAM gating act on the shared
+// ones and so live on the node.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "cache/cache.hpp"
 #include "cache/tlb.hpp"
@@ -28,12 +30,8 @@ struct AccessLatency {
 
 class MemoryHierarchy {
  public:
-  /// Full node hierarchy: owns every level including L3 and DRAM.
-  MemoryHierarchy(const HierarchyConfig& config, pmu::CounterBank& bank);
-
-  /// Per-core hierarchy for SMP composition: owns the core-private levels
-  /// (L1I/L1D/L2/TLBs) but shares `l3` and `dram` with sibling cores. The
-  /// shared structures must outlive this object.
+  /// Owns the core-private levels (L1I/L1D/L2/TLBs) and borrows the shared
+  /// `l3` and `dram`, which must outlive this object.
   MemoryHierarchy(const HierarchyConfig& config, pmu::CounterBank& bank,
                   cache::Cache& shared_l3, mem::Dram& shared_dram);
 
@@ -57,23 +55,20 @@ class MemoryHierarchy {
   bool try_fast_repeat(Address addr, AccessType type, std::uint64_t n,
                        AccessLatency& lat);
 
-  // --- gating actuators (BMC escalation ladder) ---
-  void set_l3_ways(std::uint32_t n);
-  void set_l2_ways(std::uint32_t n);
+  // --- private-level gating actuators (BMC escalation ladder) ---
+  void set_l2_ways(std::uint32_t n) { l2_.set_active_ways(n); }
   void set_itlb_entries(std::uint32_t n) { itlb_.set_active_entries(n); }
   void set_dtlb_entries(std::uint32_t n) { dtlb_.set_active_entries(n); }
-  void set_dram_gated(bool gated) { dram_->set_gated(gated); }
 
-  std::uint32_t l3_ways() const { return l3_->active_ways(); }
   std::uint32_t l2_ways() const { return l2_.active_ways(); }
   std::uint32_t itlb_entries() const { return itlb_.active_entries(); }
   std::uint32_t dtlb_entries() const { return dtlb_.active_entries(); }
-  bool dram_gated() const { return dram_->gated(); }
 
   /// OS-noise hook: a context switch evicts translations.
   void flush_tlbs();
+  /// Flushes the private levels and the shared L3.
   void flush_caches();
-  /// Flushes only the core-private levels (SMP L3 reconfiguration).
+  /// Flushes only the private levels (an L3 shrink keeps inclusion so).
   void flush_private();
 
   // --- component access for tests and stats ---
@@ -98,9 +93,7 @@ class MemoryHierarchy {
   cache::Cache l2_;
   cache::Tlb itlb_;
   cache::Tlb dtlb_;
-  // Shared levels: owned for a single-core node, external for SMP cores.
-  std::unique_ptr<cache::Cache> owned_l3_;
-  std::unique_ptr<mem::Dram> owned_dram_;
+  // Shared levels, owned by the node.
   cache::Cache* l3_;
   mem::Dram* dram_;
 };

@@ -166,4 +166,118 @@ telemetry::ProbeInput Package::probe_input(util::Picoseconds now,
   return in;
 }
 
+// --- PackagePlatform ---
+
+PackagePlatform::PackagePlatform(const MachineConfig& machine,
+                                 std::uint64_t seed)
+    : machine_(machine),
+      pstates_(power::PStateTable::romley_e5_2680()),
+      l3_(machine.hierarchy.l3),
+      dram_(machine.hierarchy.dram),
+      package_(machine),
+      rng_(seed),
+      next_control_(machine.ticks.bmc_period),
+      next_noise_(machine.ticks.os_noise_period) {}
+
+void PackagePlatform::set_pstate(std::uint32_t index) {
+  for (CoreLane* lane : core_lanes_) lane->core.set_pstate(index);
+}
+
+void PackagePlatform::set_duty(double duty) {
+  for (CoreLane* lane : core_lanes_) lane->core.set_duty(duty);
+}
+
+void PackagePlatform::set_l3_ways(std::uint32_t n) {
+  const bool shrinking = n < l3_.active_ways();
+  l3_.set_active_ways(n);
+  if (shrinking) {
+    for (CoreLane* lane : core_lanes_) lane->hierarchy.flush_private();
+  }
+}
+
+void PackagePlatform::set_l2_ways(std::uint32_t n) {
+  for (CoreLane* lane : core_lanes_) lane->hierarchy.set_l2_ways(n);
+}
+
+void PackagePlatform::set_itlb_entries(std::uint32_t n) {
+  for (CoreLane* lane : core_lanes_) lane->hierarchy.set_itlb_entries(n);
+}
+
+void PackagePlatform::set_dtlb_entries(std::uint32_t n) {
+  for (CoreLane* lane : core_lanes_) lane->hierarchy.set_dtlb_entries(n);
+}
+
+void PackagePlatform::begin_run(util::Picoseconds start) {
+  running_ = true;
+  package_.begin_run(start);
+  next_control_ = start + machine_.ticks.bmc_period;
+  next_noise_ = start + machine_.ticks.os_noise_period;
+}
+
+OperatingPoint PackagePlatform::operating_point() const {
+  const CoreModel& core = front().core;
+  OperatingPoint op;
+  for (const CoreLane* lane : core_lanes_) op.active_cores += lane->live ? 1 : 0;
+  op.pstate = core.pstate();
+  op.frequency = core.frequency();
+  op.voltage = core.voltage();
+  op.duty = core.duty();
+  op.l3_active_ways = static_cast<int>(l3_.active_ways());
+  op.dram_gated = dram_.gated();
+  return op;
+}
+
+bool PackagePlatform::account(util::Picoseconds now) {
+  CounterTotals totals;
+  for (const CoreLane* lane : core_lanes_) totals.add(lane->bank);
+  return package_.account(now, totals, operating_point(), running_);
+}
+
+void PackagePlatform::noise_step(util::Picoseconds now) {
+  if (!os_noise_enabled_ || !running_ || now < next_noise_) return;
+  for (CoreLane* lane : core_lanes_) {
+    lane->hierarchy.flush_tlbs();
+    if (lane->live) lane->core.external_drain();
+  }
+  // Jitter the period a little so noise does not alias with control.
+  const double jitter = 0.8 + 0.4 * rng_.uniform();
+  next_noise_ =
+      now + static_cast<util::Picoseconds>(
+                static_cast<double>(machine_.ticks.os_noise_period) * jitter);
+}
+
+void PackagePlatform::control_step(util::Picoseconds now) {
+  if (control_hook_ && now >= next_control_) {
+    control_hook_(*this);
+    next_control_ = now + machine_.ticks.bmc_period;
+  }
+}
+
+void PackagePlatform::probe_step(util::Picoseconds now) {
+  if constexpr (!telemetry::kCompiledIn) return;
+  // Probes only read simulator state; feeding them cannot perturb the run.
+  const std::size_t cores = std::min(core_probes_.size(), core_lanes_.size());
+  const bool package_due = probe_ != nullptr && probe_->wants_sample(now);
+  bool any_core_due = false;
+  for (std::size_t i = 0; i < cores && !any_core_due; ++i) {
+    any_core_due =
+        core_probes_[i] != nullptr && core_probes_[i]->wants_sample(now);
+  }
+  if (!package_due && !any_core_due) return;
+
+  const telemetry::ProbeInput in = package_.probe_input(now, operating_point());
+  if (package_due) {
+    telemetry::ProbeInput agg = in;
+    for (const CoreLane* lane : core_lanes_) add_probe_counters(agg, lane->bank);
+    probe_->on_tick(agg);
+  }
+  for (std::size_t i = 0; i < cores; ++i) {
+    telemetry::NodeProbe* probe = core_probes_[i];
+    if (probe == nullptr || !probe->wants_sample(now)) continue;
+    telemetry::ProbeInput per = in;  // package operating point ...
+    add_probe_counters(per, core_lanes_[i]->bank);  // ... per-core counters
+    probe->on_tick(per);
+  }
+}
+
 }  // namespace pcap::sim

@@ -1,8 +1,8 @@
-// Abstract actuator/sensor interface the BMC firmware drives. The Node
-// implements it; keeping it abstract means the management plane (src/core)
-// never depends on simulator internals — mirroring the real architecture,
-// where the BMC reaches the platform through management firmware rather than
-// the OS.
+// Abstract actuator/sensor interface the BMC firmware drives. The node base
+// (sim::PackagePlatform) implements it once for Node and SmpNode; keeping it
+// abstract means the management plane (src/core) never depends on simulator
+// internals — mirroring the real architecture, where the BMC reaches the
+// platform through management firmware rather than the OS.
 #pragma once
 
 #include <cstdint>

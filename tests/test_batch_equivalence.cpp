@@ -17,8 +17,10 @@
 #include <vector>
 
 #include "apps/stride/stride.hpp"
+#include "cache/cache.hpp"
 #include "core/bmc.hpp"
 #include "harness/experiment.hpp"
+#include "mem/dram.hpp"
 #include "pmu/counters.hpp"
 #include "power/pstate.hpp"
 #include "sim/execution_context.hpp"
@@ -136,8 +138,14 @@ class HierarchyPair {
       const sim::MachineConfig& config = sim::MachineConfig::romley())
       : config_(config),
         pstates_(power::PStateTable::romley_e5_2680()),
-        streamed_hierarchy_(config_.hierarchy, streamed_bank_),
-        looped_hierarchy_(config_.hierarchy, looped_bank_),
+        streamed_l3_(config_.hierarchy.l3),
+        looped_l3_(config_.hierarchy.l3),
+        streamed_dram_(config_.hierarchy.dram),
+        looped_dram_(config_.hierarchy.dram),
+        streamed_hierarchy_(config_.hierarchy, streamed_bank_, streamed_l3_,
+                            streamed_dram_),
+        looped_hierarchy_(config_.hierarchy, looped_bank_, looped_l3_,
+                          looped_dram_),
         streamed_core_(config_.core, pstates_, streamed_bank_),
         looped_core_(config_.core, pstates_, looped_bank_),
         streamed_sink_(streamed_core_, streamed_hierarchy_, tick_period),
@@ -179,11 +187,11 @@ class HierarchyPair {
     expect_equal_hierarchy(streamed_hierarchy_, looped_hierarchy_);
   }
 
-  /// Applies the same reconfiguration to both hierarchies.
+  /// Applies the same reconfiguration to both hierarchies and their L3s.
   template <typename F>
   void on_both(F&& f) {
-    f(streamed_hierarchy_);
-    f(looped_hierarchy_);
+    f(streamed_hierarchy_, streamed_l3_);
+    f(looped_hierarchy_, looped_l3_);
   }
 
   std::uint64_t ticks() const { return looped_sink_.ticks(); }
@@ -191,6 +199,10 @@ class HierarchyPair {
  private:
   sim::MachineConfig config_;
   power::PStateTable pstates_;
+  cache::Cache streamed_l3_;
+  cache::Cache looped_l3_;
+  mem::Dram streamed_dram_;
+  mem::Dram looped_dram_;
   pmu::CounterBank streamed_bank_;
   pmu::CounterBank looped_bank_;
   sim::MemoryHierarchy streamed_hierarchy_;
@@ -329,8 +341,11 @@ TEST(BatchEquivalence, HierarchyStreamAcrossGatingChanges) {
     const std::uint32_t l3_ways = 4 + static_cast<std::uint32_t>(rng.below(17));
     const std::uint32_t itlb = 4 + static_cast<std::uint32_t>(rng.below(45));
     const std::uint32_t dtlb = 4 + static_cast<std::uint32_t>(rng.below(61));
-    pair.on_both([&](sim::MemoryHierarchy& h) {
-      h.set_l3_ways(l3_ways);
+    pair.on_both([&](sim::MemoryHierarchy& h, cache::Cache& l3) {
+      // The node's L3 gating: a shrink flushes the private levels.
+      const bool shrinking = l3_ways < l3.active_ways();
+      l3.set_active_ways(l3_ways);
+      if (shrinking) h.flush_private();
       h.set_itlb_entries(itlb);
       h.set_dtlb_entries(dtlb);
       if (round == 6) h.flush_tlbs();

@@ -20,11 +20,13 @@ using pmu::Event;
 
 // --- MemoryHierarchy ---
 
+// A node's one core. L3-way and DRAM gating act on the shared levels the
+// node owns, so those tests drive them through the node.
 class HierarchyTest : public ::testing::Test {
  protected:
-  HierarchyTest() : hierarchy_(MachineConfig::romley().hierarchy, bank_) {}
-  pmu::CounterBank bank_;
-  MemoryHierarchy hierarchy_;
+  Node node_{MachineConfig::romley()};
+  pmu::CounterBank& bank_ = node_.counters();
+  MemoryHierarchy& hierarchy_ = node_.hierarchy();
 };
 
 TEST_F(HierarchyTest, ColdLoadReachesDram) {
@@ -72,7 +74,7 @@ TEST_F(HierarchyTest, InclusionHoldsUnderRandomTrafficAndGating) {
   util::Rng rng(7);
   for (int i = 0; i < 30000; ++i) {
     if (i % 5000 == 2500) {
-      hierarchy_.set_l3_ways(1 + static_cast<std::uint32_t>(rng.below(20)));
+      node_.set_l3_ways(1 + static_cast<std::uint32_t>(rng.below(20)));
     }
     hierarchy_.access(rng.below(96ull << 20), AccessType::kLoad);
   }
@@ -88,21 +90,21 @@ TEST_F(HierarchyTest, InclusionHoldsUnderRandomTrafficAndGating) {
 TEST_F(HierarchyTest, L3GatingFlushesInnerLevels) {
   hierarchy_.access(0x1000, AccessType::kLoad);
   EXPECT_TRUE(hierarchy_.l1d().contains(0x1000));
-  hierarchy_.set_l3_ways(4);
+  node_.set_l3_ways(4);
   EXPECT_EQ(hierarchy_.l1d().valid_lines(), 0u);
   EXPECT_EQ(hierarchy_.l2().valid_lines(), 0u);
-  EXPECT_EQ(hierarchy_.l3_ways(), 4u);
+  EXPECT_EQ(node_.l3_ways(), 4u);
 }
 
 TEST_F(HierarchyTest, GatingActuatorsReflectState) {
   hierarchy_.set_l2_ways(2);
   hierarchy_.set_itlb_entries(6);
   hierarchy_.set_dtlb_entries(32);
-  hierarchy_.set_dram_gated(true);
+  node_.set_dram_gated(true);
   EXPECT_EQ(hierarchy_.l2_ways(), 2u);
   EXPECT_EQ(hierarchy_.itlb_entries(), 6u);
   EXPECT_EQ(hierarchy_.dtlb_entries(), 32u);
-  EXPECT_TRUE(hierarchy_.dram_gated());
+  EXPECT_TRUE(node_.dram_gated());
 }
 
 TEST_F(HierarchyTest, FetchUsesItlbAndL1I) {
@@ -115,7 +117,7 @@ TEST_F(HierarchyTest, FetchUsesItlbAndL1I) {
 
 TEST_F(HierarchyTest, DramGatingSlowsMisses) {
   const AccessLatency normal = hierarchy_.access(0x500000, AccessType::kLoad);
-  hierarchy_.set_dram_gated(true);
+  node_.set_dram_gated(true);
   const AccessLatency gated = hierarchy_.access(0x900000, AccessType::kLoad);
   EXPECT_GT(gated.fixed_ps, normal.fixed_ps);
 }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "apps/synthetic.hpp"
+#include "cache/cache.hpp"
+#include "mem/dram.hpp"
 #include "sim/execution_context.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
@@ -123,11 +125,22 @@ TEST(ExecutionContextMore, DistinctCodeRegionsDoNotAlias) {
   EXPECT_GE(icm_after_b, icm_after_a + 100);
 }
 
+/// One core's hierarchy over its own L3 and DRAM (no node).
+struct BareHierarchy {
+  explicit BareHierarchy(const HierarchyConfig& config)
+      : l3(config.l3), dram(config.dram), h(config, bank, l3, dram) {}
+  cache::Cache l3;
+  mem::Dram dram;
+  pmu::CounterBank bank;
+  MemoryHierarchy h;
+};
+
 TEST(Prefetch, OffByDefault) {
   const MachineConfig m = MachineConfig::romley();
   EXPECT_FALSE(m.hierarchy.prefetch_enabled);
-  pmu::CounterBank bank;
-  MemoryHierarchy h(m.hierarchy, bank);
+  BareHierarchy bare(m.hierarchy);
+  MemoryHierarchy& h = bare.h;
+  pmu::CounterBank& bank = bare.bank;
   for (Address a = 0; a < 1 << 20; a += 64) h.access(a, AccessType::kLoad);
   EXPECT_EQ(bank.get(Event::kL2Pf), 0u);
 }
@@ -135,16 +148,17 @@ TEST(Prefetch, OffByDefault) {
 TEST(Prefetch, HidesSequentialStreamLatency) {
   MachineConfig m = MachineConfig::romley();
   m.hierarchy.prefetch_enabled = true;
-  pmu::CounterBank bank;
-  MemoryHierarchy h(m.hierarchy, bank);
+  BareHierarchy bare(m.hierarchy);
+  MemoryHierarchy& h = bare.h;
+  pmu::CounterBank& bank = bare.bank;
   util::Picoseconds stalls = 0;
   for (Address a = 0; a < 4 << 20; a += 64) {
     stalls += h.access(a, AccessType::kLoad).fixed_ps;
   }
   EXPECT_GT(bank.get(Event::kL2Pf), 10000u);
 
-  pmu::CounterBank base_bank;
-  MemoryHierarchy base(MachineConfig::romley().hierarchy, base_bank);
+  BareHierarchy bare_base(MachineConfig::romley().hierarchy);
+  MemoryHierarchy& base = bare_base.h;
   util::Picoseconds base_stalls = 0;
   for (Address a = 0; a < 4 << 20; a += 64) {
     base_stalls += base.access(a, AccessType::kLoad).fixed_ps;
@@ -156,8 +170,8 @@ TEST(Prefetch, HidesSequentialStreamLatency) {
 TEST(Prefetch, InclusionStillHoldsWithPrefetchedLines) {
   MachineConfig m = MachineConfig::romley();
   m.hierarchy.prefetch_enabled = true;
-  pmu::CounterBank bank;
-  MemoryHierarchy h(m.hierarchy, bank);
+  BareHierarchy bare(m.hierarchy);
+  MemoryHierarchy& h = bare.h;
   util::Rng rng(3);
   for (int i = 0; i < 20000; ++i) {
     h.access(rng.below(64ull << 20), AccessType::kLoad);

@@ -8,6 +8,7 @@
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
+#include "sim/node.hpp"
 #include "sim/smp_node.hpp"
 
 namespace pcap::sim {
@@ -124,19 +125,76 @@ TEST(SmpNode, SharedL3ContentionRaisesMisses) {
   EXPECT_GT(pair_run.elapsed, solo_run.elapsed * 1.2);
 }
 
-TEST(SmpNode, PackageActuationAppliesToAllCores) {
-  SmpNode node(two_cores());
+/// Actuates a node that has run through PlatformControl and checks every
+/// core lane took each actuation, so a fan-out that skips a lane fails even
+/// though the package-wide getters read only the first lane.
+void expect_actuation_reaches_every_lane(PackagePlatform& node) {
+  for (int i = 0; i < node.core_count(); ++i) {
+    ASSERT_GT(node.core_lane(i).hierarchy.l1d().valid_lines(), 0u)
+        << "core " << i << " never ran";
+  }
   PlatformControl& control = node;
   control.set_pstate(15);
   control.set_duty(0.5);
+  control.set_l2_ways(2);
   control.set_itlb_entries(6);
+  control.set_dtlb_entries(32);
   control.set_l3_ways(4);
   EXPECT_EQ(control.pstate(), 15u);
   EXPECT_EQ(control.frequency(), 1200 * util::kMegaHertz);
   EXPECT_DOUBLE_EQ(control.duty(), 0.5);
+  EXPECT_EQ(control.l2_ways(), 2u);
   EXPECT_EQ(control.itlb_entries(), 6u);
+  EXPECT_EQ(control.dtlb_entries(), 32u);
   EXPECT_EQ(control.l3_ways(), 4u);
   EXPECT_EQ(node.shared_l3().active_ways(), 4u);
+  for (int i = 0; i < node.core_count(); ++i) {
+    const CoreLane& lane = node.core_lane(i);
+    EXPECT_EQ(lane.core.pstate(), 15u) << "core " << i;
+    EXPECT_EQ(lane.core.frequency(), 1200 * util::kMegaHertz) << "core " << i;
+    EXPECT_DOUBLE_EQ(lane.core.duty(), 0.5) << "core " << i;
+    EXPECT_EQ(lane.hierarchy.l2_ways(), 2u) << "core " << i;
+    EXPECT_EQ(lane.hierarchy.itlb_entries(), 6u) << "core " << i;
+    EXPECT_EQ(lane.hierarchy.dtlb_entries(), 32u) << "core " << i;
+    // The L3 shrink flushed this core's private levels.
+    EXPECT_EQ(lane.hierarchy.l1d().valid_lines(), 0u) << "core " << i;
+    EXPECT_EQ(lane.hierarchy.l2().valid_lines(), 0u) << "core " << i;
+  }
+}
+
+TEST(SmpNode, PackageActuationAppliesToAllCores) {
+  SmpNode node(two_cores());
+  apps::MemoryBoundWorkload a(1ull << 20, 20000), b(1ull << 20, 20000);
+  std::vector<Workload*> ws{&a, &b};
+  node.run(ws);
+  expect_actuation_reaches_every_lane(node);
+}
+
+TEST(SmpNode, PackageActuationAppliesToSingleCoreNode) {
+  Node node(MachineConfig::romley());
+  apps::MemoryBoundWorkload w(1ull << 20, 20000);
+  node.run(w);
+  ASSERT_EQ(node.core_count(), 1);
+  expect_actuation_reaches_every_lane(node);
+}
+
+TEST(SmpNode, OsNoiseReachesEveryLiveCore) {
+  // A noise tick flushes every core's translations, so each long-running
+  // core re-walks its code pages, which it does only once without noise.
+  auto run = [](bool noise) {
+    SmpNode node(two_cores(), 7);
+    node.set_os_noise(noise);
+    apps::ComputeBoundWorkload a(4000000), b(4000000);
+    std::vector<Workload*> ws{&a, &b};
+    return node.run(ws);
+  };
+  const SmpRunReport quiet = run(false);
+  const SmpRunReport noisy = run(true);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_GT(noisy.cores[i].counter(Event::kTlbIm),
+              quiet.cores[i].counter(Event::kTlbIm))
+        << "core " << i;
+  }
 }
 
 TEST(SmpNode, SlowerPStateSlowsBothCores) {
