@@ -295,6 +295,8 @@ sched::PlanInput make_plan_input(const sched::AmenabilityTable* table,
     view.cls = static_cast<sched::JobClass>(i % sched::kJobClassCount);
     view.remaining_chunks = static_cast<int>(2 + i);
     view.applied_cap_w = 135.0;
+    view.lanes.push_back(
+        {0, view.busy, view.cls, view.remaining_chunks, std::nullopt});
     input.nodes.push_back(view);
   }
   input.queued.push_back({sched::JobClass::kStrideLike, 6, std::nullopt});

@@ -68,7 +68,6 @@ ipmi::Response BmcIpmiServer::handle(const ipmi::Request& request) {
     // node BMC.
     case Command::kSetRackBudget:
     case Command::kGetRackStatus:
-    case Command::kGetRackTelemetry:
       break;
   }
   return ipmi::make_error_response(CompletionCode::kInvalidCommand);

@@ -15,6 +15,10 @@ namespace pcap::fleet {
 namespace {
 constexpr double kTimeEps = 1e-12;
 constexpr double kTolW = 1e-3;
+// A rack's forecast replaces its polled demand only at or above this
+// confidence (stricter than PhaseConfig::min_confidence, which only
+// decides whether a series counts as periodic at all).
+constexpr double kForecastMinConfidence = 0.5;
 }  // namespace
 
 std::uint64_t FleetResult::schedule_digest() const {
@@ -62,7 +66,6 @@ DatacenterManager::DatacenterManager(const FleetConfig& config)
     rack.sampler = config_.sampler;
     rack.seed = config_.seed * 65599 + static_cast<std::uint64_t>(i) * 43 + 3;
     slot->manager = std::make_unique<RackManager>(rack);
-    slot->manager->set_thermal_shadow(config_.machine.thermal);
     slot->server = std::make_unique<BudgetEndpointServer>(*slot->manager);
     slot->loopback = std::make_unique<ipmi::LoopbackTransport>(
         [srv = slot->server.get()](std::span<const std::uint8_t> frame) {
@@ -146,7 +149,7 @@ void DatacenterManager::control_round(double t) {
     bool any_forecast = false;
     for (std::size_t i = 0; i < racks_.size(); ++i) {
       const predict::PhaseForecast& f = rack_phase_[i].forecast();
-      if (f.periodic && f.confidence >= config_.predictor_min_confidence) {
+      if (f.periodic && f.confidence >= kForecastMinConfidence) {
         forecast_w[i] = std::max(f.next_value, 0.0);
         any_forecast = true;
       } else {

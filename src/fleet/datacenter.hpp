@@ -85,12 +85,11 @@ struct FleetConfig {
   /// when a rack's series shows confident periodic structure, the root
   /// coupler divides next tick's budget by the *forecast* demand instead
   /// of the last polled one — the caps move one control round ahead of a
-  /// predicted phase change. Racks below the confidence floor fall back
+  /// predicted phase change. Racks below a 0.5 confidence floor fall back
   /// to polled demand (the reactive path); off is bit-identical to the
   /// pre-predictor fleet.
   bool predictor = false;
   predict::PhaseConfig phase;
-  double predictor_min_confidence = 0.5;
 
   /// Scripted management-plane partition: rack `rack`'s link swallows the
   /// next `transactions` exchanges starting at the first tick >= start_s.

@@ -4,17 +4,6 @@
 
 namespace pcap::fleet {
 
-ipmi::RackTelemetry BudgetHolder::telemetry_summary() {
-  const ipmi::RackStatus s = status();
-  ipmi::RackTelemetry t;
-  t.nodes = s.nodes;
-  t.sum_w = s.demand_w;
-  t.mean_w = s.nodes > 0 ? s.demand_w / s.nodes : 0.0;
-  t.min_w = t.mean_w;
-  t.max_w = t.mean_w;
-  return t;
-}
-
 ipmi::Response BudgetEndpointServer::handle(const ipmi::Request& request) {
   using ipmi::Command;
   using ipmi::CompletionCode;
@@ -35,11 +24,6 @@ ipmi::Response BudgetEndpointServer::handle(const ipmi::Request& request) {
         return ipmi::make_error_response(CompletionCode::kRequestDataInvalid);
       }
       return ipmi::encode_rack_status(holder_->status());
-    case Command::kGetRackTelemetry:
-      if (!request.payload.empty()) {
-        return ipmi::make_error_response(CompletionCode::kRequestDataInvalid);
-      }
-      return ipmi::encode_rack_telemetry(holder_->telemetry_summary());
     default:
       return ipmi::make_error_response(CompletionCode::kInvalidCommand);
   }
@@ -85,11 +69,6 @@ std::optional<double> BudgetClient::poll_demand() {
   if (!status.has_value()) return std::nullopt;
   status_ = *status;
   return status_.demand_w;
-}
-
-std::optional<ipmi::RackTelemetry> BudgetClient::fetch_telemetry() {
-  const ipmi::Response r = transact_with_retry(ipmi::make_get_rack_telemetry());
-  return ipmi::decode_rack_telemetry(r);
 }
 
 void BudgetGroup::add_child(BudgetClient* child) {

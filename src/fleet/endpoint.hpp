@@ -1,8 +1,8 @@
 // The budget-tree wire endpoints. A BudgetHolder is anything that can
 // adopt a budget target and report status (a RackManager, a mid-tree
 // BudgetGroup, a synthetic leaf in tests); BudgetEndpointServer exposes a
-// holder over the IPMI message layer (SetRackBudget / GetRackStatus /
-// GetRackTelemetry frames), and BudgetClient is the parent-side ChildLink
+// holder over the IPMI message layer (SetRackBudget / GetRackStatus
+// frames), and BudgetClient is the parent-side ChildLink
 // that speaks to it through any ipmi::Transport — so FaultyTransport's
 // drop/dup/corrupt/partition applies to rack and datacenter hops exactly
 // as it does to node BMC links.
@@ -33,10 +33,6 @@ class BudgetHolder {
   virtual double set_budget_target(double watts) = 0;
 
   virtual ipmi::RackStatus status() = 0;
-
-  /// Windowed power summary for the telemetry command; default derives a
-  /// degenerate summary from status().
-  virtual ipmi::RackTelemetry telemetry_summary();
 };
 
 /// Serves one BudgetHolder over IPMI frames (the rack/pod analog of
@@ -76,7 +72,6 @@ class BudgetClient : public ChildLink {
 
   /// Last successfully fetched status (poll_demand refreshes it).
   const ipmi::RackStatus& last_status() const { return status_; }
-  std::optional<ipmi::RackTelemetry> fetch_telemetry();
 
   std::uint64_t retries() const { return retries_; }
   std::uint64_t failed_exchanges() const { return failed_exchanges_; }

@@ -50,13 +50,6 @@ RackManager::RackManager(const RackConfig& config)
   target_w_ = floor_w();
 }
 
-void RackManager::set_thermal_shadow(const thermal::RcNetworkConfig& thermal) {
-  const double r_c_per_w = thermal.sensor_r_to_ambient();
-  for (const auto& slot : slots_) {
-    slot->vnode.set_thermal_shadow(thermal.ambient_c, r_c_per_w);
-  }
-}
-
 double RackManager::floor_w() const {
   return static_cast<double>(slots_.size()) * config_.bmc.min_cap_w;
 }
@@ -106,27 +99,6 @@ ipmi::RackStatus RackManager::status() {
   s.queued_jobs = static_cast<std::uint16_t>(
       std::min<std::size_t>(queue_.size(), 0xFFFF));
   return s;
-}
-
-ipmi::RackTelemetry RackManager::telemetry_summary() {
-  ipmi::RackTelemetry t;
-  t.nodes = static_cast<std::uint16_t>(slots_.size());
-  if (slots_.empty()) return t;
-  t.min_w = slots_.front()->vnode.draw_w();
-  for (const auto& slot : slots_) {
-    const double w = slot->vnode.draw_w();
-    t.min_w = std::min(t.min_w, w);
-    t.max_w = std::max(t.max_w, w);
-    t.sum_w += w;
-    t.max_temp_c = std::max(t.max_temp_c, slot->vnode.temperature_c());
-    if (slot->vnode.throttle_status().capping_active) {
-      // VirtualNodes have no thermal governor; the only throttle source
-      // at this level is the power cap (thermal::ThrottleReason::kPowerCap).
-      t.throttle_reason = std::max<std::uint8_t>(t.throttle_reason, 1);
-    }
-  }
-  t.mean_w = t.sum_w / static_cast<double>(slots_.size());
-  return t;
 }
 
 double RackManager::demand_w() const {

@@ -33,7 +33,6 @@
 #include "sched/job.hpp"
 #include "telemetry/reducer.hpp"
 #include "telemetry/sampler.hpp"
-#include "thermal/rc_network.hpp"
 
 namespace pcap::fleet {
 
@@ -94,10 +93,6 @@ class RackManager : public BudgetHolder {
 
   explicit RackManager(const RackConfig& config);
 
-  /// Every node's thermal shadow settles at `thermal`'s ambient plus its
-  /// sensor-to-ambient resistance times the node's draw.
-  void set_thermal_shadow(const thermal::RcNetworkConfig& thermal);
-
   const std::string& name() const { return config_.name; }
   std::size_t node_count() const { return slots_.size(); }
   std::size_t lanes_per_node() const { return config_.lanes_per_node; }
@@ -109,7 +104,6 @@ class RackManager : public BudgetHolder {
   /// within the parent's exchange.
   double set_budget_target(double watts) override;
   ipmi::RackStatus status() override;
-  ipmi::RackTelemetry telemetry_summary() override;
 
   double target_w() const { return target_w_; }
   double enforced_w() const;

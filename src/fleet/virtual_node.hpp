@@ -66,18 +66,6 @@ class VirtualNode {
     return t;
   }
 
-  /// Steady-state thermal shadow: a VirtualNode has no RC state to
-  /// integrate, so it reports the temperature its draw would settle at
-  /// (ambient + R * draw) — the analytic fixed point of the real node's
-  /// RC network. Keeps rack-level max_temp_c aggregation meaningful
-  /// without per-node thermal ticks.
-  void set_thermal_shadow(double ambient_c, double r_c_per_w) {
-    ambient_c_ = ambient_c;
-    r_c_per_w_ = r_c_per_w;
-  }
-  double ambient_c() const { return ambient_c_; }
-  double temperature_c() const { return ambient_c_ + r_c_per_w_ * draw_w_; }
-
  private:
   double min_cap_w_;
   double max_cap_w_;
@@ -85,10 +73,6 @@ class VirtualNode {
   double draw_w_;
   double min_seen_w_;
   double max_seen_w_;
-  // Until the owning rack derives them from its machine's thermal config,
-  // the shadow uses the default machine's (RcNetworkConfig::single_rc()).
-  double ambient_c_ = 35.0;
-  double r_c_per_w_ = 0.35;
 };
 
 /// Answers the node-level power-management commands for one VirtualNode —

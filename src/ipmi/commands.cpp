@@ -223,47 +223,6 @@ std::optional<RackStatus> decode_rack_status(const Response& r) {
   return v;
 }
 
-Request make_get_rack_telemetry() {
-  return make_plain(Command::kGetRackTelemetry);
-}
-
-Response encode_rack_telemetry(const RackTelemetry& v) {
-  Response r = make_ok_response();
-  put_u16(r.payload, v.nodes);
-  put_u32(r.payload, watts32_to_wire(v.min_w));
-  put_u32(r.payload, watts32_to_wire(v.mean_w));
-  put_u32(r.payload, watts32_to_wire(v.max_w));
-  put_u32(r.payload, watts32_to_wire(v.sum_w));
-  // Thermal envelope: temperature on the 0.1 C grid, RPM as integer.
-  put_u16(r.payload, static_cast<std::uint16_t>(std::lround(
-                         std::clamp(v.max_temp_c, 0.0, 6553.5) * 10.0)));
-  put_u16(r.payload, static_cast<std::uint16_t>(std::lround(
-                         std::clamp(v.max_fan_rpm, 0.0, 65535.0))));
-  put_u8(r.payload, v.throttle_reason);
-  return r;
-}
-
-std::optional<RackTelemetry> decode_rack_telemetry(const Response& r) {
-  if (!r.ok()) return std::nullopt;
-  PayloadReader reader(r.payload);
-  RackTelemetry v;
-  std::uint32_t mn = 0, mean = 0, mx = 0, sum = 0;
-  std::uint16_t temp = 0, rpm = 0;
-  if (!reader.read_u16(v.nodes) || !reader.read_u32(mn) ||
-      !reader.read_u32(mean) || !reader.read_u32(mx) || !reader.read_u32(sum) ||
-      !reader.read_u16(temp) || !reader.read_u16(rpm) ||
-      !reader.read_u8(v.throttle_reason) || !reader.exhausted()) {
-    return std::nullopt;
-  }
-  v.min_w = watts32_from_wire(mn);
-  v.mean_w = watts32_from_wire(mean);
-  v.max_w = watts32_from_wire(mx);
-  v.sum_w = watts32_from_wire(sum);
-  v.max_temp_c = static_cast<double>(temp) / 10.0;
-  v.max_fan_rpm = static_cast<double>(rpm);
-  return v;
-}
-
 Request make_set_subsystem_caps(const SubsystemCaps& caps) {
   Request r = make_plain(Command::kSetSubsystemCaps);
   put_u8(r.payload, caps.enabled ? 1 : 0);

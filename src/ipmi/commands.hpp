@@ -24,7 +24,6 @@ enum class Command : std::uint8_t {
   // 0.1 W fixed point.
   kSetRackBudget = 0xD0,
   kGetRackStatus = 0xD1,
-  kGetRackTelemetry = 0xD2,
   // Thermal/subsystem extension: per-subsystem (CPU/uncore/memory) power
   // caps and meters, in the node-level u16 0.1 W grid.
   kSetSubsystemCaps = 0xD3,
@@ -42,7 +41,6 @@ inline const char* command_name(std::uint8_t command) {
     case Command::kGetThrottleStatus: return "GetThrottleStatus";
     case Command::kSetRackBudget: return "SetRackBudget";
     case Command::kGetRackStatus: return "GetRackStatus";
-    case Command::kGetRackTelemetry: return "GetRackTelemetry";
     case Command::kSetSubsystemCaps: return "SetSubsystemCaps";
     case Command::kGetSubsystemPower: return "GetSubsystemPower";
   }
@@ -100,23 +98,6 @@ struct RackStatus {
   std::uint16_t busy_nodes = 0;
   std::uint16_t free_lanes = 0;
   std::uint16_t queued_jobs = 0;
-};
-
-/// Windowed power summary for one aggregate child (kGetRackTelemetry):
-/// the Reducer fan-in's min/mean/max/sum shape, collapsed to "now", plus
-/// the thermal envelope (worst node temperature / fan speed and the
-/// deepest active throttle reason) so a parent can aggregate thermals.
-struct RackTelemetry {
-  std::uint16_t nodes = 0;
-  double min_w = 0.0;
-  double mean_w = 0.0;
-  double max_w = 0.0;
-  double sum_w = 0.0;
-  double max_temp_c = 0.0;    // hottest node sensor (0.1 C wire grid)
-  double max_fan_rpm = 0.0;   // fastest fan in the child
-  /// Deepest thermal::ThrottleReason active anywhere in the child
-  /// (0 = none; see thermal/governor.hpp).
-  std::uint8_t throttle_reason = 0;
 };
 
 /// Per-subsystem caps (kSetSubsystemCaps): 0 W = that subsystem uncapped.
@@ -201,10 +182,6 @@ std::optional<double> decode_rack_budget_grant(const Response& r);
 Request make_get_rack_status();
 Response encode_rack_status(const RackStatus& v);
 std::optional<RackStatus> decode_rack_status(const Response& r);
-
-Request make_get_rack_telemetry();
-Response encode_rack_telemetry(const RackTelemetry& v);
-std::optional<RackTelemetry> decode_rack_telemetry(const Response& r);
 
 // Subsystem caps/meters. The SetSubsystemCaps response carries the applied
 // caps (post-clamp), like SetRackBudget's grant.

@@ -1,15 +1,12 @@
-// Counter storage and a PAPI-like EventSet facade.
+// Counter storage.
 //
-// The simulator increments a CounterBank as it executes; measurement code
-// builds an EventSet over the bank, starts it, runs a region of interest and
-// reads the per-event deltas — exactly the PAPI_start/PAPI_stop workflow the
-// paper used.
+// The simulator increments a CounterBank as it executes; a run's report
+// carries the bank's snapshot, read per event through RunReport::counter —
+// the PAPI_start/PAPI_stop deltas the paper took around each run.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <stdexcept>
-#include <vector>
 
 #include "pmu/events.hpp"
 
@@ -28,50 +25,5 @@ class CounterBank {
  private:
   std::array<std::uint64_t, kEventCount> values_{};
 };
-
-/// A measured region: deltas of selected events between start() and stop().
-class EventSet {
- public:
-  explicit EventSet(const CounterBank& bank) : bank_(&bank) {}
-
-  /// Adds an event to the set. Throws std::logic_error if running.
-  void add(Event e);
-  bool contains(Event e) const;
-  std::size_t size() const { return events_.size(); }
-
-  /// Begins a measurement. Throws std::logic_error if already running.
-  void start();
-  /// Ends the measurement, latching deltas. Throws if not running.
-  void stop();
-  bool running() const { return running_; }
-
-  /// Delta for one event over the last start/stop window (live value while
-  /// running). Throws std::out_of_range if the event is not in the set.
-  std::uint64_t read(Event e) const;
-
-  /// Deltas for every event in the set, in insertion order.
-  std::vector<std::uint64_t> read_all() const;
-  const std::vector<Event>& events() const { return events_; }
-
- private:
-  const CounterBank* bank_;
-  std::vector<Event> events_;
-  std::array<std::uint64_t, kEventCount> start_snapshot_{};
-  std::array<std::uint64_t, kEventCount> stop_snapshot_{};
-  bool running_ = false;
-  bool measured_ = false;
-};
-
-/// Derived metrics used throughout the evaluation.
-struct DerivedMetrics {
-  double ipc = 0.0;          // committed instructions per cycle
-  double l1d_miss_rate = 0.0;
-  double l2_miss_rate = 0.0;
-  double l3_miss_rate = 0.0;
-  double mpki_l2 = 0.0;      // L2 misses per kilo committed instruction
-  double mpki_l3 = 0.0;
-};
-
-DerivedMetrics derive(const CounterBank& bank);
 
 }  // namespace pcap::pmu

@@ -73,14 +73,6 @@ PhaseForecast analyze_series(const std::vector<double>& series,
   return forecast;
 }
 
-PhaseForecast analyze_sampler(const telemetry::Sampler& sampler,
-                              const telemetry::Sampler::Selector& select,
-                              const PhaseConfig& config) {
-  std::vector<double> series;
-  sampler.recent(select, config.window, &series);
-  return analyze_series(series, config);
-}
-
 PhasePredictor::PhasePredictor(const PhaseConfig& config)
     : config_(config), ring_(std::max<std::size_t>(config.window, 4)) {}
 

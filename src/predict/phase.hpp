@@ -3,9 +3,8 @@
 //
 // The detector looks for periodic phase structure in a bounded window of
 // the most recent samples — per-node chunk power/elapsed sequences in the
-// scheduler, watts/IPC/miss-rate series off the telemetry Sampler ring in
-// the fleet — and forecasts the next sample, the next phase boundary, and
-// the level after it. The approach follows flux-power-monitor's
+// scheduler, per-rack demand series in the fleet — and forecasts the next
+// sample, the next phase boundary, and the level after it. The approach follows flux-power-monitor's
 // fft_predictor.c: find the dominant period of the (mean-removed) window
 // and replay the cycle one period ahead. At our window sizes (<= 512
 // samples) the direct autocorrelation form of that search is exact and
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "telemetry/ring_buffer.hpp"
-#include "telemetry/sampler.hpp"
 
 namespace pcap::predict {
 
@@ -55,13 +53,6 @@ struct PhaseForecast {
 /// last `config.window` values.
 PhaseForecast analyze_series(const std::vector<double>& series,
                              const PhaseConfig& config);
-
-/// Convenience read path over a telemetry Sampler ring: pulls the most
-/// recent `config.window` values of `select(sample)` (Sampler::recent) and
-/// analyzes them. Correct at any ring-wrap state.
-PhaseForecast analyze_sampler(const telemetry::Sampler& sampler,
-                              const telemetry::Sampler::Selector& select,
-                              const PhaseConfig& config);
 
 /// Stateful per-series detector: a bounded ring of observations plus a
 /// cached forecast recomputed on push (so read paths are O(1)).

@@ -82,8 +82,4 @@ const sched::AmenabilityTable* Predictor::learned_table() const {
   return learner_.table().size() > 0 ? &learner_.table() : nullptr;
 }
 
-PhaseForecast Predictor::node_forecast(std::size_t node) const {
-  return node < elapsed_.size() ? elapsed_[node].forecast() : PhaseForecast{};
-}
-
 }  // namespace pcap::predict

@@ -75,10 +75,6 @@ class Predictor : public sched::PredictorHook {
   OnlineAmenabilityLearner& learner() { return learner_; }
   const PredictorStats& stats() const { return stats_; }
 
-  /// The cached phase forecast of one node's elapsed-time series (empty
-  /// default before any chunk completed there).
-  PhaseForecast node_forecast(std::size_t node) const;
-
  private:
   void ensure_node(std::size_t node);
 

@@ -29,18 +29,6 @@ namespace {
 /// can afford full speed.
 constexpr double kDemandHeadroomW = 8.0;
 
-/// Lane accessors tolerating a lane-blind NodeView (empty lanes vector ==
-/// one implicit lane summarised by the aggregate fields), so hand-built
-/// PlanInputs from benches and tests keep working.
-std::size_t lane_count(const PlanInput& input, const NodeView& node) {
-  return node.lanes.empty() ? std::max<std::size_t>(1, input.lanes_per_node)
-                            : node.lanes.size();
-}
-bool lane_busy(const NodeView& node, std::size_t lane) {
-  return node.lanes.empty() ? (node.busy && lane == 0)
-                            : node.lanes[lane].busy;
-}
-
 struct Workspace {
   double effective_budget_w = 0.0;
   std::vector<std::size_t> available;  // indices into input.nodes
@@ -74,14 +62,7 @@ Workspace analyze(const PlanInput& input) {
     ws.available.push_back(node.index);
   }
   for (const std::size_t i : ws.available) {
-    const NodeView& node = input.nodes[i];
-    if (node.lanes.empty()) {
-      if (node.busy) {
-        ws.demand_w[i] += input.model->predict_uncapped_w(node.cls);
-      }
-      continue;
-    }
-    for (const LaneView& lane : node.lanes) {
+    for (const LaneView& lane : input.nodes[i].lanes) {
       if (lane.busy) {
         ws.demand_w[i] += input.model->predict_uncapped_w(lane.cls);
       }
@@ -94,7 +75,7 @@ Workspace analyze(const PlanInput& input) {
     for (const std::size_t i : ws.available) {
       if (next_queued >= input.queued.size()) break;
       const NodeView& node = input.nodes[i];
-      if (l >= lane_count(input, node) || lane_busy(node, l)) continue;
+      if (l >= node.lanes.size() || node.lanes[l].busy) continue;
       const PlanInput::QueuedJob& job = input.queued[next_queued++];
       ws.demand_w[i] += input.model->predict_uncapped_w(job.cls);
       if (!node.busy && !ws.prospective[i]) {
@@ -241,7 +222,7 @@ std::vector<IdleLane> idle_lanes(const PlanInput& input, const Plan& p) {
   for (std::size_t l = 0; l < per_node; ++l) {
     for (const NodeView& node : input.nodes) {
       if (!node.available || !p.admit[node.index]) continue;
-      if (l >= lane_count(input, node) || lane_busy(node, l)) continue;
+      if (l >= node.lanes.size() || node.lanes[l].busy) continue;
       lanes.push_back(IdleLane{
           static_cast<int>(node.index * per_node + l), node.index, l});
     }

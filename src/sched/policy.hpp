@@ -61,8 +61,9 @@ struct NodeView {
   std::optional<double> applied_cap_w;
   /// Earliest absolute deadline among the node's running jobs, if any.
   std::optional<double> deadline_s;
-  /// Per-lane occupancy, size == PlanInput::lanes_per_node. Lane-aware
-  /// policies read these; lane-blind policies may ignore them.
+  /// Per-lane occupancy, size == PlanInput::lanes_per_node; every input
+  /// fills it. Lane-aware policies read these; lane-blind policies may
+  /// read the aggregates above instead.
   std::vector<LaneView> lanes;
 
   int busy_lanes() const {

@@ -65,7 +65,7 @@ void NodeProbe::take_sample(const ProbeInput& in) {
     registry_->add(samples_taken_);
     registry_->set(last_watts_, in.watts);
   }
-  if (trace_ != nullptr && config_.trace_counters) {
+  if (trace_ != nullptr) {
     const double ts = TraceWriter::sim_us(in.now);
     trace_->counter(track_, name_ + ".watts", ts, in.watts);
     trace_->counter(track_, name_ + ".freq_mhz", ts, in.frequency_mhz);

@@ -5,8 +5,8 @@
 // derives windowed rates (IPC, per-level miss rates), stamps on the
 // management-plane annotations it has been told about (cap setpoint,
 // throttle rung, DCM health), and records into its Sampler when the period
-// elapses. Optionally mirrors power/frequency into a TraceWriter as counter
-// series so the waveform shows up alongside the management spans in
+// elapses. Given a TraceWriter, it mirrors power/frequency into it as
+// counter series so the waveform shows up alongside the management spans in
 // Perfetto, and counts probe activity in a Registry.
 //
 // The probe only ever *reads* simulator state — attaching one must leave
@@ -28,8 +28,6 @@ struct TelemetryConfig {
   /// Sampling period in simulated time.
   util::Picoseconds sample_period = util::microseconds(200);
   std::size_t ring_capacity = 4096;
-  /// Mirror watts/frequency into the trace as counter series.
-  bool trace_counters = true;
 };
 
 /// Raw per-tick view a Node hands its probe. Counters are cumulative; the

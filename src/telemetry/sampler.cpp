@@ -1,7 +1,6 @@
 #include "telemetry/sampler.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -52,19 +51,6 @@ Aggregate Sampler::aggregate(const Selector& select,
   return agg;
 }
 
-std::size_t Sampler::recent(const Selector& select, std::size_t window,
-                            std::vector<double>* out) const {
-  out->clear();
-  const std::size_t n = ring_.size();
-  if (n == 0) return 0;
-  const std::size_t count = (window == 0 || window > n) ? n : window;
-  out->reserve(count);
-  for (std::size_t i = n - count; i < n; ++i) {
-    out->push_back(select(ring_.at(i)));
-  }
-  return count;
-}
-
 void Sampler::write_csv(std::ostream& os) const {
   os << "time_s,watts,freq_mhz,pstate,duty,cap_w,ipc,l1_miss_rate,"
         "l2_miss_rate,l3_miss_rate,temp_c,throttle_level,health,"
@@ -93,28 +79,6 @@ void Sampler::write_csv_file(const std::string& path) const {
   std::ofstream out(path, std::ios::trunc);
   if (!out) throw std::runtime_error("Sampler: cannot open " + path);
   write_csv(out);
-}
-
-void Sampler::write_jsonl(std::ostream& os) const {
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const NodeSample& s = ring_.at(i);
-    char buf[640];
-    std::snprintf(
-        buf, sizeof buf,
-        "{\"time_s\":%.9f,\"watts\":%.3f,\"freq_mhz\":%.1f,\"pstate\":%u,"
-        "\"duty\":%.4f,\"cap_w\":%.1f,\"ipc\":%.4f,\"l1_miss_rate\":%.6f,"
-        "\"l2_miss_rate\":%.6f,\"l3_miss_rate\":%.6f,\"temp_c\":%.2f,"
-        "\"throttle_level\":%u,\"health\":%d,\"throttle_reason\":%d,"
-        "\"fan_rpm\":%.0f,\"cpu_temp_c\":%.2f,\"uncore_temp_c\":%.2f,"
-        "\"dram_temp_c\":%.2f,\"cpu_w\":%.3f,\"uncore_w\":%.3f,"
-        "\"memory_w\":%.3f}\n",
-        util::to_seconds(s.time), s.watts, s.frequency_mhz, s.pstate, s.duty,
-        s.cap_w, s.ipc, s.l1_miss_rate, s.l2_miss_rate, s.l3_miss_rate,
-        s.temperature_c, s.throttle_level, s.health, s.throttle_reason,
-        s.fan_rpm, s.cpu_temp_c, s.uncore_temp_c, s.dram_temp_c, s.cpu_w,
-        s.uncore_w, s.memory_w);
-    os << buf;
-  }
 }
 
 void Sampler::reset(util::Picoseconds now) {

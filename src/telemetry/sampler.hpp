@@ -15,7 +15,6 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
 #include "telemetry/ring_buffer.hpp"
 #include "util/units.hpp"
@@ -95,19 +94,9 @@ class Sampler {
   /// samples (0 = all retained).
   Aggregate aggregate(const Selector& select, std::size_t window = 0) const;
 
-  /// Copies `select(sample)` for the most recent `window` retained samples
-  /// (0 = all retained) into `out`, oldest first; returns the count. The
-  /// phase predictor's read path (src/predict/phase.hpp): a uniform series
-  /// straight off the ring, correct at any wrap state — including reads at
-  /// exactly capacity and capacity±1 pushes (tests/test_telemetry.cpp).
-  std::size_t recent(const Selector& select, std::size_t window,
-                     std::vector<double>* out) const;
-
   /// CSV with one row per retained sample (header included).
   void write_csv(std::ostream& os) const;
   void write_csv_file(const std::string& path) const;
-  /// JSON-lines: one object per retained sample.
-  void write_jsonl(std::ostream& os) const;
 
   void reset(util::Picoseconds now = 0);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 namespace pcap::thermal {
 
@@ -52,23 +51,6 @@ double RcNetworkConfig::node_tau_s(std::size_t i,
     }
   }
   return nodes[i].heat_capacity_j_per_c / conductance;
-}
-
-double RcNetworkConfig::sensor_r_to_ambient() const {
-  double r = 0.0;
-  int node = sensor_node;
-  int from = -1;  // never walk back along the edge just taken
-  for (std::size_t hop = 0; hop < nodes.size(); ++hop) {
-    const RcNodeConfig& n = nodes[static_cast<std::size_t>(node)];
-    if (n.r_to_ambient_c_per_w > 0.0) return r + n.r_to_ambient_c_per_w;
-    const auto e = std::find_if(edges.begin(), edges.end(), [&](auto& x) {
-      return (x.a == node && x.b != from) || (x.b == node && x.a != from);
-    });
-    if (e == edges.end()) break;
-    r += e->r_c_per_w;
-    from = std::exchange(node, e->a == node ? e->b : e->a);
-  }
-  throw std::invalid_argument("RcNetworkConfig: sensor has no path to ambient");
 }
 
 RcNetwork::RcNetwork(const RcNetworkConfig& config) : config_(config) {
@@ -180,10 +162,6 @@ void RcNetwork::set_exhaust_r_slow(double r_c_per_w) {
   r_ambient_[static_cast<std::size_t>(config_.exhaust_node)] = r_c_per_w;
   recompute_min_tau();
   rebuild_coefficients();
-}
-
-double RcNetwork::exhaust_r() const {
-  return r_ambient_[static_cast<std::size_t>(config_.exhaust_node)];
 }
 
 void RcNetwork::reset() {

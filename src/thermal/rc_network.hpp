@@ -60,9 +60,6 @@ struct RcNetworkConfig {
   /// Node i's time constant C_i / sum(1/R) over its edges, with the given
   /// ambient R (0 = none); infinite for an isolated node.
   double node_tau_s(std::size_t i, double r_to_ambient_c_per_w) const;
-  /// Series R from the sensor node to ambient along the first edge out of
-  /// each node; throws std::invalid_argument when there is no such path.
-  double sensor_r_to_ambient() const;
 
   /// The degenerate one-node configuration: the lumped package model.
   static RcNetworkConfig single_rc(double ambient_c = 35.0,
@@ -147,7 +144,6 @@ class RcNetwork {
     }
     set_exhaust_r_slow(r_c_per_w);
   }
-  double exhaust_r() const;
 
   /// Restores every node to ambient (and the configured exhaust R).
   void reset();

@@ -25,20 +25,6 @@ void RunningStats::merge(const RunningStats& other) {
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
-Summary summarize(std::span<const double> xs) {
-  Summary s;
-  s.count = xs.size();
-  if (xs.empty()) return s;
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  s.mean = rs.mean();
-  s.stddev = rs.stddev();
-  s.min = rs.min();
-  s.max = rs.max();
-  s.median = percentile(xs, 50.0);
-  return s;
-}
-
 double percentile(std::span<const double> xs, double p) {
   if (xs.empty()) return 0.0;
   std::vector<double> sorted(xs.begin(), xs.end());

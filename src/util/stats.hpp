@@ -44,18 +44,6 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Batch summary of a sample vector.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-};
-
-Summary summarize(std::span<const double> xs);
-
 /// Linear-interpolated percentile, p in [0, 100]. Sorts a copy.
 double percentile(std::span<const double> xs, double p);
 

@@ -199,7 +199,7 @@ TEST(HeapAllocations, BudgetEndpointServerExchange) {
   Link link(server);
   link.expect_allocation_free(
       {ipmi::make_get_rack_status(), ipmi::make_set_rack_budget(1500.0),
-       ipmi::make_get_rack_telemetry(), ipmi::make_set_rack_budget(2400.0)});
+       ipmi::make_set_rack_budget(2400.0)});
 }
 
 /// The fleet's two coupler levels as DatacenterManager wires them: a root

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "apps/machine.hpp"
+#include "apps/stereo/workload.hpp"
 #include "apps/stride/stride.hpp"
 #include "cache/cache.hpp"
 #include "core/bmc.hpp"
@@ -603,6 +605,82 @@ TEST(BatchEquivalence, FetchSpanningGroupsOnNodeCappedAt120W) {
   ASSERT_EQ(streamed_node.counters().snapshot(),
             looped_node.counters().snapshot());
   expect_equal_hierarchy(streamed_node.hierarchy(), looped_node.hierarchy());
+}
+
+// --- a whole application ---------------------------------------------------
+
+/// SimMachine with every pattern_stream expanded into the documented per-op
+/// loop; the kernels are templates over the machine, so they pick this
+/// pattern_stream up statically.
+class PerOpMachine : public apps::SimMachine {
+ public:
+  explicit PerOpMachine(sim::ExecutionContext& ctx)
+      : apps::SimMachine(ctx), ctx_(&ctx) {}
+  void pattern_stream(std::span<const StreamOp> ops, std::int64_t stride,
+                      std::uint64_t count, std::uint64_t uops) {
+    loop_pattern(*ctx_, ops, stride, count, uops);
+  }
+
+ private:
+  sim::ExecutionContext* ctx_;
+};
+
+/// StereoWorkload::run, narrated through PerOpMachine.
+class PerOpStereo final : public sim::Workload {
+ public:
+  explicit PerOpStereo(const apps::stereo::StereoWorkload& app) : app_(&app) {}
+  std::string name() const override { return "stereo per-op"; }
+  void run(sim::ExecutionContext& ctx) override {
+    PerOpMachine m(ctx);
+    const apps::stereo::StereoPair& pair = app_->pair();
+    const apps::Address left = m.alloc(pair.pixels() * sizeof(float));
+    const apps::Address right = m.alloc(pair.pixels() * sizeof(float));
+    const apps::Address volume = m.alloc(static_cast<std::uint64_t>(
+        pair.max_disparity * pair.pixels() * sizeof(std::uint16_t)));
+    const apps::Address disparity = m.alloc(pair.pixels());
+    const apps::stereo::CostVolume vol = apps::stereo::build_cost_volume(
+        m, pair, app_->params().window, left, right, volume);
+    result_ = apps::stereo::anneal_disparity(m, vol, app_->params().anneal,
+                                             volume, disparity);
+  }
+  const apps::stereo::AnnealResult& result() const { return result_; }
+
+ private:
+  const apps::stereo::StereoWorkload* app_;
+  apps::stereo::AnnealResult result_;
+};
+
+TEST(BatchEquivalence, StereoAppMatchesPerOp) {
+  // The whole stereo application, OS noise on, on nodes the BMC holds at
+  // 120 W: every pattern_stream the kernels issue, with the throttle ladder
+  // engaged, must leave the node exactly where the per-op loop leaves it.
+  sim::Node streamed_node(sim::MachineConfig::romley());
+  sim::Node looped_node(sim::MachineConfig::romley());
+  core::Bmc streamed_bmc(streamed_node);
+  core::Bmc looped_bmc(looped_node);
+  streamed_node.set_control_hook(
+      [&](sim::PlatformControl&) { streamed_bmc.on_control_tick(); });
+  looped_node.set_control_hook(
+      [&](sim::PlatformControl&) { looped_bmc.on_control_tick(); });
+  streamed_bmc.set_cap(120.0);
+  looped_bmc.set_cap(120.0);
+  apps::stereo::StereoWorkload streamed(apps::stereo::StereoParams::quick());
+  PerOpStereo looped(streamed);
+
+  const sim::RunReport a = streamed_node.run(streamed);
+  const sim::RunReport b = looped_node.run(looped);
+
+  ASSERT_GT(a.counter(pmu::Event::kLdIns), 100000u);
+  ASSERT_GT(streamed_bmc.level_changes(), 0u);  // the cap bit
+  ASSERT_EQ(streamed_bmc.level_changes(), looped_bmc.level_changes());
+  ASSERT_EQ(a.elapsed, b.elapsed);
+  ASSERT_EQ(a.counters, b.counters);
+  ASSERT_EQ(a.energy_j, b.energy_j);
+  ASSERT_EQ(streamed_node.counters().snapshot(),
+            looped_node.counters().snapshot());
+  expect_equal_hierarchy(streamed_node.hierarchy(), looped_node.hierarchy());
+  EXPECT_EQ(streamed.last_result().disparity, looped.result().disparity);
+  EXPECT_EQ(streamed.last_result().final_energy, looped.result().final_energy);
 }
 
 // --- study runner -----------------------------------------------------------

@@ -234,10 +234,14 @@ TEST_F(BmcServerTest, RejectsMalformedPayload) {
 }
 
 TEST_F(BmcServerTest, RejectsUnknownCommand) {
-  ipmi::Request request;
-  request.command = 0x77;
-  EXPECT_EQ(server_.handle(request).code,
-            ipmi::CompletionCode::kInvalidCommand);
+  // 0xD2 is the retired GetRackTelemetry number: a stale client may send it.
+  for (const int command : {0x77, 0xD2}) {
+    ipmi::Request request;
+    request.command = static_cast<std::uint8_t>(command);
+    EXPECT_EQ(server_.handle(request).code,
+              ipmi::CompletionCode::kInvalidCommand)
+        << command;
+  }
 }
 
 TEST_F(BmcServerTest, FrameLevelBadInputGetsErrorFrame) {

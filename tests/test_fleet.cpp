@@ -33,7 +33,6 @@
 #include "fleet/tenant.hpp"
 #include "fleet/virtual_node.hpp"
 #include "ipmi/transport.hpp"
-#include "sim/machine_config.hpp"
 #include "telemetry/reducer.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -43,7 +42,6 @@ namespace core = pcap::core;
 namespace fleet = pcap::fleet;
 namespace ipmi = pcap::ipmi;
 namespace sched = pcap::sched;
-namespace sim = pcap::sim;
 using pcap::util::Rng;
 
 namespace {
@@ -212,6 +210,21 @@ class LeafHolder : public fleet::BudgetHolder {
  private:
   double budget_w_;
 };
+
+TEST(FleetTree, EndpointRejectsRetiredRackTelemetryCommand) {
+  // 0xD2 is the retired GetRackTelemetry number: a stale parent may send
+  // it, and the endpoint refuses it, over the wire too, without acting.
+  LeafHolder holder;
+  fleet::BudgetEndpointServer server(holder);
+  ipmi::Request request;
+  request.command = 0xD2;
+  EXPECT_EQ(server.handle(request).code, ipmi::CompletionCode::kInvalidCommand);
+  ipmi::Response reply;
+  ASSERT_TRUE(ipmi::decode_response(
+      server.handle_frame(ipmi::encode_request(request)), reply));
+  EXPECT_EQ(reply.code, ipmi::CompletionCode::kInvalidCommand);
+  EXPECT_EQ(holder.budget_w(), 110.0);
+}
 
 struct Tree {
   // groups[0] is the root; parents precede their subtrees (pre-order), so
@@ -397,39 +410,6 @@ TEST(Fleet, FinishIsSingleShot) {
   EXPECT_GT(result.busy_energy_j, 0.0);
   EXPECT_THROW(dc.finish(), std::logic_error);
   EXPECT_THROW(dc.run(), std::logic_error);
-}
-
-TEST(Fleet, ThermalShadowFollowsMachineThermalConfig) {
-  // Before any chunk runs every node draws its idle power, so the racks'
-  // hottest node reads ambient + R * idle of the fleet's machine.
-  const auto max_temps = [](const fleet::FleetConfig& config) {
-    fleet::DatacenterManager dc(config);
-    std::vector<double> temps;
-    for (std::size_t r = 0; r < dc.rack_count(); ++r) {
-      temps.push_back(dc.rack(r).telemetry_summary().max_temp_c);
-    }
-    return temps;
-  };
-  fleet::FleetConfig config = small_fleet_config();
-  const auto& thermal = config.machine.thermal;
-  const std::vector<double> base = max_temps(config);
-  for (const double t : base) {
-    EXPECT_DOUBLE_EQ(t, thermal.ambient_c +
-                            thermal.nodes[0].r_to_ambient_c_per_w *
-                                config.idle_node_w);
-  }
-  config.machine.thermal.ambient_c += 10.0;
-  const std::vector<double> hot = max_temps(config);
-  ASSERT_EQ(hot.size(), base.size());
-  for (std::size_t r = 0; r < hot.size(); ++r) {
-    EXPECT_NEAR(hot[r] - base[r], 10.0, 1e-9) << "rack " << r;
-  }
-  // A multi-node network shadows the series R from its sensor to ambient:
-  // cpu -> heatsink -> ambient, 0.08 + 0.27 C/W on the fitted machine.
-  config.machine = sim::MachineConfig::romley_thermal();
-  for (const double t : max_temps(config)) {
-    EXPECT_NEAR(t, 35.0 + 0.35 * config.idle_node_w, 1e-9);
-  }
 }
 
 TEST(Fleet, ScheduleBitIdenticalAcrossJobsAndMemo) {

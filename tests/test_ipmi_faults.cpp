@@ -381,7 +381,6 @@ std::vector<ipmi::Request> fuzz_requests() {
           ipmi::make_set_power_limit(limit), ipmi::make_get_power_limit(),
           ipmi::make_get_capabilities(),   ipmi::make_get_throttle_status(),
           ipmi::make_set_rack_budget(35700.3), ipmi::make_get_rack_status(),
-          ipmi::make_get_rack_telemetry(),
           ipmi::make_set_subsystem_caps(sub),
           ipmi::make_get_subsystem_power()};
 }
@@ -402,15 +401,6 @@ std::vector<ipmi::Response> fuzz_responses() {
   status.busy_nodes = 600;
   status.free_lanes = 400;
   status.queued_jobs = 12;
-  ipmi::RackTelemetry telemetry;
-  telemetry.nodes = 1000;
-  telemetry.min_w = 101.0;
-  telemetry.mean_w = 140.5;
-  telemetry.max_w = 399.9;
-  telemetry.sum_w = 140500.0;
-  telemetry.max_temp_c = 71.3;
-  telemetry.max_fan_rpm = 8400.0;
-  telemetry.throttle_reason = 3;
   ipmi::SubsystemCaps sub;
   sub.enabled = true;
   sub.cpu_w = 95.4;
@@ -429,7 +419,6 @@ std::vector<ipmi::Response> fuzz_responses() {
           ipmi::encode_throttle_status(ipmi::ThrottleStatus{}),
           ipmi::encode_rack_budget_grant(123456.7),
           ipmi::encode_rack_status(status),
-          ipmi::encode_rack_telemetry(telemetry),
           ipmi::encode_subsystem_caps(sub),
           ipmi::encode_subsystem_power(subpower)};
 }
@@ -448,7 +437,6 @@ void poke_all_decoders(const ipmi::Request& request,
   (void)ipmi::decode_throttle_status(response);
   (void)ipmi::decode_rack_budget_grant(response);
   (void)ipmi::decode_rack_status(response);
-  (void)ipmi::decode_rack_telemetry(response);
   (void)ipmi::decode_subsystem_caps(response);
   (void)ipmi::decode_subsystem_power(response);
 }
@@ -491,16 +479,6 @@ TEST(IpmiFuzz, EveryCommandRoundTrips) {
   EXPECT_NEAR(sub_rt->cpu_w, 95.4, 0.05);     // 0.1 W wire grid
   EXPECT_NEAR(sub_rt->uncore_w, 22.1, 0.05);
   EXPECT_NEAR(sub_rt->memory_w, 31.7, 0.05);
-  ipmi::RackTelemetry rt;
-  rt.max_temp_c = 71.3;
-  rt.max_fan_rpm = 8400.0;
-  rt.throttle_reason = 3;
-  const auto rt_out =
-      ipmi::decode_rack_telemetry(ipmi::encode_rack_telemetry(rt));
-  ASSERT_TRUE(rt_out.has_value());
-  EXPECT_NEAR(rt_out->max_temp_c, 71.3, 0.05);  // 0.1 C wire grid
-  EXPECT_NEAR(rt_out->max_fan_rpm, 8400.0, 0.5);
-  EXPECT_EQ(rt_out->throttle_reason, 3);
 }
 
 TEST(IpmiFuzz, AnySingleByteFlipRejected) {

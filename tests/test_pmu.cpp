@@ -41,89 +41,5 @@ TEST(CounterBank, AccumulatesAndResets) {
   EXPECT_EQ(bank.get(Event::kTotCyc), 0u);
 }
 
-TEST(EventSet, MeasuresDeltasBetweenStartAndStop) {
-  CounterBank bank;
-  bank.add(Event::kTotIns, 1000);
-  EventSet es(bank);
-  es.add(Event::kTotIns);
-  es.add(Event::kL1Dcm);
-  es.start();
-  bank.add(Event::kTotIns, 250);
-  bank.add(Event::kL1Dcm, 10);
-  es.stop();
-  bank.add(Event::kTotIns, 999);  // after stop: not measured
-  EXPECT_EQ(es.read(Event::kTotIns), 250u);
-  EXPECT_EQ(es.read(Event::kL1Dcm), 10u);
-}
-
-TEST(EventSet, LiveReadWhileRunning) {
-  CounterBank bank;
-  EventSet es(bank);
-  es.add(Event::kLdIns);
-  es.start();
-  bank.add(Event::kLdIns, 5);
-  EXPECT_EQ(es.read(Event::kLdIns), 5u);
-  bank.add(Event::kLdIns, 5);
-  EXPECT_EQ(es.read(Event::kLdIns), 10u);
-  es.stop();
-}
-
-TEST(EventSet, PapiStateMachineErrors) {
-  CounterBank bank;
-  EventSet es(bank);
-  es.add(Event::kTotCyc);
-  EXPECT_THROW(es.stop(), std::logic_error);
-  es.start();
-  EXPECT_THROW(es.start(), std::logic_error);
-  EXPECT_THROW(es.add(Event::kTotIns), std::logic_error);
-  es.stop();
-  EXPECT_THROW(es.read(Event::kTotIns), std::out_of_range);
-}
-
-TEST(EventSet, DuplicateAddIsIdempotent) {
-  CounterBank bank;
-  EventSet es(bank);
-  es.add(Event::kTotCyc);
-  es.add(Event::kTotCyc);
-  EXPECT_EQ(es.size(), 1u);
-}
-
-TEST(EventSet, ReadAllPreservesInsertionOrder) {
-  CounterBank bank;
-  EventSet es(bank);
-  es.add(Event::kL3Tcm);
-  es.add(Event::kTotCyc);
-  es.start();
-  bank.add(Event::kL3Tcm, 3);
-  bank.add(Event::kTotCyc, 8);
-  es.stop();
-  EXPECT_EQ(es.read_all(), (std::vector<std::uint64_t>{3, 8}));
-}
-
-TEST(Derived, RatesAndIpc) {
-  CounterBank bank;
-  bank.add(Event::kTotCyc, 1000);
-  bank.add(Event::kTotIns, 1500);
-  bank.add(Event::kL1Dca, 400);
-  bank.add(Event::kL1Dcm, 100);
-  bank.add(Event::kL2Tca, 100);
-  bank.add(Event::kL2Tcm, 50);
-  bank.add(Event::kL3Tca, 50);
-  bank.add(Event::kL3Tcm, 10);
-  const DerivedMetrics m = derive(bank);
-  EXPECT_DOUBLE_EQ(m.ipc, 1.5);
-  EXPECT_DOUBLE_EQ(m.l1d_miss_rate, 0.25);
-  EXPECT_DOUBLE_EQ(m.l2_miss_rate, 0.5);
-  EXPECT_DOUBLE_EQ(m.l3_miss_rate, 0.2);
-  EXPECT_NEAR(m.mpki_l2, 50.0 * 1000 / 1500, 1e-9);
-}
-
-TEST(Derived, EmptyBankIsAllZero) {
-  CounterBank bank;
-  const DerivedMetrics m = derive(bank);
-  EXPECT_EQ(m.ipc, 0.0);
-  EXPECT_EQ(m.l1d_miss_rate, 0.0);
-}
-
 }  // namespace
 }  // namespace pcap::pmu

@@ -342,6 +342,7 @@ TEST(PlannerTest, ConservesCapSumAndRespectsBounds) {
     sched::NodeView node;
     node.index = i;
     node.busy = true;  // drained idle nodes are untouchable (see below)
+    node.lanes.push_back({0, true, node.cls, 0, std::nullopt});
     input.nodes.push_back(node);
   }
   std::vector<sched::NodeForecast> forecasts(3);

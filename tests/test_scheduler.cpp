@@ -183,6 +183,8 @@ PlanInput synthetic_input(const AmenabilityTable* table,
     view.cls = static_cast<JobClass>(i % kJobClassCount);
     view.remaining_chunks = static_cast<int>(1 + i);
     view.applied_cap_w = 130.0;
+    view.lanes.push_back(
+        {0, view.busy, view.cls, view.remaining_chunks, std::nullopt});
     input.nodes.push_back(view);
   }
   input.queued.push_back({JobClass::kPhased, 5, std::nullopt});

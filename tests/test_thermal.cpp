@@ -93,21 +93,6 @@ TEST(RcNetwork, RejectsEmptyConfig) {
                std::invalid_argument);
 }
 
-TEST(RcNetwork, SensorResistanceToAmbientFollowsTheSensorPath) {
-  EXPECT_EQ(
-      thermal::RcNetworkConfig::single_rc(35.0, 0.4).sensor_r_to_ambient(),
-      0.4);
-  auto config = thermal::RcNetworkConfig::romley_network();
-  EXPECT_DOUBLE_EQ(config.sensor_r_to_ambient(), 0.08 + 0.27);
-  config.sensor_node = 1;  // the uncore region: 0.12 to the heatsink
-  EXPECT_DOUBLE_EQ(config.sensor_r_to_ambient(), 0.12 + 0.27);
-  config.sensor_node = 2;  // DRAM is cooled directly
-  EXPECT_DOUBLE_EQ(config.sensor_r_to_ambient(), 0.6);
-  config.nodes[3].r_to_ambient_c_per_w = 0.0;  // heatsink sealed off
-  config.sensor_node = 0;
-  EXPECT_THROW(config.sensor_r_to_ambient(), std::invalid_argument);
-}
-
 // --- tau calibration ------------------------------------------------------
 
 TEST(ThermalTau, RomleyTauIsCalibratedToMeterPeriod) {

@@ -45,6 +45,22 @@ TEST(Units, FormatBytes) {
   EXPECT_EQ(format_bytes(20 * 1024 * 1024), "20M");
 }
 
+TEST(UnitsMore, CyclesToTime) {
+  EXPECT_EQ(cycles_to_time(1000, 1 * kGigaHertz), 1000000u);
+  // Round-trip at the Romley clock.
+  const Hertz f = 2701 * kMegaHertz;
+  const auto t = cycles_to_time(1000000, f);
+  const auto cycles = cycles_in(t, f);
+  EXPECT_NEAR(static_cast<double>(cycles), 1e6, 1e3);
+}
+
+TEST(UnitsMore, FormatHertz) {
+  EXPECT_EQ(format_hertz(2701 * kMegaHertz), "2.70 GHz");
+  EXPECT_EQ(format_hertz(1200 * kMegaHertz), "1.20 GHz");
+  EXPECT_EQ(format_hertz(900 * kMegaHertz), "900 MHz");
+  EXPECT_EQ(format_hertz(42), "42 Hz");
+}
+
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a(), b());
