@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
 
   std::printf("run: %zu ticks (%.2f ms simulated), makespan %.2f ms, "
               "energy %.1f J (busy %.1f + idle %.1f)\n",
-              result.ticks, result.ticks * config.tick_s * 1e3,
+              result.ticks, result.ticks * fleet::kTickS * 1e3,
               result.makespan_s * 1e3, result.total_energy_j,
               result.busy_energy_j, result.idle_energy_j);
   std::printf("chunks: %llu (%llu co-run cells), memo %llu hits / %llu "
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   std::printf("(admission deferrals: %llu tick-jobs held back while the "
               "budget could not keep busy nodes above %.0f W)\n",
               static_cast<unsigned long long>(result.admission_deferrals),
-              config.admission_min_node_w);
+              fleet::kAdmissionMinNodeW);
 
   const std::string ticks_csv = cli.csv_dir + "/fleet_ticks.csv";
   const std::string tenants_csv = cli.csv_dir + "/fleet_tenants.csv";

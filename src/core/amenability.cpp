@@ -6,6 +6,9 @@ namespace pcap::core {
 
 namespace {
 
+/// A cap counts as met when the measured draw stays within this of it.
+constexpr double kCapMetToleranceW = 2.0;
+
 struct Averaged {
   double time_s = 0.0;
   double power_w = 0.0;
@@ -51,7 +54,7 @@ AmenabilityReport AmenabilityAnalyzer::analyze(
     p.slowdown = base.time_s > 0.0 ? capped.time_s / base.time_s : 1.0;
     p.energy_ratio =
         base.energy_j > 0.0 ? capped.energy_j / base.energy_j : 1.0;
-    p.cap_met = capped.power_w <= cap + options_.cap_met_tolerance_w;
+    p.cap_met = capped.power_w <= cap + kCapMetToleranceW;
     report.points.push_back(p);
     slowdown_sum += p.slowdown;
   }

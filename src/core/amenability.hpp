@@ -41,7 +41,6 @@ struct AmenabilityReport {
 
 struct AmenabilityOptions {
   double slowdown_tolerance = 1.25;  // the paper's "acceptable" band
-  double cap_met_tolerance_w = 2.0;
   int repetitions = 1;
 };
 

@@ -32,7 +32,7 @@ void Bmc::build_ladder() {
   for (std::uint32_t p = 0; p < pstates; ++p) {
     ThrottleLevel level = base;
     level.pstate = p;
-    level.label = "P" + std::to_string(p);
+    level.label = std::string("P").append(std::to_string(p));
     ladder_.push_back(level);
   }
 
@@ -190,7 +190,7 @@ void Bmc::reclamp_subsystem_caps() {
     subsystem_caps_.reset();
     return;
   }
-  ipmi::SubsystemCaps applied = *requested_subsystem_caps_;
+  SubsystemCaps applied = *requested_subsystem_caps_;
   if (applied.enabled && cap_w_) {
     const double sum = applied.sum_w();
     if (sum > *cap_w_ && sum > 0.0) {
@@ -204,7 +204,7 @@ void Bmc::reclamp_subsystem_caps() {
   subsystem_caps_ = applied;
 }
 
-ipmi::SubsystemCaps Bmc::set_subsystem_caps(const ipmi::SubsystemCaps& caps) {
+SubsystemCaps Bmc::set_subsystem_caps(const SubsystemCaps& caps) {
   requested_subsystem_caps_ = caps;
   reclamp_subsystem_caps();
   if (trace_ != nullptr) {
@@ -217,29 +217,6 @@ ipmi::SubsystemCaps Bmc::set_subsystem_caps(const ipmi::SubsystemCaps& caps) {
                                               subsystem_caps_->memory_w)});
   }
   return *subsystem_caps_;
-}
-
-void Bmc::clear_subsystem_caps() {
-  requested_subsystem_caps_.reset();
-  subsystem_caps_.reset();
-  subsys_ewma_init_ = false;
-  subsys_ewma_.fill(0.0);
-}
-
-ipmi::SubsystemPower Bmc::subsystem_power() const {
-  ipmi::SubsystemPower p;
-  if (subsys_ewma_init_) {
-    p.cpu_w = subsys_ewma_[0];
-    p.uncore_w = subsys_ewma_[1];
-    p.memory_w = subsys_ewma_[2];
-  } else {
-    // No control-loop samples yet: serve the instantaneous meters.
-    p.cpu_w = platform_->subsystem_power_w(power::Subsystem::kCpu);
-    p.uncore_w = platform_->subsystem_power_w(power::Subsystem::kUncore);
-    p.memory_w = platform_->subsystem_power_w(power::Subsystem::kMemory);
-  }
-  if (subsystem_caps_) p.caps = *subsystem_caps_;
-  return p;
 }
 
 void Bmc::on_control_tick() {

@@ -46,6 +46,17 @@ struct BmcConfig {
   bool enable_dither = true;
 };
 
+/// Per-subsystem caps, set in-process (Bmc::set_subsystem_caps): 0 W = that
+/// subsystem uncapped.
+struct SubsystemCaps {
+  bool enabled = false;
+  double cpu_w = 0.0;
+  double uncore_w = 0.0;
+  double memory_w = 0.0;
+
+  double sum_w() const { return cpu_w + uncore_w + memory_w; }
+};
+
 /// One fully-specified platform operating point.
 struct ThrottleLevel {
   std::uint32_t pstate = 0;
@@ -81,16 +92,12 @@ class Bmc {
   /// package overshoot drive one throttle index. INVARIANT: the applied
   /// enabled caps are clamped (proportionally) so their sum never exceeds
   /// the package cap — re-applied whenever either side changes, so no
-  /// ordering of lossy SetPowerLimit / SetSubsystemCaps exchanges can
-  /// violate it. Returns the caps actually in force.
-  ipmi::SubsystemCaps set_subsystem_caps(const ipmi::SubsystemCaps& caps);
-  void clear_subsystem_caps();
-  const std::optional<ipmi::SubsystemCaps>& subsystem_caps() const {
+  /// ordering of set_cap / set_subsystem_caps calls can violate it.
+  /// Returns the caps actually in force.
+  SubsystemCaps set_subsystem_caps(const SubsystemCaps& caps);
+  const std::optional<SubsystemCaps>& subsystem_caps() const {
     return subsystem_caps_;
   }
-  /// Meter readings (EWMA over control periods once the loop has run) plus
-  /// the caps in force — the kGetSubsystemPower payload.
-  ipmi::SubsystemPower subsystem_power() const;
   /// Times the invariant clamp had to shrink the requested caps.
   std::uint64_t subsystem_cap_clamps() const { return subsystem_cap_clamps_; }
 
@@ -148,8 +155,8 @@ class Bmc {
   // Per-subsystem capping state. `requested_` keeps the caller's ask so a
   // later package-cap raise restores it; `subsystem_caps_` is what is in
   // force (post-clamp).
-  std::optional<ipmi::SubsystemCaps> requested_subsystem_caps_;
-  std::optional<ipmi::SubsystemCaps> subsystem_caps_;
+  std::optional<SubsystemCaps> requested_subsystem_caps_;
+  std::optional<SubsystemCaps> subsystem_caps_;
   std::array<double, power::kSubsystemCount> subsys_ewma_{};
   bool subsys_ewma_init_ = false;
   std::uint64_t subsystem_cap_clamps_ = 0;

@@ -43,27 +43,6 @@ ipmi::Response BmcIpmiServer::handle(const ipmi::Request& request) {
     case Command::kGetThrottleStatus:
       return ipmi::encode_throttle_status(bmc_->throttle_status());
 
-    case Command::kSetSubsystemCaps: {
-      const auto caps = ipmi::decode_set_subsystem_caps(request);
-      if (!caps) {
-        return ipmi::make_error_response(CompletionCode::kRequestDataInvalid);
-      }
-      if (!caps->enabled) {
-        bmc_->clear_subsystem_caps();
-        return ipmi::encode_subsystem_caps(ipmi::SubsystemCaps{});
-      }
-      if (caps->cpu_w < 0.0 || caps->uncore_w < 0.0 || caps->memory_w < 0.0 ||
-          caps->sum_w() <= 0.0) {
-        return ipmi::make_error_response(CompletionCode::kOutOfRange);
-      }
-      // Respond with the caps actually in force (post-clamp), so a client
-      // observing the reply sees the invariant, not its request.
-      return ipmi::encode_subsystem_caps(bmc_->set_subsystem_caps(*caps));
-    }
-
-    case Command::kGetSubsystemPower:
-      return ipmi::encode_subsystem_power(bmc_->subsystem_power());
-
     // Budget-tree commands are served by BudgetEndpointServer, never by a
     // node BMC.
     case Command::kSetRackBudget:

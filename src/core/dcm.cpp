@@ -14,6 +14,12 @@ namespace {
 /// Caps on the 0.1 W wire grid differ by a whole step or not at all; half
 /// a step only separates a real change from floating-point noise.
 constexpr double kCapEpsilonW = 0.05;
+/// Power samples kept per node.
+constexpr std::size_t kHistoryDepth = 256;
+/// A poll reading more than this above the enforced limit violates it;
+/// kViolationPolls consecutive violating polls raise an alert.
+constexpr double kCapViolationToleranceW = 2.0;
+constexpr std::uint32_t kViolationPolls = 3;
 
 std::string watts_str(double w) {
   char buf[32];
@@ -65,7 +71,7 @@ ipmi::Response ManagedNode::transact_with_retry(const ipmi::Request& request) {
       break;
     }
     ++retries_;
-    const double delay_ms = util::backoff_delay_ms(backoff_, attempt, rng_);
+    const double delay_ms = util::backoff_delay_ms(attempt, rng_);
     backoff_ms_total_ += delay_ms;
     if (trace_ != nullptr) {
       trace_->span(trace_track_, "ipmi", "backoff",
@@ -164,18 +170,17 @@ bool DataCenterManager::attach_probe(const std::string& name,
 }
 
 HealthStep next_health(NodeHealth health, std::uint32_t consecutive_failures,
-                       bool ok, std::uint32_t degraded_after,
-                       std::uint32_t lost_after) {
+                       bool ok) {
   if (ok) {
     return {health == NodeHealth::kLost ? NodeHealth::kRecovered
                                         : NodeHealth::kHealthy,
             0};
   }
   ++consecutive_failures;
-  if (consecutive_failures >= lost_after) {
+  if (consecutive_failures >= kLostAfterFailures) {
     return {NodeHealth::kLost, consecutive_failures};
   }
-  if (consecutive_failures >= degraded_after &&
+  if (consecutive_failures >= kDegradedAfterFailures &&
       (health == NodeHealth::kHealthy || health == NodeHealth::kRecovered)) {
     return {NodeHealth::kDegraded, consecutive_failures};
   }
@@ -261,24 +266,6 @@ DataCenterManager::GroupCapResult DataCenterManager::apply_group_cap(
   return push_group_split(total_w, /*pin_floors=*/false);
 }
 
-void DataCenterManager::clear_caps() {
-  for (auto& e : nodes_) set_cap_recorded(e, std::nullopt);
-  group_budget_w_.reset();
-}
-
-bool DataCenterManager::set_node_priority(const std::string& name,
-                                          int priority) {
-  Entry* e = find(name);
-  if (e == nullptr || priority < 1) return false;
-  e->priority = priority;
-  return true;
-}
-
-int DataCenterManager::node_priority(const std::string& name) const {
-  const Entry* e = find(name);
-  return e ? e->priority : 0;
-}
-
 bool DataCenterManager::set_cap_schedule(const std::string& name,
                                          std::vector<ScheduledCap> schedule) {
   Entry* e = find(name);
@@ -317,7 +304,7 @@ DataCenterManager::GroupCapResult DataCenterManager::push_group_split(
     }
     const double draw = e.last_draw_w.value_or(0.0);
     const double demand = draw > 0.0 ? draw : e.caps.min_cap_w;
-    weights.push_back(demand * static_cast<double>(e.priority));
+    weights.push_back(demand);
     floors.push_back(e.caps.min_cap_w);
     ceilings.push_back(e.caps.max_cap_w);
   }
@@ -373,8 +360,7 @@ DataCenterManager::GroupCapResult DataCenterManager::push_group_split(
 void DataCenterManager::note_exchange(Entry& e, bool ok) {
   const NodeHealth before = e.health;
   const HealthStep step =
-      next_health(e.health, e.consecutive_failures, ok,
-                  config_.degraded_after_failures, config_.lost_after_failures);
+      next_health(e.health, e.consecutive_failures, ok);
   e.health = step.health;
   e.consecutive_failures = step.consecutive_failures;
   if (e.health == before) return;
@@ -421,13 +407,12 @@ void DataCenterManager::poll() {
     if (!reading) continue;
     e.history.push_back({poll_seq_, reading->current_w, reading->average_w});
     e.last_draw_w = std::max(reading->average_w, reading->current_w);
-    while (e.history.size() > config_.history_depth) e.history.pop_front();
+    while (e.history.size() > kHistoryDepth) e.history.pop_front();
 
     const auto limit = e.node->power_limit();
     if (limit && limit->enabled &&
-        reading->current_w >
-            limit->limit_w + config_.cap_violation_tolerance_w) {
-      if (++e.consecutive_violations >= config_.violation_polls) {
+        reading->current_w > limit->limit_w + kCapViolationToleranceW) {
+      if (++e.consecutive_violations >= kViolationPolls) {
         alerts_.push_back(
             {poll_seq_, e.node->name(),
              "cap missed: drawing " + std::to_string(reading->current_w) +

@@ -32,11 +32,9 @@
 
 namespace pcap::core {
 
-/// Retry/timeout behaviour for one node's IPMI session.
+/// Retry behaviour for one node's IPMI session.
 struct NodeCommsConfig {
   util::BackoffPolicy backoff;  // see util/backoff.hpp for defaults
-  /// Per-transaction timeout handed to the ipmi::Session (0 = none).
-  double request_timeout_ms = 25.0;
   /// Seeds the per-node jitter stream (mixed with the node name's length
   /// and the registration order by the DCM, so nodes don't march in step).
   std::uint64_t seed = 0x5EED;
@@ -48,7 +46,7 @@ class ManagedNode {
   ManagedNode(std::string name, ipmi::Transport& transport,
               const NodeCommsConfig& comms = {})
       : name_(std::move(name)),
-        session_(transport, comms.request_timeout_ms),
+        session_(transport, util::kRequestTimeoutMs),
         backoff_(comms.backoff),
         rng_(comms.seed) {}
 
@@ -138,24 +136,20 @@ struct HealthStep {
   std::uint32_t consecutive_failures = 0;
 };
 
+/// Consecutive failed exchanges before a peer is marked degraded / lost.
+inline constexpr std::uint32_t kDegradedAfterFailures = 2;
+inline constexpr std::uint32_t kLostAfterFailures = 4;
+
 /// The FSM's one transition, pure: a success resets the failure streak and
 /// moves kLost to kRecovered, anything else to kHealthy; a failure extends
-/// the streak, loses the peer at `lost_after` failures and degrades a
-/// healthy or recovered peer at `degraded_after`.
+/// the streak, loses the peer at kLostAfterFailures failures and degrades a
+/// healthy or recovered peer at kDegradedAfterFailures.
 HealthStep next_health(NodeHealth health, std::uint32_t consecutive_failures,
-                       bool ok, std::uint32_t degraded_after,
-                       std::uint32_t lost_after);
+                       bool ok);
 
 struct DcmConfig {
-  std::size_t history_depth = 256;
-  double cap_violation_tolerance_w = 2.0;
-  /// Consecutive violating polls before an alert is raised.
-  std::uint32_t violation_polls = 3;
-  /// Retry/timeout behaviour applied to every node session.
+  /// Retry behaviour applied to every node session.
   NodeCommsConfig comms;
-  /// Consecutive failed polls before a node is marked degraded / lost.
-  std::uint32_t degraded_after_failures = 2;
-  std::uint32_t lost_after_failures = 4;
 };
 
 class DataCenterManager {
@@ -185,22 +179,13 @@ class DataCenterManager {
   };
 
   /// Distributes a total group budget across all reachable nodes in
-  /// proportion to their current demand (measured average power) weighted
-  /// by priority, clamped to each node's enforceable range. Lost nodes are
-  /// excluded: what their BMCs may still draw stays reserved out of the
-  /// budget. Nothing is pushed when a telemetry read fails or the budget is
+  /// proportion to their current demand (measured average power), clamped
+  /// to each node's enforceable range. Lost nodes are excluded: what their
+  /// BMCs may still draw stays reserved out of the budget. Nothing is pushed when a telemetry read fails or the budget is
   /// below the reachable nodes' floors plus the reservations. Otherwise the
   /// budget is remembered — automatically rebalanced when nodes are lost or
   /// recover — and pushed decreases-first.
   GroupCapResult apply_group_cap(double total_w);
-
-  /// Priority weight for group budgeting (default 1; higher = larger share
-  /// of the surplus). Returns false for an unknown node or weight < 1.
-  bool set_node_priority(const std::string& name, int priority);
-  int node_priority(const std::string& name) const;
-
-  /// Removes caps from every node and forgets the group budget.
-  void clear_caps();
 
   /// Scheduled capping: each entry fires during the poll whose sequence
   /// number reaches `at_poll` (polls are the DCM's clock), setting or
@@ -263,7 +248,6 @@ class DataCenterManager {
     std::uint32_t consecutive_violations = 0;
     std::vector<ScheduledCap> schedule;
     std::size_t schedule_next = 0;
-    int priority = 1;
     NodeHealth health = NodeHealth::kHealthy;
     telemetry::NodeProbe* probe = nullptr;
     std::uint32_t consecutive_failures = 0;
@@ -283,10 +267,10 @@ class DataCenterManager {
   /// one, else its last observed draw, else its full capability ceiling.
   double reserved_for(const Entry& e) const;
   /// The one group planner (apply and rebalance): reserves for lost
-  /// nodes, divides the rest over the reachable ones (weights = last draw
-  /// x priority, on the wire grid) and pushes it decreases-first. When the
-  /// reachable floors do not fit, nothing is pushed — unless `pin_floors`,
-  /// which pins every reachable node at its floor instead.
+  /// nodes, divides the rest over the reachable ones (weights = last draw,
+  /// on the wire grid) and pushes it decreases-first. When the reachable
+  /// floors do not fit, nothing is pushed — unless `pin_floors`, which pins
+  /// every reachable node at its floor instead.
   GroupCapResult push_group_split(double total_w, bool pin_floors);
   /// Marks a health transition: trace instant + probe annotation.
   void note_health_change(Entry& e);

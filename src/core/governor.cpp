@@ -4,43 +4,38 @@
 
 namespace pcap::core {
 
-MemoryAwareGovernor::MemoryAwareGovernor(sim::PlatformControl& platform,
-                                         const GovernorConfig& config)
-    : platform_(&platform), config_(config) {}
+namespace {
 
-void MemoryAwareGovernor::set_telemetry(telemetry::TraceWriter* trace,
-                                        const std::string& name) {
-  trace_ = trace;
-  if (trace_ != nullptr) trace_track_ = trace_->track(name);
-}
+/// Stall fraction above which the clock steps down.
+constexpr double kHighStall = 0.45;
+/// Stall fraction below which the clock races back toward P0.
+constexpr double kLowStall = 0.25;
+/// P-state steps per decision in each direction.
+constexpr std::uint32_t kDownStep = 1;
+constexpr std::uint32_t kUpStep = 4;
+/// Deepest P-state the governor may select (it never duty-cycles or
+/// reconfigures caches — those are capping mechanisms).
+constexpr std::uint32_t kMaxPstate = 15;
+
+}  // namespace
+
+MemoryAwareGovernor::MemoryAwareGovernor(sim::PlatformControl& platform)
+    : platform_(&platform) {}
 
 void MemoryAwareGovernor::on_tick() {
   ++decisions_;
   const double stall = platform_->memory_stall_fraction();
   const std::uint32_t current = platform_->pstate();
   const std::uint32_t deepest =
-      std::min(config_.max_pstate, platform_->pstate_count() - 1);
+      std::min(kMaxPstate, platform_->pstate_count() - 1);
 
-  if (stall > config_.high_stall && current < deepest) {
-    platform_->set_pstate(std::min(current + config_.down_step, deepest));
+  if (stall > kHighStall && current < deepest) {
+    platform_->set_pstate(std::min(current + kDownStep, deepest));
     ++downshifts_;
-    emit_decision("downshift", stall);
-  } else if (stall < config_.low_stall && current > 0) {
-    platform_->set_pstate(
-        current > config_.up_step ? current - config_.up_step : 0);
+  } else if (stall < kLowStall && current > 0) {
+    platform_->set_pstate(current > kUpStep ? current - kUpStep : 0);
     ++upshifts_;
-    emit_decision("upshift", stall);
   }
 }
-
-void MemoryAwareGovernor::emit_decision(const char* what, double stall) {
-  if (trace_ == nullptr) return;
-  trace_->instant(trace_track_, "governor", what,
-                  telemetry::TraceWriter::sim_us(platform_->now()),
-                  {telemetry::TraceArg::num("stall", stall),
-                   telemetry::TraceArg::num("pstate", platform_->pstate())});
-}
-
-void MemoryAwareGovernor::reset() { platform_->set_pstate(0); }
 
 }  // namespace pcap::core

@@ -11,53 +11,24 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "sim/platform_control.hpp"
-#include "telemetry/trace_writer.hpp"
 
 namespace pcap::core {
 
-struct GovernorConfig {
-  /// Stall fraction above which the clock steps down.
-  double high_stall = 0.45;
-  /// Stall fraction below which the clock races back toward P0.
-  double low_stall = 0.25;
-  /// P-state steps per decision in each direction.
-  std::uint32_t down_step = 1;
-  std::uint32_t up_step = 4;
-  /// Deepest P-state the governor may select (it never duty-cycles or
-  /// reconfigures caches — those are capping mechanisms).
-  std::uint32_t max_pstate = 15;
-};
-
 class MemoryAwareGovernor {
  public:
-  explicit MemoryAwareGovernor(sim::PlatformControl& platform,
-                               const GovernorConfig& config = {});
+  explicit MemoryAwareGovernor(sim::PlatformControl& platform);
 
   /// Decision step; wire into Node::set_control_hook.
   void on_tick();
 
-  /// Re-enables P0 (e.g. when handing control back to a capping policy).
-  void reset();
-
-  /// Mirrors governor decisions (up/downshifts with the stall fraction
-  /// that drove them) into a trace track named `name`. May be null.
-  void set_telemetry(telemetry::TraceWriter* trace, const std::string& name);
-
-  const GovernorConfig& config() const { return config_; }
   std::uint64_t decisions() const { return decisions_; }
   std::uint64_t downshifts() const { return downshifts_; }
   std::uint64_t upshifts() const { return upshifts_; }
 
  private:
-  void emit_decision(const char* what, double stall);
-
   sim::PlatformControl* platform_;
-  GovernorConfig config_;
-  telemetry::TraceWriter* trace_ = nullptr;
-  std::uint32_t trace_track_ = 0;
   std::uint64_t decisions_ = 0;
   std::uint64_t downshifts_ = 0;
   std::uint64_t upshifts_ = 0;

@@ -4,6 +4,13 @@
 
 namespace pcap::fleet {
 
+namespace {
+
+constexpr double kPushEpsilonW = 0.05;  // skip pushes smaller than this
+constexpr double kToleranceW = 1e-3;    // conservation comparisons
+
+}  // namespace
+
 void BudgetCoupler::add_child(ChildLink* link, double initial_granted_w) {
   Child c;
   c.link = link;
@@ -14,9 +21,7 @@ void BudgetCoupler::add_child(ChildLink* link, double initial_granted_w) {
 
 void BudgetCoupler::note_exchange(Child& child, bool ok) {
   const core::HealthStep step =
-      core::next_health(child.health, child.consecutive_failures, ok,
-                        config_.degraded_after_failures,
-                        config_.lost_after_failures);
+      core::next_health(child.health, child.consecutive_failures, ok);
   child.health = step.health;
   child.consecutive_failures = step.consecutive_failures;
 }
@@ -56,7 +61,7 @@ CouplerRound BudgetCoupler::finish_round(double target_w, bool feasible,
   // always safe) but comes down only as far as the children actually
   // converged — exactly the grant this level reports to its own parent.
   round.enforced_w = std::max(target_w, round.committed_w);
-  round.converged = round.committed_w <= target_w + config_.tolerance_w;
+  round.converged = round.committed_w <= target_w + kToleranceW;
   if (!feasible) ++infeasible_rounds_;
   if (increases_withheld) ++withheld_rounds_;
   last_round_ = round;
@@ -97,7 +102,7 @@ CouplerRound BudgetCoupler::push_round(double target_w,
     targets_[i] = allow_increases ? desired : std::min(desired, granted_[i]);
   }
   const core::PushOutcome outcome = core::push_decreases_first(
-      targets_, granted_, config_.push_epsilon_w, config_.tolerance_w,
+      targets_, granted_, kPushEpsilonW, kToleranceW,
       [this](std::size_t i, double watts) {
         Child& child = children_[i];
         const std::optional<double> grant = child.link->push_budget(watts);

@@ -48,13 +48,6 @@ class ChildLink {
   virtual double ceiling_w() const = 0;
 };
 
-struct CouplerConfig {
-  std::uint32_t degraded_after_failures = 2;
-  std::uint32_t lost_after_failures = 4;
-  double push_epsilon_w = 0.05;  // skip pushes smaller than this
-  double tolerance_w = 1e-3;     // conservation comparisons
-};
-
 /// Per-round accounting at one tree level.
 struct CouplerRound {
   double target_w = 0.0;
@@ -69,8 +62,6 @@ struct CouplerRound {
 
 class BudgetCoupler {
  public:
-  explicit BudgetCoupler(CouplerConfig config = {}) : config_(config) {}
-
   /// `initial_granted_w` is the budget the child enforces before any push
   /// lands — its boot state (a node boots capped at its floor).
   void add_child(ChildLink* link, double initial_granted_w);
@@ -120,7 +111,6 @@ class BudgetCoupler {
   CouplerRound finish_round(double target_w, bool feasible,
                             bool increases_withheld);
 
-  CouplerConfig config_;
   std::vector<Child> children_;
   std::vector<double> granted_;  // last acked grant per child: what it enforces
   // Per-round scratch (reachable children's division inputs and result,

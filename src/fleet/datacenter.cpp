@@ -16,7 +16,7 @@ namespace {
 constexpr double kTimeEps = 1e-12;
 constexpr double kTolW = 1e-3;
 // A rack's forecast replaces its polled demand only at or above this
-// confidence (stricter than PhaseConfig::min_confidence, which only
+// confidence (stricter than the phase detector's own floor, which only
 // decides whether a series counts as periodic at all).
 constexpr double kForecastMinConfidence = 0.5;
 }  // namespace
@@ -49,12 +49,11 @@ std::uint64_t FleetResult::schedule_digest() const {
 
 DatacenterManager::DatacenterManager(const FleetConfig& config)
     : config_(config),
-      coupler_(config.coupler),
       batch_(sched::ChunkBatch::Config::from(config)) {
   for (std::size_t i = 0; i < config_.rack_nodes.size(); ++i) {
     auto slot = std::make_unique<RackSlot>();
     RackConfig rack;
-    rack.name = "r" + std::to_string(i);
+    rack.name = std::string("r").append(std::to_string(i));
     rack.node_count = config_.rack_nodes[i];
     rack.lanes_per_node = config_.lanes_per_node;
     rack.bmc = config_.bmc;
@@ -62,7 +61,6 @@ DatacenterManager::DatacenterManager(const FleetConfig& config)
     rack.cap_grid_w = config_.cap_grid_w;
     rack.node_faults = config_.node_faults;
     rack.comms = config_.comms;
-    rack.coupler = config_.coupler;
     rack.sampler = config_.sampler;
     rack.seed = config_.seed * 65599 + static_cast<std::uint64_t>(i) * 43 + 3;
     slot->manager = std::make_unique<RackManager>(rack);
@@ -80,7 +78,7 @@ DatacenterManager::DatacenterManager(const FleetConfig& config)
         slot->faulty ? static_cast<ipmi::Transport&>(*slot->faulty)
                      : static_cast<ipmi::Transport&>(*slot->loopback);
     slot->client = std::make_unique<BudgetClient>(
-        link, config_.comms.backoff, config_.comms.request_timeout_ms,
+        link, config_.comms.backoff,
         config_.seed * 313 + static_cast<std::uint64_t>(i) * 17 + 13);
     // Discovery: keep probing until the (possibly lossy) link answers.
     bool attached = false;
@@ -98,7 +96,7 @@ DatacenterManager::DatacenterManager(const FleetConfig& config)
   if (config_.predictor) {
     rack_phase_.reserve(racks_.size());
     for (std::size_t i = 0; i < racks_.size(); ++i) {
-      rack_phase_.emplace_back(config_.phase);
+      rack_phase_.emplace_back();
     }
   }
 
@@ -176,7 +174,7 @@ void DatacenterManager::admit(double t) {
   for (const auto& queue : tenant_queues_) queued += queue.size();
   if (queued > 0) {
     // Power headroom: admit only while every busy node can still be granted
-    // at least admission_min_node_w (idle nodes park at the floor, so the
+    // at least kAdmissionMinNodeW (idle nodes park at the floor, so the
     // busy-node surplus is what admission spends).
     const CouplerRound& round = coupler_.last_round();
     const double avail = std::max(0.0, round.enforced_w - round.reserved_w);
@@ -195,7 +193,7 @@ void DatacenterManager::admit(double t) {
     }
     // Nodes the budget can hold at/above the knee once idle floors are
     // paid for: busy_max * knee + (total - busy_max) * floor <= avail.
-    const double spread = config_.admission_min_node_w - idle_floor_w;
+    const double spread = kAdmissionMinNodeW - idle_floor_w;
     std::size_t busy_max = total_nodes;
     if (spread > 0.0) {
       const double surplus =

@@ -46,17 +46,19 @@
 
 namespace pcap::fleet {
 
+/// Simulated time per fleet tick.
+inline constexpr double kTickS = 100e-6;
+/// Admission headroom: only admit while every busy node can still be
+/// granted at least this much (~ the amenability knee).
+inline constexpr double kAdmissionMinNodeW = 135.0;
+
 struct FleetConfig {
   /// Nodes per rack (uneven fan-out allowed); size = rack count.
   std::vector<std::size_t> rack_nodes = {8, 8};
   std::size_t lanes_per_node = 1;
   BudgetSchedule schedule;  // budget over time (time-of-day + DR events)
   std::vector<TenantSpec> tenants;
-  double tick_s = 100e-6;
   std::size_t max_ticks = 200000;
-  /// Admission headroom: only admit while every busy node can still be
-  /// granted at least this much (default ~ the amenability knee).
-  double admission_min_node_w = 135.0;
   std::uint64_t seed = 1;
   std::size_t jobs = 1;  // worker threads for memo-miss chunk simulations
   bool memo = true;
@@ -75,7 +77,6 @@ struct FleetConfig {
   std::optional<ipmi::FaultSpec> node_faults;
   double idle_node_w = 101.0;
   double cap_grid_w = 8.0;
-  CouplerConfig coupler;
   core::NodeCommsConfig comms;
   /// Every rack's telemetry sampling (RackConfig::sampler).
   telemetry::SamplerConfig sampler;
@@ -89,7 +90,6 @@ struct FleetConfig {
   /// to polled demand (the reactive path); off is bit-identical to the
   /// pre-predictor fleet.
   bool predictor = false;
-  predict::PhaseConfig phase;
 
   /// Scripted management-plane partition: rack `rack`'s link swallows the
   /// next `transactions` exchanges starting at the first tick >= start_s.
@@ -196,7 +196,7 @@ class DatacenterManager {
   /// Single-tick interface for benchmarks and incremental tests. `run()`
   /// is step() in a loop plus final accounting.
   void step();
-  double now_s() const { return tick_count_ * config_.tick_s; }
+  double now_s() const { return tick_count_ * kTickS; }
   std::size_t completed_jobs() const { return completed_jobs_; }
   bool done() const;
 

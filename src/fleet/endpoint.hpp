@@ -55,8 +55,8 @@ class BudgetEndpointServer {
 class BudgetClient : public ChildLink {
  public:
   BudgetClient(ipmi::Transport& transport, util::BackoffPolicy backoff = {},
-               double request_timeout_ms = 25.0, std::uint64_t seed = 0x5EED)
-      : session_(transport, request_timeout_ms),
+               std::uint64_t seed = 0x5EED)
+      : session_(transport, util::kRequestTimeoutMs),
         backoff_(backoff),
         rng_(seed) {}
 
@@ -90,11 +90,10 @@ class BudgetClient : public ChildLink {
 /// A mid-tree aggregation level: holds a coupler over child BudgetClients
 /// and is itself a BudgetHolder, so trees of any depth compose from the
 /// same three pieces (holder <- server <- transport <- client <- coupler).
-/// The datacenter root and the randomized-topology tests both build on it.
+/// The randomized-topology tests build their trees from it; the datacenter
+/// root is not one (it holds its own BudgetCoupler over its racks).
 class BudgetGroup : public BudgetHolder {
  public:
-  explicit BudgetGroup(CouplerConfig config = {}) : coupler_(config) {}
-
   /// The child must have been attach()ed (floor/ceiling known). The
   /// initial grant is the child's boot-state budget: its floor.
   void add_child(BudgetClient* child);

@@ -21,7 +21,6 @@ RackManager::NodeSlot::NodeSlot(const RackConfig& config)
 
 RackManager::RackManager(const RackConfig& config)
     : config_(config),
-      coupler_(config.coupler),
       series_(config.name, config.node_count, config.sampler),
       draws_(config.node_count) {
   for (std::size_t i = 0; i < config_.node_count; ++i) {

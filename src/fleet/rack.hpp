@@ -49,9 +49,8 @@ struct RackConfig {
   /// Faults injected on every node's management link (seeded per node).
   std::optional<ipmi::FaultSpec> node_faults;
   core::NodeCommsConfig comms;
-  CouplerConfig coupler;
-  /// Sampling period (= grid) of the rack's telemetry series. `capacity`
-  /// bounds retention: the bins from the newest `capacity` samples.
+  /// Sampling period (= grid) of the rack's telemetry series. Retention is
+  /// the bins from the newest 4096 samples (GroupSeriesBuilder's default).
   telemetry::SamplerConfig sampler;
   std::uint64_t seed = 1;
 };

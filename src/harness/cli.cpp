@@ -1,6 +1,7 @@
 #include "harness/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -25,8 +26,11 @@ struct OptionSpec {
 int to_int(std::string_view text) {
   return std::atoi(std::string(text).c_str());
 }
+/// 0.0 for a non-finite parse ("inf", "nan"): every numeric flag reads 0
+/// as default/unset, so no infinity or NaN reaches a cap or a budget.
 double to_double(std::string_view text) {
-  return std::atof(std::string(text).c_str());
+  const double v = std::atof(std::string(text).c_str());
+  return std::isfinite(v) ? v : 0.0;
 }
 
 const std::vector<OptionSpec>& option_table() {

@@ -137,7 +137,7 @@ void apply_cli_thermal(StudyConfig& config, const CliOptions& cli) {
   }
   if (cli.ambient_c > 0.0) config.machine.thermal.ambient_c = cli.ambient_c;
   if (cli.subsystem_caps_set) {
-    ipmi::SubsystemCaps caps;
+    core::SubsystemCaps caps;
     caps.enabled = true;
     caps.cpu_w = cli.subsystem_caps_w[0];
     caps.uncore_w = cli.subsystem_caps_w[1];

@@ -43,7 +43,7 @@ struct StudyConfig {
 
   /// Per-subsystem caps applied to every cell's BMC before the run
   /// (package cap still comes from `caps_w`; the BMC clamps the sum).
-  std::optional<ipmi::SubsystemCaps> subsystem_caps;
+  std::optional<core::SubsystemCaps> subsystem_caps;
 
   /// Per-cell node telemetry. When `telemetry.enabled`, every cell's node
   /// carries a probe (power / frequency / cap / miss-rate time series), and

@@ -223,92 +223,6 @@ std::optional<RackStatus> decode_rack_status(const Response& r) {
   return v;
 }
 
-Request make_set_subsystem_caps(const SubsystemCaps& caps) {
-  Request r = make_plain(Command::kSetSubsystemCaps);
-  put_u8(r.payload, caps.enabled ? 1 : 0);
-  put_u16(r.payload, watts_to_wire(caps.cpu_w));
-  put_u16(r.payload, watts_to_wire(caps.uncore_w));
-  put_u16(r.payload, watts_to_wire(caps.memory_w));
-  return r;
-}
-
-namespace {
-
-std::optional<SubsystemCaps> read_subsystem_caps(PayloadReader& reader) {
-  SubsystemCaps v;
-  std::uint8_t enabled = 0;
-  std::uint16_t cpu = 0, uncore = 0, memory = 0;
-  if (!reader.read_u8(enabled) || !reader.read_u16(cpu) ||
-      !reader.read_u16(uncore) || !reader.read_u16(memory)) {
-    return std::nullopt;
-  }
-  v.enabled = enabled != 0;
-  v.cpu_w = watts_from_wire(cpu);
-  v.uncore_w = watts_from_wire(uncore);
-  v.memory_w = watts_from_wire(memory);
-  return v;
-}
-
-}  // namespace
-
-std::optional<SubsystemCaps> decode_set_subsystem_caps(const Request& r) {
-  PayloadReader reader(r.payload);
-  auto v = read_subsystem_caps(reader);
-  if (!v.has_value() || !reader.exhausted()) return std::nullopt;
-  return v;
-}
-
-Response encode_subsystem_caps(const SubsystemCaps& caps) {
-  Response r = make_ok_response();
-  put_u8(r.payload, caps.enabled ? 1 : 0);
-  put_u16(r.payload, watts_to_wire(caps.cpu_w));
-  put_u16(r.payload, watts_to_wire(caps.uncore_w));
-  put_u16(r.payload, watts_to_wire(caps.memory_w));
-  return r;
-}
-
-std::optional<SubsystemCaps> decode_subsystem_caps(const Response& r) {
-  if (!r.ok()) return std::nullopt;
-  PayloadReader reader(r.payload);
-  auto v = read_subsystem_caps(reader);
-  if (!v.has_value() || !reader.exhausted()) return std::nullopt;
-  return v;
-}
-
-Request make_get_subsystem_power() {
-  return make_plain(Command::kGetSubsystemPower);
-}
-
-Response encode_subsystem_power(const SubsystemPower& v) {
-  Response r = make_ok_response();
-  put_u16(r.payload, watts_to_wire(v.cpu_w));
-  put_u16(r.payload, watts_to_wire(v.uncore_w));
-  put_u16(r.payload, watts_to_wire(v.memory_w));
-  put_u8(r.payload, v.caps.enabled ? 1 : 0);
-  put_u16(r.payload, watts_to_wire(v.caps.cpu_w));
-  put_u16(r.payload, watts_to_wire(v.caps.uncore_w));
-  put_u16(r.payload, watts_to_wire(v.caps.memory_w));
-  return r;
-}
-
-std::optional<SubsystemPower> decode_subsystem_power(const Response& r) {
-  if (!r.ok()) return std::nullopt;
-  PayloadReader reader(r.payload);
-  SubsystemPower v;
-  std::uint16_t cpu = 0, uncore = 0, memory = 0;
-  if (!reader.read_u16(cpu) || !reader.read_u16(uncore) ||
-      !reader.read_u16(memory)) {
-    return std::nullopt;
-  }
-  auto caps = read_subsystem_caps(reader);
-  if (!caps.has_value() || !reader.exhausted()) return std::nullopt;
-  v.cpu_w = watts_from_wire(cpu);
-  v.uncore_w = watts_from_wire(uncore);
-  v.memory_w = watts_from_wire(memory);
-  v.caps = *caps;
-  return v;
-}
-
 std::optional<ThrottleStatus> decode_throttle_status(const Response& r) {
   if (!r.ok()) return std::nullopt;
   PayloadReader reader(r.payload);

@@ -24,10 +24,6 @@ enum class Command : std::uint8_t {
   // 0.1 W fixed point.
   kSetRackBudget = 0xD0,
   kGetRackStatus = 0xD1,
-  // Thermal/subsystem extension: per-subsystem (CPU/uncore/memory) power
-  // caps and meters, in the node-level u16 0.1 W grid.
-  kSetSubsystemCaps = 0xD3,
-  kGetSubsystemPower = 0xD4,
 };
 
 /// Human-readable command name for diagnostics and trace spans.
@@ -41,8 +37,6 @@ inline const char* command_name(std::uint8_t command) {
     case Command::kGetThrottleStatus: return "GetThrottleStatus";
     case Command::kSetRackBudget: return "SetRackBudget";
     case Command::kGetRackStatus: return "GetRackStatus";
-    case Command::kSetSubsystemCaps: return "SetSubsystemCaps";
-    case Command::kGetSubsystemPower: return "GetSubsystemPower";
   }
   return "Unknown";
 }
@@ -98,26 +92,6 @@ struct RackStatus {
   std::uint16_t busy_nodes = 0;
   std::uint16_t free_lanes = 0;
   std::uint16_t queued_jobs = 0;
-};
-
-/// Per-subsystem caps (kSetSubsystemCaps): 0 W = that subsystem uncapped.
-/// The response echoes the caps actually in force after the BMC clamps the
-/// sum to the package cap (the invariant the fuzz/invariant tests pin).
-struct SubsystemCaps {
-  bool enabled = false;
-  double cpu_w = 0.0;
-  double uncore_w = 0.0;
-  double memory_w = 0.0;
-
-  double sum_w() const { return cpu_w + uncore_w + memory_w; }
-};
-
-/// Per-subsystem meter readings + the caps in force (kGetSubsystemPower).
-struct SubsystemPower {
-  double cpu_w = 0.0;
-  double uncore_w = 0.0;
-  double memory_w = 0.0;
-  SubsystemCaps caps;
 };
 
 // --- fixed-point helpers ---
@@ -182,16 +156,5 @@ std::optional<double> decode_rack_budget_grant(const Response& r);
 Request make_get_rack_status();
 Response encode_rack_status(const RackStatus& v);
 std::optional<RackStatus> decode_rack_status(const Response& r);
-
-// Subsystem caps/meters. The SetSubsystemCaps response carries the applied
-// caps (post-clamp), like SetRackBudget's grant.
-Request make_set_subsystem_caps(const SubsystemCaps& caps);
-std::optional<SubsystemCaps> decode_set_subsystem_caps(const Request& r);
-Response encode_subsystem_caps(const SubsystemCaps& caps);
-std::optional<SubsystemCaps> decode_subsystem_caps(const Response& r);
-
-Request make_get_subsystem_power();
-Response encode_subsystem_power(const SubsystemPower& v);
-std::optional<SubsystemPower> decode_subsystem_power(const Response& r);
 
 }  // namespace pcap::ipmi

@@ -68,17 +68,6 @@ bool decode_response(std::span<const std::uint8_t> frame, Response& out) {
   return true;
 }
 
-std::string completion_code_name(CompletionCode code) {
-  switch (code) {
-    case CompletionCode::kOk: return "OK";
-    case CompletionCode::kInvalidCommand: return "Invalid Command";
-    case CompletionCode::kRequestDataInvalid: return "Request Data Invalid";
-    case CompletionCode::kOutOfRange: return "Parameter Out Of Range";
-    case CompletionCode::kUnspecified: return "Unspecified Error";
-  }
-  return "Unknown";
-}
-
 void put_u8(Payload& out, std::uint8_t v) { out.push_back(v); }
 
 void put_u16(Payload& out, std::uint16_t v) {

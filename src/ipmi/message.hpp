@@ -11,7 +11,6 @@
 #include <initializer_list>
 #include <span>
 #include <stdexcept>
-#include <string>
 
 namespace pcap::ipmi {
 
@@ -125,8 +124,6 @@ bool decode_request(std::span<const std::uint8_t> frame, Request& out);
 /// Frame layout: [code, seq, len_lo, len_hi, payload..., checksum].
 Frame encode_response(const Response& response);
 bool decode_response(std::span<const std::uint8_t> frame, Response& out);
-
-std::string completion_code_name(CompletionCode code);
 
 // --- little-endian payload packing helpers (append in place; throw
 // std::length_error past kMaxPayload) ---

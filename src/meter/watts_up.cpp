@@ -30,14 +30,4 @@ void WattsUp::observe(util::Picoseconds now, double watts) {
   }
 }
 
-double WattsUp::recent_average_watts(std::size_t n) const {
-  if (samples_.empty() || n == 0) return 0.0;
-  const std::size_t count = n < samples_.size() ? n : samples_.size();
-  double sum = 0.0;
-  for (std::size_t i = samples_.size() - count; i < samples_.size(); ++i) {
-    sum += samples_[i].watts;
-  }
-  return sum / static_cast<double>(count);
-}
-
 }  // namespace pcap::meter

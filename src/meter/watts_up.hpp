@@ -62,9 +62,6 @@ class WattsUp {
 
   const std::vector<MeterSample>& samples() const { return samples_; }
 
-  /// Average over the most recent `n` logged samples (the BMC's sensor view).
-  double recent_average_watts(std::size_t n) const;
-
  private:
   util::Picoseconds period_;
   std::size_t max_log_;

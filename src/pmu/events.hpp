@@ -4,8 +4,8 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace pcap::pmu {
 
@@ -34,12 +34,6 @@ enum class Event : std::uint32_t {
 };
 
 inline constexpr std::size_t kEventCount = static_cast<std::size_t>(Event::kCount);
-
-/// PAPI-style symbolic name ("PCAP_TOT_CYC").
-std::string_view event_name(Event e);
-
-/// Reverse lookup; returns Event::kCount for unknown names.
-Event event_from_name(std::string_view name);
 
 constexpr std::size_t index_of(Event e) { return static_cast<std::size_t>(e); }
 

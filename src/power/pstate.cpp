@@ -4,31 +4,6 @@
 
 namespace pcap::power {
 
-PStateTable::PStateTable(std::vector<util::Hertz> frequencies, double v_max,
-                         double v_min) {
-  if (frequencies.empty()) {
-    throw std::invalid_argument("PStateTable: no frequencies");
-  }
-  for (std::size_t i = 1; i < frequencies.size(); ++i) {
-    if (frequencies[i] >= frequencies[i - 1]) {
-      throw std::invalid_argument(
-          "PStateTable: frequencies must be strictly descending");
-    }
-  }
-  const double f_hi = static_cast<double>(frequencies.front());
-  const double f_lo = static_cast<double>(frequencies.back());
-  states_.reserve(frequencies.size());
-  for (std::size_t i = 0; i < frequencies.size(); ++i) {
-    PState s;
-    s.index = static_cast<std::uint32_t>(i);
-    s.frequency = frequencies[i];
-    const double f = static_cast<double>(frequencies[i]);
-    const double t = f_hi > f_lo ? (f - f_lo) / (f_hi - f_lo) : 1.0;
-    s.voltage = v_min + t * (v_max - v_min);
-    states_.push_back(s);
-  }
-}
-
 PStateTable::PStateTable(std::vector<PState> states)
     : states_(std::move(states)) {
   if (states_.empty()) throw std::invalid_argument("PStateTable: no states");
@@ -55,15 +30,6 @@ PStateTable PStateTable::romley_e5_2680() {
     add(mhz, 0.875 + t * (1.015 - 0.875));  // P1..P15
   }
   return PStateTable(std::move(states));
-}
-
-const PState& PStateTable::state_for_min_frequency(util::Hertz f) const {
-  const PState* best = &states_.front();
-  for (const auto& s : states_) {
-    if (s.frequency >= f) best = &s;
-    else break;
-  }
-  return *best;
 }
 
 }  // namespace pcap::power

@@ -18,12 +18,6 @@ struct PState {
 
 class PStateTable {
  public:
-  /// Builds a table from explicit frequencies (descending) and a linear
-  /// voltage curve between v_max (fastest) and v_min (slowest).
-  /// Throws std::invalid_argument if frequencies are empty or not
-  /// strictly descending.
-  PStateTable(std::vector<util::Hertz> frequencies, double v_max, double v_min);
-
   /// Builds a table from fully-specified states (indices are reassigned in
   /// order). Throws std::invalid_argument on empty input or frequencies not
   /// strictly descending.
@@ -39,9 +33,6 @@ class PStateTable {
   const PState& state(std::uint32_t index) const { return states_.at(index); }
   const PState& fastest() const { return states_.front(); }
   const PState& slowest() const { return states_.back(); }
-
-  /// The slowest state whose frequency is >= f; slowest state if none.
-  const PState& state_for_min_frequency(util::Hertz f) const;
 
  private:
   std::vector<PState> states_;

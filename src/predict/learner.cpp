@@ -1,13 +1,20 @@
 #include "predict/learner.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace pcap::predict {
 
 namespace {
 
 constexpr double kWeightFloor = 1e-3;  // PAVA weight for barely-touched points
+/// EW smoothing factor for new samples.
+constexpr double kAlpha = 0.2;
+/// A sample counts as "uncapped" when the cap exceeds max(learned
+/// baseline, the sample's draw) by at least this headroom (unlike
+/// OnlinePowerModel, which uses the draw alone; DESIGN.md §16).
+constexpr double kHeadroomW = 4.0;
+/// Confidence = samples / (samples + kConfidenceSamples).
+constexpr double kConfidenceSamples = 24.0;
 
 /// Weighted pool-adjacent-violators: projects `v` onto the non-decreasing
 /// sequences (least squares, weights `w`). O(n) with the classic stack of
@@ -66,22 +73,6 @@ double interpolate_points(const std::vector<double>& caps,
 }
 
 }  // namespace
-
-std::string provenance_name(Provenance p) {
-  switch (p) {
-    case Provenance::kOffline: return "offline";
-    case Provenance::kOnlineLearned: return "online-learned";
-    case Provenance::kMixed: return "mixed";
-  }
-  return "offline";
-}
-
-std::optional<Provenance> provenance_from_name(const std::string& name) {
-  if (name == "offline") return Provenance::kOffline;
-  if (name == "online-learned") return Provenance::kOnlineLearned;
-  if (name == "mixed") return Provenance::kMixed;
-  return std::nullopt;
-}
 
 OnlineAmenabilityLearner::OnlineAmenabilityLearner(const LearnerConfig& config)
     : config_(config), caps_(config.caps_w) {
@@ -142,7 +133,7 @@ void OnlineAmenabilityLearner::deposit(std::vector<GridPoint>* points,
       p.slowdown = slowdown;
       p.power_w = power_w;
     } else {
-      const double a = config_.alpha * m;
+      const double a = kAlpha * m;
       p.slowdown += a * (slowdown - p.slowdown);
       p.power_w += a * (power_w - p.power_w);
     }
@@ -203,7 +194,7 @@ void OnlineAmenabilityLearner::materialize(sched::JobClass cls) {
   // short-circuit stays conservative.
   curve.baseline_power_w = s.baseline_power_w > 0.0
                                ? s.baseline_power_w
-                               : max_power + config_.headroom_w;
+                               : max_power + kHeadroomW;
   curve.baseline_time_s = s.baseline_time_s;
   if (curve.points.back().cap_w < caps_.back()) {
     // The visited caps stop short of the grid's top (a tight-budget run
@@ -246,7 +237,7 @@ void OnlineAmenabilityLearner::observe(const sched::CoRunObservation& obs,
   // signal available.
   const double draw_ref = std::max(s.baseline_power_w, avg_power_w);
   const bool capped = obs.cap_w && *obs.cap_w > 0.0 &&
-                      *obs.cap_w < draw_ref + config_.headroom_w;
+                      *obs.cap_w < draw_ref + kHeadroomW;
 
   if (!obs.co_resident.empty()) {
     // Contaminated by contention: feeds the pair curves only. The sample
@@ -285,13 +276,13 @@ void OnlineAmenabilityLearner::observe(const sched::CoRunObservation& obs,
     if (s.baseline_power_w <= 0.0) {
       s.baseline_power_w = avg_power_w;
     } else {
-      s.baseline_power_w += config_.alpha * (avg_power_w - s.baseline_power_w);
+      s.baseline_power_w += kAlpha * (avg_power_w - s.baseline_power_w);
     }
     if (obs.elapsed_s > 0.0) {
       if (s.baseline_time_s <= 0.0) {
         s.baseline_time_s = obs.elapsed_s;
       } else {
-        s.baseline_time_s += config_.alpha * (obs.elapsed_s - s.baseline_time_s);
+        s.baseline_time_s += kAlpha * (obs.elapsed_s - s.baseline_time_s);
       }
     }
   } else if (s.baseline_time_s > 0.0 && obs.elapsed_s > 0.0) {
@@ -350,7 +341,7 @@ std::uint64_t OnlineAmenabilityLearner::pair_samples(
 
 double OnlineAmenabilityLearner::confidence(sched::JobClass cls) const {
   const double n = static_cast<double>(state(cls).samples);
-  return n / (n + config_.confidence_samples);
+  return n / (n + kConfidenceSamples);
 }
 
 Provenance OnlineAmenabilityLearner::provenance(sched::JobClass cls) const {
@@ -358,190 +349,6 @@ Provenance OnlineAmenabilityLearner::provenance(sched::JobClass cls) const {
   if (s.bootstrapped && s.samples > 0) return Provenance::kMixed;
   if (s.samples > 0) return Provenance::kOnlineLearned;
   return Provenance::kOffline;
-}
-
-util::JsonValue OnlineAmenabilityLearner::to_json() const {
-  util::JsonArray classes;
-  for (int c = 0; c < sched::kJobClassCount; ++c) {
-    const auto cls = static_cast<sched::JobClass>(c);
-    const ClassState& s = state(cls);
-    if (!s.active) continue;
-    util::JsonArray points;
-    for (std::size_t i = 0; i < caps_.size(); ++i) {
-      util::JsonObject point;
-      point["cap_w"] = util::JsonValue(caps_[i]);
-      point["slowdown"] = util::JsonValue(s.points[i].slowdown);
-      point["power_w"] = util::JsonValue(s.points[i].power_w);
-      point["weight"] = util::JsonValue(s.points[i].weight);
-      points.emplace_back(std::move(point));
-    }
-    util::JsonObject entry;
-    entry["class"] = util::JsonValue(sched::job_class_name(cls));
-    entry["provenance"] = util::JsonValue(provenance_name(provenance(cls)));
-    entry["samples"] = util::JsonValue(static_cast<double>(s.samples));
-    entry["uncapped_samples"] =
-        util::JsonValue(static_cast<double>(s.uncapped));
-    entry["confidence"] = util::JsonValue(confidence(cls));
-    entry["bootstrapped"] = util::JsonValue(s.bootstrapped);
-    entry["baseline_power_w"] = util::JsonValue(s.baseline_power_w);
-    entry["baseline_time_s"] = util::JsonValue(s.baseline_time_s);
-    entry["points"] = util::JsonValue(std::move(points));
-    classes.emplace_back(std::move(entry));
-  }
-  util::JsonArray pair_entries;
-  for (int a = 0; a < sched::kJobClassCount; ++a) {
-    for (int b = 0; b < sched::kJobClassCount; ++b) {
-      const PairState& pair = pairs_[a][b];
-      if (pair.samples == 0) continue;
-      util::JsonArray points;
-      for (std::size_t i = 0; i < caps_.size(); ++i) {
-        if (pair.points[i].weight <= 0.0) continue;
-        util::JsonObject point;
-        point["cap_w"] = util::JsonValue(caps_[i]);
-        point["slowdown"] = util::JsonValue(pair.points[i].slowdown);
-        point["power_w"] = util::JsonValue(pair.points[i].power_w);
-        point["weight"] = util::JsonValue(pair.points[i].weight);
-        points.emplace_back(std::move(point));
-      }
-      util::JsonObject entry;
-      entry["class"] =
-          util::JsonValue(sched::job_class_name(static_cast<sched::JobClass>(a)));
-      entry["partner"] =
-          util::JsonValue(sched::job_class_name(static_cast<sched::JobClass>(b)));
-      entry["samples"] = util::JsonValue(static_cast<double>(pair.samples));
-      entry["points"] = util::JsonValue(std::move(points));
-      pair_entries.emplace_back(std::move(entry));
-    }
-  }
-  util::JsonObject root;
-  root["schema"] = util::JsonValue(std::string("pcap-amenability-v2"));
-  root["classes"] = util::JsonValue(std::move(classes));
-  root["pairs"] = util::JsonValue(std::move(pair_entries));
-  return util::JsonValue(std::move(root));
-}
-
-std::optional<OnlineAmenabilityLearner> OnlineAmenabilityLearner::from_json(
-    const util::JsonValue& v, const LearnerConfig& config) {
-  const util::JsonValue* schema = v.find("schema");
-  if (schema == nullptr || !schema->is_string()) return std::nullopt;
-  if (schema->as_string() == "pcap-amenability-v1") {
-    // A v1 document is a legal bootstrap: offline provenance, no samples.
-    const auto table = sched::AmenabilityTable::from_json(v);
-    if (!table) return std::nullopt;
-    OnlineAmenabilityLearner learner(config);
-    learner.bootstrap(*table);
-    return learner;
-  }
-  if (schema->as_string() != "pcap-amenability-v2") return std::nullopt;
-  const util::JsonValue* classes = v.find("classes");
-  if (classes == nullptr || !classes->is_array()) return std::nullopt;
-
-  OnlineAmenabilityLearner learner(config);
-  auto grid_index = [&](double cap_w) -> std::optional<std::size_t> {
-    for (std::size_t i = 0; i < learner.caps_.size(); ++i) {
-      if (std::abs(learner.caps_[i] - cap_w) < 1e-9) return i;
-    }
-    return std::nullopt;
-  };
-  for (const util::JsonValue& entry : classes->as_array()) {
-    const util::JsonValue* name = entry.find("class");
-    if (name == nullptr || !name->is_string()) return std::nullopt;
-    const auto cls = sched::job_class_from_name(name->as_string());
-    if (!cls) return std::nullopt;
-    const util::JsonValue* prov = entry.find("provenance");
-    if (prov == nullptr || !prov->is_string() ||
-        !provenance_from_name(prov->as_string())) {
-      return std::nullopt;
-    }
-    ClassState& s = learner.state(*cls);
-    s.active = true;
-    auto number = [&](const char* key, double* out) {
-      const util::JsonValue* field = entry.find(key);
-      if (field == nullptr || !field->is_number()) return false;
-      *out = field->as_number();
-      return true;
-    };
-    double samples = 0.0, uncapped = 0.0;
-    if (!number("samples", &samples) ||
-        !number("uncapped_samples", &uncapped) ||
-        !number("baseline_power_w", &s.baseline_power_w) ||
-        !number("baseline_time_s", &s.baseline_time_s)) {
-      return std::nullopt;
-    }
-    const util::JsonValue* boot = entry.find("bootstrapped");
-    s.bootstrapped = boot != nullptr && boot->is_bool() && boot->as_bool();
-    s.samples = static_cast<std::uint64_t>(samples);
-    s.uncapped = static_cast<std::uint64_t>(uncapped);
-    const util::JsonValue* points = entry.find("points");
-    if (points == nullptr || !points->is_array()) return std::nullopt;
-    for (const util::JsonValue& pv : points->as_array()) {
-      const util::JsonValue* cap = pv.find("cap_w");
-      if (cap == nullptr || !cap->is_number()) return std::nullopt;
-      const auto idx = grid_index(cap->as_number());
-      if (!idx) continue;  // off-grid points are ignored, not an error
-      auto pnum = [&](const char* key, double* out) {
-        const util::JsonValue* field = pv.find(key);
-        if (field == nullptr || !field->is_number()) return false;
-        *out = field->as_number();
-        return true;
-      };
-      GridPoint& p = s.points[*idx];
-      if (!pnum("slowdown", &p.slowdown) || !pnum("power_w", &p.power_w) ||
-          !pnum("weight", &p.weight)) {
-        return std::nullopt;
-      }
-    }
-    learner.materialize(*cls);
-  }
-  if (const util::JsonValue* pairs = v.find("pairs");
-      pairs != nullptr && pairs->is_array()) {
-    for (const util::JsonValue& entry : pairs->as_array()) {
-      const util::JsonValue* a = entry.find("class");
-      const util::JsonValue* b = entry.find("partner");
-      const util::JsonValue* samples = entry.find("samples");
-      if (a == nullptr || !a->is_string() || b == nullptr ||
-          !b->is_string() || samples == nullptr || !samples->is_number()) {
-        return std::nullopt;
-      }
-      const auto cls = sched::job_class_from_name(a->as_string());
-      const auto other = sched::job_class_from_name(b->as_string());
-      if (!cls || !other) return std::nullopt;
-      PairState& pair = learner.pairs_[static_cast<std::size_t>(*cls)]
-                                      [static_cast<std::size_t>(*other)];
-      pair.samples = static_cast<std::uint64_t>(samples->as_number());
-      const util::JsonValue* points = entry.find("points");
-      if (points == nullptr || !points->is_array()) return std::nullopt;
-      for (const util::JsonValue& pv : points->as_array()) {
-        const util::JsonValue* cap = pv.find("cap_w");
-        if (cap == nullptr || !cap->is_number()) return std::nullopt;
-        const auto idx = grid_index(cap->as_number());
-        if (!idx) continue;
-        GridPoint& p = pair.points[*idx];
-        auto pnum = [&](const char* key, double* out) {
-          const util::JsonValue* field = pv.find(key);
-          if (field == nullptr || !field->is_number()) return false;
-          *out = field->as_number();
-          return true;
-        };
-        if (!pnum("slowdown", &p.slowdown) || !pnum("power_w", &p.power_w) ||
-            !pnum("weight", &p.weight)) {
-          return std::nullopt;
-        }
-      }
-    }
-  }
-  return learner;
-}
-
-void OnlineAmenabilityLearner::save(const std::string& path) const {
-  util::write_json_file(path, to_json());
-}
-
-std::optional<OnlineAmenabilityLearner> OnlineAmenabilityLearner::load(
-    const std::string& path, const LearnerConfig& config) {
-  const auto doc = util::read_json_file(path);
-  if (!doc) return std::nullopt;
-  return from_json(*doc, config);
 }
 
 }  // namespace pcap::predict

@@ -16,23 +16,19 @@
 // draw), so solo curves are never contaminated by contention.
 //
 // The learner can bootstrap from an offline v1 table (provenance
-// "offline"), then refine it ("mixed" → "online-learned"); its snapshot
-// serializes as `pcap-amenability-v2` (docs/amenability-schema.md), which
-// adds provenance, sample counts and confidence per class. Updates are
-// applied serially in chunk-completion order, so learned state — and every
+// "offline"), then refine it ("mixed" → "online-learned"), and reports
+// provenance, sample counts and confidence per class. Updates are applied
+// serially in chunk-completion order, so learned state — and every
 // schedule that consumes it — is bit-identical under `--jobs`.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "sched/amenability_table.hpp"
 #include "sched/job.hpp"
 #include "sched/policy.hpp"
-#include "util/json.hpp"
 
 namespace pcap::predict {
 
@@ -40,23 +36,13 @@ struct LearnerConfig {
   /// Cap grid (W) the curves are learned on; defaults to the offline
   /// characterisation grid. Stored ascending internally.
   std::vector<double> caps_w = {160, 150, 140, 135, 130, 125, 120, 115};
-  /// EW smoothing factor for new samples.
-  double alpha = 0.2;
-  /// A sample counts as "uncapped" when the cap exceeds max(learned
-  /// baseline, the sample's draw) by at least this headroom (unlike
-  /// OnlinePowerModel, which uses the draw alone; DESIGN.md §16).
-  double headroom_w = 4.0;
-  /// Confidence = samples / (samples + confidence_samples).
-  double confidence_samples = 24.0;
   /// Usable-floor tolerance when materialising curves (mirrors
   /// CharacterizeOptions::slowdown_tolerance).
   double slowdown_tolerance = 1.25;
 };
 
-/// Where a class's curve came from (the v2 provenance field).
+/// Where a class's curve came from.
 enum class Provenance { kOffline, kOnlineLearned, kMixed };
-std::string provenance_name(Provenance p);
-std::optional<Provenance> provenance_from_name(const std::string& name);
 
 class OnlineAmenabilityLearner {
  public:
@@ -88,7 +74,7 @@ class OnlineAmenabilityLearner {
   std::uint64_t samples(sched::JobClass cls) const;
   std::uint64_t uncapped_samples(sched::JobClass cls) const;
   std::uint64_t pair_samples(sched::JobClass cls, sched::JobClass other) const;
-  /// samples / (samples + confidence_samples), in [0, 1).
+  /// samples / (samples + 24), in [0, 1).
   double confidence(sched::JobClass cls) const;
   Provenance provenance(sched::JobClass cls) const;
 
@@ -96,16 +82,6 @@ class OnlineAmenabilityLearner {
   /// supersedes the static table in PlanInput when --learn-online is set.
   /// Kept fresh on every observe; classes without any curve are absent.
   const sched::AmenabilityTable& table() const { return materialized_; }
-
-  // --- pcap-amenability-v2 round-trip (docs/amenability-schema.md) -------
-  util::JsonValue to_json() const;
-  /// Accepts a v2 document, or a v1 document (loaded as a bootstrap:
-  /// provenance kOffline, zero samples).
-  static std::optional<OnlineAmenabilityLearner> from_json(
-      const util::JsonValue& v, const LearnerConfig& config = {});
-  void save(const std::string& path) const;
-  static std::optional<OnlineAmenabilityLearner> load(
-      const std::string& path, const LearnerConfig& config = {});
 
  private:
   struct GridPoint {

@@ -5,12 +5,24 @@
 
 namespace pcap::predict {
 
+namespace {
+
+/// Shortest period considered (samples). Periods above window/2 cannot
+/// repeat twice inside the window and are never reported.
+constexpr std::size_t kMinPeriod = 2;
+/// Normalised autocorrelation peak below this: not periodic.
+constexpr double kMinConfidence = 0.35;
+/// Relative level change that counts as a phase boundary.
+constexpr double kLevelEpsilon = 0.08;
+
+}  // namespace
+
 PhaseForecast analyze_series(const std::vector<double>& series,
                              const PhaseConfig& config) {
   PhaseForecast forecast;
   const std::size_t total = series.size();
   const std::size_t n = std::min(total, std::max<std::size_t>(config.window, 4));
-  if (n < 2 * std::max<std::size_t>(config.min_period, 1)) {
+  if (n < 2 * kMinPeriod) {
     if (total > 0) forecast.current_value = series.back();
     return forecast;
   }
@@ -35,8 +47,7 @@ PhaseForecast analyze_series(const std::vector<double>& series,
   const std::size_t max_lag = n / 2;
   std::size_t best_lag = 0;
   double best_r = 0.0;
-  for (std::size_t lag = std::max<std::size_t>(config.min_period, 1);
-       lag <= max_lag; ++lag) {
+  for (std::size_t lag = kMinPeriod; lag <= max_lag; ++lag) {
     double r = 0.0;
     for (std::size_t i = lag; i < n; ++i) {
       r += (window[i] - mean) * (window[i - lag] - mean);
@@ -50,7 +61,7 @@ PhaseForecast analyze_series(const std::vector<double>& series,
     }
   }
   forecast.confidence = std::clamp(best_r, 0.0, 1.0);
-  if (best_lag == 0 || forecast.confidence < config.min_confidence) {
+  if (best_lag == 0 || forecast.confidence < kMinConfidence) {
     return forecast;
   }
   forecast.periodic = true;
@@ -63,8 +74,7 @@ PhaseForecast analyze_series(const std::vector<double>& series,
       std::max({std::abs(mean), std::abs(forecast.current_value), 1e-12});
   for (std::size_t j = 1; j <= best_lag; ++j) {
     const double predicted = window[n - best_lag + j - 1];
-    if (std::abs(predicted - forecast.current_value) >
-        config.level_epsilon * scale) {
+    if (std::abs(predicted - forecast.current_value) > kLevelEpsilon * scale) {
       forecast.boundary_in = j;
       forecast.boundary_level = predicted;
       break;
@@ -84,11 +94,6 @@ void PhasePredictor::observe(double value) {
     scratch_.push_back(ring_.at(i));
   }
   forecast_ = analyze_series(scratch_, config_);
-}
-
-void PhasePredictor::reset() {
-  ring_.clear();
-  forecast_ = PhaseForecast{};
 }
 
 }  // namespace pcap::predict

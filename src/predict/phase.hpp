@@ -9,7 +9,7 @@
 // and replay the cycle one period ahead. At our window sizes (<= 512
 // samples) the direct autocorrelation form of that search is exact and
 // cheap, so no FFT machinery is needed; confidence is the normalised
-// autocorrelation peak, and anything below the configured floor is
+// autocorrelation peak, and anything below a fixed floor is
 // reported non-periodic so consumers fall back to the reactive path.
 //
 // Everything here is pure arithmetic over the series — seeded simulations
@@ -27,13 +27,6 @@ struct PhaseConfig {
   /// Analysis window: the most recent N samples (and the ring capacity of
   /// a PhasePredictor instance).
   std::size_t window = 64;
-  /// Shortest period considered (samples). Periods above window/2 cannot
-  /// repeat twice inside the window and are never reported.
-  std::size_t min_period = 2;
-  /// Normalised autocorrelation peak below this: not periodic.
-  double min_confidence = 0.35;
-  /// Relative level change that counts as a phase boundary.
-  double level_epsilon = 0.08;
 };
 
 struct PhaseForecast {
@@ -67,8 +60,6 @@ class PhasePredictor {
 
   std::size_t observations() const { return ring_.pushed(); }
   const PhaseForecast& forecast() const { return forecast_; }
-
-  void reset();
 
  private:
   PhaseConfig config_;

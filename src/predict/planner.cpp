@@ -1,11 +1,19 @@
 #include "predict/planner.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "sched/amenability_table.hpp"
 
 namespace pcap::predict {
+
+namespace {
+
+/// Forecasts below this confidence neither donate nor receive watts.
+constexpr double kMinConfidence = 0.5;
+/// Relative elapsed-vs-typical gap before a node counts as heavy/light.
+constexpr double kImbalanceEpsilon = 0.05;
+
+}  // namespace
 
 ProactiveCapPlanner::ProactiveCapPlanner(const PlannerConfig& config)
     : config_(config) {}
@@ -44,7 +52,7 @@ bool ProactiveCapPlanner::adjust(
       }
     }
     if (!node.busy && next_queued < input.queued.size()) ++next_queued;
-    if (!node.available || !f.valid || f.confidence < config_.min_confidence ||
+    if (!node.available || !f.valid || f.confidence < kMinConfidence ||
         f.typical_elapsed_s <= 0.0) {
       continue;
     }
@@ -55,11 +63,11 @@ bool ProactiveCapPlanner::adjust(
     if (!node.busy && input.queued.empty()) continue;
     const double ratio = f.next_elapsed_s / f.typical_elapsed_s;
     const double cap = plan->cap_w[i];
-    if (ratio > 1.0 + config_.imbalance_epsilon) {
+    if (ratio > 1.0 + kImbalanceEpsilon) {
       const double room = std::min(config_.transfer_step_w,
                                    input.max_cap_w - cap);
       if (room > 0.0) receivers.push_back({i, room, curve});
-    } else if (ratio < 1.0 - config_.imbalance_epsilon) {
+    } else if (ratio < 1.0 - kImbalanceEpsilon) {
       const double room = std::min(config_.transfer_step_w,
                                    cap - input.min_cap_w);
       if (room > 0.0) donors.push_back({i, room, curve});
@@ -78,37 +86,35 @@ bool ProactiveCapPlanner::adjust(
   if (moved <= 0.0) return false;
 
   // Cost/benefit gate on the learned curves: predicted per-chunk time the
-  // receivers gain must clear the donors' predicted loss by the configured
-  // margin, each evaluated at the watts that would actually move. Skipped
-  // when any involved class lacks a curve — an unknown cliff is exactly
-  // the case where guessing is most dangerous, so the gate refuses to
-  // price it and the amplitude classification above stands alone.
-  if (config_.benefit_margin > 0.0) {
-    bool priced = true;
-    double gain_s = 0.0, loss_s = 0.0;
-    for (const Move& m : receivers) {
-      if (m.curve == nullptr || m.curve->baseline_time_s <= 0.0) {
-        priced = false;
-        break;
-      }
-      const double cap = plan->cap_w[m.node];
-      const double up = moved * (m.room_w / receive);
-      gain_s += m.curve->baseline_time_s *
-                (m.curve->slowdown_at(cap) - m.curve->slowdown_at(cap + up));
+  // receivers gain must be at least the donors' predicted loss, each
+  // evaluated at the watts that would actually move. Skipped when any
+  // involved class lacks a curve — an unknown cliff is exactly the case
+  // where guessing is most dangerous, so the gate refuses to price it and
+  // the amplitude classification above stands alone.
+  bool priced = true;
+  double gain_s = 0.0, loss_s = 0.0;
+  for (const Move& m : receivers) {
+    if (m.curve == nullptr || m.curve->baseline_time_s <= 0.0) {
+      priced = false;
+      break;
     }
-    for (const Move& m : donors) {
-      if (!priced) break;
-      if (m.curve == nullptr || m.curve->baseline_time_s <= 0.0) {
-        priced = false;
-        break;
-      }
-      const double cap = plan->cap_w[m.node];
-      const double down = moved * (m.room_w / donate);
-      loss_s += m.curve->baseline_time_s *
-                (m.curve->slowdown_at(cap - down) - m.curve->slowdown_at(cap));
-    }
-    if (priced && gain_s < config_.benefit_margin * loss_s) return false;
+    const double cap = plan->cap_w[m.node];
+    const double up = moved * (m.room_w / receive);
+    gain_s += m.curve->baseline_time_s *
+              (m.curve->slowdown_at(cap) - m.curve->slowdown_at(cap + up));
   }
+  for (const Move& m : donors) {
+    if (!priced) break;
+    if (m.curve == nullptr || m.curve->baseline_time_s <= 0.0) {
+      priced = false;
+      break;
+    }
+    const double cap = plan->cap_w[m.node];
+    const double down = moved * (m.room_w / donate);
+    loss_s += m.curve->baseline_time_s *
+              (m.curve->slowdown_at(cap - down) - m.curve->slowdown_at(cap));
+  }
+  if (priced && gain_s < loss_s) return false;
 
   for (const Move& m : donors) {
     plan->cap_w[m.node] -= moved * (m.room_w / donate);

@@ -12,8 +12,15 @@
 // Safety fallback: nodes whose forecast is invalid or below the confidence
 // floor neither donate nor receive, and when no confident donor/receiver
 // pair exists the plan is returned untouched — which *is* the reactive
-// path. Iteration is in node-index order over already-deterministic
-// forecasts, so plans are bit-identical under `--jobs`.
+// path. A cost/benefit gate on the amenability curves (input.table — the
+// learned table once --learn-online supersedes the static one) refuses a
+// transfer whose receivers' predicted per-chunk gain is below the donors'
+// predicted loss. This is what keeps a donor off its own cliff — at a
+// 250 W budget a 5 W donation would park a stride-like node at 120 W,
+// where its learned slowdown explodes — and keeps the planner idle above
+// the knee, where curvature offers nothing worth the churn. Iteration is
+// in node-index order over already-deterministic forecasts, so plans are
+// bit-identical under `--jobs`.
 #pragma once
 
 #include <vector>
@@ -23,22 +30,8 @@
 namespace pcap::predict {
 
 struct PlannerConfig {
-  /// Forecasts below this confidence neither donate nor receive watts.
-  double min_confidence = 0.5;
   /// Most watts one node donates or receives per control round.
   double transfer_step_w = 10.0;
-  /// Relative elapsed-vs-typical gap before a node counts as heavy/light.
-  double imbalance_epsilon = 0.05;
-  /// Cost/benefit gate on the amenability curves (input.table — the
-  /// learned table once --learn-online supersedes the static one): the
-  /// receivers' predicted per-chunk gain must exceed the donors' predicted
-  /// loss by this factor, or the transfer is refused. This is what keeps a
-  /// donor off its own cliff — at a 250 W budget a 5 W donation would park
-  /// a stride-like node at 120 W, where its learned slowdown explodes —
-  /// and keeps the planner idle above the knee, where curvature offers
-  /// nothing worth the churn. 0 disables the gate; it is also skipped when
-  /// a node's class has no curve (never guess against an unknown curve).
-  double benefit_margin = 1.0;
 };
 
 class ProactiveCapPlanner {

@@ -1,19 +1,29 @@
 #include "sched/power_model.hpp"
 
-#include <algorithm>
-
 namespace pcap::sched {
+
+namespace {
+
+/// EW-average smoothing factor for new uncapped samples.
+constexpr double kAlpha = 0.25;
+/// A sample counts as "uncapped" when the cap exceeded the observation by
+/// at least this headroom (the cap was not the binding constraint).
+constexpr double kHeadroomW = 4.0;
+/// Prediction when neither samples nor a table entry exist.
+constexpr double kDefaultUncappedW = 170.0;
+
+}  // namespace
 
 void OnlinePowerModel::observe(JobClass cls, std::optional<double> cap_w,
                                double watts) {
   ClassStats& stats = stats_[static_cast<std::size_t>(cls)];
   ++stats.samples;
-  const bool unconstrained = !cap_w || *cap_w >= watts + config_.headroom_w;
+  const bool unconstrained = !cap_w || *cap_w >= watts + kHeadroomW;
   if (!unconstrained) return;
   if (stats.uncapped_samples == 0) {
     stats.uncapped_w = watts;
   } else {
-    stats.uncapped_w += config_.alpha * (watts - stats.uncapped_w);
+    stats.uncapped_w += kAlpha * (watts - stats.uncapped_w);
   }
   ++stats.uncapped_samples;
 }
@@ -26,17 +36,7 @@ double OnlinePowerModel::predict_uncapped_w(JobClass cls) const {
       if (curve->baseline_power_w > 0.0) return curve->baseline_power_w;
     }
   }
-  return config_.default_uncapped_w;
-}
-
-double OnlinePowerModel::predict_at_cap_w(JobClass cls, double cap_w) const {
-  const double uncapped = predict_uncapped_w(cls);
-  if (table_ != nullptr) {
-    if (const ClassCurve* curve = table_->curve(cls)) {
-      return std::min(curve->power_at(cap_w), std::min(uncapped, cap_w));
-    }
-  }
-  return std::min(uncapped, cap_w);
+  return kDefaultUncappedW;
 }
 
 }  // namespace pcap::sched

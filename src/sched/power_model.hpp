@@ -22,19 +22,6 @@ namespace pcap::sched {
 
 class OnlinePowerModel {
  public:
-  struct Config {
-    /// EW-average smoothing factor for new uncapped samples.
-    double alpha = 0.25;
-    /// A sample counts as "uncapped" when the cap exceeded the observation
-    /// by at least this headroom (the cap was not the binding constraint).
-    double headroom_w = 4.0;
-    /// Prediction when neither samples nor a table entry exist.
-    double default_uncapped_w = 170.0;
-  };
-
-  OnlinePowerModel() = default;
-  explicit OnlinePowerModel(const Config& config) : config_(config) {}
-
   /// Prior source for classes with no samples yet (may be null).
   void set_table(const AmenabilityTable* table) { table_ = table; }
 
@@ -44,9 +31,6 @@ class OnlinePowerModel {
 
   /// Predicted uncapped draw for the class.
   double predict_uncapped_w(JobClass cls) const;
-  /// Predicted draw under `cap_w`: the amenability curve's measured power
-  /// when available, else min(uncapped prediction, cap).
-  double predict_at_cap_w(JobClass cls, double cap_w) const;
 
   std::uint64_t samples(JobClass cls) const {
     return stats_[static_cast<std::size_t>(cls)].samples;
@@ -62,7 +46,6 @@ class OnlinePowerModel {
     std::uint64_t uncapped_samples = 0;
   };
 
-  Config config_{};
   const AmenabilityTable* table_ = nullptr;
   std::array<ClassStats, kJobClassCount> stats_{};
 };

@@ -76,9 +76,7 @@ struct ClusterScheduler::Slot {
 ClusterScheduler::ClusterScheduler(const SchedulerConfig& config)
     : config_(config),
       batch_(ChunkBatch::Config::from(config)),
-      policy_(make_policy(config.policy_name)),
-      model_(config.power_model),
-      dcm_(config.dcm) {
+      policy_(make_policy(config.policy_name)) {
   config_.lanes_per_node = std::max<std::size_t>(1, config_.lanes_per_node);
   model_.set_table(config_.table);
   if (config_.trace != nullptr) {

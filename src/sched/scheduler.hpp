@@ -86,14 +86,12 @@ struct SchedulerConfig {
   std::string memo_store;
   sim::MachineConfig machine = sim::MachineConfig::romley();
   core::BmcConfig bmc;
-  core::DcmConfig dcm;
   /// When set, every DCM<->BMC link goes through a FaultyTransport with
   /// this spec (seeded per node from `seed`).
   std::optional<ipmi::FaultSpec> faults;
   /// Measured slowdown curves consumed by model-driven policies; may be
   /// null (policies then fall back to power-only predictions).
   const AmenabilityTable* table = nullptr;
-  OnlinePowerModel::Config power_model;
   /// Optional telemetry: decision instants + per-node job spans land in
   /// `trace`. Attaching it must not change scheduling results.
   telemetry::TraceWriter* trace = nullptr;

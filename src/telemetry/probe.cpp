@@ -20,7 +20,7 @@ NodeProbe::NodeProbe(const TelemetryConfig& config, Registry* registry,
       registry_(registry),
       trace_(trace),
       name_(name),
-      sampler_({config.sample_period, config.ring_capacity}) {
+      sampler_({config.sample_period}, config.ring_capacity) {
   if (registry_ != nullptr) {
     samples_taken_ = registry_->counter(name_ + ".samples");
     last_watts_ = registry_->gauge(name_ + ".watts");

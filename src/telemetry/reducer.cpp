@@ -97,12 +97,13 @@ GroupSeries Reducer::reduce(std::span<const Sampler* const> samplers,
 }
 
 GroupSeriesBuilder::GroupSeriesBuilder(std::string name, std::size_t nodes,
-                                       const SamplerConfig& config)
+                                       const SamplerConfig& config,
+                                       std::size_t capacity)
     : name_(std::move(name)),
       period_(config.period ? config.period : 1),
       next_sample_(period_),
       leaves_(nodes),
-      times_(config.capacity) {
+      times_(capacity) {
   level_.reserve(nodes);
 }
 

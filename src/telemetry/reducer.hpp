@@ -82,20 +82,20 @@ class Reducer {
 };
 
 /// Builds a group series as its nodes are sampled, bit-identical to
-/// Reducer(config.period).reduce() over one Sampler(config) per node fed
-/// the same draws at the same times, without keeping any node's history:
-/// one sampling boundary (the Sampler's due()/record() rule) and each
-/// node's last draw. Each record() appends a bin per grid edge it passes,
+/// Reducer(config.period).reduce() over one Sampler(config, capacity) per
+/// node fed the same draws at the same times, without keeping any node's
+/// history: one sampling boundary (the Sampler's due()/record() rule) and
+/// each node's last draw. Each record() appends a bin per grid edge it passes,
 /// in (previous record, now]: edges before `now` hold the previous draws,
 /// an edge at `now` takes the new ones (zero-order hold, as align() does).
 ///
-/// `config.capacity` bounds retention exactly as each node's ring would:
-/// once more than `capacity` records were taken, bins before the oldest
-/// retained record's time are dropped.
+/// `capacity` bounds retention exactly as each node's ring would: once
+/// more than `capacity` records were taken, bins before the oldest retained
+/// record's time are dropped.
 class GroupSeriesBuilder {
  public:
   GroupSeriesBuilder(std::string name, std::size_t nodes,
-                     const SamplerConfig& config);
+                     const SamplerConfig& config, std::size_t capacity = 4096);
 
   bool due(util::Picoseconds now) const { return now >= next_sample_; }
   /// Records one draw per node, in slot order, at `now` and advances the

@@ -26,11 +26,6 @@ GaugeHandle Registry::gauge(const std::string& name) {
   return {static_cast<std::uint32_t>(gauges_.size() - 1)};
 }
 
-void Registry::reset() {
-  std::fill(counters_.begin(), counters_.end(), 0);
-  std::fill(gauges_.begin(), gauges_.end(), 0.0);
-}
-
 std::string Registry::dump() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < counters_.size(); ++i) {

@@ -64,9 +64,6 @@ class Registry {
     return gauge_names_[i];
   }
 
-  /// Zeroes every counter and gauge (names and handles stay valid).
-  void reset();
-
   /// "name value" lines, counters then gauges, for logs and tests.
   std::string dump() const;
 

@@ -10,8 +10,8 @@
 
 namespace pcap::telemetry {
 
-Sampler::Sampler(const SamplerConfig& config)
-    : config_(config), ring_(config.capacity) {
+Sampler::Sampler(const SamplerConfig& config, std::size_t capacity)
+    : config_(config), ring_(capacity) {
   if (config_.period == 0) config_.period = 1;
   next_sample_ = config_.period;
 }

@@ -66,13 +66,14 @@ struct Aggregate {
 struct SamplerConfig {
   /// Simulated time between retained samples.
   util::Picoseconds period = util::microseconds(200);
-  /// Ring capacity; memory stays bounded for arbitrarily long runs.
-  std::size_t capacity = 4096;
 };
 
 class Sampler {
  public:
-  explicit Sampler(const SamplerConfig& config = {});
+  /// `capacity` is the ring's size; memory stays bounded for arbitrarily
+  /// long runs.
+  explicit Sampler(const SamplerConfig& config = {},
+                   std::size_t capacity = 4096);
 
   const SamplerConfig& config() const { return config_; }
 

@@ -31,7 +31,6 @@ struct FanConfig {
 /// Hysteretic fan-speed policy knobs (consumed by the thermal governor).
 struct FanPolicy {
   double target_c = 62.0;      // ramp up above this sensor temperature
-  double hysteresis_c = 3.0;   // ramp down below target - hysteresis
   std::uint32_t dwell_periods = 4;  // min control periods between steps
 };
 

@@ -5,6 +5,19 @@
 
 namespace pcap::thermal {
 
+namespace {
+
+/// The fan ramps down below FanPolicy::target_c minus this.
+constexpr double kFanHysteresisC = 3.0;
+/// The P-state clamp and duty rungs release below their trip minus this.
+constexpr double kTripHysteresisC = 2.0;
+/// Clamp rungs added per degree of overshoot per control period.
+constexpr double kPclampGain = 0.5;
+/// Clamp rungs released per control period once below the trip band.
+constexpr double kRelaxStep = 0.25;
+
+}  // namespace
+
 const char* throttle_reason_name(ThrottleReason reason) {
   switch (reason) {
     case ThrottleReason::kNone: return "none";
@@ -58,7 +71,7 @@ void ThermalGovernor::step_fan(double temp_c) {
   const std::uint32_t before = fan_level_;
   if (temp_c > config_.fan.target_c) {
     ++fan_level_;
-  } else if (temp_c < config_.fan.target_c - config_.fan.hysteresis_c &&
+  } else if (temp_c < config_.fan.target_c - kFanHysteresisC &&
              fan_level_ > 0) {
     --fan_level_;
   }
@@ -91,10 +104,10 @@ void ThermalGovernor::on_control_tick() {
   // up-fast/down-slow response, but driven by temperature overshoot.
   const std::uint32_t deepest = platform_->pstate_count() - 1;
   if (temp > config_.pclamp_trip_c) {
-    clamp_index_ += config_.pclamp_gain * (temp - config_.pclamp_trip_c);
+    clamp_index_ += kPclampGain * (temp - config_.pclamp_trip_c);
     clamp_index_ = std::min(clamp_index_, static_cast<double>(deepest));
-  } else if (temp < config_.pclamp_trip_c - config_.hysteresis_c) {
-    clamp_index_ = std::max(0.0, clamp_index_ - config_.relax_step);
+  } else if (temp < config_.pclamp_trip_c - kTripHysteresisC) {
+    clamp_index_ = std::max(0.0, clamp_index_ - kRelaxStep);
   }
   const std::uint32_t clamp = pstate_clamp();
   bool overrode = false;
@@ -108,7 +121,7 @@ void ThermalGovernor::on_control_tick() {
   // Duty rung: one eighth off per 2 C beyond the duty trip.
   if (temp > config_.duty_trip_c) {
     duty_engaged_ = true;
-  } else if (temp < config_.duty_trip_c - config_.hysteresis_c) {
+  } else if (temp < config_.duty_trip_c - kTripHysteresisC) {
     duty_engaged_ = false;
   }
   if (duty_engaged_) {
@@ -155,16 +168,6 @@ void ThermalGovernor::on_control_tick() {
       probe_->note_throttle_reason(static_cast<std::int32_t>(reason));
     }
   }
-}
-
-void ThermalGovernor::reset() {
-  fan_level_ = 0;
-  fan_dwell_ = 0;
-  clamp_index_ = 0.0;
-  duty_engaged_ = false;
-  overrides_ = 0;
-  peak_temp_c_ = 0.0;
-  reason_ = ThrottleReason::kNone;
 }
 
 }  // namespace pcap::thermal

@@ -46,11 +46,6 @@ struct ThermalGovernorConfig {
   double pclamp_trip_c = 68.0;
   /// Start duty-cycling above this temperature (the last rung).
   double duty_trip_c = 78.0;
-  double hysteresis_c = 2.0;
-  /// Clamp rungs added per degree of overshoot per control period.
-  double pclamp_gain = 0.5;
-  /// Clamp rungs released per control period once below the trip band.
-  double relax_step = 0.25;
 };
 
 /// Named fan/trip profiles for the `--fan-policy` CLI flag.
@@ -88,8 +83,6 @@ class ThermalGovernor {
   }
   std::uint32_t fan_level() const { return fan_level_; }
   double peak_temperature_c() const { return peak_temp_c_; }
-
-  void reset();
 
  private:
   void step_fan(double temp_c);

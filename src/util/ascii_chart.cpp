@@ -105,29 +105,21 @@ void TimeSeriesChart::add_series(TimeSeries series) {
   series_.push_back(std::move(series));
 }
 
-void TimeSeriesChart::set_y_range(double lo, double hi) {
-  fixed_range_ = true;
-  y_lo_ = lo;
-  y_hi_ = hi;
-}
-
 std::string TimeSeriesChart::render() const {
   std::ostringstream os;
   if (!title_.empty()) os << title_ << '\n';
 
   double t_lo = std::numeric_limits<double>::infinity();
   double t_hi = -t_lo;
-  double v_lo = fixed_range_ ? y_lo_ : t_lo;
-  double v_hi = fixed_range_ ? y_hi_ : -t_lo;
+  double v_lo = t_lo;
+  double v_hi = -t_lo;
   for (const auto& s : series_) {
     const std::size_t n = std::min(s.times_s.size(), s.values.size());
     for (std::size_t i = 0; i < n; ++i) {
       t_lo = std::min(t_lo, s.times_s[i]);
       t_hi = std::max(t_hi, s.times_s[i]);
-      if (!fixed_range_) {
-        v_lo = std::min(v_lo, s.values[i]);
-        v_hi = std::max(v_hi, s.values[i]);
-      }
+      v_lo = std::min(v_lo, s.values[i]);
+      v_hi = std::max(v_hi, s.values[i]);
     }
   }
   if (!std::isfinite(t_lo) || !std::isfinite(v_lo)) return os.str();

@@ -57,8 +57,6 @@ class TimeSeriesChart {
   void add_series(TimeSeries series);
   void set_title(std::string title) { title_ = std::move(title); }
   void set_y_label(std::string label) { y_label_ = std::move(label); }
-  /// Overrides the y range (default: fit to the data).
-  void set_y_range(double lo, double hi);
 
   std::string render() const;
 
@@ -68,9 +66,6 @@ class TimeSeriesChart {
   std::string y_label_;
   int width_;
   int height_;
-  bool fixed_range_ = false;
-  double y_lo_ = 0.0;
-  double y_hi_ = 0.0;
 };
 
 }  // namespace pcap::util

@@ -14,34 +14,39 @@
 
 namespace pcap::util {
 
-/// Retry schedule for a lossy request/response exchange.
+/// Retry budget for a lossy request/response exchange.
 struct BackoffPolicy {
   std::uint32_t max_attempts = 4;  // total tries, including the first
-  double base_ms = 1.0;            // nominal delay before the first retry
-  double multiplier = 2.0;         // growth per subsequent retry
-  double max_ms = 50.0;            // ceiling on any single delay
-  double jitter = 0.25;            // +/- fraction of the nominal delay
 };
 
+/// Nominal delay before the first retry, its growth per subsequent retry,
+/// the ceiling on any single delay and the +/- jitter fraction.
+inline constexpr double kBackoffBaseMs = 1.0;
+inline constexpr double kBackoffMultiplier = 2.0;
+inline constexpr double kBackoffMaxMs = 50.0;
+inline constexpr double kBackoffJitter = 0.25;
+
+/// Per-transaction timeout a retrying client hands its ipmi::Session.
+inline constexpr double kRequestTimeoutMs = 25.0;
+
 /// Nominal (jitter-free) delay before retry `retry` (0-based: the wait
-/// after the first failed attempt), clamped to `max_ms`.
-inline double backoff_nominal_ms(const BackoffPolicy& policy,
-                                 std::uint32_t retry) {
-  double delay = policy.base_ms;
+/// after the first failed attempt), clamped to kBackoffMaxMs.
+inline double backoff_nominal_ms(std::uint32_t retry) {
+  double delay = kBackoffBaseMs;
   for (std::uint32_t i = 0; i < retry; ++i) {
-    delay *= policy.multiplier;
-    if (delay >= policy.max_ms) break;  // already at the ceiling
+    delay *= kBackoffMultiplier;
+    if (delay >= kBackoffMaxMs) break;  // already at the ceiling
   }
-  return std::min(delay, policy.max_ms);
+  return std::min(delay, kBackoffMaxMs);
 }
 
-/// Jittered delay: nominal * (1 + jitter * u) with u uniform in [-1, 1).
-/// Never negative; deterministic for a fixed seed and draw sequence.
-inline double backoff_delay_ms(const BackoffPolicy& policy,
-                               std::uint32_t retry, Rng& rng) {
-  const double nominal = backoff_nominal_ms(policy, retry);
+/// Jittered delay: nominal * (1 + kBackoffJitter * u) with u uniform in
+/// [-1, 1). Never negative; deterministic for a fixed seed and draw
+/// sequence.
+inline double backoff_delay_ms(std::uint32_t retry, Rng& rng) {
+  const double nominal = backoff_nominal_ms(retry);
   const double u = rng.uniform(-1.0, 1.0);
-  return std::max(0.0, nominal * (1.0 + policy.jitter * u));
+  return std::max(0.0, nominal * (1.0 + kBackoffJitter * u));
 }
 
 }  // namespace pcap::util

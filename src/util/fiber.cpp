@@ -43,8 +43,6 @@ Fiber::~Fiber() {
 #endif
 }
 
-Fiber* Fiber::current() { return g_current; }
-
 void Fiber::trampoline_entry() { g_entering->run_trampoline(); }
 
 void Fiber::run_trampoline() {

@@ -50,10 +50,6 @@ class Fiber {
   /// Throws Cancelled when the owner has requested cancellation.
   static void yield();
 
-  /// The fiber currently executing on this thread (nullptr on the host
-  /// stack). Lets sinks decide whether a cooperative yield is possible.
-  static Fiber* current();
-
   /// True once the entry has returned, thrown, or been cancelled.
   bool done() const { return done_; }
 

@@ -1,10 +1,9 @@
-// Streaming and batch summary statistics.
+// Streaming summary statistics.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <limits>
-#include <span>
-#include <vector>
 
 namespace pcap::util {
 
@@ -21,15 +20,13 @@ class RunningStats {
     sum_ += x;
   }
 
-  void merge(const RunningStats& other);
-
   std::size_t count() const { return n_; }
   double sum() const { return sum_; }
   double mean() const { return n_ ? mean_ : 0.0; }
   double variance() const {
     return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
   }
-  double stddev() const;
+  double stddev() const { return std::sqrt(variance()); }
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
 
@@ -43,15 +40,5 @@ class RunningStats {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Linear-interpolated percentile, p in [0, 100]. Sorts a copy.
-double percentile(std::span<const double> xs, double p);
-
-/// Percentage difference of `value` relative to `base`, as in the paper's
-/// "% Diff" columns. Returns 0 when base == 0.
-double percent_diff(double value, double base);
-
-/// Geometric mean of strictly positive samples (0 for empty input).
-double geomean(std::span<const double> xs);
 
 }  // namespace pcap::util

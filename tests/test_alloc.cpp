@@ -149,17 +149,11 @@ TEST(HeapAllocations, BmcServerExchange) {
   sim::Node node(sim::MachineConfig::romley());
   core::Bmc bmc(node);
   core::BmcIpmiServer server(bmc);
-  ipmi::SubsystemCaps sub;
-  sub.enabled = true;
-  sub.cpu_w = 80.0;
-  sub.uncore_w = 20.0;
-  sub.memory_w = 30.0;
   Link link(server);
   link.expect_allocation_free(
       {ipmi::make_get_device_id(), ipmi::make_get_power_reading(),
        ipmi::make_set_power_limit({true, 150.0}), ipmi::make_get_power_limit(),
        ipmi::make_get_capabilities(), ipmi::make_get_throttle_status(),
-       ipmi::make_set_subsystem_caps(sub), ipmi::make_get_subsystem_power(),
        ipmi::make_set_power_limit({true, 200.0})});
 }
 

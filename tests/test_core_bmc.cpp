@@ -9,6 +9,7 @@
 #include "core/bmc.hpp"
 #include "core/bmc_ipmi_server.hpp"
 #include "core/capped_runner.hpp"
+#include "fleet/virtual_node.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
 #include "util/rng.hpp"
@@ -234,11 +235,18 @@ TEST_F(BmcServerTest, RejectsMalformedPayload) {
 }
 
 TEST_F(BmcServerTest, RejectsUnknownCommand) {
-  // 0xD2 is the retired GetRackTelemetry number: a stale client may send it.
-  for (const int command : {0x77, 0xD2}) {
+  // 0xD2 is the retired GetRackTelemetry number, 0xD3/0xD4 the retired
+  // SetSubsystemCaps/GetSubsystemPower ones: a stale client may send them.
+  // A fleet leaf node's endpoint refuses them the same way.
+  fleet::VirtualNode vnode(110.0, 400.0, 101.0);
+  fleet::VirtualNodeIpmiServer vserver(vnode);
+  for (const int command : {0x77, 0xD2, 0xD3, 0xD4}) {
     ipmi::Request request;
     request.command = static_cast<std::uint8_t>(command);
     EXPECT_EQ(server_.handle(request).code,
+              ipmi::CompletionCode::kInvalidCommand)
+        << command;
+    EXPECT_EQ(vserver.handle(request).code,
               ipmi::CompletionCode::kInvalidCommand)
         << command;
   }

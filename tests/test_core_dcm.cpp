@@ -17,6 +17,7 @@
 #include "ipmi/transport.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
+#include "util/units.hpp"
 
 namespace pcap::core {
 namespace {
@@ -111,39 +112,11 @@ TEST_F(DcmTest, GroupCapRespectsBudgetAndFloors) {
   EXPECT_DOUBLE_EQ(dcm_.committed_w(), enforced);
 }
 
-TEST_F(DcmTest, GroupCapHonoursPriorities) {
-  for (auto& s : slots_) s->load();
-  dcm_.poll();
-  EXPECT_FALSE(dcm_.set_node_priority("missing", 4));
-  EXPECT_FALSE(dcm_.set_node_priority("node-0", 0));
-  ASSERT_TRUE(dcm_.set_node_priority("node-0", 4));
-  EXPECT_EQ(dcm_.node_priority("node-0"), 4);
-  EXPECT_EQ(dcm_.node_priority("node-1"), 1);
-
-  const auto applied = dcm_.apply_group_cap(420.0);
-  ASSERT_EQ(applied.caps.size(), 3u);
-  double high = 0.0, low = 0.0;
-  for (const auto& [name, cap] : applied.caps) {
-    if (name == "node-0") high = cap;
-    if (name == "node-1") low = cap;
-  }
-  // The priority-4 node gets a distinctly larger share of the surplus
-  // (all three nodes ran comparable workloads).
-  EXPECT_GT(high, low + 15.0);
-}
-
 TEST_F(DcmTest, GroupCapBelowFloorsRefused) {
   const auto applied = dcm_.apply_group_cap(200.0);  // < 3 x 110 W
   EXPECT_FALSE(applied.complete);
   EXPECT_TRUE(applied.caps.empty());
   EXPECT_FALSE(dcm_.group_budget_w().has_value());
-  for (auto& s : slots_) EXPECT_FALSE(s->bmc->cap().has_value());
-}
-
-TEST_F(DcmTest, ClearCapsUncapsEveryNode) {
-  dcm_.apply_node_cap("node-0", 130.0);
-  dcm_.apply_node_cap("node-1", 140.0);
-  dcm_.clear_caps();
   for (auto& s : slots_) EXPECT_FALSE(s->bmc->cap().has_value());
 }
 
@@ -158,17 +131,20 @@ TEST_F(DcmTest, PollBuildsHistory) {
 }
 
 TEST_F(DcmTest, HistoryDepthBounded) {
-  DcmConfig config;
-  config.history_depth = 3;
-  DataCenterManager dcm(config);
+  // The DCM keeps the newest 256 samples per node.
+  DataCenterManager dcm;
   dcm.add_node("n", *slots_[0]->transport);
-  for (int i = 0; i < 10; ++i) dcm.poll();
-  EXPECT_EQ(dcm.history("n")->size(), 3u);
+  for (int i = 0; i < 300; ++i) dcm.poll();
+  const auto* history = dcm.history("n");
+  ASSERT_NE(history, nullptr);
+  EXPECT_EQ(history->size(), 256u);
+  EXPECT_EQ(history->front().poll_seq, 45u);
+  EXPECT_EQ(history->back().poll_seq, 300u);
 }
 
 TEST_F(DcmTest, AlertsOnThrottlingFloorViolation) {
   // Cap below the platform floor: the BMC saturates, power stays above the
-  // cap, and after `violation_polls` consecutive over-cap polls the DCM
+  // cap, and after three consecutive over-cap polls the DCM
   // raises an alert naming the node.
   dcm_.apply_node_cap("node-0", 112.0);
   slots_[0]->load(6);
@@ -290,8 +266,9 @@ class DcmBudgetTest : public ::testing::Test {
 
 TEST_F(DcmBudgetTest, EnforcedCapsStayInBudgetAtEveryExchange) {
   build();
-  ASSERT_TRUE(dcm_->set_node_priority("node-2", 4));
   ASSERT_TRUE(dcm_->apply_group_cap(420.0).complete);
+  const double cap0 = *dcm_->node_applied_cap("node-0");
+  const double cap2 = *dcm_->node_applied_cap("node-2");
 
   double bound_w = 420.0;
   double peak_w = 0.0;
@@ -300,15 +277,21 @@ TEST_F(DcmBudgetTest, EnforcedCapsStayInBudgetAtEveryExchange) {
     ++exchanges;
     peak_w = std::max(peak_w, enforced_w());
   };
-  // Moving the priority from node-2 to node-0 re-splits the same budget:
-  // node-0 may rise only once node-2's decrease has landed.
-  ASSERT_TRUE(dcm_->set_node_priority("node-2", 1));
-  ASSERT_TRUE(dcm_->set_node_priority("node-0", 4));
+  // Moving demand onto node-0 (the other two idle) re-splits the same
+  // budget: node-0 may rise only once the other nodes' decreases landed.
+  apps::ComputeBoundWorkload hot(2000000);
+  slots_[0]->node->run(hot);
+  for (const std::size_t i : {1u, 2u}) {
+    slots_[i]->node->idle_for(util::milliseconds(5.0));
+  }
+  dcm_->poll();
   EXPECT_TRUE(dcm_->apply_group_cap(bound_w).complete);
   EXPECT_GE(exchanges, 2);
   EXPECT_LE(peak_w, bound_w + 1e-6);
+  EXPECT_GT(*dcm_->node_applied_cap("node-0"), cap0);
+  EXPECT_LT(*dcm_->node_applied_cap("node-2"), cap2);
   EXPECT_GT(*dcm_->node_applied_cap("node-0"),
-            *dcm_->node_applied_cap("node-2") + 15.0);
+            *dcm_->node_applied_cap("node-2") + 5.0);
 
   // A budget decrease: every exchange stays under the old budget and the
   // round ends under the new one.

@@ -153,9 +153,7 @@ TEST(FleetCoupler, LostChildHoldsReservation) {
   ScriptedLink a(0, &log), c(1, &log);
   a.actual_w = 150.0;
   c.actual_w = 200.0;
-  fleet::CouplerConfig config;
-  config.lost_after_failures = 4;
-  fleet::BudgetCoupler coupler(config);
+  fleet::BudgetCoupler coupler;  // a child is lost after 4 failures
   coupler.add_child(&a, 150.0);
   coupler.add_child(&c, 200.0);
 
@@ -271,7 +269,7 @@ fleet::BudgetHolder* build_tree(Tree& tree, Rng& rng, int levels) {
     }
     tree.clients.push_back(
         std::make_unique<fleet::BudgetClient>(*link, pcap::util::BackoffPolicy{},
-                                              25.0, rng()));
+                                              rng()));
     while (!tree.clients.back()->attach()) {
     }
     group->add_child(tree.clients.back().get());
@@ -468,8 +466,7 @@ std::uint64_t telemetry_digest(const fleet::FleetResult& result) {
 
 /// A seeded faulty fleet whose telemetry also exercises held bins (a
 /// sampling period that is not a multiple of the tick, so some samples
-/// fall between grid edges) and the retention bound (a capacity far below
-/// the run's sample count, so old bins are dropped).
+/// fall between grid edges).
 fleet::FleetConfig faulty_telemetry_fleet_config() {
   fleet::FleetConfig config;
   config.rack_nodes = {4, 5, 3};
@@ -485,7 +482,6 @@ fleet::FleetConfig faulty_telemetry_fleet_config() {
   config.node_faults = faults;
   config.rack_faults = faults;
   config.sampler.period = pcap::util::microseconds(250);
-  config.sampler.capacity = 12;
   fleet::TenantSpec tenant;
   tenant.name = "t";
   tenant.arrivals.job_count = 10;
@@ -500,9 +496,9 @@ fleet::FleetConfig faulty_telemetry_fleet_config() {
 
 TEST(Fleet, TelemetrySeriesPinned) {
   // Recorded when every node kept its own sample ring and finish()
-  // reduced the rings: the streamed fan-in reproduces them bit for bit,
-  // including the ring's wrap rule (the faulty fleet's capacity of 12
-  // keeps the bins from each node's 12th-newest sample on).
+  // reduced the rings: the streamed fan-in reproduces them bit for bit.
+  // (The retention window's wrap rule is pinned by
+  // GroupSeriesBuilder.MatchesReduceBitForBit at a capacity of 5.)
   const fleet::FleetResult small =
       fleet::DatacenterManager(small_fleet_config()).run();
   EXPECT_EQ(small.rack_series.size(), 2u);
@@ -512,12 +508,10 @@ TEST(Fleet, TelemetrySeriesPinned) {
   const fleet::FleetResult faulty =
       fleet::DatacenterManager(faulty_telemetry_fleet_config()).run();
   ASSERT_EQ(faulty.rack_series.size(), 3u);
-  EXPECT_GT(faulty.ticks, 4 * 12u);  // the 12-sample window slid
-  EXPECT_LE(faulty.rack_series[0].bins.size(), 12u);
-  // The first grid edge a sample reaches is 500 us; older bins are gone.
-  EXPECT_GT(faulty.rack_series[0].bins.front().time,
+  // The first grid edge a sample reaches is 500 us.
+  EXPECT_EQ(faulty.rack_series[0].bins.front().time,
             pcap::util::microseconds(500));
-  EXPECT_EQ(telemetry_digest(faulty), 0x734d264bd0f58a66ull)
+  EXPECT_EQ(telemetry_digest(faulty), 0x1df29fc7a06c49eaull)
       << std::hex << "digest 0x" << telemetry_digest(faulty);
 }
 
@@ -559,7 +553,6 @@ TEST(Fleet, Headline1000NodeInvariantUnderFaultsAndPartition) {
   config.seed = 7;
   config.jobs = 4;
   config.cap_grid_w = 16.0;
-  config.admission_min_node_w = 135.0;
   config.schedule = fleet::BudgetSchedule(1000 * 150.0);
   config.schedule.add_phase(2e-3, 1000 * 118.0);  // shrink: admission bites
   config.schedule.add_phase(5e-3, 1000 * 150.0);  // restore

@@ -27,7 +27,7 @@ TEST(FleetExtended, TenThousandNodeSmoke) {
   config.seed = 11;
   config.cap_grid_w = 16.0;
   config.schedule = fleet::BudgetSchedule(10000 * 150.0);
-  config.schedule.add_phase(3 * config.tick_s, 10000 * 120.0);
+  config.schedule.add_phase(3 * fleet::kTickS, 10000 * 120.0);
 
   fleet::DatacenterManager dc(config);
   ASSERT_EQ(dc.node_count(), 10000u);

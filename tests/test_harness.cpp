@@ -231,5 +231,19 @@ TEST(Cli, ParsesPredictorFlags) {
   EXPECT_EQ(parse_cli(2, const_cast<char**>(bad)).phase_window, 0u);
 }
 
+TEST(Cli, NonFiniteNumbersReadAsUnset) {
+  // An infinite subsystem cap would turn NaN when the BMC clamps the caps'
+  // sum to a package cap, so every numeric flag reads inf/nan as 0.
+  const char* argv[] = {"bench", "--subsystem-caps=inf,nan,50",
+                        "--budget=inf", "--ambient=nan"};
+  const CliOptions options = parse_cli(4, const_cast<char**>(argv));
+  EXPECT_EQ(options.subsystem_caps_w[0], 0.0);
+  EXPECT_EQ(options.subsystem_caps_w[1], 0.0);
+  EXPECT_EQ(options.subsystem_caps_w[2], 50.0);
+  EXPECT_TRUE(options.subsystem_caps_set);
+  EXPECT_EQ(options.budget_w, 0.0);
+  EXPECT_EQ(options.ambient_c, 0.0);
+}
+
 }  // namespace
 }  // namespace pcap::harness

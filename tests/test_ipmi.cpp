@@ -175,12 +175,6 @@ TEST(Commands, DecodersRejectTruncatedPayloads) {
   EXPECT_FALSE(decode_power_reading(r).has_value());
 }
 
-TEST(Commands, CompletionCodeNames) {
-  EXPECT_EQ(completion_code_name(CompletionCode::kOk), "OK");
-  EXPECT_EQ(completion_code_name(CompletionCode::kOutOfRange),
-            "Parameter Out Of Range");
-}
-
 TEST(Transport, LoopbackDelivers) {
   LoopbackTransport transport([](std::span<const std::uint8_t> frame) {
     return Frame(frame);  // echo

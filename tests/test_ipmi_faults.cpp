@@ -159,36 +159,35 @@ TEST(FaultyTransport, LatencyBeyondTimeoutDiscarded) {
 }
 
 TEST(Backoff, NominalScheduleGrowsAndSaturates) {
-  util::BackoffPolicy policy;
-  policy.base_ms = 1.0;
-  policy.multiplier = 2.0;
-  policy.max_ms = 8.0;
-  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(policy, 0), 1.0);
-  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(policy, 1), 2.0);
-  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(policy, 2), 4.0);
-  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(policy, 3), 8.0);
-  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(policy, 10), 8.0);   // saturated
-  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(policy, 200), 8.0);  // no overflow
+  // 1 ms doubling per retry, clamped at 50 ms.
+  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(0), 1.0);
+  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(1), 2.0);
+  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(2), 4.0);
+  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(5), 32.0);
+  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(6), 50.0);
+  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(10), 50.0);   // saturated
+  EXPECT_DOUBLE_EQ(util::backoff_nominal_ms(200), 50.0);  // no overflow
 }
 
 TEST(Backoff, JitterBoundedAndDeterministic) {
-  util::BackoffPolicy policy;  // jitter 0.25
   util::Rng rng_a(9), rng_b(9);
   for (std::uint32_t retry = 0; retry < 12; ++retry) {
-    const double nominal = util::backoff_nominal_ms(policy, retry);
-    const double a = util::backoff_delay_ms(policy, retry, rng_a);
-    const double b = util::backoff_delay_ms(policy, retry, rng_b);
+    const double nominal = util::backoff_nominal_ms(retry);
+    const double a = util::backoff_delay_ms(retry, rng_a);
+    const double b = util::backoff_delay_ms(retry, rng_b);
     EXPECT_DOUBLE_EQ(a, b);  // same seed, same schedule
-    EXPECT_GE(a, nominal * (1.0 - policy.jitter));
-    EXPECT_LE(a, nominal * (1.0 + policy.jitter));
+    EXPECT_GE(a, nominal * (1.0 - util::kBackoffJitter));
+    EXPECT_LE(a, nominal * (1.0 + util::kBackoffJitter));
   }
 }
 
 // --- The shared health transition function (DCM nodes, budget-tree links) ---
 
 TEST(HealthFsm, EveryTransitionMatchesTable) {
-  constexpr std::uint32_t kDegradedAfter = 2;
-  constexpr std::uint32_t kLostAfter = 4;
+  // The table is written for kDegradedAfterFailures = 2 and
+  // kLostAfterFailures = 4.
+  static_assert(core::kDegradedAfterFailures == 2);
+  static_assert(core::kLostAfterFailures == 4);
   constexpr NodeHealth kStates[] = {NodeHealth::kHealthy, NodeHealth::kDegraded,
                                     NodeHealth::kLost, NodeHealth::kRecovered};
   constexpr NodeHealth H = NodeHealth::kHealthy, D = NodeHealth::kDegraded,
@@ -204,13 +203,12 @@ TEST(HealthFsm, EveryTransitionMatchesTable) {
   constexpr NodeHealth kAfterSuccess[4] = {H, H, R, H};
   for (std::size_t s = 0; s < 4; ++s) {
     for (std::uint32_t streak = 0; streak < 6; ++streak) {
-      const core::HealthStep failed = core::next_health(
-          kStates[s], streak, false, kDegradedAfter, kLostAfter);
+      const core::HealthStep failed =
+          core::next_health(kStates[s], streak, false);
       EXPECT_EQ(failed.health, kAfterFailure[s][streak])
           << "state " << s << " streak " << streak << " failed";
       EXPECT_EQ(failed.consecutive_failures, streak + 1);
-      const core::HealthStep ok = core::next_health(
-          kStates[s], streak, true, kDegradedAfter, kLostAfter);
+      const core::HealthStep ok = core::next_health(kStates[s], streak, true);
       EXPECT_EQ(ok.health, kAfterSuccess[s])
           << "state " << s << " streak " << streak << " ok";
       EXPECT_EQ(ok.consecutive_failures, 0u);
@@ -372,17 +370,10 @@ std::vector<ipmi::Request> fuzz_requests() {
   ipmi::PowerLimit limit;
   limit.enabled = true;
   limit.limit_w = 215.5;
-  ipmi::SubsystemCaps sub;
-  sub.enabled = true;
-  sub.cpu_w = 95.4;
-  sub.uncore_w = 22.1;
-  sub.memory_w = 31.7;
   return {ipmi::make_get_device_id(),      ipmi::make_get_power_reading(),
           ipmi::make_set_power_limit(limit), ipmi::make_get_power_limit(),
           ipmi::make_get_capabilities(),   ipmi::make_get_throttle_status(),
-          ipmi::make_set_rack_budget(35700.3), ipmi::make_get_rack_status(),
-          ipmi::make_set_subsystem_caps(sub),
-          ipmi::make_get_subsystem_power()};
+          ipmi::make_set_rack_budget(35700.3), ipmi::make_get_rack_status()};
 }
 
 std::vector<ipmi::Response> fuzz_responses() {
@@ -401,16 +392,6 @@ std::vector<ipmi::Response> fuzz_responses() {
   status.busy_nodes = 600;
   status.free_lanes = 400;
   status.queued_jobs = 12;
-  ipmi::SubsystemCaps sub;
-  sub.enabled = true;
-  sub.cpu_w = 95.4;
-  sub.uncore_w = 22.1;
-  sub.memory_w = 31.7;
-  ipmi::SubsystemPower subpower;
-  subpower.cpu_w = 81.2;
-  subpower.uncore_w = 19.9;
-  subpower.memory_w = 28.4;
-  subpower.caps = sub;
   return {ipmi::make_ok_response(),
           ipmi::encode_device_id(ipmi::DeviceId{}),
           ipmi::encode_power_reading(ipmi::PowerReading{}),
@@ -418,9 +399,7 @@ std::vector<ipmi::Response> fuzz_responses() {
           ipmi::encode_capabilities(ipmi::Capabilities{}),
           ipmi::encode_throttle_status(ipmi::ThrottleStatus{}),
           ipmi::encode_rack_budget_grant(123456.7),
-          ipmi::encode_rack_status(status),
-          ipmi::encode_subsystem_caps(sub),
-          ipmi::encode_subsystem_power(subpower)};
+          ipmi::encode_rack_status(status)};
 }
 
 /// Runs every typed decoder over a structurally valid message; none may
@@ -429,7 +408,6 @@ void poke_all_decoders(const ipmi::Request& request,
                        const ipmi::Response& response) {
   (void)ipmi::decode_set_power_limit(request);
   (void)ipmi::decode_set_rack_budget(request);
-  (void)ipmi::decode_set_subsystem_caps(request);
   (void)ipmi::decode_device_id(response);
   (void)ipmi::decode_power_reading(response);
   (void)ipmi::decode_power_limit(response);
@@ -437,8 +415,6 @@ void poke_all_decoders(const ipmi::Request& request,
   (void)ipmi::decode_throttle_status(response);
   (void)ipmi::decode_rack_budget_grant(response);
   (void)ipmi::decode_rack_status(response);
-  (void)ipmi::decode_subsystem_caps(response);
-  (void)ipmi::decode_subsystem_power(response);
 }
 
 TEST(IpmiFuzz, EveryCommandRoundTrips) {
@@ -467,18 +443,6 @@ TEST(IpmiFuzz, EveryCommandRoundTrips) {
       ipmi::encode_rack_budget_grant(123456.7));
   ASSERT_TRUE(grant.has_value());
   EXPECT_NEAR(*grant, 123456.7, 1e-6);
-  ipmi::SubsystemCaps sub;
-  sub.enabled = true;
-  sub.cpu_w = 95.4;
-  sub.uncore_w = 22.1;
-  sub.memory_w = 31.7;
-  const auto sub_rt =
-      ipmi::decode_set_subsystem_caps(ipmi::make_set_subsystem_caps(sub));
-  ASSERT_TRUE(sub_rt.has_value());
-  EXPECT_TRUE(sub_rt->enabled);
-  EXPECT_NEAR(sub_rt->cpu_w, 95.4, 0.05);     // 0.1 W wire grid
-  EXPECT_NEAR(sub_rt->uncore_w, 22.1, 0.05);
-  EXPECT_NEAR(sub_rt->memory_w, 31.7, 0.05);
 }
 
 TEST(IpmiFuzz, AnySingleByteFlipRejected) {

@@ -60,17 +60,6 @@ TEST(WattsUp, SessionResetClearsState) {
   EXPECT_NEAR(meter.average_watts(), 110.0, 1e-12);
 }
 
-TEST(WattsUp, RecentAverage) {
-  WattsUp meter(microseconds(100));
-  meter.start_session(0);
-  meter.observe(microseconds(100), 100.0);
-  meter.observe(microseconds(200), 200.0);
-  meter.observe(microseconds(300), 300.0);
-  EXPECT_NEAR(meter.recent_average_watts(2), 250.0, 1e-12);
-  EXPECT_NEAR(meter.recent_average_watts(100), 200.0, 1e-12);
-  EXPECT_EQ(meter.recent_average_watts(0), 0.0);
-}
-
 TEST(WattsUp, BoundedLogTrimsOldest) {
   WattsUp meter(microseconds(10), /*max_log=*/5);
   meter.start_session(0);

@@ -35,28 +35,10 @@ TEST(PStateTable, TurboBinHasElevatedVoltage) {
   EXPECT_GT(turbo_drop, 4.0 * typical_drop);
 }
 
-TEST(PStateTable, StateForMinFrequency) {
-  const PStateTable table = PStateTable::romley_e5_2680();
-  EXPECT_EQ(table.state_for_min_frequency(2000 * util::kMegaHertz).frequency,
-            2000 * util::kMegaHertz);
-  EXPECT_EQ(table.state_for_min_frequency(1950 * util::kMegaHertz).frequency,
-            2000 * util::kMegaHertz);
-  EXPECT_EQ(table.state_for_min_frequency(1 * util::kMegaHertz).frequency,
-            1200 * util::kMegaHertz);
-}
-
 TEST(PStateTable, ValidatesInput) {
-  EXPECT_THROW(PStateTable({}, 1.0, 0.8), std::invalid_argument);
-  EXPECT_THROW(PStateTable({1000, 2000}, 1.0, 0.8), std::invalid_argument);
   EXPECT_THROW(PStateTable(std::vector<PState>{}), std::invalid_argument);
-}
-
-TEST(PStateTable, LinearCtorAssignsVoltages) {
-  const PStateTable t({2000 * util::kMegaHertz, 1000 * util::kMegaHertz}, 1.0,
-                      0.8);
-  EXPECT_DOUBLE_EQ(t.state(0).voltage, 1.0);
-  EXPECT_DOUBLE_EQ(t.state(1).voltage, 0.8);
-  EXPECT_EQ(t.state(1).index, 1u);
+  EXPECT_THROW(PStateTable(std::vector<PState>{{0, 1000, 0.8}, {0, 2000, 1.0}}),
+               std::invalid_argument);
 }
 
 // The lumped package thermal model: the degenerate single-RC network.

@@ -605,7 +605,6 @@ TEST(OnlinePowerModelTest, LearnsUncappedDrawAndIgnoresCappedSamples) {
   const AmenabilityTable table = synthetic_table();
   model.set_table(&table);
   EXPECT_DOUBLE_EQ(model.predict_uncapped_w(JobClass::kPhased), 155.0);
-  EXPECT_DOUBLE_EQ(model.predict_at_cap_w(JobClass::kPhased, 125.0), 125.0);
 }
 
 }  // namespace

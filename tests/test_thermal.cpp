@@ -15,11 +15,8 @@
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
-#include "core/bmc_ipmi_server.hpp"
 #include "harness/cli.hpp"
 #include "harness/experiment.hpp"
-#include "ipmi/commands.hpp"
-#include "ipmi/transport.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
 #include "thermal/fan.hpp"
@@ -356,7 +353,7 @@ TEST(SubsystemCaps, CpuCapThrottlesWithoutPackageCap) {
   core::Bmc bmc(node);
   node.set_control_hook(
       [&bmc](sim::PlatformControl&) { bmc.on_control_tick(); });
-  ipmi::SubsystemCaps caps;
+  core::SubsystemCaps caps;
   caps.enabled = true;
   caps.cpu_w = 45.0;  // far below the ~70 W the workload wants
   bmc.set_subsystem_caps(caps);
@@ -364,21 +361,21 @@ TEST(SubsystemCaps, CpuCapThrottlesWithoutPackageCap) {
   node.run(workload);
   EXPECT_GT(bmc.max_level_reached(), 0u);
   EXPECT_TRUE(bmc.throttle_status().capping_active);
-  const ipmi::SubsystemPower p = bmc.subsystem_power();
-  EXPECT_GT(p.cpu_w, 0.0);
-  EXPECT_TRUE(p.caps.enabled);
+  EXPECT_GT(node.subsystem_power_w(power::Subsystem::kCpu), 0.0);
+  ASSERT_TRUE(bmc.subsystem_caps().has_value());
+  EXPECT_TRUE(bmc.subsystem_caps()->enabled);
 }
 
 TEST(SubsystemCaps, SumClampsToPackageCap) {
   sim::Node node(sim::MachineConfig::romley(), 3);
   core::Bmc bmc(node);
   bmc.set_cap(130.0);
-  ipmi::SubsystemCaps caps;
+  core::SubsystemCaps caps;
   caps.enabled = true;
   caps.cpu_w = 100.0;
   caps.uncore_w = 40.0;
   caps.memory_w = 40.0;  // sum 180 > 130
-  const ipmi::SubsystemCaps applied = bmc.set_subsystem_caps(caps);
+  const core::SubsystemCaps applied = bmc.set_subsystem_caps(caps);
   EXPECT_LE(applied.sum_w(), 130.0 + 1e-9);
   EXPECT_GT(bmc.subsystem_cap_clamps(), 0u);
   // Lowering the package cap re-clamps; raising it restores the request.
@@ -388,61 +385,30 @@ TEST(SubsystemCaps, SumClampsToPackageCap) {
   EXPECT_NEAR(bmc.subsystem_caps()->sum_w(), 180.0, 1e-9);
 }
 
-TEST(SubsystemCaps, InvariantHoldsUnderLossyTransport) {
-  // Random interleavings of SetPowerLimit / SetSubsystemCaps through a
-  // transport that drops a third of the messages: whatever subset lands,
-  // the enabled subsystem-cap sum must never exceed the package cap.
+TEST(SubsystemCaps, InvariantHoldsUnderRandomInterleaving) {
+  // Random interleavings of package-cap and subsystem-cap changes: after
+  // every call, the enabled subsystem-cap sum must not exceed the package
+  // cap.
   sim::Node node(sim::MachineConfig::romley(), 3);
   core::Bmc bmc(node);
-  core::BmcIpmiServer server(bmc);
-  ipmi::LoopbackTransport loopback(
-      [&server](std::span<const std::uint8_t> frame) {
-        return server.handle_frame(frame);
-      });
-  ipmi::FaultSpec spec;
-  spec.drop_rate = 0.35;
-  ipmi::FaultyTransport faulty(loopback, spec, 99);
-  ipmi::Session session(faulty);
-
   util::Rng rng(0xBEEF);
   for (int i = 0; i < 300; ++i) {
     if (rng.below(2) == 0) {
-      ipmi::PowerLimit limit;
-      limit.enabled = true;
-      limit.limit_w = 115.0 + static_cast<double>(rng.below(180));
-      session.transact(ipmi::make_set_power_limit(limit));
+      bmc.set_cap(115.0 + static_cast<double>(rng.below(180)));
     } else {
-      ipmi::SubsystemCaps caps;
+      core::SubsystemCaps caps;
       caps.enabled = true;
       caps.cpu_w = 20.0 + static_cast<double>(rng.below(150));
       caps.uncore_w = static_cast<double>(rng.below(60));
       caps.memory_w = static_cast<double>(rng.below(60));
-      session.transact(ipmi::make_set_subsystem_caps(caps));
+      bmc.set_subsystem_caps(caps);
     }
     if (bmc.cap() && bmc.subsystem_caps() && bmc.subsystem_caps()->enabled) {
       ASSERT_LE(bmc.subsystem_caps()->sum_w(), *bmc.cap() + 1e-9)
-          << "exchange " << i;
+          << "call " << i;
     }
   }
-}
-
-TEST(SubsystemCaps, ServerRejectsNonsense) {
-  sim::Node node(sim::MachineConfig::romley(), 3);
-  core::Bmc bmc(node);
-  core::BmcIpmiServer server(bmc);
-  ipmi::SubsystemCaps caps;  // enabled=false: clears
-  ipmi::Response r = server.handle(ipmi::make_set_subsystem_caps(caps));
-  EXPECT_EQ(r.code, ipmi::CompletionCode::kOk);
-  EXPECT_FALSE(bmc.subsystem_caps().has_value());
-  // All-zero enabled caps are meaningless.
-  caps.enabled = true;
-  r = server.handle(ipmi::make_set_subsystem_caps(caps));
-  EXPECT_EQ(r.code, ipmi::CompletionCode::kOutOfRange);
-  // GetSubsystemPower round-trips over the server.
-  r = server.handle(ipmi::make_get_subsystem_power());
-  const auto power = ipmi::decode_subsystem_power(r);
-  ASSERT_TRUE(power.has_value());
-  EXPECT_GE(power->cpu_w, 0.0);
+  EXPECT_GT(bmc.subsystem_cap_clamps(), 0u);
 }
 
 }  // namespace

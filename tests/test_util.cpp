@@ -117,38 +117,6 @@ TEST(Stats, RunningBasics) {
   EXPECT_DOUBLE_EQ(s.sum(), 10.0);
 }
 
-TEST(Stats, MergeMatchesCombined) {
-  RunningStats a, b, all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = i * 0.37 - 3.0;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-}
-
-TEST(Stats, Percentile) {
-  const std::vector<double> xs{5, 1, 3, 2, 4};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 25), 2.0);
-}
-
-TEST(Stats, PercentDiffMatchesPaperConvention) {
-  EXPECT_NEAR(percent_diff(124.0, 100.0), 24.0, 1e-12);
-  EXPECT_NEAR(percent_diff(80.0, 100.0), -20.0, 1e-12);
-  EXPECT_DOUBLE_EQ(percent_diff(5.0, 0.0), 0.0);
-}
-
-TEST(Stats, Geomean) {
-  const std::vector<double> xs{1.0, 4.0, 16.0};
-  EXPECT_NEAR(geomean(xs), 4.0, 1e-12);
-}
-
 TEST(Csv, QuotesAndRows) {
   CsvWriter csv;
   csv.row({"a", "b,c", "d\"e"});
@@ -246,17 +214,6 @@ TEST(TimeSeriesChart, PlacesPointsByTimestamp) {
   EXPECT_NE(out.find('o'), std::string::npos);
   // The time axis is labelled with the data's endpoints.
   EXPECT_NE(out.find("0.4"), std::string::npos);
-}
-
-TEST(TimeSeriesChart, FixedYRangeClampsOutliers) {
-  TimeSeriesChart chart(20, 6);
-  chart.set_y_range(100.0, 160.0);
-  chart.add_series({"w", {0.0, 1.0, 2.0}, {90.0, 130.0, 500.0}});
-  const std::string out = chart.render();
-  // Range labels come from the override, not the data.
-  EXPECT_NE(out.find("160"), std::string::npos);
-  EXPECT_NE(out.find("100"), std::string::npos);
-  EXPECT_EQ(out.find("500"), std::string::npos);
 }
 
 TEST(TimeSeriesChart, EmptyRendersNothing) {
