@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #if defined(__SSE2__)
@@ -122,14 +123,15 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   line_mask_ = config.line_bytes - 1;
   active_ways_ = config.ways;
   active_mask_ = (1u << config.ways) - 1;
-  ctl_.assign(sets_, SetCtl{});
-  // Default-inserted: under a cell arena the tags stay uninitialised (all
-  // reads are valid-gated, and zeroing megabytes of L3 tags would dominate
-  // per-cell construction); off-arena keep the conservative zero-fill for
-  // long-lived caches.
+  // Default-inserted, so neither resize writes a byte. Off the arena both
+  // arrays are zero pages. An arena block holds an earlier cell's bytes:
+  // clear the control lines, and leave the tags, whose every read is
+  // valid-gated (zeroing megabytes of L3 tags would dominate per-cell
+  // construction).
+  ctl_.resize(sets_);
   tags_.resize(sets_ * config.ways);
-  if (util::current_cell_arena() == nullptr) {
-    std::fill(tags_.begin(), tags_.end(), 0);
+  if (ctl_.get_allocator().arena() != nullptr) {
+    std::memset(ctl_.data(), 0, sets_ * sizeof(SetCtl));
   }
 }
 

@@ -77,9 +77,7 @@ DatacenterManager::DatacenterManager(const FleetConfig& config)
     ipmi::Transport& link =
         slot->faulty ? static_cast<ipmi::Transport&>(*slot->faulty)
                      : static_cast<ipmi::Transport&>(*slot->loopback);
-    slot->client = std::make_unique<BudgetClient>(
-        link, config_.comms.backoff,
-        config_.seed * 313 + static_cast<std::uint64_t>(i) * 17 + 13);
+    slot->client = std::make_unique<BudgetClient>(link, config_.comms.backoff);
     // Discovery: keep probing until the (possibly lossy) link answers.
     bool attached = false;
     for (int attempt = 0; attempt < 50 && !attached; ++attempt) {

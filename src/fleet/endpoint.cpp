@@ -39,10 +39,7 @@ ipmi::Response BudgetClient::transact_with_retry(
     const ipmi::Request& request) {
   ipmi::Response response;
   for (std::uint32_t attempt = 0; attempt < backoff_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      ++retries_;
-      backoff_delay_ms(attempt - 1, rng_);
-    }
+    if (attempt > 0) ++retries_;
     response = session_.transact(request);
     if (session_.last_error() == ipmi::Session::Error::kNone) return response;
   }

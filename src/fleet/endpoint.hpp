@@ -17,7 +17,6 @@
 #include "ipmi/commands.hpp"
 #include "ipmi/transport.hpp"
 #include "util/backoff.hpp"
-#include "util/rng.hpp"
 
 namespace pcap::fleet {
 
@@ -50,15 +49,14 @@ class BudgetEndpointServer {
 };
 
 /// Parent-side handle to a BudgetHolder across a (possibly faulty)
-/// transport: a ChildLink whose exchanges retry with exponential backoff
-/// and seeded jitter, mirroring core::ManagedNode.
+/// transport: a ChildLink whose exchanges retry up to the backoff policy's
+/// attempt limit. It keeps no management clock, so a retry waits for
+/// nothing.
 class BudgetClient : public ChildLink {
  public:
-  BudgetClient(ipmi::Transport& transport, util::BackoffPolicy backoff = {},
-               std::uint64_t seed = 0x5EED)
-      : session_(transport, util::kRequestTimeoutMs),
-        backoff_(backoff),
-        rng_(seed) {}
+  explicit BudgetClient(ipmi::Transport& transport,
+                        util::BackoffPolicy backoff = {})
+      : session_(transport, util::kRequestTimeoutMs), backoff_(backoff) {}
 
   /// Fetches status once (with retries) to learn floor/ceiling. Call
   /// before wiring into a coupler; returns false if the child never
@@ -81,7 +79,6 @@ class BudgetClient : public ChildLink {
 
   ipmi::Session session_;
   util::BackoffPolicy backoff_;
-  util::Rng rng_;
   ipmi::RackStatus status_;
   std::uint64_t retries_ = 0;
   std::uint64_t failed_exchanges_ = 0;

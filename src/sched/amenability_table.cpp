@@ -4,6 +4,7 @@
 
 #include "core/capped_runner.hpp"
 #include "sim/node.hpp"
+#include "util/arena.hpp"
 #include "util/units.hpp"
 
 namespace pcap::sched {
@@ -205,7 +206,10 @@ AmenabilityTable characterize_job_classes(const CharacterizeOptions& options) {
   for (int c = 0; c < kJobClassCount; ++c) {
     const JobClass cls = static_cast<JobClass>(c);
     // Fresh node per class: the characterisation is an independent
-    // measurement, exactly like the paper's per-cap cold runs.
+    // measurement, exactly like the paper's per-cap cold runs. It is a
+    // per-cell node, so it draws from this thread's recycled cell arena
+    // (DESIGN.md §17); the scope is declared first so the node dies first.
+    util::CellArenaScope arena_scope;
     sim::Node node(options.machine, options.seed + static_cast<std::uint64_t>(c));
     core::CappedRunner runner(node);
     auto chunk = make_chunk_workload(cls, options.seed, 0);

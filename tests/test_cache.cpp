@@ -3,12 +3,24 @@
 // for the fill-aging bug (a fill must age every resident line).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <fstream>
 #include <list>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <vector>
 
+#if defined(__linux__)
+#include <unistd.h>
+#endif
+
+#include "apps/synthetic.hpp"
 #include "cache/cache.hpp"
+#include "sim/machine_config.hpp"
+#include "sim/node.hpp"
+#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace pcap::cache {
@@ -324,6 +336,102 @@ TEST_P(CacheGatingProperty, JustAccessedLineHitsUntilConflict) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheGatingProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
+
+// ---------------------------------------------------------------------------
+// Storage of the control-line and tag arrays (util::ZeroPageCellAllocator).
+
+#if defined(__linux__)
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t size_pages = 0;
+  std::int64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::int64_t>(sysconf(_SC_PAGESIZE));
+}
+#endif
+
+// A long-lived node (a scheduler slot that only idles and answers IPMI) is
+// built off the arena, where the cache arrays are zero pages: a Romley
+// node's 20 MiB L3 alone holds 3.5 MiB of control lines and tags, and none
+// of it may become resident before the simulation writes it.
+TEST(CacheStorage, OffArenaNodesCostOnlyTheirTouchedPages) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "reads /proc/self/statm";
+#else
+  ASSERT_EQ(util::current_cell_arena(), nullptr);
+  const sim::MachineConfig machine = sim::MachineConfig::romley();
+  std::vector<std::unique_ptr<sim::Node>> nodes;
+  nodes.reserve(8);
+  const std::int64_t before = resident_bytes();
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    nodes.push_back(std::make_unique<sim::Node>(machine, seed));
+  }
+  const std::int64_t grown = resident_bytes() - before;
+  EXPECT_LT(grown, std::int64_t{8} << 20)
+      << "8 idle nodes made " << grown / 1024 << " KiB resident";
+#endif
+}
+
+// An arena block holds the bytes of the cell that used it last; a cache
+// built on it must still start empty.
+TEST(CacheStorage, ArenaCacheOnDirtiedMemoryStartsEmpty) {
+  const CacheConfig config{
+      .name = "L2", .size_bytes = 256 * 1024, .line_bytes = 64, .ways = 8};
+  {
+    util::CellArenaScope scope;
+    ASSERT_NE(util::current_cell_arena(), nullptr);
+    Cache dirty(config);
+    for (Address a = 0; a < 2 * config.size_bytes; a += 64) {
+      dirty.access(a, /*is_write=*/true);
+    }
+    ASSERT_EQ(dirty.valid_lines(), config.size_bytes / config.line_bytes);
+  }
+  util::CellArenaScope scope;
+  Cache fresh(config);
+  EXPECT_EQ(fresh.valid_lines(), 0u);
+  EXPECT_FALSE(fresh.contains(2 * config.size_bytes - 64));
+  EXPECT_FALSE(fresh.access(2 * config.size_bytes - 64, false).hit);
+}
+
+struct CellOutcome {
+  sim::RunReport report;
+  std::array<std::uint64_t, pmu::kEventCount> bank{};
+};
+
+// A stereo-like chunk: a 2 MiB hot set that stays resident in the L3, so a
+// node that inherited the previous cell's lines would hit where a fresh
+// node misses.
+CellOutcome run_cell(const sim::MachineConfig& machine) {
+  sim::Node node(machine, 7);
+  apps::MemoryBoundWorkload chunk(2ull << 20, 9000, 192);
+  CellOutcome out;
+  out.report = node.run(chunk);
+  out.bank = node.counters().snapshot();
+  return out;
+}
+
+TEST(CacheStorage, NodeOnDirtiedArenaMatchesOffArenaNode) {
+  const sim::MachineConfig machine = sim::MachineConfig::romley();
+  ASSERT_EQ(util::current_cell_arena(), nullptr);
+  const CellOutcome reference = run_cell(machine);
+  {
+    util::CellArenaScope scope;
+    ASSERT_NE(util::current_cell_arena(), nullptr);
+    (void)run_cell(machine);  // leaves its cache state in the arena
+  }
+  util::CellArenaScope scope;
+  const CellOutcome recycled = run_cell(machine);
+  EXPECT_EQ(recycled.report.elapsed, reference.report.elapsed);
+  EXPECT_EQ(recycled.report.energy_j, reference.report.energy_j);
+  EXPECT_EQ(recycled.report.avg_power_w, reference.report.avg_power_w);
+  EXPECT_EQ(recycled.report.peak_power_w, reference.report.peak_power_w);
+  EXPECT_EQ(recycled.report.avg_frequency, reference.report.avg_frequency);
+  EXPECT_EQ(recycled.report.avg_duty, reference.report.avg_duty);
+  EXPECT_EQ(recycled.report.final_temperature_c,
+            reference.report.final_temperature_c);
+  EXPECT_EQ(recycled.report.counters, reference.report.counters);
+  EXPECT_EQ(recycled.bank, reference.bank);
+}
 
 }  // namespace
 }  // namespace pcap::cache

@@ -267,9 +267,7 @@ fleet::BudgetHolder* build_tree(Tree& tree, Rng& rng, int levels) {
           *tree.loops.back(), spec, rng()));
       link = tree.faulty.back().get();
     }
-    tree.clients.push_back(
-        std::make_unique<fleet::BudgetClient>(*link, pcap::util::BackoffPolicy{},
-                                              rng()));
+    tree.clients.push_back(std::make_unique<fleet::BudgetClient>(*link));
     while (!tree.clients.back()->attach()) {
     }
     group->add_child(tree.clients.back().get());
