@@ -711,6 +711,31 @@ void BM_IpmiExchange(benchmark::State& state) {
 }
 BENCHMARK(BM_IpmiExchange);
 
+// One fleet node poll as a rack pays it every tick: ManagedNode::
+// power_reading() (retry with backoff, decode) over a link that drops 2 %,
+// duplicates 1 % and corrupts 1 % of exchanges (perfbench's fleet_warm
+// faults) into a VirtualNode. Tracked, not gated: the per-exchange layer
+// number behind fleet_warm's wall time.
+void BM_FleetNodePoll(benchmark::State& state) {
+  fleet::VirtualNode node(110.0, 400.0, 101.0);
+  fleet::VirtualNodeIpmiServer server(node);
+  ipmi::LoopbackTransport loopback(
+      [&server](std::span<const std::uint8_t> frame) {
+        return server.handle_frame(frame);
+      });
+  ipmi::FaultSpec faults;
+  faults.drop_rate = 0.02;
+  faults.duplicate_rate = 0.01;
+  faults.corrupt_rate = 0.01;
+  ipmi::FaultyTransport faulty(loopback, faults, 7);
+  core::ManagedNode client("n0", faulty);
+  for (auto _ : state) {
+    const std::optional<ipmi::PowerReading> reading = client.power_reading();
+    benchmark::DoNotOptimize(reading);
+  }
+}
+BENCHMARK(BM_FleetNodePoll);
+
 void BM_BmcControlTick(benchmark::State& state) {
   sim::Node node(sim::MachineConfig::romley());
   core::Bmc bmc(node);

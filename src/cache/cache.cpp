@@ -242,7 +242,10 @@ bool Cache::invalidate(Address addr, bool* was_dirty) {
 }
 
 void Cache::flush_all() {
+  // An empty set is skipped unwritten (dirty bits are a subset of valid
+  // ones), so a flush does not make an untouched zero page resident.
   for (SetCtl& ctl : ctl_) {
+    if (ctl.valid == 0) continue;
     stats_.invalidations +=
         static_cast<std::uint64_t>(std::popcount(ctl.valid));
     ctl.valid = 0;
@@ -255,10 +258,12 @@ std::uint64_t Cache::set_active_ways(std::uint32_t n) {
   std::uint64_t dropped = 0;
   if (n < active_ways_) {
     // Invalidate lines living in the ways being gated, and clamp ages so
-    // surviving lines keep a consistent LRU order.
+    // surviving lines keep a consistent LRU order. An empty set has no age
+    // anyone reads, so it is skipped unwritten, as in flush_all.
     const std::uint32_t keep = (1u << n) - 1;
     const auto cap = static_cast<std::uint8_t>(n - 1);
     for (SetCtl& ctl : ctl_) {
+      if (ctl.valid == 0) continue;
       dropped += static_cast<std::uint64_t>(std::popcount(ctl.valid & ~keep));
       ctl.valid &= keep;
       ctl.dirty &= keep;

@@ -1,9 +1,19 @@
 #include "core/budget.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace pcap::core {
+
+namespace {
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
 
 double quantize_watts(double watts, double grid_w) {
   const double grid = grid_w > 0.0 ? grid_w : 0.1;
@@ -28,6 +38,15 @@ bool divide_budget(double budget_w, std::span<const double> floors,
   const double surplus = budget_w - floor_sum;
   out.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
+    // A child whose (floor, weight, ceiling) matches the previous child's
+    // bit for bit gets the same share: every node of a two-tier rack is
+    // one of two such triples.
+    if (i > 0 && same_bits(floors[i], floors[i - 1]) &&
+        same_bits(weights[i], weights[i - 1]) &&
+        same_bits(ceilings[i], ceilings[i - 1])) {
+      out[i] = out[i - 1];
+      continue;
+    }
     double share = floors[i];
     if (weight_sum > 0.0) {
       share += surplus * std::max(weights[i], 0.0) / weight_sum;

@@ -17,6 +17,7 @@ void BudgetCoupler::add_child(ChildLink* link, double initial_granted_w) {
   c.demand_w = initial_granted_w;
   children_.push_back(c);
   granted_.push_back(initial_granted_w);
+  committed_w_ += initial_granted_w;  // a new child starts healthy
 }
 
 void BudgetCoupler::note_exchange(Child& child, bool ok) {
@@ -26,35 +27,23 @@ void BudgetCoupler::note_exchange(Child& child, bool ok) {
   child.consecutive_failures = step.consecutive_failures;
 }
 
-double BudgetCoupler::committed_w() const {
-  double sum = 0.0;
-  for (double g : granted_) sum += g;
-  return sum;
-}
-
-double BudgetCoupler::reserved_w() const {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    if (children_[i].health == core::NodeHealth::kLost) sum += granted_[i];
-  }
-  return sum;
-}
-
-std::size_t BudgetCoupler::lost_children() const {
-  std::size_t n = 0;
-  for (const Child& c : children_) {
-    if (c.health == core::NodeHealth::kLost) ++n;
-  }
-  return n;
-}
-
 CouplerRound BudgetCoupler::finish_round(double target_w, bool feasible,
                                          bool increases_withheld) {
+  committed_w_ = 0.0;
+  reserved_w_ = 0.0;
+  lost_children_ = 0;
+  for (std::size_t i = 0; i < children_.size(); ++i) {
+    committed_w_ += granted_[i];
+    if (children_[i].health == core::NodeHealth::kLost) {
+      reserved_w_ += granted_[i];
+      ++lost_children_;
+    }
+  }
   CouplerRound round;
   round.target_w = target_w;
-  round.committed_w = committed_w();
-  round.reserved_w = reserved_w();
-  round.lost_children = lost_children();
+  round.committed_w = committed_w_;
+  round.reserved_w = reserved_w_;
+  round.lost_children = lost_children_;
   round.feasible = feasible;
   round.increases_withheld = increases_withheld;
   // Enforced snaps up to the target immediately (adopting headroom is
@@ -68,7 +57,7 @@ CouplerRound BudgetCoupler::finish_round(double target_w, bool feasible,
   return round;
 }
 
-CouplerRound BudgetCoupler::push_round(double target_w,
+CouplerRound BudgetCoupler::push_round(double target_w, double reserved_w,
                                        const std::vector<double>* weights,
                                        double grid_w, bool allow_increases) {
   // Reachable children share target minus what lost children may still be
@@ -76,7 +65,7 @@ CouplerRound BudgetCoupler::push_round(double target_w,
   // The scratch buffers are members so a steady-state round allocates
   // nothing.
   const std::size_t n = children_.size();
-  const double available = target_w - reserved_w();
+  const double available = target_w - reserved_w;
   floors_.clear();
   weights_.clear();
   ceilings_.clear();
@@ -117,18 +106,24 @@ CouplerRound BudgetCoupler::push_round(double target_w,
 CouplerRound BudgetCoupler::run_round(double target_w,
                                       const std::vector<double>* weights,
                                       double grid_w) {
-  for (Child& child : children_) {
+  double reserved = 0.0;
+  for (std::size_t i = 0; i < children_.size(); ++i) {
+    Child& child = children_[i];
     const std::optional<double> demand = child.link->poll_demand();
     note_exchange(child, demand.has_value());
     if (demand.has_value()) child.demand_w = std::max(*demand, 0.0);
+    if (child.health == core::NodeHealth::kLost) reserved += granted_[i];
   }
-  return push_round(target_w, weights, grid_w, /*allow_increases=*/true);
+  return push_round(target_w, reserved, weights, grid_w,
+                    /*allow_increases=*/true);
 }
 
 CouplerRound BudgetCoupler::converge_down(double target_w,
                                           const std::vector<double>* weights,
                                           double grid_w) {
-  return push_round(target_w, weights, grid_w, /*allow_increases=*/false);
+  // No polls since the last round ended, so its reserved sum still holds.
+  return push_round(target_w, reserved_w_, weights, grid_w,
+                    /*allow_increases=*/false);
 }
 
 }  // namespace pcap::fleet

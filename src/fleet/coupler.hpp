@@ -81,10 +81,12 @@ class BudgetCoupler {
                              const std::vector<double>* weights = nullptr,
                              double grid_w = 0.0);
 
-  double committed_w() const;
-  double reserved_w() const;
+  // Grants and health change only inside a round, so these are summed once
+  // per round (finish_round), in child index order.
+  double committed_w() const { return committed_w_; }
+  double reserved_w() const { return reserved_w_; }
   std::size_t size() const { return children_.size(); }
-  std::size_t lost_children() const;
+  std::size_t lost_children() const { return lost_children_; }
   /// Child link health: the DCM's node-health FSM (core::next_health).
   core::NodeHealth health(std::size_t i) const { return children_[i].health; }
   double granted_w(std::size_t i) const { return granted_[i]; }
@@ -106,13 +108,19 @@ class BudgetCoupler {
   };
 
   void note_exchange(Child& child, bool ok);
-  CouplerRound push_round(double target_w, const std::vector<double>* weights,
-                          double grid_w, bool allow_increases);
+  /// `reserved_w` is the sum of lost children's grants at the start of
+  /// the push (after this round's polls, if any).
+  CouplerRound push_round(double target_w, double reserved_w,
+                          const std::vector<double>* weights, double grid_w,
+                          bool allow_increases);
   CouplerRound finish_round(double target_w, bool feasible,
                             bool increases_withheld);
 
   std::vector<Child> children_;
   std::vector<double> granted_;  // last acked grant per child: what it enforces
+  double committed_w_ = 0.0;     // sum of granted_
+  double reserved_w_ = 0.0;      // sum of granted_ over lost children
+  std::size_t lost_children_ = 0;
   // Per-round scratch (reachable children's division inputs and result,
   // then every child's push target), reused across rounds.
   std::vector<double> floors_, weights_, ceilings_, division_, targets_;

@@ -21,6 +21,7 @@ RackManager::NodeSlot::NodeSlot(const RackConfig& config)
 
 RackManager::RackManager(const RackConfig& config)
     : config_(config),
+      weights_(config.node_count, 0.0),
       series_(config.name, config.node_count, config.sampler),
       draws_(config.node_count) {
   for (std::size_t i = 0; i < config_.node_count; ++i) {
@@ -61,26 +62,31 @@ double RackManager::enforced_w() const {
   return std::max(target_w_, coupler_.committed_w());
 }
 
-const std::vector<double>& RackManager::division_weights() {
-  weights_.assign(slots_.size(), 1.0);
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const NodeSlot& slot = *slots_[i];
-    const bool busy = std::any_of(slot.lanes.begin(), slot.lanes.end(),
-                                  [](const Lane& l) { return l.busy(); });
-    weights_[i] = busy ? 1.0 : 0.0;
+void RackManager::count_lane(std::size_t node, const Lane& lane, int sign) {
+  const auto step = [sign](std::size_t& n) {
+    n = sign > 0 ? n + 1 : n - 1;
+  };
+  if (lane.in_flight) step(in_flight_);
+  if (!lane.busy()) return;
+  step(busy_lanes_);
+  if (!lane.in_flight) step(pending_);
+  NodeSlot& slot = *slots_[node];
+  step(slot.busy_lanes);
+  // The node turned busy (first lane) or idle (last lane).
+  if (slot.busy_lanes == (sign > 0 ? 1u : 0u)) {
+    step(busy_nodes_);
+    weights_[node] = sign > 0 ? 1.0 : 0.0;
   }
-  return weights_;
 }
 
 double RackManager::set_budget_target(double watts) {
   target_w_ = watts;
-  coupler_.converge_down(target_w_, &division_weights(), config_.cap_grid_w);
+  coupler_.converge_down(target_w_, &weights_, config_.cap_grid_w);
   return enforced_w();
 }
 
 CouplerRound RackManager::rebalance() {
-  return coupler_.run_round(target_w_, &division_weights(),
-                            config_.cap_grid_w);
+  return coupler_.run_round(target_w_, &weights_, config_.cap_grid_w);
 }
 
 ipmi::RackStatus RackManager::status() {
@@ -120,12 +126,19 @@ void RackManager::refresh_draw(std::size_t node) {
 }
 
 void RackManager::begin_tick(double t, std::vector<ChunkEvent>& completions) {
+  if (next_end_s_ > t + kTimeEps) return;  // no chunk is due yet
+  next_end_s_ = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     NodeSlot& slot = *slots_[i];
     bool changed = false;
     for (std::size_t l = 0; l < slot.lanes.size(); ++l) {
       Lane& lane = slot.lanes[l];
-      if (!lane.in_flight || lane.chunk_end_s > t + kTimeEps) continue;
+      if (!lane.in_flight) continue;
+      if (lane.chunk_end_s > t + kTimeEps) {
+        next_end_s_ = std::min(next_end_s_, lane.chunk_end_s);
+        continue;
+      }
+      count_lane(i, lane, -1);
       lane.in_flight = false;
       ++lane.chunks_done;
       changed = true;
@@ -144,6 +157,7 @@ void RackManager::begin_tick(double t, std::vector<ChunkEvent>& completions) {
         lane.chunks_done = 0;
         lane.placed_s = -1.0;
       }
+      count_lane(i, lane, +1);
     }
     if (changed) refresh_draw(i);
   }
@@ -155,11 +169,13 @@ std::size_t RackManager::place(double t) {
     for (std::size_t i = 0; i < slots_.size() && !queue_.empty(); ++i) {
       Lane& lane = slots_[i]->lanes[l];
       if (lane.busy()) continue;
+      count_lane(i, lane, -1);
       lane.job = queue_.front();
       queue_.pop_front();
       lane.chunks_done = 0;
       lane.in_flight = false;
       lane.placed_s = t;
+      count_lane(i, lane, +1);
       ++placed;
     }
   }
@@ -167,6 +183,7 @@ std::size_t RackManager::place(double t) {
 }
 
 void RackManager::pending_starts(std::vector<StartRef>& out) const {
+  if (pending_ == 0) return;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     const NodeSlot& slot = *slots_[i];
     for (std::size_t l = 0; l < slot.lanes.size(); ++l) {
@@ -180,9 +197,12 @@ void RackManager::begin_chunk(std::size_t node, std::size_t l,
                               const sched::ChunkResult& result, double t) {
   NodeSlot& slot = *slots_[node];
   Lane& lane = slot.lanes[l];
+  count_lane(node, lane, -1);
   lane.last_chunk = result;
   lane.chunk_end_s = t + util::to_seconds(result.elapsed);
   lane.in_flight = true;
+  count_lane(node, lane, +1);
+  next_end_s_ = std::min(next_end_s_, lane.chunk_end_s);
   // Incremental busy-interval union (starts arrive in tick order).
   if (t >= slot.busy_until_s) {
     slot.busy_union_s += lane.chunk_end_s - t;
@@ -192,36 +212,6 @@ void RackManager::begin_chunk(std::size_t node, std::size_t l,
     slot.busy_until_s = lane.chunk_end_s;
   }
   refresh_draw(node);
-}
-
-std::size_t RackManager::free_lanes() const {
-  std::size_t n = 0;
-  for (const auto& slot : slots_) {
-    for (const Lane& lane : slot->lanes) {
-      if (!lane.busy()) ++n;
-    }
-  }
-  return n;
-}
-
-std::size_t RackManager::busy_nodes() const {
-  std::size_t n = 0;
-  for (const auto& slot : slots_) {
-    if (std::any_of(slot->lanes.begin(), slot->lanes.end(),
-                    [](const Lane& l) { return l.busy(); })) {
-      ++n;
-    }
-  }
-  return n;
-}
-
-bool RackManager::anything_in_flight() const {
-  for (const auto& slot : slots_) {
-    for (const Lane& lane : slot->lanes) {
-      if (lane.in_flight) return true;
-    }
-  }
-  return false;
 }
 
 void RackManager::sample(double t) {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -138,11 +139,13 @@ class RackManager : public BudgetHolder {
   void begin_chunk(std::size_t node, std::size_t l,
                    const sched::ChunkResult& result, double t);
 
-  // --- occupancy / queue ---
-  std::size_t free_lanes() const;
-  std::size_t busy_nodes() const;
+  // --- occupancy / queue (counters kept up to date as lanes change) ---
+  std::size_t free_lanes() const {
+    return slots_.size() * config_.lanes_per_node - busy_lanes_;
+  }
+  std::size_t busy_nodes() const { return busy_nodes_; }
   std::size_t queue_depth() const { return queue_.size(); }
-  bool anything_in_flight() const;
+  bool anything_in_flight() const { return in_flight_ > 0; }
 
   // --- telemetry & ground truth ---
   /// Moves the rack's series out (bins on the sampler's grid); later
@@ -176,6 +179,7 @@ class RackManager : public BudgetHolder {
     std::unique_ptr<ipmi::FaultyTransport> faulty;
     std::unique_ptr<core::ManagedNode> client;
     std::vector<Lane> lanes;
+    std::size_t busy_lanes = 0;  // lanes holding a job
     // Busy-time union across lanes (chunk start times are non-decreasing,
     // so the incremental merge in begin_chunk is exact).
     double busy_union_s = 0.0;
@@ -209,15 +213,26 @@ class RackManager : public BudgetHolder {
   };
 
   void refresh_draw(std::size_t node);
-  /// The coupler's division weights for this round, in a reused buffer:
-  /// idle nodes at the floor, busy nodes split the surplus.
-  const std::vector<double>& division_weights();
+  /// Adds (`sign` = +1) or removes (-1) one lane's share of the occupancy
+  /// counters; every lane mutation is bracketed by a removal and an add.
+  void count_lane(std::size_t node, const Lane& lane, int sign);
 
   RackConfig config_;
   std::vector<std::unique_ptr<NodeSlot>> slots_;
   std::vector<std::unique_ptr<NodeLink>> links_;
   BudgetCoupler coupler_;
-  std::vector<double> weights_;  // division_weights() scratch
+  // Occupancy, kept by count_lane so that status polls, the coupler's
+  // division and the tick loop read it without rescanning lanes.
+  // weights_ is the coupler's division weight per node: idle nodes sit at
+  // the floor (0), busy nodes split the surplus (1).
+  std::vector<double> weights_;
+  std::size_t busy_nodes_ = 0;
+  std::size_t busy_lanes_ = 0;
+  std::size_t in_flight_ = 0;
+  std::size_t pending_ = 0;  // busy lanes with no chunk in flight
+  /// No in-flight chunk ends before this (a lower bound; exact after every
+  /// begin_tick scan), so begin_tick skips the lanes until it passes.
+  double next_end_s_ = std::numeric_limits<double>::infinity();
   telemetry::GroupSeriesBuilder series_;
   std::vector<double> draws_;  // sample() scratch, one per node
   std::deque<LaneJob> queue_;

@@ -1,13 +1,27 @@
 #include "ipmi/commands.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace pcap::ipmi {
 
+namespace {
+
+/// std::lround(std::clamp(watts, 0.0, max_w) * 10.0) without the libm
+/// call. For 0 <= x < 2^52 both the truncation and x - trunc(x) are exact,
+/// so rounding half away from zero is one comparison. NaN and non-positive
+/// watts give 0, which is what the std::lround form gave after the cast to
+/// the wire width on x86-64 (its NaN result is LONG_MIN).
+std::uint64_t tenths_on_wire(double watts, double max_w) {
+  if (!(watts > 0.0)) return 0;
+  const double x = std::min(watts, max_w) * 10.0;
+  const auto whole = static_cast<std::uint64_t>(x);
+  return whole + (x - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+}
+
+}  // namespace
+
 std::uint16_t watts_to_wire(double watts) {
-  const double clamped = std::clamp(watts, 0.0, 6553.5);
-  return static_cast<std::uint16_t>(std::lround(clamped * 10.0));
+  return static_cast<std::uint16_t>(tenths_on_wire(watts, 6553.5));
 }
 
 double watts_from_wire(std::uint16_t wire) {
@@ -15,8 +29,7 @@ double watts_from_wire(std::uint16_t wire) {
 }
 
 std::uint32_t watts32_to_wire(double watts) {
-  const double clamped = std::clamp(watts, 0.0, 429496729.5);
-  return static_cast<std::uint32_t>(std::llround(clamped * 10.0));
+  return static_cast<std::uint32_t>(tenths_on_wire(watts, 429496729.5));
 }
 
 double watts32_from_wire(std::uint32_t wire) {

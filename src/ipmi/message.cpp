@@ -22,11 +22,11 @@ void put_length(Frame& frame, std::size_t len) {
 
 }  // namespace
 
-Frame encode_request(const Request& request) {
+Frame encode_request(const Request& request, std::uint8_t seq) {
   Frame frame;
   frame.push_back(static_cast<std::uint8_t>(request.netfn));
   frame.push_back(request.command);
-  frame.push_back(request.seq);
+  frame.push_back(seq);
   put_length(frame, request.payload.size());
   frame.append(request.payload);
   frame.push_back(checksum(frame));
@@ -65,47 +65,6 @@ bool decode_response(std::span<const std::uint8_t> frame, Response& out) {
   out.code = static_cast<CompletionCode>(frame[0]);
   out.seq = frame[1];
   out.payload = Payload(frame.subspan(4, len));
-  return true;
-}
-
-void put_u8(Payload& out, std::uint8_t v) { out.push_back(v); }
-
-void put_u16(Payload& out, std::uint16_t v) {
-  const std::uint8_t bytes[] = {static_cast<std::uint8_t>(v & 0xFF),
-                                static_cast<std::uint8_t>(v >> 8)};
-  out.append(bytes);
-}
-
-void put_u32(Payload& out, std::uint32_t v) {
-  std::uint8_t bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    bytes[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
-  }
-  out.append(bytes);
-}
-
-bool PayloadReader::read_u8(std::uint8_t& v) {
-  if (pos_ + 1 > payload_.size()) return false;
-  v = payload_[pos_++];
-  return true;
-}
-
-bool PayloadReader::read_u16(std::uint16_t& v) {
-  if (pos_ + 2 > payload_.size()) return false;
-  v = static_cast<std::uint16_t>(
-      payload_[pos_] |
-      static_cast<std::uint16_t>(static_cast<std::uint16_t>(payload_[pos_ + 1]) << 8));
-  pos_ += 2;
-  return true;
-}
-
-bool PayloadReader::read_u32(std::uint32_t& v) {
-  if (pos_ + 4 > payload_.size()) return false;
-  v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | payload_[pos_ + static_cast<std::size_t>(i)];
-  }
-  pos_ += 4;
   return true;
 }
 

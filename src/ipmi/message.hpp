@@ -25,14 +25,18 @@ inline constexpr std::size_t kMaxFrame = kMaxPayload + kFrameOverhead;
 
 /// Fixed-capacity byte buffer held inline, so building, copying and
 /// returning payloads and frames never touches the heap. Appending past
-/// `N` throws std::length_error before any byte is written.
+/// `N` throws std::length_error before any byte is written. Bytes past
+/// size() are left uninitialised: nothing reads them, and an exchange
+/// builds several buffers, so zero-filling each is a cost with no reader.
 template <std::size_t N>
 class InlineBytes {
  public:
   using iterator = std::uint8_t*;
   using const_iterator = const std::uint8_t*;
 
-  InlineBytes() = default;
+  // User-provided, so that value-initialisation (`Frame{}`, `return {}`)
+  // does not zero the storage either.
+  InlineBytes() {}
   InlineBytes(std::initializer_list<std::uint8_t> bytes) {
     append({bytes.begin(), bytes.size()});
   }
@@ -70,7 +74,7 @@ class InlineBytes {
     if (n > N - size_) throw std::length_error("ipmi: inline buffer full");
   }
 
-  std::array<std::uint8_t, N> bytes_{};
+  std::array<std::uint8_t, N> bytes_;
   std::size_t size_ = 0;
 };
 
@@ -114,7 +118,12 @@ struct Response {
 
 /// Frame layout: [netfn, cmd, seq, len_lo, len_hi, payload..., checksum]
 /// where checksum is the two's complement of the byte sum (IPMI style).
-Frame encode_request(const Request& request);
+/// The frame carries `seq` in place of `request.seq`, so a client session
+/// tags each transaction without copying its request.
+Frame encode_request(const Request& request, std::uint8_t seq);
+inline Frame encode_request(const Request& request) {
+  return encode_request(request, request.seq);
+}
 
 /// Decodes a frame; returns false (and leaves `out` untouched) on a short
 /// frame, a length field above kMaxPayload, a length mismatch or a bad
@@ -126,19 +135,50 @@ Frame encode_response(const Response& response);
 bool decode_response(std::span<const std::uint8_t> frame, Response& out);
 
 // --- little-endian payload packing helpers (append in place; throw
-// std::length_error past kMaxPayload) ---
-void put_u8(Payload& out, std::uint8_t v);
-void put_u16(Payload& out, std::uint16_t v);
-void put_u32(Payload& out, std::uint32_t v);
+// std::length_error past kMaxPayload). Inline: a power reading packs four
+// of them per exchange. ---
+inline void put_u8(Payload& out, std::uint8_t v) { out.push_back(v); }
+
+inline void put_u16(Payload& out, std::uint16_t v) {
+  const std::uint8_t bytes[] = {static_cast<std::uint8_t>(v & 0xFF),
+                                static_cast<std::uint8_t>(v >> 8)};
+  out.append(bytes);
+}
+
+inline void put_u32(Payload& out, std::uint32_t v) {
+  const std::uint8_t bytes[] = {static_cast<std::uint8_t>(v & 0xFF),
+                                static_cast<std::uint8_t>((v >> 8) & 0xFF),
+                                static_cast<std::uint8_t>((v >> 16) & 0xFF),
+                                static_cast<std::uint8_t>(v >> 24)};
+  out.append(bytes);
+}
 
 /// Cursor-based reads; return false when the payload is exhausted.
 class PayloadReader {
  public:
   explicit PayloadReader(std::span<const std::uint8_t> payload)
       : payload_(payload) {}
-  bool read_u8(std::uint8_t& v);
-  bool read_u16(std::uint16_t& v);
-  bool read_u32(std::uint32_t& v);
+  bool read_u8(std::uint8_t& v) {
+    if (payload_.size() - pos_ < 1) return false;
+    v = payload_[pos_++];
+    return true;
+  }
+  bool read_u16(std::uint16_t& v) {
+    if (payload_.size() - pos_ < 2) return false;
+    v = static_cast<std::uint16_t>(
+        payload_[pos_] | static_cast<std::uint16_t>(payload_[pos_ + 1] << 8));
+    pos_ += 2;
+    return true;
+  }
+  bool read_u32(std::uint32_t& v) {
+    if (payload_.size() - pos_ < 4) return false;
+    v = static_cast<std::uint32_t>(payload_[pos_]) |
+        static_cast<std::uint32_t>(payload_[pos_ + 1]) << 8 |
+        static_cast<std::uint32_t>(payload_[pos_ + 2]) << 16 |
+        static_cast<std::uint32_t>(payload_[pos_ + 3]) << 24;
+    pos_ += 4;
+    return true;
+  }
   bool exhausted() const { return pos_ == payload_.size(); }
 
  private:

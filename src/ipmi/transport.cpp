@@ -1,6 +1,5 @@
 #include "ipmi/transport.hpp"
 
-#include "ipmi/commands.hpp"
 
 namespace pcap::ipmi {
 
@@ -51,36 +50,29 @@ Frame FaultyTransport::transact(std::span<const std::uint8_t> frame) {
 }
 
 Response Session::transact(const Request& request) {
-  Request tagged = request;
-  tagged.seq = next_seq_++;  // uint8 wrap is the IPMI rqSeq modulus
-  const Frame frame = encode_request(tagged);
+  const std::uint8_t seq = next_seq_++;  // uint8 wrap is the IPMI rqSeq modulus
+  const Frame frame = encode_request(request, seq);
   const Frame reply = transport_->transact(frame);
+  // Every path returns this one object, so it is built in the caller's
+  // return slot; a default Response is the kUnspecified failure reply.
+  Response response;
   last_error_ = Error::kNone;
   if (reply.empty()) {
     last_error_ = Error::kLost;
-    ++transport_errors_;
-    return make_error_response(CompletionCode::kUnspecified);
-  }
-  if (timeout_ms_ > 0.0 && transport_->last_latency_ms() > timeout_ms_) {
+  } else if (timeout_ms_ > 0.0 &&
+             transport_->last_latency_ms() > timeout_ms_) {
     // The reply arrived after the client stopped waiting; discard it even
     // if well-formed.
     last_error_ = Error::kTimeout;
     ++timeouts_;
-    ++transport_errors_;
-    return make_error_response(CompletionCode::kUnspecified);
-  }
-  Response response;
-  if (!decode_response(reply, response)) {
+  } else if (!decode_response(reply, response)) {  // leaves `response` as is
     last_error_ = Error::kCorrupt;
-    ++transport_errors_;
-    return make_error_response(CompletionCode::kUnspecified);
-  }
-  if (response.seq != tagged.seq) {
+  } else if (response.seq != seq) {
     last_error_ = Error::kStale;
     ++stale_rejections_;
-    ++transport_errors_;
-    return make_error_response(CompletionCode::kUnspecified);
+    response = Response{};
   }
+  if (last_error_ != Error::kNone) ++transport_errors_;
   return response;
 }
 

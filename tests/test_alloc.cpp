@@ -29,6 +29,7 @@
 #include "sched/chunk_batch.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/node.hpp"
+#include "util/units.hpp"
 
 namespace {
 
@@ -168,6 +169,26 @@ TEST(HeapAllocations, VirtualNodeServerExchange) {
        ipmi::make_set_power_limit({false, 0.0})});
 }
 
+/// A fleet node poll as a rack issues it: ManagedNode::power_reading()
+/// (retries with backoff, then the typed decode) over the lossy link.
+TEST(HeapAllocations, ManagedNodePowerReading) {
+  fleet::VirtualNode node(110.0, 400.0, 101.0);
+  fleet::VirtualNodeIpmiServer server(node);
+  Link link(server);
+  core::ManagedNode client("n0", link.faulty);
+  int readings = 0;
+  auto polls = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      if (client.power_reading().has_value()) ++readings;
+    }
+  };
+  polls(50);
+  const std::uint64_t retries_before = client.retries();
+  EXPECT_EQ(allocations_during([&] { polls(1000); }), 0u);
+  EXPECT_GT(readings, 0);
+  EXPECT_GT(client.retries(), retries_before);
+}
+
 /// A budget-tree leaf with a fixed envelope.
 class LeafHolder final : public fleet::BudgetHolder {
  public:
@@ -245,6 +266,50 @@ TEST(HeapAllocations, CouplerRounds) {
   EXPECT_EQ(allocations_during(rounds), 0u);
   EXPECT_GT(root.pushes(), pushes_before);
   EXPECT_GT(links[0]->faulty.drops() + links[0]->faulty.corruptions(), 0u);
+}
+
+/// The rack's per-tick occupancy path: begin_tick's completions, the
+/// restarted chunks and the status its endpoint serves every poll.
+TEST(HeapAllocations, RackStatusAndBeginTick) {
+  fleet::RackConfig config;
+  config.node_count = 8;
+  config.lanes_per_node = 2;
+  fleet::RackManager rack(config);
+  for (int j = 0; j < 16; ++j) {
+    fleet::LaneJob job;
+    job.job_id = j;
+    job.chunks = 1000000;  // never finishes: every lane stays busy
+    rack.enqueue(job);
+  }
+  ASSERT_EQ(rack.place(0.0), 16u);
+  std::vector<fleet::ChunkEvent> completions;
+  completions.reserve(16);
+  std::vector<fleet::RackManager::StartRef> refs;
+  refs.reserve(16);
+  std::size_t completed = 0;
+  std::size_t busy = 0;
+  double t = 0.0;
+  auto ticks = [&](int count) {
+    for (int i = 0; i < count; ++i, t += 1e-3) {
+      completions.clear();
+      rack.begin_tick(t, completions);
+      completed += completions.size();
+      refs.clear();
+      rack.pending_starts(refs);
+      for (const fleet::RackManager::StartRef& ref : refs) {
+        sched::ChunkResult result;
+        result.elapsed = util::milliseconds(
+            1.0 + static_cast<double>((ref.node + ref.lane + i) % 3));
+        result.avg_power_w = 150.0;
+        rack.begin_chunk(ref.node, ref.lane, result, t);
+      }
+      busy += rack.status().busy_nodes;
+    }
+  };
+  ticks(10);
+  EXPECT_EQ(allocations_during([&] { ticks(500); }), 0u);
+  EXPECT_GT(completed, 1000u);
+  EXPECT_EQ(busy, 510u * 8u);
 }
 
 /// A fleet tick whose chunk starts all replay from the memo: after one

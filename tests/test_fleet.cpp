@@ -370,6 +370,121 @@ fleet::FleetConfig small_fleet_config() {
   return config;
 }
 
+// RackManager keeps its occupancy (busy nodes, free lanes, lanes in
+// flight or awaiting a chunk, the division weights, the earliest chunk
+// end) as counters updated on every lane change. Drive one rack through
+// random enqueue/place/begin_chunk/begin_tick steps and compare every
+// query, after every step, with a recount over the lanes.
+TEST(FleetRack, OccupancyCountersMatchLaneRecount) {
+  fleet::RackConfig config;
+  config.node_count = 4;
+  config.lanes_per_node = 2;
+  fleet::RackManager rack(config);
+  // Above the floor sum, so busy nodes (division weight 1) are granted
+  // more than the floor and idle ones (weight 0) exactly the floor.
+  rack.set_budget_target(rack.floor_w() + 160.0);
+
+  struct Recount {
+    std::size_t busy_nodes = 0;
+    std::size_t free_lanes = 0;
+    std::size_t pending = 0;
+    bool in_flight = false;
+    std::vector<bool> node_busy;
+  };
+  const auto recount = [&] {
+    Recount r;
+    for (std::size_t n = 0; n < rack.node_count(); ++n) {
+      bool busy = false;
+      for (std::size_t l = 0; l < rack.lanes_per_node(); ++l) {
+        const fleet::RackManager::Lane& lane = rack.lane(n, l);
+        busy = busy || lane.busy();
+        if (!lane.busy()) ++r.free_lanes;
+        if (lane.busy() && !lane.in_flight) ++r.pending;
+        r.in_flight = r.in_flight || lane.in_flight;
+      }
+      r.node_busy.push_back(busy);
+      if (busy) ++r.busy_nodes;
+    }
+    return r;
+  };
+  std::vector<fleet::RackManager::StartRef> refs;
+  const auto check = [&](const char* step, int tick) {
+    const Recount r = recount();
+    EXPECT_EQ(rack.busy_nodes(), r.busy_nodes) << step << " @ " << tick;
+    EXPECT_EQ(rack.free_lanes(), r.free_lanes) << step << " @ " << tick;
+    EXPECT_EQ(rack.anything_in_flight(), r.in_flight) << step << " @ " << tick;
+    refs.clear();
+    rack.pending_starts(refs);
+    EXPECT_EQ(refs.size(), r.pending) << step << " @ " << tick;
+    const ipmi::RackStatus status = rack.status();
+    EXPECT_EQ(status.busy_nodes, r.busy_nodes) << step << " @ " << tick;
+    EXPECT_EQ(status.free_lanes, r.free_lanes) << step << " @ " << tick;
+  };
+
+  Rng rng(42);
+  int next_job = 0;
+  bool split_finish = false;  // one lane of a node done, the other running
+  std::size_t completed = 0;
+  std::vector<fleet::ChunkEvent> completions;
+  for (int tick = 0; tick < 300; ++tick) {
+    const double t = tick * 1e-3;
+    std::vector<std::pair<std::size_t, std::size_t>> due;
+    for (std::size_t n = 0; n < rack.node_count(); ++n) {
+      for (std::size_t l = 0; l < rack.lanes_per_node(); ++l) {
+        const fleet::RackManager::Lane& lane = rack.lane(n, l);
+        if (lane.in_flight && lane.chunk_end_s <= t + 1e-12) {
+          due.emplace_back(n, l);
+        } else if (lane.in_flight) {
+          const fleet::RackManager::Lane& other = rack.lane(n, 1 - l);
+          split_finish = split_finish ||
+                         (other.in_flight && other.chunk_end_s <= t + 1e-12);
+        }
+      }
+    }
+    completions.clear();
+    rack.begin_tick(t, completions);
+    ASSERT_EQ(completions.size(), due.size()) << "tick " << tick;
+    for (std::size_t k = 0; k < due.size(); ++k) {
+      EXPECT_EQ(completions[k].node, due[k].first) << "tick " << tick;
+      EXPECT_EQ(completions[k].lane, due[k].second) << "tick " << tick;
+    }
+    completed += completions.size();
+    check("begin_tick", tick);
+
+    for (std::uint64_t a = rng.below(3); a > 0; --a) {
+      fleet::LaneJob job;
+      job.job_id = next_job++;
+      job.seed = rng.below(1000);
+      job.chunks = 1 + static_cast<int>(rng.below(3));
+      rack.enqueue(job);
+    }
+    rack.place(t);
+    check("place", tick);
+
+    refs.clear();
+    rack.pending_starts(refs);
+    const std::vector<fleet::RackManager::StartRef> starts = refs;
+    for (const fleet::RackManager::StartRef& ref : starts) {
+      sched::ChunkResult result;
+      result.elapsed =
+          pcap::util::milliseconds(1.0 + static_cast<double>(rng.below(4)));
+      result.avg_power_w = 150.0;
+      rack.begin_chunk(ref.node, ref.lane, result, t);
+      check("begin_chunk", tick);
+    }
+
+    // The division weights, seen through a clean-link rebalance.
+    rack.rebalance();
+    const Recount r = recount();
+    for (std::size_t n = 0; n < rack.node_count(); ++n) {
+      EXPECT_EQ(rack.node_granted_w(n) > config.bmc.min_cap_w, r.node_busy[n])
+          << "node " << n << " @ " << tick;
+    }
+  }
+  EXPECT_TRUE(split_finish);
+  EXPECT_GT(completed, 100u);
+}
+
 TEST(Fleet, SmallRunCompletesAndConserves) {
   fleet::DatacenterManager dc(small_fleet_config());
   const fleet::FleetResult result = dc.run();

@@ -2,9 +2,16 @@
 // codecs, transports and the client session's error handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 #include "ipmi/commands.hpp"
 #include "ipmi/message.hpp"
 #include "ipmi/transport.hpp"
+#include "util/rng.hpp"
 
 namespace pcap::ipmi {
 namespace {
@@ -97,6 +104,99 @@ TEST(Commands, WattsFixedPoint) {
   EXPECT_DOUBLE_EQ(watts_from_wire(1532), 153.2);
   EXPECT_EQ(watts_to_wire(-5.0), 0u);        // clamped
   EXPECT_EQ(watts_to_wire(1e9), 65535u);     // clamped
+}
+
+// The wire encoders round without libm; these are the std::lround forms
+// they replaced, which every wire value must still match.
+std::uint16_t lround_wire16(double watts) {
+  return static_cast<std::uint16_t>(
+      std::lround(std::clamp(watts, 0.0, 6553.5) * 10.0));
+}
+std::uint32_t lround_wire32(double watts) {
+  return static_cast<std::uint32_t>(
+      std::llround(std::clamp(watts, 0.0, 429496729.5) * 10.0));
+}
+
+/// Number of doubles within `steps` ulps of `center` (center included)
+/// where the encoders disagree with their std::lround forms.
+int rounding_mismatches(double center, int steps) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double d = center;
+  for (int k = 0; k < steps; ++k) d = std::nextafter(d, -kInf);
+  int bad = 0;
+  for (int k = 0; k <= 2 * steps; ++k, d = std::nextafter(d, kInf)) {
+    if (watts_to_wire(d) != lround_wire16(d)) ++bad;
+    if (watts32_to_wire(d) != lround_wire32(d)) ++bad;
+  }
+  return bad;
+}
+
+TEST(Commands, WattsToWireIsLroundAtEveryU16Boundary) {
+  // Each wire value w and each rounding tie between w and w + 1, probed
+  // four ulps either side: where truncation or the tie could go wrong.
+  for (std::uint32_t w = 0; w <= 0xFFFF; ++w) {
+    ASSERT_EQ(rounding_mismatches(w / 10.0, 4), 0) << "w = " << w;
+    ASSERT_EQ(rounding_mismatches((w + 0.5) / 10.0, 4), 0) << "w = " << w;
+  }
+}
+
+TEST(Commands, WattsToWireIsLroundOnTheU32Range) {
+  // Every u32 boundary below 200 000, a stride across the whole range,
+  // the neighbourhoods of each power of two and the top of the range.
+  std::vector<std::uint64_t> wires;
+  for (std::uint64_t w = 0; w < 200000; ++w) wires.push_back(w);
+  for (std::uint64_t k = 0; k <= 100000; ++k) {
+    wires.push_back(k * (0xFFFFFFFFull / 100000));
+  }
+  for (int b = 17; b <= 32; ++b) {
+    for (std::uint64_t d = 0; d < 64; ++d) {
+      wires.push_back((1ull << b) - 32 + d);
+    }
+  }
+  for (std::uint64_t w = 0xFFFFFFFFull - 5000; w <= 0xFFFFFFFFull; ++w) {
+    wires.push_back(w);
+  }
+  for (const std::uint64_t w : wires) {
+    const double wd = static_cast<double>(w);
+    ASSERT_EQ(rounding_mismatches(wd / 10.0, 4), 0) << "w = " << w;
+    ASSERT_EQ(rounding_mismatches((wd + 0.5) / 10.0, 4), 0) << "w = " << w;
+  }
+}
+
+TEST(Commands, WattsToWireIsLroundOnRandomAndEdgeInputs) {
+  util::Rng rng(0x5EED);
+  for (int i = 0; i < 1000000; ++i) {
+    const double watts = rng.uniform(-1.0, 7000.0);
+    ASSERT_EQ(watts_to_wire(watts), lround_wire16(watts)) << watts;
+    ASSERT_EQ(watts32_to_wire(watts), lround_wire32(watts)) << watts;
+    const double wide = rng.uniform(-1.0, 429496730.0);
+    ASSERT_EQ(watts32_to_wire(wide), lround_wire32(wide)) << wide;
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double edges[] = {0.0,
+                          -0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          -std::numeric_limits<double>::denorm_min(),
+                          0.04999999999999999,
+                          0.05,
+                          6553.5,
+                          std::nextafter(6553.5, -kInf),
+                          std::nextafter(6553.5, kInf),
+                          6553.45,
+                          429496729.5,
+                          std::nextafter(429496729.5, -kInf),
+                          std::nextafter(429496729.5, kInf),
+                          429496729.45,
+                          std::numeric_limits<double>::max(),
+                          -std::numeric_limits<double>::max(),
+                          kInf,
+                          -kInf};
+  for (const double watts : edges) {
+    EXPECT_EQ(watts_to_wire(watts), lround_wire16(watts)) << watts;
+    EXPECT_EQ(watts32_to_wire(watts), lround_wire32(watts)) << watts;
+  }
+  EXPECT_EQ(watts_to_wire(6553.5), 65535u);
+  EXPECT_EQ(watts32_to_wire(429496729.5), 0xFFFFFFFFu);
 }
 
 TEST(Commands, PowerReadingRoundTrip) {
