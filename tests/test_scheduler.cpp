@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <optional>
@@ -541,6 +542,33 @@ TEST(ClusterSchedulerTest, BudgetInvariantHoldsUnderFaultsAndPartition) {
   // The lossy links must actually have cost something, or the test proves
   // nothing about fault handling.
   EXPECT_GT(result.mgmt_retries + result.mgmt_failed_exchanges, 0u);
+}
+
+// Idle-energy accounting rests on each slot's calibrated idle draw (a
+// fresh node, seed `seed + i + 1`, idling 600 us under an uncapped BMC).
+// The schedule digest does not cover it, so its exact bits are pinned here.
+TEST(ClusterSchedulerTest, IdleCalibrationAndIdleEnergyArePinned) {
+  const AmenabilityTable table = synthetic_table();
+  SchedulerConfig config = small_config(&table, 500.0, "amenability");
+  ipmi::FaultSpec faults;
+  faults.drop_rate = 0.10;
+  faults.duplicate_rate = 0.05;
+  faults.corrupt_rate = 0.05;
+  config.faults = faults;
+
+  ClusterScheduler scheduler(config);
+  const ScheduleResult result = scheduler.run(small_stream(6));
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  // Every node idles at the same draw: the seed moves no idle-path draw.
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(bits(scheduler.idle_power_w(i)), 0x405930a3d70a3d65u)
+        << "node " << i << ": " << std::hexfloat << scheduler.idle_power_w(i);
+  }
+  EXPECT_EQ(bits(result.idle_energy_j), 0x3fe86ca559762aeeu)
+      << std::hexfloat << result.idle_energy_j;
+  EXPECT_EQ(bits(result.total_energy_j), 0x3ff9273ee96e1a1au)
+      << std::hexfloat << result.total_energy_j;
+  EXPECT_EQ(result.schedule_digest(), 0x602f85edc09a4cccu);
 }
 
 TEST(ClusterSchedulerTest, DeadlineAccountingCountsExactlyTheMisses) {
