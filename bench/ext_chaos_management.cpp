@@ -19,7 +19,7 @@
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
-#include "core/bmc_ipmi_server.hpp"
+#include "core/node_ipmi_server.hpp"
 #include "core/dcm.hpp"
 #include "harness/cli.hpp"
 #include "ipmi/transport.hpp"
@@ -37,21 +37,16 @@ constexpr int kNodes = 8;
 struct Slot {
   std::unique_ptr<sim::Node> node;
   std::unique_ptr<core::Bmc> bmc;
-  std::unique_ptr<core::BmcIpmiServer> server;
-  std::unique_ptr<ipmi::LoopbackTransport> loopback;
+  std::unique_ptr<core::NodeIpmiServer<core::Bmc>> server;
   std::unique_ptr<ipmi::FaultyTransport> faulty;
 
   Slot(std::uint64_t seed, const ipmi::FaultSpec& spec) {
     node = std::make_unique<sim::Node>(sim::MachineConfig::romley(), seed);
     bmc = std::make_unique<core::Bmc>(*node);
-    server = std::make_unique<core::BmcIpmiServer>(*bmc);
+    server = std::make_unique<core::NodeIpmiServer<core::Bmc>>(*bmc);
     node->set_control_hook(
         [b = bmc.get()](sim::PlatformControl&) { b->on_control_tick(); });
-    loopback = std::make_unique<ipmi::LoopbackTransport>(
-        [s = server.get()](std::span<const std::uint8_t> frame) {
-          return s->handle_frame(frame);
-        });
-    faulty = std::make_unique<ipmi::FaultyTransport>(*loopback, spec, seed);
+    faulty = std::make_unique<ipmi::FaultyTransport>(*server, spec, seed);
   }
 
   void drive(int phases, std::uint64_t workload_seed) {

@@ -12,8 +12,9 @@
 #include "cache/cache.hpp"
 #include "cache/tlb.hpp"
 #include "core/bmc.hpp"
+#include "core/node_ipmi_server.hpp"
+#include "core/virtual_node.hpp"
 #include "fleet/datacenter.hpp"
-#include "fleet/virtual_node.hpp"
 #include "ipmi/commands.hpp"
 #include "ipmi/transport.hpp"
 #include "mem/dram.hpp"
@@ -662,7 +663,7 @@ BENCHMARK(BM_SchedRunPredictorOn)->MinTime(1.0);
 
 // One datacenter control tick over an idle 1024-node fleet (32 racks x 32
 // nodes): the root coupler round, every rack rebalancing its nodes over
-// the loopback IPMI links, and the per-tick invariant accounting. This is
+// the in-process IPMI links, and the per-tick invariant accounting. This is
 // the fleet planner's fixed per-tick overhead, guarded by the ratchet in
 // tools/check_bench_regression.py.
 void BM_FleetPlan1k(benchmark::State& state) {
@@ -693,16 +694,12 @@ BENCHMARK(BM_FleetPlan10k)->MinTime(0.5);
 
 // One GetPowerReading exchange through the stack every fleet node link
 // uses: Session -> FaultyTransport (fault rates zero, so every exchange
-// completes) -> LoopbackTransport -> VirtualNodeIpmiServer. Prices the
-// codec, the transports and the server dispatch; tracked, not gated.
+// completes) -> NodeIpmiServer<VirtualNode>. Prices the codec, the fault
+// decorator and the server dispatch; tracked, not gated.
 void BM_IpmiExchange(benchmark::State& state) {
-  fleet::VirtualNode node(110.0, 400.0, 101.0);
-  fleet::VirtualNodeIpmiServer server(node);
-  ipmi::LoopbackTransport loopback(
-      [&server](std::span<const std::uint8_t> frame) {
-        return server.handle_frame(frame);
-      });
-  ipmi::FaultyTransport faulty(loopback, ipmi::FaultSpec{}, 7);
+  core::VirtualNode node(110.0, 400.0, 101.0);
+  core::NodeIpmiServer<core::VirtualNode> server(node);
+  ipmi::FaultyTransport faulty(server, ipmi::FaultSpec{}, 7);
   ipmi::Session session(faulty);
   const ipmi::Request request = ipmi::make_get_power_reading();
   for (auto _ : state) {
@@ -717,17 +714,13 @@ BENCHMARK(BM_IpmiExchange);
 // faults) into a VirtualNode. Tracked, not gated: the per-exchange layer
 // number behind fleet_warm's wall time.
 void BM_FleetNodePoll(benchmark::State& state) {
-  fleet::VirtualNode node(110.0, 400.0, 101.0);
-  fleet::VirtualNodeIpmiServer server(node);
-  ipmi::LoopbackTransport loopback(
-      [&server](std::span<const std::uint8_t> frame) {
-        return server.handle_frame(frame);
-      });
+  core::VirtualNode node(110.0, 400.0, 101.0);
+  core::NodeIpmiServer<core::VirtualNode> server(node);
   ipmi::FaultSpec faults;
   faults.drop_rate = 0.02;
   faults.duplicate_rate = 0.01;
   faults.corrupt_rate = 0.01;
-  ipmi::FaultyTransport faulty(loopback, faults, 7);
+  ipmi::FaultyTransport faulty(server, faults, 7);
   core::ManagedNode client("n0", faulty);
   for (auto _ : state) {
     const std::optional<ipmi::PowerReading> reading = client.power_reading();

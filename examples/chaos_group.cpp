@@ -14,7 +14,7 @@
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
-#include "core/bmc_ipmi_server.hpp"
+#include "core/node_ipmi_server.hpp"
 #include "core/dcm.hpp"
 #include "ipmi/transport.hpp"
 #include "sim/machine_config.hpp"
@@ -29,8 +29,7 @@ int main() {
   struct Slot {
     std::unique_ptr<sim::Node> node;
     std::unique_ptr<core::Bmc> bmc;
-    std::unique_ptr<core::BmcIpmiServer> server;
-    std::unique_ptr<ipmi::LoopbackTransport> loopback;
+    std::unique_ptr<core::NodeIpmiServer<core::Bmc>> server;
     std::unique_ptr<ipmi::FaultyTransport> faulty;
   };
   ipmi::FaultSpec spec;
@@ -43,15 +42,11 @@ int main() {
     s.node = std::make_unique<sim::Node>(sim::MachineConfig::romley(),
                                          static_cast<std::uint64_t>(i + 1));
     s.bmc = std::make_unique<core::Bmc>(*s.node);
-    s.server = std::make_unique<core::BmcIpmiServer>(*s.bmc);
+    s.server = std::make_unique<core::NodeIpmiServer<core::Bmc>>(*s.bmc);
     s.node->set_control_hook(
         [bmc = s.bmc.get()](sim::PlatformControl&) { bmc->on_control_tick(); });
-    s.loopback = std::make_unique<ipmi::LoopbackTransport>(
-        [srv = s.server.get()](std::span<const std::uint8_t> frame) {
-          return srv->handle_frame(frame);
-        });
     s.faulty = std::make_unique<ipmi::FaultyTransport>(
-        *s.loopback, spec, static_cast<std::uint64_t>(i) * 31 + 5);
+        *s.server, spec, static_cast<std::uint64_t>(i) * 31 + 5);
   }
 
   // Discovery over the lossy link: add_node itself may need a retry or two

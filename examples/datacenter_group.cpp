@@ -10,7 +10,7 @@
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
-#include "core/bmc_ipmi_server.hpp"
+#include "core/node_ipmi_server.hpp"
 #include "core/dcm.hpp"
 #include "ipmi/transport.hpp"
 #include "sim/machine_config.hpp"
@@ -24,8 +24,7 @@ int main() {
   struct Slot {
     std::unique_ptr<sim::Node> node;
     std::unique_ptr<core::Bmc> bmc;
-    std::unique_ptr<core::BmcIpmiServer> server;
-    std::unique_ptr<ipmi::LoopbackTransport> transport;
+    std::unique_ptr<core::NodeIpmiServer<core::Bmc>> server;
   };
   std::vector<Slot> rack(kNodes);
   for (int i = 0; i < kNodes; ++i) {
@@ -33,19 +32,15 @@ int main() {
     s.node = std::make_unique<sim::Node>(sim::MachineConfig::romley(),
                                          static_cast<std::uint64_t>(i + 1));
     s.bmc = std::make_unique<core::Bmc>(*s.node);
-    s.server = std::make_unique<core::BmcIpmiServer>(*s.bmc);
+    s.server = std::make_unique<core::NodeIpmiServer<core::Bmc>>(*s.bmc);
     s.node->set_control_hook(
         [bmc = s.bmc.get()](sim::PlatformControl&) { bmc->on_control_tick(); });
-    s.transport = std::make_unique<ipmi::LoopbackTransport>(
-        [srv = s.server.get()](std::span<const std::uint8_t> frame) {
-          return srv->handle_frame(frame);
-        });
   }
 
   // The management server discovers the rack.
   core::DataCenterManager dcm;
   for (int i = 0; i < kNodes; ++i) {
-    dcm.add_node("node-" + std::to_string(i), *rack[static_cast<std::size_t>(i)].transport);
+    dcm.add_node("node-" + std::to_string(i), *rack[static_cast<std::size_t>(i)].server);
   }
   std::printf("DCM manages %zu nodes\n", dcm.node_count());
 

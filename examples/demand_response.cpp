@@ -14,7 +14,7 @@
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
-#include "core/bmc_ipmi_server.hpp"
+#include "core/node_ipmi_server.hpp"
 #include "core/dcm.hpp"
 #include "ipmi/transport.hpp"
 #include "sim/machine_config.hpp"
@@ -29,8 +29,7 @@ int main() {
   struct Slot {
     std::unique_ptr<sim::Node> node;
     std::unique_ptr<core::Bmc> bmc;
-    std::unique_ptr<core::BmcIpmiServer> server;
-    std::unique_ptr<ipmi::LoopbackTransport> transport;
+    std::unique_ptr<core::NodeIpmiServer<core::Bmc>> server;
   };
   std::vector<Slot> rack(kNodes);
   core::DataCenterManager dcm;
@@ -39,14 +38,10 @@ int main() {
     s.node = std::make_unique<sim::Node>(sim::MachineConfig::romley(),
                                          static_cast<std::uint64_t>(40 + i));
     s.bmc = std::make_unique<core::Bmc>(*s.node);
-    s.server = std::make_unique<core::BmcIpmiServer>(*s.bmc);
+    s.server = std::make_unique<core::NodeIpmiServer<core::Bmc>>(*s.bmc);
     s.node->set_control_hook(
         [b = s.bmc.get()](sim::PlatformControl&) { b->on_control_tick(); });
-    s.transport = std::make_unique<ipmi::LoopbackTransport>(
-        [srv = s.server.get()](std::span<const std::uint8_t> frame) {
-          return srv->handle_frame(frame);
-        });
-    dcm.add_node("node-" + std::to_string(i), *s.transport);
+    dcm.add_node("node-" + std::to_string(i), *s.server);
   }
 
   // The episode, in DCM polling epochs: normal -> shed at epoch 3 ->

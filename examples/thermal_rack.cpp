@@ -20,7 +20,7 @@
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
-#include "core/bmc_ipmi_server.hpp"
+#include "core/node_ipmi_server.hpp"
 #include "core/dcm.hpp"
 #include "harness/cli.hpp"
 #include "ipmi/transport.hpp"
@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
     std::unique_ptr<sim::Node> node;
     std::unique_ptr<core::Bmc> bmc;
     std::unique_ptr<thermal::ThermalGovernor> governor;
-    std::unique_ptr<core::BmcIpmiServer> server;
-    std::unique_ptr<ipmi::LoopbackTransport> transport;
+    std::unique_ptr<core::NodeIpmiServer<core::Bmc>> server;
   };
   std::vector<Slot> rack(kNodes);
   core::DataCenterManager dcm;
@@ -70,12 +69,8 @@ int main(int argc, char** argv) {
       b->on_control_tick();
       g->on_control_tick();
     });
-    s.server = std::make_unique<core::BmcIpmiServer>(*s.bmc);
-    s.transport = std::make_unique<ipmi::LoopbackTransport>(
-        [srv = s.server.get()](std::span<const std::uint8_t> frame) {
-          return srv->handle_frame(frame);
-        });
-    dcm.add_node("node-" + std::to_string(i), *s.transport);
+    s.server = std::make_unique<core::NodeIpmiServer<core::Bmc>>(*s.bmc);
+    dcm.add_node("node-" + std::to_string(i), *s.server);
   }
   dcm.apply_group_cap(kNormalBudget);
 

@@ -65,18 +65,14 @@ DatacenterManager::DatacenterManager(const FleetConfig& config)
     rack.seed = config_.seed * 65599 + static_cast<std::uint64_t>(i) * 43 + 3;
     slot->manager = std::make_unique<RackManager>(rack);
     slot->server = std::make_unique<BudgetEndpointServer>(*slot->manager);
-    slot->loopback = std::make_unique<ipmi::LoopbackTransport>(
-        [srv = slot->server.get()](std::span<const std::uint8_t> frame) {
-          return srv->handle_frame(frame);
-        });
     if (config_.rack_faults) {
       slot->faulty = std::make_unique<ipmi::FaultyTransport>(
-          *slot->loopback, *config_.rack_faults,
+          *slot->server, *config_.rack_faults,
           config_.seed * 197 + static_cast<std::uint64_t>(i) * 29 + 11);
     }
     ipmi::Transport& link =
         slot->faulty ? static_cast<ipmi::Transport&>(*slot->faulty)
-                     : static_cast<ipmi::Transport&>(*slot->loopback);
+                     : static_cast<ipmi::Transport&>(*slot->server);
     slot->client = std::make_unique<BudgetClient>(link, config_.comms.backoff);
     // Discovery: keep probing until the (possibly lossy) link answers.
     bool attached = false;

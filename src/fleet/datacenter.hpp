@@ -210,7 +210,6 @@ class DatacenterManager {
   struct RackSlot {
     std::unique_ptr<RackManager> manager;
     std::unique_ptr<BudgetEndpointServer> server;
-    std::unique_ptr<ipmi::LoopbackTransport> loopback;
     std::unique_ptr<ipmi::FaultyTransport> faulty;
     std::unique_ptr<BudgetClient> client;
   };

@@ -29,7 +29,7 @@ ipmi::Response BudgetEndpointServer::handle(const ipmi::Request& request) {
   }
 }
 
-ipmi::Frame BudgetEndpointServer::handle_frame(
+ipmi::Frame BudgetEndpointServer::transact(
     std::span<const std::uint8_t> frame) {
   return ipmi::serve_frame(
       frame, [this](const ipmi::Request& request) { return handle(request); });

@@ -2,7 +2,8 @@
 // adopt a budget target and report status (a RackManager, a mid-tree
 // BudgetGroup, a synthetic leaf in tests); BudgetEndpointServer exposes a
 // holder over the IPMI message layer (SetRackBudget / GetRackStatus
-// frames), and BudgetClient is the parent-side ChildLink
+// frames) as the child's end of its link, and BudgetClient is the
+// parent-side ChildLink
 // that speaks to it through any ipmi::Transport — so FaultyTransport's
 // drop/dup/corrupt/partition applies to rack and datacenter hops exactly
 // as it does to node BMC links.
@@ -35,16 +36,18 @@ class BudgetHolder {
 };
 
 /// Serves one BudgetHolder over IPMI frames (the rack/pod analog of
-/// BmcIpmiServer). Unknown commands get kInvalidCommand, malformed
-/// payloads kRequestDataInvalid — same contract the BMC server keeps.
-class BudgetEndpointServer {
+/// core::NodeIpmiServer), as a Transport a BudgetClient binds to directly.
+/// Unknown commands get kInvalidCommand, malformed payloads
+/// kRequestDataInvalid — same contract the node server keeps.
+class BudgetEndpointServer final : public ipmi::Transport {
  public:
   explicit BudgetEndpointServer(BudgetHolder& holder) : holder_(&holder) {}
 
-  ipmi::Response handle(const ipmi::Request& request);
-  ipmi::Frame handle_frame(std::span<const std::uint8_t> frame);
+  ipmi::Frame transact(std::span<const std::uint8_t> frame) override;
 
  private:
+  ipmi::Response handle(const ipmi::Request& request);
+
   BudgetHolder* holder_;
 };
 
@@ -86,7 +89,7 @@ class BudgetClient : public ChildLink {
 
 /// A mid-tree aggregation level: holds a coupler over child BudgetClients
 /// and is itself a BudgetHolder, so trees of any depth compose from the
-/// same three pieces (holder <- server <- transport <- client <- coupler).
+/// same pieces (holder <- server <- [faulty transport] <- client <- coupler).
 /// The randomized-topology tests build their trees from it; the datacenter
 /// root is not one (it holds its own BudgetCoupler over its racks).
 class BudgetGroup : public BudgetHolder {

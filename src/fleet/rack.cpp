@@ -12,10 +12,7 @@ constexpr double kTimeEps = 1e-12;
 
 RackManager::NodeSlot::NodeSlot(const RackConfig& config)
     : vnode(config.bmc.min_cap_w, config.bmc.max_cap_w, config.idle_node_w),
-      server(vnode),
-      loopback([this](std::span<const std::uint8_t> frame) {
-        return server.handle_frame(frame);
-      }) {
+      server(vnode) {
   lanes.resize(config.lanes_per_node);
 }
 
@@ -28,12 +25,12 @@ RackManager::RackManager(const RackConfig& config)
     auto slot = std::make_unique<NodeSlot>(config_);
     if (config_.node_faults) {
       slot->faulty = std::make_unique<ipmi::FaultyTransport>(
-          slot->loopback, *config_.node_faults,
+          slot->server, *config_.node_faults,
           config_.seed * 131 + static_cast<std::uint64_t>(i) * 31 + 5);
     }
     ipmi::Transport& link =
         slot->faulty ? static_cast<ipmi::Transport&>(*slot->faulty)
-                     : static_cast<ipmi::Transport&>(slot->loopback);
+                     : static_cast<ipmi::Transport&>(slot->server);
     core::NodeCommsConfig comms = config_.comms;
     comms.seed = config_.seed * 977 + static_cast<std::uint64_t>(i) * 131 + 7;
     slot->client = std::make_unique<core::ManagedNode>(
@@ -226,7 +223,7 @@ void RackManager::sample(double t) {
 double RackManager::actual_cap_sum_w() const {
   double sum = 0.0;
   for (const auto& slot : slots_) {
-    const std::optional<double> cap = slot->vnode.cap_w();
+    const std::optional<double> cap = slot->vnode.cap();
     sum += cap.value_or(config_.bmc.max_cap_w);
   }
   return sum;

@@ -1,11 +1,12 @@
 // Transports carry encoded IPMI frames between the management server and a
-// BMC. The loopback transport binds a client to an in-process BMC (the BMC's
-// dedicated NIC of the real platform); a fault-injecting decorator models
-// the lossy management network of a real datacenter deployment.
+// BMC. Every responder (core::NodeIpmiServer, fleet::BudgetEndpointServer)
+// is itself a Transport, so a client binds to an in-process endpoint
+// directly (the BMC's dedicated NIC of the real platform); a fault-injecting
+// decorator wrapped around it models the lossy management network of a
+// real datacenter deployment.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "ipmi/message.hpp"
@@ -24,20 +25,6 @@ class Transport {
   /// simulated milliseconds. A client session compares this against its
   /// request timeout; the base transport is instantaneous.
   virtual double last_latency_ms() const { return 0.0; }
-};
-
-/// Binds directly to a server-side frame handler.
-class LoopbackTransport final : public Transport {
- public:
-  using Handler = std::function<Frame(std::span<const std::uint8_t>)>;
-  explicit LoopbackTransport(Handler handler) : handler_(std::move(handler)) {}
-
-  Frame transact(std::span<const std::uint8_t> frame) override {
-    return handler_(frame);
-  }
-
- private:
-  Handler handler_;
 };
 
 /// Fault model for one management-network link. Every stochastic draw comes

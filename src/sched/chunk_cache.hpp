@@ -24,8 +24,9 @@
 // the neighbours (DESIGN.md §13 derives why the key must grow exactly this
 // way).
 //
-// The slot's long-lived node stays on the management plane (DCM/IPMI caps,
-// health, idle calibration); only chunk execution moved to pure simulation.
+// No node outlives its cell: a scheduler or fleet node's management plane
+// (DCM/IPMI caps, health) is a core::VirtualNode, and the scheduler
+// measures each node's idle draw once on a fresh node it then destroys.
 #pragma once
 
 #include <algorithm>

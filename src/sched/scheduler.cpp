@@ -7,6 +7,9 @@
 #include <utility>
 
 #include "core/budget.hpp"
+#include "core/node_ipmi_server.hpp"
+#include "core/virtual_node.hpp"
+#include "sim/node.hpp"
 #include "util/hash.hpp"
 #include "util/units.hpp"
 
@@ -17,6 +20,21 @@ namespace {
 constexpr double kTimeEps = 1e-12;   // event-time comparison slack (seconds)
 constexpr double kCapEpsW = 1e-6;    // caps differing by less are "equal"
 constexpr double kBudgetTolW = 1e-3; // invariant tolerance
+
+/// A node's idle draw, measured on a fresh node (`seed`) idling 600 us
+/// under an uncapped BMC. The simulated time spent here precedes the run's
+/// t = 0, and the node is gone once the draw is known.
+double calibrate_idle_w(const sim::MachineConfig& machine,
+                        const core::BmcConfig& bmc_config,
+                        std::uint64_t seed) {
+  sim::Node node(machine, seed);
+  core::Bmc bmc(node, bmc_config);
+  node.set_control_hook(
+      [&bmc](sim::PlatformControl&) { bmc.on_control_tick(); });
+  node.start_metering();
+  node.idle_for(util::microseconds(600));
+  return node.meter().average_watts();
+}
 
 }  // namespace
 
@@ -41,12 +59,21 @@ std::uint64_t ScheduleResult::schedule_digest() const {
   return h;
 }
 
+/// One node of the rack. Its management plane is a VirtualNode reached
+/// over IPMI: chunks run on fresh simulated nodes (ChunkBatch), so the
+/// slot keeps no resident node. The VirtualNode's draw stays at the
+/// calibrated idle draw (chunk energy is accounted from chunk results).
 struct ClusterScheduler::Slot {
+  Slot(const core::BmcConfig& bmc, double idle_w)
+      : vnode(bmc.min_cap_w, bmc.max_cap_w, idle_w), server(vnode) {
+    // The node boots uncapped, like the BMC its idle draw was measured
+    // under; the first replan caps it.
+    vnode.set_cap(std::nullopt);
+  }
+
   std::string name;
-  std::unique_ptr<sim::Node> node;
-  std::unique_ptr<core::Bmc> bmc;
-  std::unique_ptr<core::BmcIpmiServer> server;
-  std::unique_ptr<ipmi::LoopbackTransport> loopback;
+  core::VirtualNode vnode;
+  core::NodeIpmiServer<core::VirtualNode> server;
   std::unique_ptr<ipmi::FaultyTransport> faulty;
 
   /// One schedulable lane (DESIGN.md §13). Lanes share the node's
@@ -63,10 +90,10 @@ struct ClusterScheduler::Slot {
     std::vector<JobClass> corun_classes;
   };
 
-  double idle_power_w = 101.0;
   std::vector<Lane> lanes;
   double idle_since_s = 0.0;  // when the slot last went fully idle
 
+  double idle_power_w() const { return vnode.draw_w(); }
   bool occupied() const {
     return std::any_of(lanes.begin(), lanes.end(),
                        [](const Lane& l) { return l.job >= 0; });
@@ -86,36 +113,21 @@ ClusterScheduler::ClusterScheduler(const SchedulerConfig& config)
 
   slots_.reserve(config_.node_count);
   for (std::size_t i = 0; i < config_.node_count; ++i) {
-    auto slot = std::make_unique<Slot>();
+    auto slot = std::make_unique<Slot>(
+        config_.bmc,
+        calibrate_idle_w(config_.machine, config_.bmc,
+                         config_.seed + static_cast<std::uint64_t>(i) + 1));
     slot->name = "node-" + std::to_string(i);
     slot->lanes.resize(config_.lanes_per_node);
-    slot->node = std::make_unique<sim::Node>(
-        config_.machine, config_.seed + static_cast<std::uint64_t>(i) + 1);
-    slot->bmc = std::make_unique<core::Bmc>(*slot->node, config_.bmc);
-    slot->server = std::make_unique<core::BmcIpmiServer>(*slot->bmc);
-    slot->node->set_control_hook([bmc = slot->bmc.get()](
-                                     sim::PlatformControl&) {
-      bmc->on_control_tick();
-    });
-    slot->loopback = std::make_unique<ipmi::LoopbackTransport>(
-        [srv = slot->server.get()](std::span<const std::uint8_t> frame) {
-          return srv->handle_frame(frame);
-        });
     if (config_.faults) {
       slot->faulty = std::make_unique<ipmi::FaultyTransport>(
-          *slot->loopback, *config_.faults,
+          slot->server, *config_.faults,
           config_.seed * 131 + static_cast<std::uint64_t>(i) * 31 + 5);
     }
 
-    // Calibrate the slot's idle draw once (used for idle-energy accounting
-    // between jobs; simulated time spent here precedes the run's t = 0).
-    slot->node->start_metering();
-    slot->node->idle_for(util::microseconds(600));
-    slot->idle_power_w = slot->node->meter().average_watts();
-
     ipmi::Transport& link =
         slot->faulty ? static_cast<ipmi::Transport&>(*slot->faulty)
-                     : static_cast<ipmi::Transport&>(*slot->loopback);
+                     : static_cast<ipmi::Transport&>(slot->server);
     bool added = false;
     for (int attempt = 0; attempt < 20 && !added; ++attempt) {
       added = dcm_.add_node(slot->name, link);
@@ -136,7 +148,7 @@ ipmi::FaultyTransport* ClusterScheduler::fault_link(std::size_t i) {
 }
 
 double ClusterScheduler::idle_power_w(std::size_t i) const {
-  return i < slots_.size() ? slots_[i]->idle_power_w : 0.0;
+  return i < slots_.size() ? slots_[i]->idle_power_w() : 0.0;
 }
 
 void ClusterScheduler::apply_caps(const std::vector<double>& target_w,
@@ -415,7 +427,7 @@ ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
       JobRecord& record = records[static_cast<std::size_t>(job)];
       if (!slot.occupied()) {
         result.idle_energy_j +=
-            slot.idle_power_w * std::max(0.0, t - slot.idle_since_s);
+            slot.idle_power_w() * std::max(0.0, t - slot.idle_since_s);
       }
       slot.lanes[l].job = job;
       record.node = static_cast<int>(i);
@@ -538,7 +550,7 @@ ScheduleResult ClusterScheduler::run(const std::vector<JobSpec>& stream) {
   for (const auto& slot : slots_) {
     if (!slot->occupied()) {
       result.idle_energy_j +=
-          slot->idle_power_w * std::max(0.0, makespan - slot->idle_since_s);
+          slot->idle_power_w() * std::max(0.0, makespan - slot->idle_since_s);
     }
   }
   result.total_energy_j = result.busy_energy_j + result.idle_energy_j;

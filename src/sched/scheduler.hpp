@@ -1,18 +1,20 @@
 // Amenability-aware cluster power scheduler (DESIGN.md §11, §13).
 //
-// A rack of simulated nodes — each a full Node + BMC + IPMI endpoint,
-// optionally behind a lossy FaultyTransport — is managed by the existing
-// DataCenterManager. The scheduler admits a seeded job stream, places jobs
-// FIFO onto admitting idle LANES (lane-major: lane 0 of every node before
-// lane 1 of any, so one-lane racks reduce to the classic node-order fill),
-// and at every event (arrival, chunk completion) asks its Policy how to
-// split one group power budget into per-node caps — and, optionally, where
-// each queued job should go — which it pushes through the DCM/IPMI plane.
-// Job execution is real simulation: a solo chunk runs on a fresh Node
-// under whatever cap the BMC is enforcing, and co-resident chunks co-run
-// on a fresh SmpNode sharing L3/DRAM under the package-level cap, so
-// slowdown under deep caps AND under contention emerges from the modelled
-// hierarchy, never from an assumed interference model (DESIGN.md §13).
+// A rack of nodes — each a management-plane VirtualNode behind its own
+// IPMI endpoint, optionally behind a lossy FaultyTransport — is managed by
+// the existing DataCenterManager. The scheduler admits a seeded job
+// stream, places jobs FIFO onto admitting idle LANES (lane-major: lane 0
+// of every node before lane 1 of any, so one-lane racks reduce to the
+// classic node-order fill), and at every event (arrival, chunk completion)
+// asks its Policy how to split one group power budget into per-node caps —
+// and, optionally, where each queued job should go — which it pushes
+// through the DCM/IPMI plane. Job execution is real simulation: a solo
+// chunk runs on a fresh Node under the cap the DCM enforced on its node,
+// and co-resident chunks co-run on a fresh SmpNode sharing L3/DRAM under
+// the package-level cap, so slowdown under deep caps AND under contention
+// emerges from the modelled hierarchy, never from an assumed interference
+// model (DESIGN.md §13). Each node's idle draw is measured once, on a
+// fresh Node that is destroyed after calibration.
 //
 // Invariants (tests/test_scheduler.cpp, tests/test_cosched.cpp):
 //  * at every scheduler tick, the summed enforced/reserved node caps never
@@ -36,7 +38,6 @@
 #include <vector>
 
 #include "core/bmc.hpp"
-#include "core/bmc_ipmi_server.hpp"
 #include "core/dcm.hpp"
 #include "ipmi/transport.hpp"
 #include "sched/amenability_table.hpp"
@@ -46,7 +47,6 @@
 #include "sched/power_model.hpp"
 #include "sched/predictor_hook.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/node.hpp"
 #include "telemetry/trace_writer.hpp"
 
 namespace pcap::sched {
@@ -167,8 +167,6 @@ class ClusterScheduler {
   /// once per scheduler instance (nodes are consumed by the run).
   ScheduleResult run(const std::vector<JobSpec>& stream);
 
-  /// The management plane (for fault injection / health inspection).
-  core::DataCenterManager& dcm() { return dcm_; }
   /// Fault decorator for slot `i` (nullptr when faults are off).
   ipmi::FaultyTransport* fault_link(std::size_t i);
   /// Per-node measured idle draw (used for idle-energy accounting).

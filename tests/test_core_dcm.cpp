@@ -10,7 +10,7 @@
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
-#include "core/bmc_ipmi_server.hpp"
+#include "core/node_ipmi_server.hpp"
 #include "core/dcm.hpp"
 #include "ipmi/commands.hpp"
 #include "ipmi/message.hpp"
@@ -25,19 +25,14 @@ namespace {
 struct Slot {
   std::unique_ptr<sim::Node> node;
   std::unique_ptr<Bmc> bmc;
-  std::unique_ptr<BmcIpmiServer> server;
-  std::unique_ptr<ipmi::LoopbackTransport> transport;
+  std::unique_ptr<NodeIpmiServer<Bmc>> server;
 
   explicit Slot(std::uint64_t seed) {
     node = std::make_unique<sim::Node>(sim::MachineConfig::romley(), seed);
     bmc = std::make_unique<Bmc>(*node);
-    server = std::make_unique<BmcIpmiServer>(*bmc);
+    server = std::make_unique<NodeIpmiServer<Bmc>>(*bmc);
     node->set_control_hook(
         [b = bmc.get()](sim::PlatformControl&) { b->on_control_tick(); });
-    transport = std::make_unique<ipmi::LoopbackTransport>(
-        [s = server.get()](std::span<const std::uint8_t> frame) {
-          return s->handle_frame(frame);
-        });
   }
 
   void load(int phases = 4) {
@@ -54,7 +49,7 @@ class DcmTest : public ::testing::Test {
     for (int i = 0; i < 3; ++i) {
       slots_.push_back(std::make_unique<Slot>(static_cast<std::uint64_t>(i + 1)));
       EXPECT_TRUE(
-          dcm_.add_node("node-" + std::to_string(i), *slots_.back()->transport));
+          dcm_.add_node("node-" + std::to_string(i), *slots_.back()->server));
     }
   }
   std::vector<std::unique_ptr<Slot>> slots_;
@@ -70,13 +65,15 @@ TEST_F(DcmTest, DiscoveryAndNames) {
 }
 
 TEST_F(DcmTest, RejectsDuplicateName) {
-  EXPECT_FALSE(dcm_.add_node("node-0", *slots_[0]->transport));
+  EXPECT_FALSE(dcm_.add_node("node-0", *slots_[0]->server));
   EXPECT_EQ(dcm_.node_count(), 3u);
 }
 
 TEST_F(DcmTest, RejectsDeadTransport) {
-  ipmi::LoopbackTransport dead(
-      [](std::span<const std::uint8_t>) { return ipmi::Frame{}; });
+  // A link that loses every frame.
+  struct Dead final : ipmi::Transport {
+    ipmi::Frame transact(std::span<const std::uint8_t>) override { return {}; }
+  } dead;
   EXPECT_FALSE(dcm_.add_node("dead", dead));
 }
 
@@ -133,7 +130,7 @@ TEST_F(DcmTest, PollBuildsHistory) {
 TEST_F(DcmTest, HistoryDepthBounded) {
   // The DCM keeps the newest 256 samples per node.
   DataCenterManager dcm;
-  dcm.add_node("n", *slots_[0]->transport);
+  dcm.add_node("n", *slots_[0]->server);
   for (int i = 0; i < 300; ++i) dcm.poll();
   const auto* history = dcm.history("n");
   ASSERT_NE(history, nullptr);
@@ -243,7 +240,7 @@ class DcmBudgetTest : public ::testing::Test {
       slots_.push_back(
           std::make_unique<Slot>(static_cast<std::uint64_t>(i + 1)));
       wires_.push_back(std::make_unique<WatchedTransport>(
-          *slots_.back()->transport, watch_));
+          *slots_.back()->server, watch_));
       ASSERT_TRUE(dcm_->add_node("node-" + std::to_string(i), *wires_.back()));
     }
     for (auto& s : slots_) s->load();
@@ -345,7 +342,7 @@ TEST_F(DcmBudgetTest, ReportsExactlyTheCapsThatLanded) {
 TEST(DcmFaulty, SurvivesLossyManagementNetwork) {
   Slot slot(7);
   ipmi::FaultyTransport faulty(
-      *slot.transport,
+      *slot.server,
       ipmi::FaultSpec{.drop_rate = 0.3, .corrupt_rate = 0.2}, 11);
   DataCenterManager dcm;
   // Discovery may need a few tries over a lossy link.

@@ -31,7 +31,6 @@
 #include "fleet/endpoint.hpp"
 #include "fleet/rack.hpp"
 #include "fleet/tenant.hpp"
-#include "fleet/virtual_node.hpp"
 #include "ipmi/transport.hpp"
 #include "telemetry/reducer.hpp"
 #include "util/hash.hpp"
@@ -216,10 +215,9 @@ TEST(FleetTree, EndpointRejectsRetiredRackTelemetryCommand) {
   fleet::BudgetEndpointServer server(holder);
   ipmi::Request request;
   request.command = 0xD2;
-  EXPECT_EQ(server.handle(request).code, ipmi::CompletionCode::kInvalidCommand);
   ipmi::Response reply;
   ASSERT_TRUE(ipmi::decode_response(
-      server.handle_frame(ipmi::encode_request(request)), reply));
+      server.transact(ipmi::encode_request(request)), reply));
   EXPECT_EQ(reply.code, ipmi::CompletionCode::kInvalidCommand);
   EXPECT_EQ(holder.budget_w(), 110.0);
 }
@@ -230,7 +228,6 @@ struct Tree {
   std::vector<std::unique_ptr<fleet::BudgetGroup>> groups;
   std::vector<std::unique_ptr<LeafHolder>> leaves;
   std::vector<std::unique_ptr<fleet::BudgetEndpointServer>> servers;
-  std::vector<std::unique_ptr<ipmi::LoopbackTransport>> loops;
   std::vector<std::unique_ptr<ipmi::FaultyTransport>> faulty;
   std::vector<std::unique_ptr<fleet::BudgetClient>> clients;
 
@@ -252,19 +249,14 @@ fleet::BudgetHolder* build_tree(Tree& tree, Rng& rng, int levels) {
   for (std::size_t i = 0; i < fanout; ++i) {
     fleet::BudgetHolder* child = build_tree(tree, rng, levels - 1);
     tree.servers.push_back(std::make_unique<fleet::BudgetEndpointServer>(*child));
-    fleet::BudgetEndpointServer* server = tree.servers.back().get();
-    tree.loops.push_back(std::make_unique<ipmi::LoopbackTransport>(
-        [server](std::span<const std::uint8_t> frame) {
-          return server->handle_frame(frame);
-        }));
-    ipmi::Transport* link = tree.loops.back().get();
+    ipmi::Transport* link = tree.servers.back().get();
     if (rng.uniform() < 0.5) {  // half the hops are lossy
       ipmi::FaultSpec spec;
       spec.drop_rate = 0.05;
       spec.duplicate_rate = 0.02;
       spec.corrupt_rate = 0.02;
       tree.faulty.push_back(std::make_unique<ipmi::FaultyTransport>(
-          *tree.loops.back(), spec, rng()));
+          *tree.servers.back(), spec, rng()));
       link = tree.faulty.back().get();
     }
     tree.clients.push_back(std::make_unique<fleet::BudgetClient>(*link));

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "ipmi/commands.hpp"
@@ -275,31 +277,31 @@ TEST(Commands, DecodersRejectTruncatedPayloads) {
   EXPECT_FALSE(decode_power_reading(r).has_value());
 }
 
-TEST(Transport, LoopbackDelivers) {
-  LoopbackTransport transport([](std::span<const std::uint8_t> frame) {
-    return Frame(frame);  // echo
-  });
-  const Frame frame = {1, 2, 3};
-  EXPECT_EQ(transport.transact(frame), frame);
-}
-
 namespace {
 
-/// A well-behaved responder: decodes the request and echoes its sequence
-/// number, the way BmcIpmiServer does.
-Frame echo_seq(std::span<const std::uint8_t> frame, Response response) {
-  Request request;
-  if (!decode_request(frame, request)) return {};
-  response.seq = request.seq;
-  return encode_response(response);
-}
+/// A well-behaved responder: answers every decodable request with a fixed
+/// response carrying the request's sequence number, the way the node and
+/// budget servers do.
+class FixedResponder final : public Transport {
+ public:
+  explicit FixedResponder(Response response) : response_(std::move(response)) {}
+
+  Frame transact(std::span<const std::uint8_t> frame) override {
+    Request request;
+    if (!decode_request(frame, request)) return {};
+    Response response = response_;
+    response.seq = request.seq;
+    return encode_response(response);
+  }
+
+ private:
+  Response response_;
+};
 
 }  // namespace
 
 TEST(Transport, SessionDecodesResponses) {
-  LoopbackTransport transport([](std::span<const std::uint8_t> f) {
-    return echo_seq(f, encode_capabilities({110.0, 400.0}));
-  });
+  FixedResponder transport(encode_capabilities({110.0, 400.0}));
   Session session(transport);
   const Response response = session.transact(make_get_capabilities());
   EXPECT_TRUE(response.ok());
@@ -308,9 +310,7 @@ TEST(Transport, SessionDecodesResponses) {
 }
 
 TEST(Transport, SessionSequenceNumbersWrapCleanly) {
-  LoopbackTransport transport([](std::span<const std::uint8_t> f) {
-    return echo_seq(f, make_ok_response());
-  });
+  FixedResponder transport(make_ok_response());
   Session session(transport);
   // Run past the uint8 wrap: every exchange must still match its seq.
   for (int i = 0; i < 300; ++i) {
@@ -321,9 +321,7 @@ TEST(Transport, SessionSequenceNumbersWrapCleanly) {
 }
 
 TEST(Transport, SessionSurvivesDropsAndCorruption) {
-  LoopbackTransport inner([](std::span<const std::uint8_t> f) {
-    return echo_seq(f, make_ok_response());
-  });
+  FixedResponder inner(make_ok_response());
   FaultyTransport faulty(
       inner, FaultSpec{.drop_rate = 0.4, .corrupt_rate = 0.4}, /*seed=*/3);
   Session session(faulty);

@@ -5,13 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "apps/synthetic.hpp"
 #include "core/bmc.hpp"
-#include "core/bmc_ipmi_server.hpp"
+#include "core/node_ipmi_server.hpp"
 #include "core/dcm.hpp"
 #include "ipmi/commands.hpp"
 #include "ipmi/transport.hpp"
@@ -25,17 +26,18 @@ namespace {
 using core::DataCenterManager;
 using core::NodeHealth;
 
-/// Echoes the request's sequence number around a fixed response body, the
-/// way BmcIpmiServer does.
-ipmi::LoopbackTransport::Handler ok_responder() {
-  return [](std::span<const std::uint8_t> frame) -> ipmi::Frame {
+/// Answers every decodable request with an empty kOk response carrying the
+/// request's sequence number, the way the node servers do.
+class OkResponder final : public ipmi::Transport {
+ public:
+  ipmi::Frame transact(std::span<const std::uint8_t> frame) override {
     ipmi::Request request;
     if (!ipmi::decode_request(frame, request)) return {};
     ipmi::Response response = ipmi::make_ok_response();
     response.seq = request.seq;
     return ipmi::encode_response(response);
-  };
-}
+  }
+};
 
 TEST(FaultyTransport, DeterministicUnderFixedSeed) {
   ipmi::FaultSpec spec;
@@ -45,7 +47,7 @@ TEST(FaultyTransport, DeterministicUnderFixedSeed) {
   spec.latency_jitter_ms = 4.0;
 
   auto run = [&](std::uint64_t seed) {
-    ipmi::LoopbackTransport inner(ok_responder());
+    OkResponder inner;
     ipmi::FaultyTransport faulty(inner, spec, seed);
     ipmi::Session session(faulty);
     std::vector<int> outcomes;
@@ -62,7 +64,7 @@ TEST(FaultyTransport, DeterministicUnderFixedSeed) {
 }
 
 TEST(FaultyTransport, DropsEverythingAtRateOne) {
-  ipmi::LoopbackTransport inner(ok_responder());
+  OkResponder inner;
   ipmi::FaultSpec spec;
   spec.drop_rate = 1.0;
   ipmi::FaultyTransport faulty(inner, spec, 1);
@@ -73,7 +75,7 @@ TEST(FaultyTransport, DropsEverythingAtRateOne) {
 }
 
 TEST(FaultyTransport, PeriodicPartitionWindows) {
-  ipmi::LoopbackTransport inner(ok_responder());
+  OkResponder inner;
   ipmi::FaultSpec spec;
   spec.partition_period = 10;
   spec.partition_length = 3;
@@ -91,7 +93,7 @@ TEST(FaultyTransport, PeriodicPartitionWindows) {
 }
 
 TEST(FaultyTransport, ScriptedPartitionAndHeal) {
-  ipmi::LoopbackTransport inner(ok_responder());
+  OkResponder inner;
   ipmi::FaultyTransport faulty(inner, ipmi::FaultSpec{}, 1);
   ipmi::Session session(faulty);
   EXPECT_TRUE(session.transact(ipmi::make_get_power_reading()).ok());
@@ -111,7 +113,7 @@ TEST(FaultyTransport, ScriptedPartitionAndHeal) {
 }
 
 TEST(FaultyTransport, DuplicateReplayRejectedBySequenceNumber) {
-  ipmi::LoopbackTransport inner(ok_responder());
+  OkResponder inner;
   ipmi::FaultSpec spec;
   spec.duplicate_rate = 1.0;
   ipmi::FaultyTransport faulty(inner, spec, 1);
@@ -131,7 +133,7 @@ TEST(FaultyTransport, DuplicateReplayRejectedBySequenceNumber) {
 }
 
 TEST(FaultyTransport, CorruptionCaughtByChecksum) {
-  ipmi::LoopbackTransport inner(ok_responder());
+  OkResponder inner;
   ipmi::FaultSpec spec;
   spec.corrupt_rate = 1.0;
   ipmi::FaultyTransport faulty(inner, spec, 1);
@@ -144,7 +146,7 @@ TEST(FaultyTransport, CorruptionCaughtByChecksum) {
 }
 
 TEST(FaultyTransport, LatencyBeyondTimeoutDiscarded) {
-  ipmi::LoopbackTransport inner(ok_responder());
+  OkResponder inner;
   ipmi::FaultSpec spec;
   spec.base_latency_ms = 10.0;
   ipmi::FaultyTransport faulty(inner, spec, 1);
@@ -221,21 +223,16 @@ TEST(HealthFsm, EveryTransitionMatchesTable) {
 struct Slot {
   std::unique_ptr<sim::Node> node;
   std::unique_ptr<core::Bmc> bmc;
-  std::unique_ptr<core::BmcIpmiServer> server;
-  std::unique_ptr<ipmi::LoopbackTransport> loopback;
+  std::unique_ptr<core::NodeIpmiServer<core::Bmc>> server;
   std::unique_ptr<ipmi::FaultyTransport> faulty;
 
   explicit Slot(std::uint64_t seed, const ipmi::FaultSpec& spec = {}) {
     node = std::make_unique<sim::Node>(sim::MachineConfig::romley(), seed);
     bmc = std::make_unique<core::Bmc>(*node);
-    server = std::make_unique<core::BmcIpmiServer>(*bmc);
+    server = std::make_unique<core::NodeIpmiServer<core::Bmc>>(*bmc);
     node->set_control_hook(
         [b = bmc.get()](sim::PlatformControl&) { b->on_control_tick(); });
-    loopback = std::make_unique<ipmi::LoopbackTransport>(
-        [s = server.get()](std::span<const std::uint8_t> frame) {
-          return s->handle_frame(frame);
-        });
-    faulty = std::make_unique<ipmi::FaultyTransport>(*loopback, spec,
+    faulty = std::make_unique<ipmi::FaultyTransport>(*server, spec,
                                                      seed * 101 + 7);
   }
 
@@ -628,7 +625,7 @@ TEST(DcmRetry, ManagedNodeRetriesThroughHeavyLoss) {
   spec.drop_rate = 0.35;
   spec.duplicate_rate = 0.1;
   spec.corrupt_rate = 0.15;
-  ipmi::FaultyTransport faulty(*slot.loopback, spec, 17);
+  ipmi::FaultyTransport faulty(*slot.server, spec, 17);
 
   core::DcmConfig config;
   config.comms.backoff.max_attempts = 6;
