@@ -64,8 +64,8 @@ int main() {
   telemetry::TelemetryConfig tconfig;
   tconfig.enabled = true;
   tconfig.sample_period = util::microseconds(50);
-  telemetry::NodeProbe probe0(tconfig, nullptr, nullptr, "core0");
-  telemetry::NodeProbe probe1(tconfig, nullptr, nullptr, "core1");
+  telemetry::NodeProbe probe0(tconfig, nullptr, "core0");
+  telemetry::NodeProbe probe1(tconfig, nullptr, "core1");
   const std::array<telemetry::NodeProbe*, 2> probes = {&probe0, &probe1};
   node.set_core_telemetry(probes);
 

@@ -91,7 +91,7 @@ StudyResult run_power_cap_study(const std::string& workload_name,
         i == 0 ? std::nullopt : std::optional<double>(config.caps_w[i - 1]);
     if (config.telemetry.enabled) {
       probes[i] = std::make_unique<telemetry::NodeProbe>(
-          config.telemetry, nullptr, nullptr, cell_label(cap));
+          config.telemetry, nullptr, cell_label(cap));
       node.set_telemetry(probes[i].get());
       runner.bmc().set_telemetry(nullptr, probes[i].get(), cell_label(cap));
     }

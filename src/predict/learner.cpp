@@ -1,6 +1,7 @@
 #include "predict/learner.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace pcap::predict {
 
@@ -15,6 +16,13 @@ constexpr double kAlpha = 0.2;
 constexpr double kHeadroomW = 4.0;
 /// Confidence = samples / (samples + kConfidenceSamples).
 constexpr double kConfidenceSamples = 24.0;
+/// Cap grid (W) the curves are learned on, ascending: the offline
+/// characterisation grid (CharacterizeOptions::caps_w).
+constexpr std::array<double, 8> kCapsW = {115, 120, 125, 130,
+                                          135, 140, 150, 160};
+/// Usable-floor tolerance when materialising curves (mirrors
+/// CharacterizeOptions::slowdown_tolerance).
+constexpr double kSlowdownTolerance = 1.25;
 
 /// Weighted pool-adjacent-violators: projects `v` onto the non-decreasing
 /// sequences (least squares, weights `w`). O(n) with the classic stack of
@@ -74,14 +82,10 @@ double interpolate_points(const std::vector<double>& caps,
 
 }  // namespace
 
-OnlineAmenabilityLearner::OnlineAmenabilityLearner(const LearnerConfig& config)
-    : config_(config), caps_(config.caps_w) {
-  std::sort(caps_.begin(), caps_.end());
-  caps_.erase(std::unique(caps_.begin(), caps_.end()), caps_.end());
-  if (caps_.empty()) caps_.push_back(135.0);
-  for (auto& cls : classes_) cls.points.resize(caps_.size());
+OnlineAmenabilityLearner::OnlineAmenabilityLearner() {
+  for (auto& cls : classes_) cls.points.resize(kCapsW.size());
   for (auto& row : pairs_) {
-    for (auto& pair : row) pair.points.resize(caps_.size());
+    for (auto& pair : row) pair.points.resize(kCapsW.size());
   }
 }
 
@@ -95,9 +99,9 @@ void OnlineAmenabilityLearner::bootstrap(const sched::AmenabilityTable& table) {
     s.bootstrapped = true;
     s.baseline_power_w = curve->baseline_power_w;
     s.baseline_time_s = curve->baseline_time_s;
-    for (std::size_t i = 0; i < caps_.size(); ++i) {
-      s.points[i].slowdown = curve->slowdown_at(caps_[i]);
-      s.points[i].power_w = curve->power_at(caps_[i]);
+    for (std::size_t i = 0; i < kCapsW.size(); ++i) {
+      s.points[i].slowdown = curve->slowdown_at(kCapsW[i]);
+      s.points[i].power_w = curve->power_at(kCapsW[i]);
       s.points[i].weight = 0.0;  // prior only: first samples dominate fast
     }
     materialize(cls);
@@ -112,15 +116,15 @@ void OnlineAmenabilityLearner::deposit(std::vector<GridPoint>* points,
   std::size_t lo = 0;
   std::size_t hi = 0;
   double f_hi = 0.0;
-  if (cap_w <= caps_.front()) {
+  if (cap_w <= kCapsW.front()) {
     lo = hi = 0;
-  } else if (cap_w >= caps_.back()) {
-    lo = hi = caps_.size() - 1;
+  } else if (cap_w >= kCapsW.back()) {
+    lo = hi = kCapsW.size() - 1;
   } else {
-    while (hi + 1 < caps_.size() && caps_[hi] < cap_w) ++hi;
+    while (hi + 1 < kCapsW.size() && kCapsW[hi] < cap_w) ++hi;
     lo = hi - 1;
-    const double span = caps_[hi] - caps_[lo];
-    f_hi = span > 0.0 ? (cap_w - caps_[lo]) / span : 0.0;
+    const double span = kCapsW[hi] - kCapsW[lo];
+    f_hi = span > 0.0 ? (cap_w - kCapsW[lo]) / span : 0.0;
   }
   const double mass[2] = {1.0 - f_hi, f_hi};
   const std::size_t idx[2] = {lo, hi};
@@ -150,7 +154,7 @@ void OnlineAmenabilityLearner::project(ClassState* s) {
   // cap_met = false), so clamping would bias the learned curve below what
   // the node actually draws.
   std::vector<std::size_t> support;
-  for (std::size_t i = 0; i < caps_.size(); ++i) {
+  for (std::size_t i = 0; i < kCapsW.size(); ++i) {
     if (s->points[i].weight > 0.0 || s->bootstrapped) support.push_back(i);
   }
   if (support.size() < 2) {
@@ -179,10 +183,10 @@ void OnlineAmenabilityLearner::materialize(sched::JobClass cls) {
   sched::ClassCurve curve;
   curve.cls = cls;
   double max_power = 0.0;
-  for (std::size_t i = 0; i < caps_.size(); ++i) {
+  for (std::size_t i = 0; i < kCapsW.size(); ++i) {
     if (s.points[i].weight <= 0.0 && !s.bootstrapped) continue;
     core::AmenabilityPoint p;
-    p.cap_w = caps_[i];
+    p.cap_w = kCapsW[i];
     p.slowdown = s.points[i].slowdown;
     p.measured_power_w = s.points[i].power_w;
     max_power = std::max(max_power, p.measured_power_w);
@@ -196,7 +200,7 @@ void OnlineAmenabilityLearner::materialize(sched::JobClass cls) {
                                ? s.baseline_power_w
                                : max_power + kHeadroomW;
   curve.baseline_time_s = s.baseline_time_s;
-  if (curve.points.back().cap_w < caps_.back()) {
+  if (curve.points.back().cap_w < kCapsW.back()) {
     // The visited caps stop short of the grid's top (a tight-budget run
     // never sees generous caps). ClassCurve::interpolate treats a query at
     // or above its last point as "cap no longer binds", which would erase
@@ -204,14 +208,14 @@ void OnlineAmenabilityLearner::materialize(sched::JobClass cls) {
     // grid top so the measured values stay interior and interpolation
     // decays toward 1.0 there.
     core::AmenabilityPoint top;
-    top.cap_w = caps_.back();
+    top.cap_w = kCapsW.back();
     top.slowdown = 1.0;
-    top.measured_power_w = std::min(curve.baseline_power_w, caps_.back());
+    top.measured_power_w = std::min(curve.baseline_power_w, kCapsW.back());
     curve.points.push_back(top);
   }
   curve.usable_floor_w = curve.points.back().cap_w;
   for (const auto& p : curve.points) {
-    if (p.slowdown <= config_.slowdown_tolerance) {
+    if (p.slowdown <= kSlowdownTolerance) {
       curve.usable_floor_w = p.cap_w;
       break;  // points ascend in cap: first within tolerance is the floor
     }
@@ -245,7 +249,7 @@ void OnlineAmenabilityLearner::observe(const sched::CoRunObservation& obs,
     if (s.baseline_time_s <= 0.0 || obs.elapsed_s <= 0.0) return;
     const double slowdown =
         std::max(1.0, obs.elapsed_s / s.baseline_time_s);
-    const double cap = capped ? *obs.cap_w : caps_.back();
+    const double cap = capped ? *obs.cap_w : kCapsW.back();
     for (const sched::JobClass other : obs.co_resident) {
       PairState& pair =
           pairs_[static_cast<std::size_t>(obs.cls)]
@@ -253,7 +257,7 @@ void OnlineAmenabilityLearner::observe(const sched::CoRunObservation& obs,
       deposit(&pair.points, cap, slowdown, avg_power_w);
       std::vector<double> slow, weight;
       std::vector<std::size_t> support;
-      for (std::size_t i = 0; i < caps_.size(); ++i) {
+      for (std::size_t i = 0; i < kCapsW.size(); ++i) {
         if (pair.points[i].weight <= 0.0) continue;
         support.push_back(i);
         slow.push_back(std::max(1.0, pair.points[i].slowdown));
@@ -314,9 +318,9 @@ double OnlineAmenabilityLearner::pair_slowdown_at(sched::JobClass cls,
   const PairState& pair = pairs_[static_cast<std::size_t>(cls)]
                                 [static_cast<std::size_t>(other)];
   std::vector<double> caps, values;
-  for (std::size_t i = 0; i < caps_.size(); ++i) {
+  for (std::size_t i = 0; i < kCapsW.size(); ++i) {
     if (pair.points[i].weight <= 0.0) continue;
-    caps.push_back(caps_[i]);
+    caps.push_back(kCapsW[i]);
     values.push_back(pair.points[i].slowdown);
   }
   if (caps.empty()) return slowdown_at(cls, cap_w);

@@ -32,23 +32,12 @@
 
 namespace pcap::predict {
 
-struct LearnerConfig {
-  /// Cap grid (W) the curves are learned on; defaults to the offline
-  /// characterisation grid. Stored ascending internally.
-  std::vector<double> caps_w = {160, 150, 140, 135, 130, 125, 120, 115};
-  /// Usable-floor tolerance when materialising curves (mirrors
-  /// CharacterizeOptions::slowdown_tolerance).
-  double slowdown_tolerance = 1.25;
-};
-
 /// Where a class's curve came from.
 enum class Provenance { kOffline, kOnlineLearned, kMixed };
 
 class OnlineAmenabilityLearner {
  public:
-  explicit OnlineAmenabilityLearner(const LearnerConfig& config = {});
-
-  const LearnerConfig& config() const { return config_; }
+  OnlineAmenabilityLearner();
 
   /// Seeds every class curve from an offline table (provenance kOffline
   /// until online samples arrive). Baselines and grid values interpolate
@@ -96,7 +85,7 @@ class OnlineAmenabilityLearner {
     double baseline_time_s = 0.0;
     std::uint64_t samples = 0;
     std::uint64_t uncapped = 0;
-    std::vector<GridPoint> points;  // parallel to caps_, ascending
+    std::vector<GridPoint> points;  // parallel to the cap grid, ascending
   };
   struct PairState {
     std::uint64_t samples = 0;
@@ -114,8 +103,6 @@ class OnlineAmenabilityLearner {
     return classes_[static_cast<std::size_t>(cls)];
   }
 
-  LearnerConfig config_;
-  std::vector<double> caps_;  // ascending
   std::array<ClassState, sched::kJobClassCount> classes_{};
   // pair_[cls][other]: slowdown of cls when co-resident with other.
   std::array<std::array<PairState, sched::kJobClassCount>,

@@ -3,9 +3,7 @@
 namespace pcap::predict {
 
 Predictor::Predictor(const PredictorConfig& config)
-    : config_(config),
-      learner_(config.learner),
-      planner_(config.planner) {}
+    : config_(config), planner_(config.planner) {}
 
 void Predictor::bootstrap(const sched::AmenabilityTable& table) {
   learner_.bootstrap(table);

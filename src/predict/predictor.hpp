@@ -40,7 +40,6 @@ struct PredictorConfig {
   /// untouched (forecast-only mode).
   bool proactive = true;
   PhaseConfig phase;
-  LearnerConfig learner;
   PlannerConfig planner;
 };
 

@@ -254,7 +254,6 @@ void PackagePlatform::control_step(util::Picoseconds now) {
 }
 
 void PackagePlatform::probe_step(util::Picoseconds now) {
-  if constexpr (!telemetry::kCompiledIn) return;
   // Probes only read simulator state; feeding them cannot perturb the run.
   const std::size_t cores = std::min(core_probes_.size(), core_lanes_.size());
   const bool package_due = probe_ != nullptr && probe_->wants_sample(now);

@@ -14,17 +14,12 @@ double rate(std::uint64_t miss_now, std::uint64_t miss_then,
 
 }  // namespace
 
-NodeProbe::NodeProbe(const TelemetryConfig& config, Registry* registry,
-                     TraceWriter* trace, const std::string& name)
+NodeProbe::NodeProbe(const TelemetryConfig& config, TraceWriter* trace,
+                     const std::string& name)
     : config_(config),
-      registry_(registry),
       trace_(trace),
       name_(name),
       sampler_({config.sample_period}, config.ring_capacity) {
-  if (registry_ != nullptr) {
-    samples_taken_ = registry_->counter(name_ + ".samples");
-    last_watts_ = registry_->gauge(name_ + ".watts");
-  }
   if (trace_ != nullptr) track_ = trace_->track(name_);
 }
 
@@ -61,10 +56,6 @@ void NodeProbe::take_sample(const ProbeInput& in) {
   has_last_ = true;
   sampler_.record(s);
 
-  if (registry_ != nullptr) {
-    registry_->add(samples_taken_);
-    registry_->set(last_watts_, in.watts);
-  }
   if (trace_ != nullptr) {
     const double ts = TraceWriter::sim_us(in.now);
     trace_->counter(track_, name_ + ".watts", ts, in.watts);

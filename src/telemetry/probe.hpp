@@ -7,7 +7,7 @@
 // throttle rung, DCM health), and records into its Sampler when the period
 // elapses. Given a TraceWriter, it mirrors power/frequency into it as
 // counter series so the waveform shows up alongside the management spans in
-// Perfetto, and counts probe activity in a Registry.
+// Perfetto.
 //
 // The probe only ever *reads* simulator state — attaching one must leave
 // simulated results bit-identical (tests/test_telemetry.cpp enforces this).
@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <string>
 
-#include "telemetry/registry.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/trace_writer.hpp"
 #include "util/units.hpp"
@@ -61,7 +60,6 @@ struct ProbeInput {
 class NodeProbe {
  public:
   explicit NodeProbe(const TelemetryConfig& config = {},
-                     Registry* registry = nullptr,
                      TraceWriter* trace = nullptr,
                      const std::string& name = "node");
 
@@ -100,7 +98,6 @@ class NodeProbe {
   void take_sample(const ProbeInput& in);
 
   TelemetryConfig config_;
-  Registry* registry_;
   TraceWriter* trace_;
   std::string name_;
   Sampler sampler_;
@@ -113,8 +110,6 @@ class NodeProbe {
   ProbeInput last_{};
   bool has_last_ = false;
 
-  CounterHandle samples_taken_{};
-  GaugeHandle last_watts_{};
   std::uint32_t track_ = 0;
 };
 

@@ -116,10 +116,8 @@ telemetry::TelemetryConfig probe_config() {
 }
 
 TEST(PackageProbeSeries, CappedNodeSeriesPinned) {
-  if constexpr (!telemetry::kCompiledIn) GTEST_SKIP();
-
   Node node(MachineConfig::romley(), 11);
-  telemetry::NodeProbe probe(probe_config(), nullptr, nullptr, "node");
+  telemetry::NodeProbe probe(probe_config(), nullptr, "node");
   node.set_telemetry(&probe);
   core::Bmc bmc(node);
   bmc.set_telemetry(nullptr, &probe, "node");
@@ -134,14 +132,12 @@ TEST(PackageProbeSeries, CappedNodeSeriesPinned) {
 }
 
 TEST(PackageProbeSeries, CappedSmpNodeSeriesPinned) {
-  if constexpr (!telemetry::kCompiledIn) GTEST_SKIP();
-
   SmpConfig config;
   config.cores = 2;
   SmpNode node(config, 13);
-  telemetry::NodeProbe package(probe_config(), nullptr, nullptr, "package");
-  telemetry::NodeProbe core0(probe_config(), nullptr, nullptr, "core0");
-  telemetry::NodeProbe core1(probe_config(), nullptr, nullptr, "core1");
+  telemetry::NodeProbe package(probe_config(), nullptr, "package");
+  telemetry::NodeProbe core0(probe_config(), nullptr, "core0");
+  telemetry::NodeProbe core1(probe_config(), nullptr, "core1");
   node.set_telemetry(&package);
   std::vector<telemetry::NodeProbe*> cores{&core0, &core1};
   node.set_core_telemetry(cores);

@@ -371,16 +371,14 @@ TEST(SmpEquivalence, ThrowingControlHookUnwindsRun) {
 // --- telemetry neutrality ---------------------------------------------------
 
 TEST(SmpEquivalence, TelemetryProbesAreBitNeutral) {
-  if constexpr (!telemetry::kCompiledIn) GTEST_SKIP();
-
   const SmpRunReport bare = run_cell(steppable_mix, 61, 160.0);
 
   telemetry::TelemetryConfig tconfig;
   tconfig.enabled = true;
   tconfig.sample_period = util::microseconds(20);
-  telemetry::NodeProbe package(tconfig, nullptr, nullptr, "package");
-  telemetry::NodeProbe core0(tconfig, nullptr, nullptr, "core0");
-  telemetry::NodeProbe core1(tconfig, nullptr, nullptr, "core1");
+  telemetry::NodeProbe package(tconfig, nullptr, "package");
+  telemetry::NodeProbe core0(tconfig, nullptr, "core0");
+  telemetry::NodeProbe core1(tconfig, nullptr, "core1");
 
   auto workloads = steppable_mix();
   std::vector<Workload*> ptrs;

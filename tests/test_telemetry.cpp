@@ -166,38 +166,6 @@ TEST(Sampler, WindowedReadsCorrectAtRingWrapEdges) {
   }
 }
 
-// --- Registry ---
-
-TEST(Registry, CountersAndGaugesRoundTrip) {
-  Registry registry;
-  const CounterHandle c = registry.counter("samples");
-  const GaugeHandle g = registry.gauge("watts");
-  registry.add(c);
-  registry.add(c, 4);
-  registry.set(g, 131.5);
-  if constexpr (!kCompiledIn) {
-    // cmake -DPCAP_TELEMETRY=OFF: mutators fold to nothing.
-    EXPECT_EQ(registry.value(c), 0u);
-    EXPECT_DOUBLE_EQ(registry.value(g), 0.0);
-    return;
-  }
-  EXPECT_EQ(registry.value(c), 5u);
-  EXPECT_DOUBLE_EQ(registry.value(g), 131.5);
-  // Re-registering the same name returns the same slot.
-  const CounterHandle c2 = registry.counter("samples");
-  registry.add(c2, 5);
-  EXPECT_EQ(registry.value(c), 10u);
-  EXPECT_EQ(registry.counter_count(), 1u);
-
-  registry.set_enabled(false);
-  registry.add(c, 100);
-  registry.set(g, 0.0);
-  EXPECT_EQ(registry.value(c), 10u);
-  EXPECT_DOUBLE_EQ(registry.value(g), 131.5);
-
-  EXPECT_NE(registry.dump().find("samples 10"), std::string::npos);
-}
-
 // --- Reducer ---
 
 Sampler make_sampler(util::Picoseconds period,
@@ -580,7 +548,7 @@ TEST(NodeProbe, AnnotationsStampIntoSamples) {
   TelemetryConfig config;
   config.enabled = true;
   config.sample_period = util::microseconds(10);
-  NodeProbe probe(config, nullptr, nullptr, "n0");
+  NodeProbe probe(config, nullptr, "n0");
   ProbeInput in;
   in.now = util::microseconds(10);
   in.watts = 120.0;
@@ -645,11 +613,7 @@ TEST(Telemetry, StudyResultsBitIdenticalOnAndOff) {
   EXPECT_EQ(labels[0], "baseline");
   EXPECT_EQ(labels[1], "cap-150");
   EXPECT_EQ(labels[2], "cap-125");
-  if constexpr (kCompiledIn) {
-    EXPECT_GT(sampled, 0u);
-  } else {
-    EXPECT_EQ(sampled, 0u);  // node probe hook is compiled out
-  }
+  EXPECT_GT(sampled, 0u);
 
   // ...and every measured quantity is bit-identical to the untelemetered
   // run: the probe only reads.
